@@ -38,19 +38,17 @@ check: vet staticcheck race
 # Invariant conformance gate: run every scheme x benchmark pair — at the
 # Table I configuration and across randomized small wafers — under the
 # simulation invariant checker (hdpat.WithInvariants), plus the
-# serial-vs-parallel determinism cross-check and the domain-sharded kernel's
-# serial-equivalence case (INV_DOMAINS shards; 1 skips it). The ops/rand
+# serial-vs-parallel determinism cross-check. The ops/rand
 # budget bounds the run to about a minute; raise INV_OPS locally for a
 # deeper sweep. INV_ROUTING reruns the whole harness under another NoC
 # routing policy (CI gates both xy and deflect). See docs/invariants.md
 # for the invariant catalogue.
 INV_OPS ?= 2
 INV_RAND ?= 2
-INV_DOMAINS ?= 4
 INV_ROUTING ?= xy
 INV_FLAGS ?=
 verify-invariants:
-	$(GO) run ./cmd/verifyinv -ops $(INV_OPS) -rand $(INV_RAND) -domains $(INV_DOMAINS) -routing $(INV_ROUTING) $(INV_FLAGS)
+	$(GO) run ./cmd/verifyinv -ops $(INV_OPS) -rand $(INV_RAND) -routing $(INV_ROUTING) $(INV_FLAGS)
 
 # Machine-readable benchmark run: the batch-engine benchmarks (override
 # with BENCH=...) with allocation stats, teed to results/bench.txt and
@@ -67,14 +65,14 @@ bench:
 # the committed baseline results/bench.json on three metrics. Wall time
 # (ns/op) and the derived events/sec throughput get wide slack because
 # shared runners are noisy; allocs/op is nearly deterministic, so its
-# tolerance only absorbs sync.Pool and map-growth jitter — one real new
-# allocation per op on the Compare path trips it. CI runs this on every
+# tolerance only absorbs map-growth and runtime-internal jitter — one real
+# new allocation per op on the Compare path trips it. CI runs this on every
 # push.
 BENCH_TOLERANCE ?= 0.15
 ALLOC_TOLERANCE ?= 0.10
 EVENTS_TOLERANCE ?= 0.15
 BYTES_TOLERANCE ?= 0.20
-# Extra benchmarks to diff but never gate on (regexp). Domain-sharded D<n>
+# Extra benchmarks to diff but never gate on (regexp). Deflection-routed
 # legs are automatically informational when the run used a single CPU.
 BENCH_INFORMATIONAL ?=
 bench-check:

@@ -3,7 +3,6 @@ package hdpat
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"time"
 
 	"hdpat/internal/attr"
@@ -67,24 +66,7 @@ func RunBatch(ctx context.Context, cfg Config, specs []RunSpec, opts ...Option) 
 			return res, err
 		}
 	}
-	workers := rc.workers
-	if rc.domains != nil && *rc.domains != 1 {
-		// WithDomains multiplies each run's goroutine demand; cap workers so
-		// workers x domains stays within GOMAXPROCS (see WithDomains).
-		nd := *rc.domains
-		maxp := runtime.GOMAXPROCS(0)
-		if nd <= 0 {
-			nd = maxp
-		}
-		cap := maxp / nd
-		if cap < 1 {
-			cap = 1
-		}
-		if workers <= 0 || workers > cap {
-			workers = cap
-		}
-	}
-	pool := &runner.Pool{Workers: workers, Metrics: rc.metrics}
+	pool := &runner.Pool{Workers: rc.workers, Metrics: rc.metrics}
 	if rc.progress != nil {
 		pool.Progress = func(done, total int, _ runner.Outcome) { rc.progress(done, total) }
 	}

@@ -49,32 +49,17 @@ func BenchmarkCompareBaseline(b *testing.B) {
 	runCompareHot(b, hdpat.DefaultConfig(), "baseline", "SPMV")
 }
 
-// BenchmarkCompareHDPATD4 is the same comparison through the domain-sharded
-// kernel (WithDomains(4)): identical results, with the window/barrier
-// machinery and pooled (sync.Pool) request path in the loop. Against
-// BenchmarkCompareHDPAT it measures the sharding speedup — or, on a
-// single-CPU runner, the pure protocol overhead (see docs/performance.md,
-// "Domain decomposition").
-func BenchmarkCompareHDPATD4(b *testing.B) {
-	runCompareHot(b, hdpat.DefaultConfig(), "hdpat", "PR", hdpat.WithDomains(4))
-}
-
 // BenchmarkCompareHDPATDeflect is the canonical comparison under the
 // bufferless deflection router: every hop pays the policy's route call and
 // contended hops pay the misroute probe, so against BenchmarkCompareHDPAT
-// it prices the routing seam. Informational in the bench gate (like the D
-// legs) so router tuning does not flake CI.
+// it prices the routing seam. Informational in the bench gate so router
+// tuning does not flake CI.
 func BenchmarkCompareHDPATDeflect(b *testing.B) {
 	runCompareHot(b, hdpat.DefaultConfig(), "hdpat", "PR", hdpat.WithRouting("deflect"))
 }
 
-// BenchmarkCompareHDPAT7x12 and its D4 twin repeat the comparison on the
-// enlarged Fig 22 wafer, where windows are denser and domains better fed —
-// the geometry sharding targets.
+// BenchmarkCompareHDPAT7x12 repeats the comparison on the enlarged Fig 22
+// wafer.
 func BenchmarkCompareHDPAT7x12(b *testing.B) {
 	runCompareHot(b, hdpat.Wafer7x12Config(), "hdpat", "PR")
-}
-
-func BenchmarkCompareHDPAT7x12D4(b *testing.B) {
-	runCompareHot(b, hdpat.Wafer7x12Config(), "hdpat", "PR", hdpat.WithDomains(4))
 }

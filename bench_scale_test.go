@@ -5,7 +5,7 @@
 // columns. BenchmarkScale30x30 reports events/sec (throughput) and
 // bytes/GPM (allocation per GPM from runtime.ReadMemStats deltas), both
 // gated by cmd/benchjson against results/bench.json; the tests pin the
-// memory bound and the serial-vs-sharded byte identity at this size.
+// memory bound and the output digests at this size.
 package hdpat_test
 
 import (
@@ -80,11 +80,11 @@ func scaleWorkload() workload.Benchmark {
 }
 
 // runScale executes one 30x30 run.
-func runScale(t testing.TB, domains int, routing string) hdpat.Result {
+func runScale(t testing.TB, routing string) hdpat.Result {
 	t.Helper()
 	res, err := wafer.Run(scaleConfig(t), wafer.Options{
 		Scheme: "hdpat", Benchmark: scaleWorkload(),
-		OpsBudget: 16, Seed: 7, Domains: domains, Routing: routing,
+		OpsBudget: 16, Seed: 7, Routing: routing,
 	})
 	if err != nil {
 		t.Fatalf("30x30 run: %v", err)
@@ -104,7 +104,7 @@ func scaleBytesPerGPM(t testing.TB) float64 {
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)
-	res := runScale(t, 0, "")
+	res := runScale(t, "")
 	runtime.ReadMemStats(&m1)
 	runtime.KeepAlive(res)
 	return float64(m1.TotalAlloc-m0.TotalAlloc) / float64(scaleGPMs)
@@ -118,7 +118,7 @@ func BenchmarkScale30x30(b *testing.B) {
 	var events uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		events += runScale(b, 0, "").Events
+		events += runScale(b, "").Events
 	}
 	b.StopTimer()
 	if s := b.Elapsed().Seconds(); s > 0 {
@@ -136,7 +136,7 @@ func BenchmarkScale30x30Deflect(b *testing.B) {
 	var events uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		events += runScale(b, 0, "deflect").Events
+		events += runScale(b, "deflect").Events
 	}
 	b.StopTimer()
 	if s := b.Elapsed().Seconds(); s > 0 {
@@ -165,27 +165,21 @@ func TestScale30x30BoundedMemory(t *testing.T) {
 	}
 }
 
-// TestScale30x30Digests pins the 30x30 outputs byte-for-byte: the serial
-// run must match testdata/golden_scale.json, and the domain-sharded kernel
-// must reproduce the serial bytes exactly. Regenerate (only on intentional
-// behaviour change) with -update-scale-golden.
+// TestScale30x30Digests pins the 30x30 outputs byte-for-byte against
+// testdata/golden_scale.json, under XY and deflection routing. Regenerate
+// (only on intentional behaviour change) with -update-scale-golden.
 func TestScale30x30Digests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("30x30 run is not short")
 	}
-	serial := digestResult(t, runScale(t, 0, ""))
-	if sharded := digestResult(t, runScale(t, 4, "")); sharded != serial {
-		t.Errorf("WithDomains(4) digest %s != serial %s", sharded[:12], serial[:12])
-	}
-	// The deflection leg runs serially (the policy declares itself
-	// non-shardable) and pins its own digest alongside the XY key.
-	deflect := runScale(t, 0, "deflect")
+	xy := digestResult(t, runScale(t, ""))
+	deflect := runScale(t, "deflect")
 	if deflect.NoC.HopsTotal < deflect.NoC.ManhattanTotal {
 		t.Errorf("deflect 30x30: HopsTotal %d below Manhattan bound %d",
 			deflect.NoC.HopsTotal, deflect.NoC.ManhattanTotal)
 	}
 	got := map[string]string{
-		"hdpat/SC30":         serial,
+		"hdpat/SC30":         xy,
 		"hdpat/SC30/deflect": digestResult(t, deflect),
 	}
 	if *updateScaleGolden {

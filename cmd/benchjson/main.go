@@ -20,7 +20,7 @@
 //   - ns/op (-tolerance, default 0.15): wall time is noisy on shared
 //     runners, so the slack is wide.
 //   - allocs/op (-alloc-tolerance, default 0.10): allocation counts are
-//     nearly deterministic; the slack only absorbs sync.Pool and map-growth
+//     nearly deterministic; the slack only absorbs map-growth and runtime
 //     jitter, so a real new allocation per op trips the gate.
 //   - events/sec (-events-tolerance, default 0.15): the kernel-throughput
 //     custom metric; derived from wall time, so it inherits its noise.
@@ -38,14 +38,10 @@
 //
 //   - -informational REGEX: matching benchmark names are diffed and printed
 //     but never fail the gate.
-//   - Domain-sharded legs (a D<n> suffix before the /sub-bench or
-//     GOMAXPROCS marker, e.g. BenchmarkCompareHDPATD4) and deflection legs
-//     (a Deflect suffix, e.g. BenchmarkCompareHDPATDeflect) are
-//     automatically informational when the new run executed on a single CPU
-//     (GOMAXPROCS 1). On one CPU those legs measure pure sharding-protocol
-//     overhead, not the speedup they exist to track, so their wall time
-//     gates CI misleadingly (see docs/performance.md, "Domain
-//     decomposition").
+//   - Deflection legs (a Deflect suffix, e.g. BenchmarkCompareHDPATDeflect)
+//     are automatically informational when the new run executed on a
+//     single CPU (GOMAXPROCS 1): their contention-dependent probing moves
+//     with scheduling noise, so their wall time gates CI misleadingly.
 package main
 
 import (
@@ -112,28 +108,21 @@ func main() {
 	convert()
 }
 
-// shardedLeg matches domain-sharded benchmark legs: a D<n> suffix on the
-// top-level benchmark name (before any /sub-benchmark), the naming
-// convention bench_hot_test.go uses for WithDomains variants.
-var shardedLeg = regexp.MustCompile(`^Benchmark[^/]*D[0-9]+(/|$)`)
-
 // deflectLeg matches deflection-routed benchmark legs (a Deflect suffix on
 // the top-level name, e.g. BenchmarkCompareHDPATDeflect): the router's
 // misroute probing is contention-dependent work whose cost moves with
 // scheduling noise far more than the XY hot path, so single-CPU runners
-// diff it without gating, mirroring the D-leg rule.
+// diff it without gating.
 var deflectLeg = regexp.MustCompile(`^Benchmark[^/]*Deflect[^/]*(/|$)`)
 
 // informational reports whether b's regression should be printed but not
 // gated: either its name matches the -informational pattern, or it is a
-// domain-sharded or deflection-routed leg that ran on a single CPU, where
-// the leg measures protocol/probing overhead rather than the speedup or
-// hot-path cost it exists to track.
+// deflection-routed leg that ran on a single CPU.
 func informational(b Benchmark, pat *regexp.Regexp) bool {
 	if pat != nil && pat.MatchString(b.Name) {
 		return true
 	}
-	return b.Procs <= 1 && (shardedLeg.MatchString(b.Name) || deflectLeg.MatchString(b.Name))
+	return b.Procs <= 1 && deflectLeg.MatchString(b.Name)
 }
 
 // gate describes one gated metric: its unit, its slack, and whether an

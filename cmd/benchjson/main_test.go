@@ -100,23 +100,9 @@ func TestCompareEventsThroughputGate(t *testing.T) {
 	}
 }
 
-func TestCompareShardedLegInformationalOnSingleCPU(t *testing.T) {
-	// A D4 leg with no GOMAXPROCS suffix (procs omitted = single CPU)
-	// regresses hard; the sweep on 8 procs regresses the same amount.
-	old := `{"benchmarks":[
-	  {"name":"BenchmarkCompareHDPATD4","iterations":3,"metrics":[{"value":1000,"unit":"ns/op"}]},
-	  {"name":"BenchmarkCompareHDPAT","procs":8,"iterations":3,"metrics":[{"value":1000,"unit":"ns/op"}]}
-	]}`
-	slowD4 := `{"benchmarks":[
-	  {"name":"BenchmarkCompareHDPATD4","iterations":3,"metrics":[{"value":2000,"unit":"ns/op"}]},
-	  {"name":"BenchmarkCompareHDPAT","procs":8,"iterations":3,"metrics":[{"value":1000,"unit":"ns/op"}]}
-	]}`
-	// Only the sharded leg regressed, and it ran on one CPU: informational.
-	if code := compareReports(writeReport(t, "old.json", old),
-		writeReport(t, "new.json", slowD4), defaultTol()); code != 0 {
-		t.Errorf("single-CPU D4 regression gated: exit %d, want 0", code)
-	}
-	// The deflection leg follows the same rule: single CPU is informational.
+func TestCompareDeflectLegInformationalOnSingleCPU(t *testing.T) {
+	// A deflection leg with no GOMAXPROCS suffix (procs omitted = single
+	// CPU) regresses hard: informational.
 	oldDefl := `{"benchmarks":[
 	  {"name":"BenchmarkCompareHDPATDeflect","iterations":3,"metrics":[{"value":1000,"unit":"ns/op"}]}
 	]}`
@@ -127,19 +113,18 @@ func TestCompareShardedLegInformationalOnSingleCPU(t *testing.T) {
 		writeReport(t, "newd.json", slowDefl), defaultTol()); code != 0 {
 		t.Errorf("single-CPU Deflect regression gated: exit %d, want 0", code)
 	}
-	// The same leg on a multi-CPU runner measures the real sharding speedup
-	// and must gate.
+	// The same leg on a multi-CPU runner must gate.
 	oldMP := `{"benchmarks":[
-	  {"name":"BenchmarkCompareHDPATD4","procs":8,"iterations":3,"metrics":[{"value":1000,"unit":"ns/op"}]}
+	  {"name":"BenchmarkCompareHDPATDeflect","procs":8,"iterations":3,"metrics":[{"value":1000,"unit":"ns/op"}]}
 	]}`
 	slowMP := `{"benchmarks":[
-	  {"name":"BenchmarkCompareHDPATD4","procs":8,"iterations":3,"metrics":[{"value":2000,"unit":"ns/op"}]}
+	  {"name":"BenchmarkCompareHDPATDeflect","procs":8,"iterations":3,"metrics":[{"value":2000,"unit":"ns/op"}]}
 	]}`
 	if code := compareReports(writeReport(t, "old2.json", oldMP),
 		writeReport(t, "new2.json", slowMP), defaultTol()); code != 1 {
-		t.Errorf("multi-CPU D4 regression not gated: exit %d, want 1", code)
+		t.Errorf("multi-CPU Deflect regression not gated: exit %d, want 1", code)
 	}
-	// A non-sharded single-CPU benchmark still gates.
+	// A plain single-CPU benchmark still gates.
 	oldPlain := `{"benchmarks":[
 	  {"name":"BenchmarkCompareHDPAT","iterations":3,"metrics":[{"value":1000,"unit":"ns/op"}]}
 	]}`
@@ -178,16 +163,17 @@ func TestCompareInformationalFlag(t *testing.T) {
 	}
 }
 
-func TestShardedLegPattern(t *testing.T) {
+func TestDeflectLegPattern(t *testing.T) {
 	cases := []struct {
 		b    Benchmark
 		want bool
 	}{
-		{Benchmark{Name: "BenchmarkCompareHDPATD4"}, true},
-		{Benchmark{Name: "BenchmarkCompareHDPAT7x12D4"}, true},
-		{Benchmark{Name: "BenchmarkCompareHDPATD4/sub"}, true},
-		{Benchmark{Name: "BenchmarkCompareHDPATD4", Procs: 8}, false}, // multi-CPU
+		{Benchmark{Name: "BenchmarkCompareHDPATDeflect"}, true},
+		{Benchmark{Name: "BenchmarkScale30x30Deflect"}, true},
+		{Benchmark{Name: "BenchmarkCompareHDPATDeflect/sub"}, true},
+		{Benchmark{Name: "BenchmarkCompareHDPATDeflect", Procs: 8}, false}, // multi-CPU
 		{Benchmark{Name: "BenchmarkCompareHDPAT"}, false},
+		{Benchmark{Name: "BenchmarkCompareHDPATD4"}, false}, // no sharded-leg rule
 		{Benchmark{Name: "BenchmarkBatch3x3/parallel"}, false},
 	}
 	for _, c := range cases {

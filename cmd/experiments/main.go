@@ -3,7 +3,7 @@
 // Usage:
 //
 //	experiments [-run id[,id...]] [-quick] [-budget N] [-seed N] [-bench A,B]
-//	            [-workers N] [-domains N] [-report dir] [-serve addr [-pprof]]
+//	            [-workers N] [-report dir] [-serve addr [-pprof]]
 //
 // Without -run it executes every experiment in paper order. Use -list to
 // see the available ids. -report additionally writes each experiment's
@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -34,7 +33,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "simulation seed")
 	bench := flag.String("bench", "", "comma-separated benchmark subset")
 	workers := flag.Int("workers", 0, "parallel simulations per experiment (0 = GOMAXPROCS, 1 = serial)")
-	domains := flag.Int("domains", 1, "spatial domains per simulation (1 = serial kernel, 0 = one per CPU)")
 	asJSON := flag.Bool("json", false, "emit results as a JSON array")
 	asCSV := flag.Bool("csv", false, "emit results as CSV blocks")
 	serve := flag.String("serve", "", "serve live metrics/progress over HTTP on this address (e.g. :9090)")
@@ -49,10 +47,7 @@ func main() {
 		return
 	}
 
-	p := experiments.Params{Quick: *quick, OpsBudget: *budget, Seed: *seed, Workers: *workers, Domains: *domains}
-	if *domains <= 0 {
-		p.Domains = runtime.GOMAXPROCS(0)
-	}
+	p := experiments.Params{Quick: *quick, OpsBudget: *budget, Seed: *seed, Workers: *workers}
 	if *bench != "" {
 		p.Benchmarks = strings.Split(*bench, ",")
 	}

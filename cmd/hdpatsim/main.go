@@ -5,14 +5,13 @@
 // Usage:
 //
 //	hdpatsim -bench SPMV -scheme hdpat [-budget 96] [-seed 1]
-//	         [-mesh 7x7] [-pagesize 4096] [-gpu MI100] [-domains 1] [-compare]
+//	         [-mesh 7x7] [-pagesize 4096] [-gpu MI100] [-compare]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 
 	"hdpat/internal/config"
@@ -31,7 +30,6 @@ func main() {
 	pageSize := flag.Uint64("pagesize", 4096, "system page size in bytes")
 	gpu := flag.String("gpu", "MI100", "GPU generation (MI100|MI200|MI300|H100|H200)")
 	scale := flag.Int("scale", 0, "workload scale divisor override")
-	domains := flag.Int("domains", 1, "spatial domains to shard the simulation across (1 = serial, 0 = one per CPU)")
 	compare := flag.Bool("compare", false, "also run the baseline and report speedup")
 	dumpTrace := flag.String("dumptrace", "", "write the benchmark's address traces as JSON lines to this file and exit")
 	list := flag.Bool("list", false, "list benchmarks and schemes, then exit")
@@ -79,10 +77,6 @@ func main() {
 		return
 	}
 
-	nd := *domains
-	if nd <= 0 {
-		nd = runtime.GOMAXPROCS(0)
-	}
 	run := func(scheme string) wafer.Result {
 		c, err := wafer.ConfigFor(scheme, cfg)
 		if err != nil {
@@ -90,7 +84,6 @@ func main() {
 		}
 		res, err := wafer.Run(c, wafer.Options{
 			Scheme: scheme, Benchmark: b, OpsBudget: *budget, Seed: *seed,
-			Domains: nd,
 		})
 		if err != nil {
 			fatal("%v", err)

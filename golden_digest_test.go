@@ -114,40 +114,6 @@ func goldenRuns(t *testing.T) map[string]string {
 	return out
 }
 
-// TestGoldenDigestsSharded pins the domain-sharded path to the same golden
-// digests: WithDomains composed with WithAttribution falls back to serial
-// (observers force the serial kernel, see WithDomains), so every stored
-// digest must still match; the no-observer sharded path is asserted
-// byte-identical to serial separately in sharded_test.go, where the full
-// Result is compared field by field.
-func TestGoldenDigestsSharded(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden matrix is not short")
-	}
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update-golden): %v", err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatal(err)
-	}
-	cfg := hdpat.DefaultConfig()
-	for _, scheme := range hdpat.Schemes() {
-		for _, bench := range goldenBenchmarks {
-			res, err := hdpat.Simulate(cfg, hdpat.RunSpec{Scheme: scheme, Benchmark: bench},
-				hdpat.WithOpsBudget(12), hdpat.WithSeed(7), hdpat.WithAttribution(), hdpat.WithDomains(4))
-			if err != nil {
-				t.Fatalf("%s/%s: %v", scheme, bench, err)
-			}
-			k := scheme + "/" + bench
-			if got := digestResult(t, res); got != want[k] {
-				t.Errorf("%s: WithDomains(4) digest %s != golden %s", k, got[:12], want[k][:12])
-			}
-		}
-	}
-}
-
 // TestGoldenDigestsDeflect pins the bufferless deflection router's outputs:
 // the same scheme matrix as the XY goldens, run under WithRouting("deflect"),
 // against its own digest file. Alongside the byte contract it asserts the

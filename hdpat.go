@@ -42,7 +42,6 @@ package hdpat
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"hdpat/internal/attr"
 	"hdpat/internal/check"
@@ -212,13 +211,6 @@ func simulate(ctx context.Context, cfg Config, spec RunSpec, rc *runConfig) (Res
 	if rc.attribution {
 		wopts.Attribution = &attr.Config{}
 	}
-	if rc.domains != nil {
-		n := *rc.domains
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		wopts.Domains = n
-	}
 	var owned *trace.Tracer
 	if rc.tracer != nil {
 		wopts.Trace = rc.tracer // batch child: the batch owns the stream
@@ -231,12 +223,4 @@ func simulate(ctx context.Context, cfg Config, spec RunSpec, rc *runConfig) (Res
 		err = fmt.Errorf("hdpat: trace: %w", cerr)
 	}
 	return res, err
-}
-
-// SimulateWithIOMMU is Simulate with a hook to adjust the IOMMU parameters
-// after the scheme's defaults are applied.
-//
-// Deprecated: use Simulate (or SimulateContext) with WithIOMMU.
-func SimulateWithIOMMU(cfg Config, spec RunSpec, tweak func(*IOMMUConfig)) (Result, error) {
-	return Simulate(cfg, spec, WithIOMMU(tweak))
 }

@@ -2,6 +2,7 @@ package hdpat_test
 
 import (
 	"fmt"
+	"reflect"
 	"testing"
 
 	"hdpat"
@@ -59,12 +60,12 @@ func TestSimulateWithIOMMU(t *testing.T) {
 	cfg.MeshW, cfg.MeshH = 5, 5
 	cfg.GPM.NumCUs = 8
 	applied := false
-	res, err := hdpat.SimulateWithIOMMU(cfg,
+	res, err := hdpat.Simulate(cfg,
 		hdpat.RunSpec{Scheme: "hdpat", Benchmark: "FIR", OpsBudget: 32, Seed: 1},
-		func(io *hdpat.IOMMUConfig) {
+		hdpat.WithIOMMU(func(io *hdpat.IOMMUConfig) {
 			applied = true
 			io.PrefetchDegree = 8
-		})
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,6 +74,28 @@ func TestSimulateWithIOMMU(t *testing.T) {
 	}
 	if res.IOMMU.Prefetches == 0 {
 		t.Error("prefetch override had no effect")
+	}
+}
+
+// WithDomains is deprecated and ignored: any domain count yields a Result
+// identical to the run without the option.
+func TestWithDomainsIgnored(t *testing.T) {
+	cfg := hdpat.DefaultConfig()
+	cfg.MeshW, cfg.MeshH = 5, 5
+	cfg.GPM.NumCUs = 8
+	spec := hdpat.RunSpec{Scheme: "hdpat", Benchmark: "PR", OpsBudget: 16, Seed: 3}
+	want, err := hdpat.Simulate(cfg, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range []int{0, 2, 8} {
+		got, err := hdpat.Simulate(cfg, spec, hdpat.WithDomains(n))
+		if err != nil {
+			t.Fatalf("WithDomains(%d): %v", n, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("WithDomains(%d) result differs from the run without it", n)
+		}
 	}
 }
 

@@ -368,8 +368,9 @@ func (s System) Validate() error {
 		return &ValidationError{Field: "noc", Reason: fmt.Sprintf("bytes_per_cycle %v must be positive", s.NoC.BytesPerCycle)}
 	}
 	// HopLatency is an unsigned cycle count, so "negative" cannot be
-	// represented; zero is rejected too because the hop latency doubles as
-	// the domain-sharded coordinator's lookahead window.
+	// represented; zero is rejected too because every hop must advance
+	// simulated time, or a message could cross the wafer (and a deflected
+	// one circle it) within the cycle it was sent.
 	if s.NoC.HopLatency < 1 {
 		return &ValidationError{Field: "noc", Reason: "hop_latency must be >= 1 cycle"}
 	}

@@ -7,8 +7,6 @@
 package core
 
 import (
-	"sync"
-
 	"hdpat/internal/geom"
 	"hdpat/internal/gpm"
 	"hdpat/internal/iommu"
@@ -31,12 +29,6 @@ type Fabric struct {
 
 	byCoord map[geom.Coord]*gpm.GPM
 	msgFree []*reqMsg
-
-	// MsgPool, when set (domain-sharded runs), replaces msgFree: carriers
-	// are leased on the sender's domain and released on the receiver's, so
-	// the free list must be concurrency-safe. Serial runs leave it nil and
-	// keep the allocation-free slice path.
-	MsgPool *sync.Pool
 }
 
 // reqMsg phases: what happens when the message reaches its destination.
@@ -62,11 +54,7 @@ type reqMsg struct {
 func (m *reqMsg) Event(sim.EventArg) {
 	f, req, res, kind := m.f, m.req, m.res, m.kind
 	*m = reqMsg{}
-	if f.MsgPool != nil {
-		f.MsgPool.Put(m)
-	} else {
-		f.msgFree = append(f.msgFree, m)
-	}
+	f.msgFree = append(f.msgFree, m)
 	switch kind {
 	case msgSubmit:
 		f.IOMMU.Submit(req, false)
@@ -82,13 +70,10 @@ func (m *reqMsg) Event(sim.EventArg) {
 func (f *Fabric) sendReq(from, to geom.Coord, size int, req *xlat.Request, res xlat.Result, kind uint8) {
 	req.Ref()
 	var m *reqMsg
-	if f.MsgPool != nil {
-		m, _ = f.MsgPool.Get().(*reqMsg)
-	} else if n := len(f.msgFree); n > 0 {
+	if n := len(f.msgFree); n > 0 {
 		m = f.msgFree[n-1]
 		f.msgFree = f.msgFree[:n-1]
-	}
-	if m == nil {
+	} else {
 		m = new(reqMsg)
 	}
 	*m = reqMsg{f: f, req: req, res: res, kind: kind}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"hdpat/internal/config"
 	"hdpat/internal/geom"
 	"hdpat/internal/vm"
@@ -20,9 +18,7 @@ type HDPAT struct {
 	cfg    config.HDPAT
 	layers *geom.Layers
 
-	// Stats. Incremented atomically: in a domain-sharded run the probe,
-	// hit, redirect and escalation legs of one request execute on different
-	// domains' engines.
+	// Stats.
 	Probes     uint64
 	ProbeHits  uint64
 	ToIOMMU    uint64
@@ -77,18 +73,18 @@ func (s *HDPAT) probeLayer(req *xlat.Request, l int, sequential bool) {
 		// Inward forwarding: the request is at the previous layer's GPM.
 		from = s.layers.Home(l+1, uint64(req.VPN))
 	}
-	atomic.AddUint64(&s.Probes, 1)
+	s.Probes++
 	req.Ref() // probe leg: transit plus aux-probe callback
 	s.f.Mesh.Send(from, home, xlat.ReqBytes, func() {
 		target.ProbeAux(keyOf(req), s.cfg.AuxProbeLatency, func(pte vm.PTE, origin xlat.PushOrigin, ok bool) {
 			defer req.Unref()
 			if ok {
-				atomic.AddUint64(&s.ProbeHits, 1)
+				s.ProbeHits++
 				s.f.Respond(home, req, xlat.Result{PTE: pte, Source: origin.SourceOf()})
 				return
 			}
 			if l == 0 {
-				atomic.AddUint64(&s.ToIOMMU, 1)
+				s.ToIOMMU++
 				s.f.ToIOMMU(home, req, false)
 				return
 			}
@@ -102,7 +98,7 @@ func (s *HDPAT) probeLayer(req *xlat.Request, l int, sequential bool) {
 }
 
 func (s *HDPAT) sendToIOMMU(req *xlat.Request) {
-	atomic.AddUint64(&s.ToIOMMU, 1)
+	s.ToIOMMU++
 	s.f.ToIOMMU(s.f.CoordOf(req.Requester), req, false)
 }
 
@@ -145,12 +141,12 @@ func (s *HDPAT) redirect(req *xlat.Request, gpmID int) {
 	s.f.Mesh.Send(cpu, target.Coord, xlat.ReqBytes, func() {
 		target.ProbeAux(keyOf(req), s.cfg.AuxProbeLatency, func(pte vm.PTE, _ xlat.PushOrigin, ok bool) {
 			if ok {
-				atomic.AddUint64(&s.RedirectOK, 1)
+				s.RedirectOK++
 				s.f.Respond(target.Coord, req, xlat.Result{PTE: pte, Source: xlat.SourceRedirect})
 				req.Unref()
 				return
 			}
-			atomic.AddUint64(&s.RedirectNo, 1)
+			s.RedirectNo++
 			s.f.Mesh.Send(target.Coord, cpu, xlat.ReqBytes, func() {
 				if rt := s.f.IOMMU.RT(); rt != nil {
 					rt.Remove(keyOf(req))

@@ -133,10 +133,6 @@ type Params struct {
 	// Workers bounds the simulations a figure's warm-up phase runs in
 	// parallel (<= 0 means GOMAXPROCS; 1 forces serial execution).
 	Workers int
-	// Domains shards each simulation across this many spatial domains
-	// (wafer.Options.Domains; 0 or 1 = serial). Sharded runs are
-	// bit-identical to serial ones, so the memo cache needs no extra key.
-	Domains int
 }
 
 // Session runs experiments, memoising simulation results so figures that
@@ -209,9 +205,6 @@ func (s *Session) execute(ctx context.Context, cfg config.System, scheme, bench 
 	}
 	if opts.Seed == 0 {
 		opts.Seed = s.P.Seed + 1
-	}
-	if opts.Domains == 0 {
-		opts.Domains = s.P.Domains
 	}
 	return wafer.RunContext(ctx, cfg, opts)
 }

@@ -48,9 +48,9 @@ type Mesh struct {
 }
 
 // Mesh size bounds. MaxDim caps one dimension so W*H can never overflow
-// 32-bit index arithmetic (tile IDs, domain maps and the NoC's sparse link
-// index all use int32-sized products); MaxTiles caps the topology a mesh
-// may allocate. config.Validate enforces the same bounds with a typed
+// 32-bit index arithmetic (tile IDs and the NoC's sparse link index both
+// use int32-sized products); MaxTiles caps the topology a mesh may
+// allocate. config.Validate enforces the same bounds with a typed
 // error before any geometry is built — the panic here is the last line of
 // defence for callers constructing meshes directly.
 const (

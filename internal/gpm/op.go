@@ -44,8 +44,7 @@ type op struct {
 	doneD func()       // compat completion for Access(); nil on the CU path
 }
 
-// getOp leases an op from the GPM's free list. The engine is
-// single-threaded, so a plain slice beats sync.Pool here.
+// getOp leases an op from the GPM's free list.
 func (g *GPM) getOp(cu int, va vm.VAddr) *op {
 	var o *op
 	if n := len(g.opFree); n > 0 {

@@ -7,8 +7,6 @@
 package iommu
 
 import (
-	"sync"
-
 	"hdpat/internal/config"
 	"hdpat/internal/geom"
 	"hdpat/internal/metrics"
@@ -141,18 +139,11 @@ type resp struct {
 	res xlat.Result
 }
 
-// Event fires at mesh arrival: deliver the completion and recycle. In a
-// sharded run this executes on the requester's domain while respond ran on
-// the IOMMU's, so the carrier goes back through a sync.Pool instead of the
-// IOMMU-local free list.
+// Event fires at mesh arrival: deliver the completion and recycle.
 func (r *resp) Event(sim.EventArg) {
 	io, req, res := r.io, r.req, r.res
 	*r = resp{}
-	if io.respPool != nil {
-		io.respPool.Put(r)
-	} else {
-		io.respFree = append(io.respFree, r)
-	}
+	io.respFree = append(io.respFree, r)
 	req.Complete(res)
 	req.Unref()
 }
@@ -180,13 +171,8 @@ type IOMMU struct {
 	rtProbe sim.VTime          // redirection table / TLB check latency
 
 	// jobFree / respFree recycle the pooled job and response carriers.
-	// respPool replaces respFree in sharded runs (ShardResponses), where
-	// carriers are leased on the IOMMU's domain and released on the
-	// requester's; jobs never leave the IOMMU's domain, so jobFree stays a
-	// plain slice either way.
 	jobFree  []*job
 	respFree []*resp
-	respPool *sync.Pool
 
 	// Push delivers a walked or prefetched PTE to auxiliary GPM caches.
 	// It returns the GPM chosen (for the redirection table) and whether a
@@ -449,7 +435,7 @@ func (io *IOMMU) dispatch() {
 		// (they postdate the request's completion — the attribution ledger
 		// counts them as late rather than stitching them) and account for it,
 		// or the queue time silently vanishes from traces and conservation.
-		if io.iotlb == nil && j.req.CompletedProbe(io.eng.Now()) {
+		if io.iotlb == nil && j.req.Completed() {
 			io.Stats.SkippedCompleted++
 			if io.m != nil {
 				io.m.skipped.Inc()
@@ -647,25 +633,14 @@ func (io *IOMMU) completeTLBMSHR(k tlb.Key, pte vm.PTE, found bool) {
 func (io *IOMMU) respond(req *xlat.Request, res xlat.Result) {
 	req.Ref()
 	var r *resp
-	if io.respPool != nil {
-		r, _ = io.respPool.Get().(*resp)
-	} else if n := len(io.respFree); n > 0 {
+	if n := len(io.respFree); n > 0 {
 		r = io.respFree[n-1]
 		io.respFree = io.respFree[:n-1]
-	}
-	if r == nil {
+	} else {
 		r = new(resp)
 	}
 	*r = resp{io: io, req: req, res: res}
 	io.mesh.SendH(io.coord, io.GPMCoord(req.Requester), xlat.RespBytes, r, sim.EventArg{})
-}
-
-// ShardResponses switches the response-carrier free list to a sync.Pool for
-// a domain-sharded run, where carriers are leased on the IOMMU's domain and
-// released on each requester's. The serial slice path is untouched (and
-// allocation-free), so serial runs pay nothing.
-func (io *IOMMU) ShardResponses() {
-	io.respPool = &sync.Pool{}
 }
 
 // AccessCount returns the recorded demand count for a page (tests).

@@ -11,7 +11,6 @@ package noc
 
 import (
 	"fmt"
-	"sync"
 
 	"hdpat/internal/geom"
 	"hdpat/internal/metrics"
@@ -76,22 +75,12 @@ type Mesh struct {
 	cfg    Config
 	eng    *sim.Engine
 	layout *geom.Mesh
-	// tile[i] is the base index of tile i's 4-link block inside the slab
-	// owned by the tile's domain (slabs[0] when serial), or noLink while
-	// the tile has never sent. Entries are only ever written by the domain
-	// owning the tile, so the sparse map needs no synchronisation.
+	// tile[i] is the base index of tile i's 4-link block inside slab, or
+	// noLink while the tile has never sent.
 	tile   []int32
-	slabs  []linkSlab
+	slab   linkSlab
 	router Router
 	Stats  Stats
-
-	// Sharded mode (Shard): per-tile domain map, per-domain engines and
-	// per-domain stats shards. A hop's link state is only ever touched by the
-	// domain owning the hop's source tile, so links need no synchronisation;
-	// stats are sharded the same way and folded by MergeStats.
-	engs  []*sim.Engine
-	dom   []int32
-	stats []Stats
 
 	// Trace, when non-nil, receives one span per link traversal.
 	Trace *trace.Tracer
@@ -99,10 +88,11 @@ type Mesh struct {
 	reg *metrics.Registry
 	m   *meshMetrics
 
-	// tpool recycles in-flight transfer state machines; a transfer lives
+	// free recycles in-flight transfer state machines; a transfer lives
 	// from Send until final delivery, one event per hop, no allocation per
-	// hop or per message in steady state.
-	tpool sync.Pool
+	// hop or per message in steady state. The mesh belongs to one run on
+	// one goroutine, so a plain freelist suffices.
+	free []*transfer
 }
 
 // meshMetrics are the mesh's hot-path registry series.
@@ -126,7 +116,7 @@ const (
 // at construction from cfg.Routing; unknown names panic (config.Validate
 // rejects them on every public path first).
 func New(eng *sim.Engine, layout *geom.Mesh, cfg Config) *Mesh {
-	m := &Mesh{cfg: cfg, eng: eng, layout: layout, tile: make([]int32, layout.NumTiles()), slabs: make([]linkSlab, 1), router: routerFor(cfg)}
+	m := &Mesh{cfg: cfg, eng: eng, layout: layout, tile: make([]int32, layout.NumTiles()), router: routerFor(cfg)}
 	for i := range m.tile {
 		m.tile[i] = noLink
 	}
@@ -136,25 +126,15 @@ func New(eng *sim.Engine, layout *geom.Mesh, cfg Config) *Mesh {
 // Router returns the active routing policy.
 func (m *Mesh) Router() Router { return m.router }
 
-// slabFor returns the slab owning tile id's links: the single serial slab,
-// or the slab of the tile's domain in sharded mode.
-func (m *Mesh) slabFor(id int) *linkSlab {
-	if m.dom == nil {
-		return &m.slabs[0]
-	}
-	return &m.slabs[m.dom[id]]
-}
-
-// linkIndex returns the slab and element index of tile id's output link in
-// direction dir, materializing the tile's 4-link block on first use.
-func (m *Mesh) linkIndex(id, dir int) (*linkSlab, int) {
-	s := m.slabFor(id)
+// linkIndex returns the slab index of tile id's output link in direction
+// dir, materializing the tile's 4-link block on first use.
+func (m *Mesh) linkIndex(id, dir int) int {
 	base := m.tile[id]
 	if base == noLink {
-		base = s.grow()
+		base = m.slab.grow()
 		m.tile[id] = base
 	}
-	return s, int(base) + dir
+	return int(base) + dir
 }
 
 // linkProbe reports one directed link's busy cycles and fractional debt
@@ -165,8 +145,7 @@ func (m *Mesh) linkProbe(id, dir int) (busy sim.VTime, debt float64, ok bool) {
 	if base == noLink {
 		return 0, 0, false
 	}
-	s := m.slabFor(id)
-	return s.busy[int(base)+dir], s.debt[int(base)+dir], true
+	return m.slab.busy[int(base)+dir], m.slab.debt[int(base)+dir], true
 }
 
 // linkFreeAt reports whether tile id's output link in direction dir is free
@@ -177,19 +156,7 @@ func (m *Mesh) linkFreeAt(id, dir int, now sim.VTime) bool {
 	if base == noLink {
 		return true
 	}
-	return m.slabFor(id).nextFree[int(base)+dir] <= now
-}
-
-// statsFor returns the stats shard charged for activity on tile id: the
-// single serial shard, or the shard of the tile's domain in sharded mode.
-// Per-hop stats are charged to the domain owning the hop's source tile —
-// the same ownership rule links follow — so no shard is written
-// concurrently and MergeStats reproduces the serial totals exactly.
-func (m *Mesh) statsFor(id int) *Stats {
-	if m.dom == nil {
-		return &m.Stats
-	}
-	return &m.stats[m.dom[id]]
+	return m.slab.nextFree[int(base)+dir] <= now
 }
 
 // AttachMetrics mirrors mesh activity into reg: noc.messages and
@@ -223,62 +190,6 @@ func (m *Mesh) FlushMetrics() {
 		}
 	})
 	m.reg.Gauge("noc.links.busy_total").Set(int64(total))
-}
-
-// Shard switches the mesh into domain-sharded mode: dom maps each tile ID
-// to its domain and engs holds one engine per domain. Every message step
-// then executes on the engine owning its current tile, handing off at
-// domain boundaries through sim.Engine.CrossAt — the mesh is the single
-// seam all cross-domain traffic rides, and its HopLatency is the
-// coordinator's lookahead.
-func (m *Mesh) Shard(engs []*sim.Engine, dom []int32) {
-	if len(dom) != m.layout.NumTiles() {
-		panic("noc: domain map length does not match tile count")
-	}
-	// Deflection decisions arbitrate same-cycle output contention, which a
-	// neighbouring domain can influence inside the lookahead window; the
-	// wafer layer declares deflect non-shardable and falls back to serial,
-	// so hitting this is a wiring bug.
-	if m.router.Name() == RoutingDeflect {
-		panic("noc: deflection routing is not shardable (same-cycle output arbitration is cross-domain)")
-	}
-	m.engs = engs
-	m.dom = dom
-	m.stats = make([]Stats, len(engs))
-	// One link slab per domain: a hop's link state is only touched by the
-	// domain owning the hop's source tile, so each slab grows privately and
-	// the sharded run needs no link locks. Sharding happens at wiring time,
-	// before any traffic, so no materialized state is carried over.
-	if len(m.slabs[0].busy) > 0 {
-		panic("noc: Shard after traffic has materialized links")
-	}
-	m.slabs = make([]linkSlab, len(engs))
-}
-
-// engFor returns the engine owning tile id.
-func (m *Mesh) engFor(id int) *sim.Engine {
-	if m.dom == nil {
-		return m.eng
-	}
-	return m.engs[m.dom[id]]
-}
-
-// MergeStats folds the per-domain stats shards of a sharded run into
-// m.Stats and returns it; on a serial mesh it just returns m.Stats.
-func (m *Mesh) MergeStats() Stats {
-	for i := range m.stats {
-		s := &m.stats[i]
-		m.Stats.Messages += s.Messages
-		m.Stats.ByteHops += s.ByteHops
-		m.Stats.HopsTotal += s.HopsTotal
-		if s.MaxHops > m.Stats.MaxHops {
-			m.Stats.MaxHops = s.MaxHops
-		}
-		m.Stats.Deflections += s.Deflections
-		m.Stats.ManhattanTotal += s.ManhattanTotal
-		*s = Stats{}
-	}
-	return m.Stats
 }
 
 // Layout returns the wafer geometry the mesh routes over.
@@ -337,20 +248,18 @@ type transfer struct {
 
 // Event advances the message: deliver if it has reached dst, otherwise take
 // the next link. Delivery settles the per-message stats that need the
-// final hop count — MaxHops and the hops histogram — charged to the
-// destination tile's shard.
+// final hop count — MaxHops and the hops histogram.
 func (t *transfer) Event(sim.EventArg) {
 	if t.cur == t.dst {
 		m, h, arg, deliver, hops := t.m, t.h, t.arg, t.deliver, t.hops
-		st := m.statsFor(m.layout.NodeID(t.cur))
-		if hops > st.MaxHops {
-			st.MaxHops = hops
+		if hops > m.Stats.MaxHops {
+			m.Stats.MaxHops = hops
 		}
 		if m.m != nil {
 			m.m.hops.Observe(uint64(hops))
 		}
 		*t = transfer{}
-		m.tpool.Put(t)
+		m.free = append(m.free, t)
 		if h != nil {
 			h.Event(arg)
 		} else {
@@ -363,16 +272,13 @@ func (t *transfer) Event(sim.EventArg) {
 
 // step asks the routing policy for the next tile, occupies the chosen
 // output link and schedules the arrival at the far end. Byte-hops, hop
-// counts and deflections accrue here, per actual hop, charged to the
-// domain owning the link's source tile — the accounting is exact for any
-// Router, minimal paths or not.
+// counts and deflections accrue here, per actual hop, so the accounting is
+// exact for any Router, minimal paths or not.
 func (t *transfer) step() {
 	m := t.m
-	curID := m.layout.NodeID(t.cur)
-	eng := m.engFor(curID)
-	now := eng.Now()
+	now := m.eng.Now()
 	next, deflected := m.router.route(m, t, now)
-	s, li := m.linkIndex(curID, dirOf(t.cur, next))
+	s, li := &m.slab, m.linkIndex(m.layout.NodeID(t.cur), dirOf(t.cur, next))
 	// Serialisation: accumulate fractional cycles so small messages still
 	// consume bandwidth in aggregate.
 	s.debt[li] += float64(t.size) / m.cfg.BytesPerCycle
@@ -392,7 +298,7 @@ func (t *transfer) step() {
 	s.nextFree[li] = end
 	s.busy[li] += hold
 	arrive := end + m.cfg.HopLatency
-	st := m.statsFor(curID)
+	st := &m.Stats
 	st.HopsTotal++
 	st.ByteHops += uint64(t.size)
 	if deflected {
@@ -406,22 +312,12 @@ func (t *transfer) step() {
 		m.Trace.HopSpan(uint64(now), uint64(arrive), t.cur.X, t.cur.Y, next.X, next.Y, t.size, deflected)
 	}
 	t.cur = next
-	if m.dom == nil {
-		eng.PostAt(arrive, t, sim.EventArg{})
-		return
-	}
-	// arrive = end + HopLatency >= now + HopLatency >= windowEnd, so the
-	// hand-off always satisfies the lookahead contract.
-	eng.CrossAt(int(m.dom[m.layout.NodeID(next)]), arrive, t, sim.EventArg{})
+	m.eng.PostAt(arrive, t, sim.EventArg{})
 }
 
 // send is the single entry point behind both delivery forms.
 func (m *Mesh) send(src, dst geom.Coord, size int, h sim.Handler, arg sim.EventArg, deliver func()) {
 	st, eng := &m.Stats, m.eng
-	if m.dom != nil {
-		d := m.dom[m.layout.NodeID(src)]
-		st, eng = &m.stats[d], m.engs[d]
-	}
 	st.Messages++
 	man := src.Manhattan(dst) // == len(XYPath): the minimal-path hop count
 	st.ManhattanTotal += uint64(man)
@@ -439,8 +335,11 @@ func (m *Mesh) send(src, dst geom.Coord, size int, h sim.Handler, arg sim.EventA
 		}
 		return
 	}
-	t, _ := m.tpool.Get().(*transfer)
-	if t == nil {
+	var t *transfer
+	if n := len(m.free); n > 0 {
+		t = m.free[n-1]
+		m.free = m.free[:n-1]
+	} else {
 		t = new(transfer)
 	}
 	*t = transfer{m: m, cur: src, dst: dst, size: size, born: eng.Now(), h: h, arg: arg, deliver: deliver}
@@ -474,10 +373,9 @@ func (m *Mesh) VisitLinks(fn func(c geom.Coord, dir string, busy sim.VTime)) {
 		if base == noLink {
 			continue
 		}
-		s := m.slabFor(i)
 		c := m.layout.CoordOf(i)
 		for d := 0; d < 4; d++ {
-			fn(c, dirNames[d], s.busy[int(base)+d])
+			fn(c, dirNames[d], m.slab.busy[int(base)+d])
 		}
 	}
 }
@@ -492,10 +390,8 @@ func (m *Mesh) LatencyLowerBound(src, dst geom.Coord) sim.VTime {
 // for coarse congestion reporting.
 func (m *Mesh) LinkUtilization() sim.VTime {
 	var t sim.VTime
-	for i := range m.slabs {
-		for _, b := range m.slabs[i].busy {
-			t += b
-		}
+	for _, b := range m.slab.busy {
+		t += b
 	}
 	return t
 }

@@ -1,5 +1,5 @@
 // Routing policies: the per-hop decision seam of the mesh. The fabric —
-// sparse link slabs, serialisation debt, stats shards, tracing, pools —
+// sparse link slab, serialisation debt, stats, tracing, the transfer freelist —
 // lives in Mesh; a Router only picks the next tile for an in-flight
 // transfer. Two policies ship: dimension-ordered XY (buffered links, the
 // Table I default) and bufferless deflection routing, where a tile whose

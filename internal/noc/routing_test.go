@@ -2,13 +2,12 @@
 // geometric reference path, the deflection policy is checked against its
 // delivery and accounting laws (every message arrives; HopsTotal ==
 // ManhattanTotal + 2 x Deflections, since each misroute moves one hop away
-// from the destination and must be paid back), and the sharded fabric's
-// observability surfaces (MergeStats, FlushMetrics, VisitLinks) are pinned
-// idempotent and deterministic.
+// from the destination and must be paid back), and the fabric's
+// observability surfaces (FlushMetrics, VisitLinks) are pinned idempotent
+// and deterministic.
 package noc
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -211,46 +210,16 @@ func TestDeflectAgeGuardFloorStillDelivers(t *testing.T) {
 	deflectLaws(t, m)
 }
 
-// Deflection decisions arbitrate same-cycle output contention, which a
-// neighbouring domain can influence inside the lookahead window; Shard on
-// a deflection mesh is a wiring bug and must panic.
-func TestDeflectShardPanics(t *testing.T) {
-	coord := sim.NewDomains(2, 4)
-	_, m := mkDeflect(4, 4)
-	dom := make([]int32, m.Layout().NumTiles())
-	for id := range dom {
-		if m.Layout().CoordOf(id).Y >= 2 {
-			dom[id] = 1
-		}
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("Shard accepted a deflection-routed mesh")
-		}
-	}()
-	m.Shard(coord.Engines(), dom)
-}
-
-// shardedRun drives a fixed cross-domain traffic pattern on a 4x4 mesh
-// split into two row-halves and returns the sharded mesh after the run.
-func shardedRun(t *testing.T, reg *metrics.Registry) *Mesh {
+// fixedRun drives a fixed traffic pattern on a 4x4 mesh — messages in every
+// direction, sizes that leave fractional serialisation debt — and returns
+// the mesh after the run.
+func fixedRun(t *testing.T, reg *metrics.Registry) *Mesh {
 	t.Helper()
-	const hopLat = 32
-	coord := sim.NewDomains(2, hopLat)
-	layout := geom.NewMesh(4, 4)
-	m := New(coord.Engine(0), layout, Config{HopLatency: hopLat, BytesPerCycle: 64})
-	dom := make([]int32, layout.NumTiles())
-	for id := range dom {
-		if layout.CoordOf(id).Y >= 2 {
-			dom[id] = 1
-		}
-	}
-	m.Shard(coord.Engines(), dom)
+	eng := sim.NewEngine()
+	m := New(eng, geom.NewMesh(4, 4), Config{HopLatency: 32, BytesPerCycle: 64})
 	if reg != nil {
 		m.AttachMetrics(reg)
 	}
-	// Cross- and intra-domain traffic, scheduled on the engine owning each
-	// source tile.
 	sends := []struct {
 		src, dst geom.Coord
 		size     int
@@ -264,67 +233,20 @@ func shardedRun(t *testing.T, reg *metrics.Registry) *Mesh {
 	}
 	delivered := 0
 	for _, s := range sends {
-		s := s
-		eng := coord.Engine(int(dom[layout.NodeID(s.src)]))
-		eng.At(0, func() { m.Send(s.src, s.dst, s.size, func() { delivered++ }) })
+		m.Send(s.src, s.dst, s.size, func() { delivered++ })
 	}
-	if err := coord.Run(context.Background(), sim.Infinity); err != nil {
-		t.Fatal(err)
-	}
+	eng.Run()
 	if delivered != len(sends) {
 		t.Fatalf("delivered %d of %d", delivered, len(sends))
 	}
 	return m
 }
 
-// serialStats runs the same traffic pattern serially and returns the stats
-// — the reference MergeStats must reproduce.
-func serialStats(t *testing.T) Stats {
-	t.Helper()
-	eng := sim.NewEngine()
-	layout := geom.NewMesh(4, 4)
-	m := New(eng, layout, Config{HopLatency: 32, BytesPerCycle: 64})
-	for _, s := range []struct {
-		src, dst geom.Coord
-		size     int
-	}{
-		{geom.XY(0, 0), geom.XY(3, 3), 128},
-		{geom.XY(3, 3), geom.XY(0, 0), 128},
-		{geom.XY(1, 0), geom.XY(1, 3), 64},
-		{geom.XY(2, 3), geom.XY(2, 0), 64},
-		{geom.XY(0, 1), geom.XY(3, 1), 192},
-		{geom.XY(3, 2), geom.XY(0, 2), 192},
-	} {
-		m.Send(s.src, s.dst, s.size, func() {})
-	}
-	eng.Run()
-	return m.Stats
-}
-
-// MergeStats on a sharded run folds the per-domain shards exactly once:
-// the totals equal the serial reference, and a second call is a no-op
-// (shards are zeroed, nothing double-counts).
-func TestMergeStatsIdempotent(t *testing.T) {
-	m := shardedRun(t, nil)
-	first := m.MergeStats()
-	if want := serialStats(t); first != want {
-		t.Errorf("sharded MergeStats = %+v, serial reference %+v", first, want)
-	}
-	if second := m.MergeStats(); second != first {
-		t.Errorf("second MergeStats = %+v, first %+v (double-counted)", second, first)
-	}
-	for i := range m.stats {
-		if m.stats[i] != (Stats{}) {
-			t.Errorf("shard %d not zeroed after merge: %+v", i, m.stats[i])
-		}
-	}
-}
-
 // FlushMetrics publishes link gauges by Set, so flushing twice must leave
 // every metric at the same value.
 func TestFlushMetricsIdempotent(t *testing.T) {
 	reg := metrics.NewRegistry()
-	m := shardedRun(t, reg)
+	m := fixedRun(t, reg)
 	m.FlushMetrics()
 	total := reg.Gauge("noc.links.busy_total").Value()
 	if total == 0 {
@@ -348,12 +270,12 @@ func visitOrder(m *Mesh) []string {
 	return out
 }
 
-// VisitLinks on a sharded mesh walks tile-major across the per-domain
-// slabs: the order is deterministic across runs and strictly tile-ordered,
-// never grouped by domain.
-func TestVisitLinksShardedDeterministic(t *testing.T) {
-	a := visitOrder(shardedRun(t, nil))
-	b := visitOrder(shardedRun(t, nil))
+// VisitLinks walks tile-major over the sparse link slab: the order is
+// deterministic across runs and strictly tile-ordered, never in slab
+// (materialization) order.
+func TestVisitLinksDeterministic(t *testing.T) {
+	a := visitOrder(fixedRun(t, nil))
+	b := visitOrder(fixedRun(t, nil))
 	if len(a) == 0 || len(a)%4 != 0 {
 		t.Fatalf("visited %d links, want a positive multiple of 4", len(a))
 	}

@@ -7,8 +7,6 @@
 package schemes
 
 import (
-	"sync/atomic"
-
 	"hdpat/internal/core"
 	"hdpat/internal/geom"
 	"hdpat/internal/tlb"
@@ -79,8 +77,7 @@ func (s *TransFW) Name() string { return "transfw" }
 type OwnerFW struct {
 	f *Fabric
 
-	// Stats, incremented atomically: legs of concurrent requests run on
-	// different domains' engines in a sharded run.
+	// Stats.
 	Forwarded uint64
 	Fallback  uint64
 }
@@ -97,11 +94,11 @@ func (s *OwnerFW) Translate(req *xlat.Request) {
 	from := s.f.CoordOf(req.Requester)
 	if !ok || owner == req.Requester {
 		// Unmapped or supposedly-local page: let the IOMMU sort it out.
-		atomic.AddUint64(&s.Fallback, 1)
+		s.Fallback++
 		s.f.ToIOMMU(from, req, false)
 		return
 	}
-	atomic.AddUint64(&s.Forwarded, 1)
+	s.Forwarded++
 	target := s.f.GPMs[owner]
 	req.Ref() // forward leg: transit plus the peer walk
 	s.f.Mesh.Send(from, target.Coord, xlat.ReqBytes, func() {
@@ -111,7 +108,7 @@ func (s *OwnerFW) Translate(req *xlat.Request) {
 				s.f.Respond(target.Coord, req, xlat.Result{PTE: pte, Source: xlat.SourceOwner})
 				return
 			}
-			atomic.AddUint64(&s.Fallback, 1)
+			s.Fallback++
 			s.f.ToIOMMU(target.Coord, req, false)
 		})
 	})
@@ -123,8 +120,7 @@ func (s *OwnerFW) Translate(req *xlat.Request) {
 type Valkyrie struct {
 	f *Fabric
 
-	// Stats, incremented atomically: probe legs of concurrent requests run
-	// on different domains' engines in a sharded run.
+	// Stats.
 	Probes uint64
 	Hits   uint64
 }
@@ -154,12 +150,12 @@ func (s *Valkyrie) Translate(req *xlat.Request) {
 	for _, nb := range neighbours {
 		nb := nb
 		target := s.f.At(nb)
-		atomic.AddUint64(&s.Probes, 1)
+		s.Probes++
 		req.Ref() // probe leg: transit, L2 probe and possible miss response
 		s.f.Mesh.Send(from, nb, xlat.ReqBytes, func() {
 			target.ProbeL2TLB(key(req), func(pte vm.PTE, ok bool) {
 				if ok {
-					atomic.AddUint64(&s.Hits, 1)
+					s.Hits++
 					s.f.Respond(nb, req, xlat.Result{PTE: pte, Source: xlat.SourceNeighbor})
 					req.Unref()
 					return

@@ -290,6 +290,10 @@ func (s *Service) handleArtifactIndex(w http.ResponseWriter, r *http.Request) {
 func (s *Service) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	digest := r.PathValue("digest")
 	data, err := s.store.Get(digest)
+	if errors.Is(err, ErrCorruptObject) {
+		writeError(w, http.StatusInternalServerError, err)
+		return
+	}
 	if err != nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("artifact %s not found", digest))
 		return

@@ -7,10 +7,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -134,6 +136,37 @@ func TestHTTPSubmitPollFetchArtifact(t *testing.T) {
 	var list []Status
 	if code := getJSON(t, srv.URL+"/v1/jobs", &list); code != http.StatusOK || len(list) != 1 {
 		t.Fatalf("list = %d (%d jobs)", code, len(list))
+	}
+}
+
+// A stored object whose bytes were flipped on disk must never be served
+// under its digest: Get fails with ErrCorruptObject and the artifact
+// endpoint answers an error status instead of 200.
+func TestCorruptArtifactNotServed(t *testing.T) {
+	svc, srv := serveTest(t, nil)
+	digest, _, err := svc.store.Put([]byte("artifact payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := svc.store.objectPath(digest)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[0] ^= 0x01
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := svc.store.Get(digest); !errors.Is(err, ErrCorruptObject) {
+		t.Errorf("Get of corrupted object = %q, %v; want ErrCorruptObject", got, err)
+	}
+	resp, err := http.Get(srv.URL + "/v1/artifacts/" + digest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusOK {
+		t.Errorf("GET corrupted artifact = 200, want an error status")
 	}
 }
 

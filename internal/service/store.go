@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -13,6 +14,11 @@ import (
 	"sync"
 	"time"
 )
+
+// ErrCorruptObject reports a stored object whose bytes no longer hash to
+// its digest (a torn write, disk corruption, or tampering); Get returns it
+// wrapped rather than serve the bytes.
+var ErrCorruptObject = errors.New("service: store: object does not match its digest")
 
 // ArtifactInfo is the index record of one stored object.
 type ArtifactInfo struct {
@@ -153,7 +159,8 @@ func (s *Store) writeIndexLocked() {
 	}
 }
 
-// Get returns the content stored under digest.
+// Get returns the content stored under digest, verified on read: bytes
+// that do not hash to digest are never returned (ErrCorruptObject).
 func (s *Store) Get(digest string) ([]byte, error) {
 	if !validDigest(digest) {
 		return nil, fmt.Errorf("service: store: invalid digest %q", digest)
@@ -161,6 +168,9 @@ func (s *Store) Get(digest string) ([]byte, error) {
 	data, err := os.ReadFile(s.objectPath(digest))
 	if err != nil {
 		return nil, fmt.Errorf("service: store: %w", err)
+	}
+	if sum := sha256.Sum256(data); hex.EncodeToString(sum[:]) != digest {
+		return nil, fmt.Errorf("%w: %s", ErrCorruptObject, digest)
 	}
 	return data, nil
 }

@@ -105,12 +105,6 @@ type Engine struct {
 	samplePeriod VTime
 	sampleNext   VTime
 	sampleFn     func(at VTime)
-
-	// sh, when non-nil, marks this engine as one domain of a sharded run
-	// (see shard.go): scheduling is logged for the barrier replay and
-	// sequence numbers are coordinated globally. Nil costs one predictable
-	// branch per scheduling call.
-	sh *shardState
 }
 
 // pushEvent sifts ev up from the bottom of the heap.
@@ -292,10 +286,6 @@ func (e *Engine) PostAt(t VTime, h Handler, arg EventArg) {
 func (e *Engine) AtH(t VTime, h Handler, arg EventArg) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
-	}
-	if e.sh != nil {
-		e.sh.schedule(e, t, h, arg)
-		return
 	}
 	e.seq++
 	e.pushEvent(event{time: t, seq: e.seq, h: h, arg: arg})

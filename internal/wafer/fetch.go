@@ -1,8 +1,6 @@
 package wafer
 
 import (
-	"sync"
-
 	"hdpat/internal/gpm"
 	"hdpat/internal/noc"
 	"hdpat/internal/sim"
@@ -12,15 +10,11 @@ import (
 // fetcher implements gpm.LineFetcher over the mesh: a remote cacheline
 // fetch is a request message to the owner, an HBM read there, and a
 // response message back, carried by one pooled lineFetch state machine
-// instead of a nested closure per stage. pool, when set (sharded runs),
-// replaces the free list: a fetch is leased on the requester's domain and
-// released back on it after crossing the owner's, but two requesters in
-// different domains lease concurrently.
+// instead of a nested closure per stage.
 type fetcher struct {
 	mesh *noc.Mesh
 	gpms []*gpm.GPM
 	free []*lineFetch
-	pool *sync.Pool
 }
 
 // lineFetch phases, advanced by each Event delivery.
@@ -41,13 +35,10 @@ type lineFetch struct {
 // FetchLine implements gpm.LineFetcher.
 func (f *fetcher) FetchLine(requester *gpm.GPM, owner int, line uint64) {
 	var lf *lineFetch
-	if f.pool != nil {
-		lf, _ = f.pool.Get().(*lineFetch)
-	} else if n := len(f.free); n > 0 {
+	if n := len(f.free); n > 0 {
 		lf = f.free[n-1]
 		f.free = f.free[:n-1]
-	}
-	if lf == nil {
+	} else {
 		lf = new(lineFetch)
 	}
 	*lf = lineFetch{f: f, requester: requester, owner: f.gpms[owner], line: line}
@@ -66,11 +57,7 @@ func (lf *lineFetch) Event(sim.EventArg) {
 	case fetchRespArrived:
 		f, requester, line := lf.f, lf.requester, lf.line
 		*lf = lineFetch{}
-		if f.pool != nil {
-			f.pool.Put(lf)
-		} else {
-			f.free = append(f.free, lf)
-		}
+		f.free = append(f.free, lf)
 		requester.FillLine(line)
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"hdpat/internal/attr"
 	"hdpat/internal/check"
@@ -130,16 +128,6 @@ type Options struct {
 	// Migration, when non-nil, enables the page-migration extension with
 	// the given policy (see internal/migrate).
 	Migration *migrate.Config
-	// Domains shards the simulation across n spatial mesh domains executing
-	// on parallel goroutines under the conservative window protocol of
-	// internal/sim (lookahead = the NoC hop latency). 0 or 1 runs serially.
-	// Results are bit-identical to serial. Runs that attach observers
-	// (Metrics, Trace, Attribution, Invariants, Validate, Hooks), enable
-	// Migration, use deflection routing (same-cycle output arbitration is
-	// cross-domain), or use a scheme whose protocol reads completion state
-	// across domains mid-window (route, concentric, distributed) fall back
-	// to serial automatically.
-	Domains int
 	// Routing, when non-empty, overrides cfg.NoC.Routing for this run:
 	// noc.RoutingXY (dimension-ordered, minimal) or noc.RoutingDeflect
 	// (bufferless deflection). Validated with the configuration.
@@ -288,51 +276,6 @@ func runEngine(ctx context.Context, eng *sim.Engine, limit sim.VTime) error {
 	}
 }
 
-// errHazard is the internal signal that a sharded run hit a same-cycle
-// cross-domain race on the one zero-lookahead seam (the IOMMU's dispatch
-// skip-check reading a requester-domain completion): its results cannot be
-// proven identical to serial, so the caller discards them and reruns
-// serially, which is always exact.
-var errHazard = errors.New("wafer: sharded run completion hazard")
-
-// shardable reports whether cfg/opts can run domain-sharded with
-// bit-identical results. Observers are rejected because their callbacks and
-// samplers assume one global event order mid-run; deflection routing
-// arbitrates same-cycle output contention, which a neighbouring domain can
-// influence inside the lookahead window; route/concentric/distributed poll
-// request completion across domains mid-window; MaxCycles must fit the
-// hazard detector's 32-bit cycle packing.
-func shardable(cfg config.System, opts Options) bool {
-	if opts.Metrics != nil || opts.Trace != nil || opts.Attribution != nil ||
-		opts.Invariants || opts.Validate || opts.Migration != nil || len(opts.Hooks) > 0 {
-		return false
-	}
-	if cfg.NoC.Routing == noc.RoutingDeflect {
-		return false
-	}
-	switch opts.Scheme {
-	case "route", "concentric", "distributed":
-		return false
-	}
-	return opts.MaxCycles < 1<<32
-}
-
-// partitionTiles splits the mesh into nd contiguous bands along its larger
-// dimension — the partition that minimises boundary links (and therefore
-// cross-domain traffic) on a rectangular mesh.
-func partitionTiles(mesh *geom.Mesh, nd int) []int32 {
-	dom := make([]int32, mesh.NumTiles())
-	for i := range dom {
-		c := mesh.CoordOf(i)
-		if mesh.H >= mesh.W {
-			dom[i] = int32(c.Y * nd / mesh.H)
-		} else {
-			dom[i] = int32(c.X * nd / mesh.W)
-		}
-	}
-	return dom
-}
-
 // RunContext builds and executes one simulation, aborting with ctx.Err()
 // when ctx is cancelled mid-run (checked between engine slices; a cancelled
 // run returns a zero Result).
@@ -355,51 +298,11 @@ func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, e
 	if opts.Scheme == "" {
 		opts.Scheme = "baseline"
 	}
-	nd := opts.Domains
-	if nd > 1 && shardable(cfg, opts) {
-		// More domains than bands along the partition axis leaves engines
-		// with no tiles.
-		if m := max(cfg.MeshW, cfg.MeshH); nd > m {
-			nd = m
-		}
-	} else {
-		nd = 1
-	}
-	res, err := run(ctx, cfg, opts, nd)
-	if errors.Is(err, errHazard) {
-		res, err = run(ctx, cfg, opts, 1)
-	}
-	return res, err
-}
-
-// run builds and executes one simulation over nd domains (1 = the serial
-// kernel).
-func run(ctx context.Context, cfg config.System, opts Options, nd int) (Result, error) {
 	mesh := geom.NewMesh(cfg.MeshW, cfg.MeshH)
 	layout := geom.NewLayout(mesh)
 
-	// nd > 1: per-domain engines under the window coordinator, with the NoC
-	// hop latency as the conservative lookahead. Construction runs in the
-	// coordinator's setup mode (single-threaded, globally sequenced), so
-	// start-of-run events carry their serial keys.
-	var coord *sim.Domains
-	var tileDom []int32
 	eng := sim.NewEngine()
-	if nd > 1 {
-		coord = sim.NewDomains(nd, cfg.NoC.HopLatency)
-		tileDom = partitionTiles(mesh, nd)
-		eng = coord.Engine(0)
-	}
-	engAt := func(c geom.Coord) *sim.Engine {
-		if coord == nil {
-			return eng
-		}
-		return coord.Engine(int(tileDom[mesh.NodeID(c)]))
-	}
 	network := noc.New(eng, mesh, cfg.NoC)
-	if coord != nil {
-		network.Shard(coord.Engines(), tileDom)
-	}
 	numGPMs := mesh.NumGPMs()
 
 	reg := opts.Metrics
@@ -438,7 +341,6 @@ func run(ctx context.Context, cfg config.System, opts Options, nd int) (Result, 
 		regions[rs.Name] = placement.Alloc(rs.Name, rs.Pages, 0)
 	}
 
-	// Build GPMs, each on its domain's engine (one shared engine serially).
 	// Filter seeding is deferred: the closure enumerates the GPM's local
 	// pages only if the GPM ever materializes, so idle tiles of a giant
 	// wafer never build a VPN list or a populated cuckoo table. Region
@@ -446,7 +348,7 @@ func run(ctx context.Context, cfg config.System, opts Options, nd int) (Result, 
 	// eager one would.
 	gpms := make([]*gpm.GPM, numGPMs)
 	for i, c := range mesh.GPMs() {
-		gpms[i] = gpm.New(engAt(c), i, c, cfg.GPM, cfg.PageSize, placement.Local(i))
+		gpms[i] = gpm.New(eng, i, c, cfg.GPM, cfg.PageSize, placement.Local(i))
 		id := i
 		gpms[i].SeedFilter(func(g *gpm.GPM) {
 			var vpns []vm.VPN
@@ -460,7 +362,7 @@ func run(ctx context.Context, cfg config.System, opts Options, nd int) (Result, 
 		})
 	}
 
-	io := iommu.New(engAt(mesh.CPU), cfg.IOMMU, mesh.CPU, network, placement.Global())
+	io := iommu.New(eng, cfg.IOMMU, mesh.CPU, network, placement.Global())
 	io.GPMCoord = func(id int) geom.Coord { return gpms[id].Coord }
 	io.Trace = tr
 	if coll != nil {
@@ -556,40 +458,9 @@ func run(ctx context.Context, cfg config.System, opts Options, nd int) (Result, 
 	nextID := func() uint64 { reqID++; return reqID }
 	reqPool := xlat.NewRequestPool()
 	fetch := &fetcher{mesh: network, gpms: gpms}
-	var si *xlat.ShardInfo
-	if coord != nil {
-		// Sharded wiring: carriers that are leased in one domain and
-		// released in another go through sync.Pools, and the request pool
-		// gets the hazard detector for the IOMMU's cross-domain
-		// completion check.
-		io.ShardResponses()
-		fabric.MsgPool = &sync.Pool{}
-		fetch.pool = &sync.Pool{}
-		domOfGPM := make([]int32, numGPMs)
-		for i, g := range gpms {
-			domOfGPM[i] = tileDom[mesh.NodeID(g.Coord)]
-		}
-		si = &xlat.ShardInfo{
-			NowOf:    func(id int) sim.VTime { return coord.Engine(int(domOfGPM[id])).Now() },
-			DomOf:    domOfGPM,
-			IOMMUDom: tileDom[mesh.NodeID(mesh.CPU)],
-		}
-		reqPool.SetShard(si)
-		coord.OnWindow = si.SetRound
-	}
-	for i, g := range gpms {
+	for _, g := range gpms {
 		g.Remote = scheme
-		if coord != nil {
-			// A shared ID counter would be a cross-domain data race; give
-			// each GPM its own 2^40-entry ID space instead. IDs only feed
-			// diagnostics and the (serial-only) invariant checker, never
-			// behaviour, so the numbering change cannot perturb results.
-			hi := uint64(i+1) << 40
-			var n uint64
-			g.NextReqID = func() uint64 { n++; return hi | n }
-		} else {
-			g.NextReqID = nextID
-		}
+		g.NextReqID = nextID
 		g.Trace = tr
 		g.ReqPool = reqPool
 		g.Fetch = fetch
@@ -608,46 +479,31 @@ func run(ctx context.Context, cfg config.System, opts Options, nd int) (Result, 
 			g.LoadTrace(cu, tr)
 		}
 	}
-	// GPMs in different domains can finish inside the same window, so the
-	// completion count is atomic.
-	var finished int32
+	finished := 0
 	for _, g := range gpms {
-		g.Start(sim.VTime(opts.Benchmark.Gap), func(int, sim.VTime) { atomic.AddInt32(&finished, 1) })
+		g.Start(sim.VTime(opts.Benchmark.Gap), func(int, sim.VTime) { finished++ })
 	}
 
-	runTo := func(limit sim.VTime) error {
-		if coord != nil {
-			return coord.Run(ctx, limit)
-		}
-		return runEngine(ctx, eng, limit)
-	}
-	if err := runTo(opts.MaxCycles); err != nil {
+	if err := runEngine(ctx, eng, opts.MaxCycles); err != nil {
 		return Result{}, err
 	}
 	var runErr error
-	if int(finished) < numGPMs {
+	if finished < numGPMs {
 		runErr = fmt.Errorf("wafer: %s/%s finished %d/%d GPMs by cycle limit %d",
 			opts.Scheme, opts.Benchmark.Abbr, finished, numGPMs, opts.MaxCycles)
 	} else {
 		// Drain stragglers (late miss responses etc.) for accurate NoC stats.
-		if err := runTo(sim.Infinity); err != nil {
+		if err := runEngine(ctx, eng, sim.Infinity); err != nil {
 			return Result{}, err
 		}
 	}
-	if si != nil && si.Hazards() > 0 {
-		return Result{}, errHazard
-	}
 
-	events := eng.Processed
-	if coord != nil {
-		events = coord.Processed()
-	}
 	res := Result{
 		Scheme: scheme.Name(), Benchmark: opts.Benchmark.Abbr,
-		IOMMU: io.Stats, NoC: network.MergeStats(),
+		IOMMU: io.Stats, NoC: network.Stats,
 		QueueSeries: io.QueueSeries, ServedSeries: served,
 		TotalOps:         totalOps,
-		Events:           events,
+		Events:           eng.Processed,
 		ValidationErrors: validationErrs,
 	}
 	if migrator != nil {
@@ -694,7 +550,7 @@ func run(ctx context.Context, cfg config.System, opts Options, nd int) (Result, 
 		}
 		f := check.Final{
 			Cycle:       uint64(eng.Now()),
-			Settled:     int(finished) == numGPMs,
+			Settled:     finished == numGPMs,
 			QueueDepth:  io.QueueDepth(),
 			WalkersBusy: io.WalkersBusy(),
 			IOMMU:       io.Stats,

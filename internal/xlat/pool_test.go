@@ -95,6 +95,37 @@ func TestGenerationTokens(t *testing.T) {
 	r2.Unref()
 }
 
+// TestFreelistRecycles: a released request is the next one leased, with
+// its generation advanced and its per-lease state reset, and the tripwire
+// still fires on the stale handle's successor once it is released again.
+func TestFreelistRecycles(t *testing.T) {
+	SetPoolChecks(true)
+	defer SetPoolChecks(false)
+
+	p := NewRequestPool()
+	r := p.Get(1, 0, 0x10, 2, 5, discard{})
+	gen := r.Gen()
+	r.Complete(Result{})
+	r.Unref()
+
+	r2 := p.Get(2, 0, 0x20, 3, 9, discard{})
+	if r2 != r {
+		t.Fatal("released request not reused from the freelist")
+	}
+	if r2.Gen() != gen+1 {
+		t.Fatalf("recycled generation = %d, want %d", r2.Gen(), gen+1)
+	}
+	if r2.Completed() || r2.ID != 2 || r2.VPN != 0x20 || r2.Requester != 3 || r2.Issued != 9 {
+		t.Fatalf("recycled request not reset: %+v", r2)
+	}
+	if r3 := p.Get(3, 0, 0x30, 0, 0, discard{}); r3 == r2 {
+		t.Fatal("live request handed out twice")
+	}
+
+	r2.Unref()
+	mustPanic(t, "Complete on released request", func() { r2.Complete(Result{}) })
+}
+
 // TestDoubleCompleteLoses: only the first Complete wins; the loser reports
 // false and the completer runs once.
 func TestDoubleCompleteLoses(t *testing.T) {

@@ -6,8 +6,6 @@ package xlat
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"hdpat/internal/sim"
 	"hdpat/internal/vm"
@@ -111,21 +109,15 @@ type Request struct {
 	done func(Result)
 	c    Completer
 
-	// completedAt is the completion mark, accessed atomically: 0 while
-	// pending, else the completion cycle + 1 (1 in serial runs, which never
-	// need the cycle). Atomic because a sharded run's IOMMU domain probes it
-	// (CompletedProbe) while the requester's domain completes.
-	completedAt uint64
-	// probedAt is the Dekker handshake word of CompletedProbe in sharded
-	// runs: window<<32 | probe cycle, accessed atomically.
-	probedAt uint64
+	// completed marks a delivered result; the first Complete sets it.
+	completed bool
 
 	// Attempt counts translation lookups performed on behalf of this
 	// request before resolution (peer probes, walk), for diagnostics.
 	Attempt int
 
 	pool     *RequestPool // nil for unpooled requests (NewRequest)
-	refs     int32        // atomic: legs in different domains Ref/Unref
+	refs     int32
 	gen      uint32
 	released bool
 }
@@ -137,73 +129,29 @@ type Completer interface {
 	RequestDone(req *Request, res Result)
 }
 
-// RequestPool recycles Request objects within one simulation run. Pools are
-// deliberately per-run, not global: a global pool would hand an object
-// recycled by one run to a parallel batch worker while a stale reader from
-// the first run still held the pointer.
+// RequestPool recycles Request objects within one simulation run as a
+// plain freelist: a run executes on one goroutine, so leasing and releasing
+// need no synchronisation. Pools are deliberately per-run, not global: a
+// global pool would hand an object recycled by one run to a parallel batch
+// worker while a stale reader from the first run still held the pointer.
 type RequestPool struct {
-	p sync.Pool
-	// shard is non-nil for the pool of a domain-sharded run (see ShardInfo);
-	// installed once before the run starts.
-	shard *ShardInfo
-}
-
-// ShardInfo wires a domain-sharded run's completion hazard detection into
-// its request pool. A serial run never sets one.
-//
-// One ordering seam survives domain sharding's lookahead argument: the
-// IOMMU's dispatch-time skip check reads a request's completion mark, which
-// the requester's domain writes — a zero-lookahead read. CompletedProbe and
-// Complete resolve it per window: completions from earlier windows are
-// barrier-ordered and exact; within the current window the two sides run a
-// store-then-load handshake on (probedAt, completedAt) so that any racing
-// probe/complete pair on the same request — and any exact same-cycle tie,
-// whose serial order depends on sequence numbers neither side can see — is
-// flagged as a hazard by at least one side. The caller discards a run with
-// hazards and reruns it serially, which is always exact.
-type ShardInfo struct {
-	// NowOf returns the current cycle of the engine owning GPM id's domain;
-	// called only from that domain's goroutine.
-	NowOf func(gpmID int) sim.VTime
-	// DomOf maps GPM id to domain; IOMMUDom is the CPU tile's domain.
-	DomOf    []int32
-	IOMMUDom int32
-
-	round   uint64 // atomic: current 1-based window
-	hazards uint64 // atomic: same-window probe/complete collisions
-}
-
-// SetRound publishes the current window index; the coordinator calls it at
-// each window start, while no domain goroutine runs.
-func (si *ShardInfo) SetRound(r uint64) { atomic.StoreUint64(&si.round, r) }
-
-// Hazards reports how many same-window completion races were flagged; any
-// nonzero count means the run's results may diverge from serial and must be
-// discarded.
-func (si *ShardInfo) Hazards() uint64 { return atomic.LoadUint64(&si.hazards) }
-
-// SetShard installs the sharded-run hazard wiring; call before the run.
-func (p *RequestPool) SetShard(si *ShardInfo) { p.shard = si }
-
-// shardInfo returns the hazard wiring, nil for unpooled requests and serial
-// runs.
-func (r *Request) shardInfo() *ShardInfo {
-	if r.pool == nil {
-		return nil
-	}
-	return r.pool.shard
+	free []*Request
 }
 
 // NewRequestPool returns an empty pool.
-func NewRequestPool() *RequestPool {
-	return &RequestPool{p: sync.Pool{New: func() any { return new(Request) }}}
-}
+func NewRequestPool() *RequestPool { return &RequestPool{} }
 
 // Get leases a request for one translation. The caller (the issuing GPM)
 // holds the initial reference and drops it with Unref at the end of its
 // RequestDone.
 func (p *RequestPool) Get(id uint64, pid vm.PID, vpn vm.VPN, requester int, issued sim.VTime, c Completer) *Request {
-	r := p.p.Get().(*Request)
+	var r *Request
+	if n := len(p.free); n > 0 {
+		r = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		r = new(Request)
+	}
 	gen := r.gen // survives recycling; everything else is reset
 	*r = Request{ID: id, PID: pid, VPN: vpn, Requester: requester,
 		Issued: issued, c: c, pool: p, refs: 1, gen: gen}
@@ -238,12 +186,10 @@ func NewRequest(id uint64, pid vm.PID, vpn vm.VPN, requester int, issued sim.VTi
 func (r *Request) Gen() uint32 { return r.gen }
 
 // Ref takes one reference on behalf of an asynchronous leg that will read
-// request fields later. Balance with Unref when the leg ends. Legs in
-// different domains of a sharded run take and drop references concurrently,
-// hence the atomic count.
+// request fields later. Balance with Unref when the leg ends.
 func (r *Request) Ref() {
 	r.checkLive("Ref")
-	atomic.AddInt32(&r.refs, 1)
+	r.refs++
 }
 
 // Unref drops one reference. When the last one unwinds the generation
@@ -251,48 +197,28 @@ func (r *Request) Ref() {
 // and the object returns to its pool.
 func (r *Request) Unref() {
 	r.checkLive("Unref")
-	n := atomic.AddInt32(&r.refs, -1)
-	if n > 0 {
+	r.refs--
+	if r.refs > 0 {
 		return
 	}
-	if n < 0 {
+	if r.refs < 0 {
 		panic(fmt.Sprintf("xlat: Unref underflow (id=%d)", r.ID))
 	}
 	r.gen++
 	r.released = true
 	if r.pool != nil {
-		r.pool.p.Put(r)
+		r.pool.free = append(r.pool.free, r)
 	}
 }
 
 // Complete delivers the result; only the first call has effect.
-// It reports whether this call was the winning one. Completion always runs
-// on the requester's engine (the first fill frees the requesting GMMU's
-// MSHR entry there), so competing Complete calls are sequential and the
-// first-wins check needs no compare-and-swap.
+// It reports whether this call was the winning one.
 func (r *Request) Complete(res Result) bool {
 	r.checkLive("Complete")
-	if atomic.LoadUint64(&r.completedAt) != 0 {
+	if r.completed {
 		return false
 	}
-	at := uint64(1)
-	si := r.shardInfo()
-	if si != nil {
-		at = uint64(si.NowOf(r.Requester)) + 1
-	}
-	atomic.StoreUint64(&r.completedAt, at)
-	if si != nil && si.DomOf[r.Requester] != si.IOMMUDom {
-		// Dekker back-check: an IOMMU-domain probe in this same window at a
-		// cycle >= ours may have loaded the pre-completion state (serial
-		// order would have shown it completed) or hit an exact-cycle tie;
-		// either way the run must be discarded. Sequentially consistent
-		// store/load order guarantees at least one side of a racing pair
-		// sees the other.
-		p := atomic.LoadUint64(&r.probedAt)
-		if p>>32 == atomic.LoadUint64(&si.round) && p&0xffffffff >= at-1 {
-			atomic.AddUint64(&si.hazards, 1)
-		}
-	}
+	r.completed = true
 	if r.c != nil {
 		r.c.RequestDone(r, res)
 	} else {
@@ -301,58 +227,29 @@ func (r *Request) Complete(res Result) bool {
 	return true
 }
 
-// CompletedProbe is Completed for the one cross-domain reader a sharded run
-// has: the IOMMU's dispatch-time skip check, probing at its own cycle `now`.
-// Completions from earlier windows (and same-domain ones) are exact; a
-// same-window cross-domain completion is ordered by cycle, with exact-cycle
-// ties — undecidable without serial sequence numbers — flagged as hazards.
-// On a serial run it is identical to Completed.
-func (r *Request) CompletedProbe(now sim.VTime) bool {
-	r.checkLive("CompletedProbe")
-	si := r.shardInfo()
-	if si == nil || si.DomOf[r.Requester] == si.IOMMUDom {
-		return atomic.LoadUint64(&r.completedAt) != 0
-	}
-	atomic.StoreUint64(&r.probedAt, atomic.LoadUint64(&si.round)<<32|uint64(now))
-	c := atomic.LoadUint64(&r.completedAt)
-	switch {
-	case c == 0:
-		return false // a racing same-window completion flags the hazard itself
-	case sim.VTime(c-1) < now:
-		return true
-	case sim.VTime(c-1) > now:
-		return false // serial order: the probe precedes the completion
-	default:
-		atomic.AddUint64(&si.hazards, 1) // exact-cycle tie
-		return true
-	}
-}
-
 // CompleteIf is Complete for legs that hold no reference: gen was captured
 // while the request was provably live, and a mismatch means the object was
 // recycled (or the leg's request completed and the pointer now belongs to a
 // different translation) — the delivery is dropped, exactly like a losing
 // Complete race.
 func (r *Request) CompleteIf(gen uint32, res Result) bool {
-	if gen != r.gen || atomic.LoadUint64(&r.completedAt) != 0 {
+	if gen != r.gen || r.completed {
 		return false
 	}
 	return r.Complete(res)
 }
 
 // Completed reports whether a result was already delivered. Only holders of
-// a reference may call it; reference-free legs use CompletedFor. In a
-// sharded run it may only be read from the requester's own domain (where it
-// is exact); the IOMMU's cross-domain check uses CompletedProbe.
+// a reference may call it; reference-free legs use CompletedFor.
 func (r *Request) Completed() bool {
 	r.checkLive("Completed")
-	return atomic.LoadUint64(&r.completedAt) != 0
+	return r.completed
 }
 
 // CompletedFor reports whether the translation identified by gen is over —
 // either completed, or recycled out from under a reference-free observer.
 func (r *Request) CompletedFor(gen uint32) bool {
-	return gen != r.gen || atomic.LoadUint64(&r.completedAt) != 0
+	return gen != r.gen || r.completed
 }
 
 // RemoteTranslator is a translation scheme: the strategy a GPM invokes when

@@ -23,7 +23,6 @@ type runConfig struct {
 	seed       *int64
 	maxCycles  uint64
 	workers    int
-	domains    *int
 	routing    string
 	progress   func(done, total int)
 	monitor    *BatchMonitor
@@ -79,8 +78,7 @@ func WithConfig(f func(*Config)) Option {
 
 // WithIOMMU registers a hook that adjusts the IOMMU parameters after the
 // scheme's defaults (and any WithConfig hooks) are applied — prefetch
-// degree, redirection table size, walker count. It replaces the old
-// SimulateWithIOMMU entry point.
+// degree, redirection table size, walker count.
 func WithIOMMU(f func(*IOMMUConfig)) Option {
 	return func(rc *runConfig) {
 		if f != nil {
@@ -113,32 +111,21 @@ func WithWorkers(n int) Option {
 	return func(rc *runConfig) { rc.workers = n }
 }
 
-// WithDomains shards each simulation across n spatial mesh domains running
-// on parallel goroutines, so a single run can use more than one core
-// (1 = today's serial kernel, the default; 0 = one domain per available
-// CPU, from GOMAXPROCS). Results are bit-identical to serial: domains
-// execute conservative lookahead windows of one NoC hop latency and a
-// deterministic barrier replay restores the serial event order (see
-// docs/performance.md, "Domain decomposition"). Runs that attach observers
-// (WithMetrics, WithTrace, WithAttribution, WithInvariants) fall back to
-// serial automatically, as do the route/concentric/distributed ablations.
+// WithDomains is a no-op kept for source compatibility: every run executes
+// on one serial event kernel, and n is ignored. Batch parallelism comes from
+// WithWorkers.
 //
-// Composition with WithWorkers: workers parallelise *across* runs of a
-// batch, domains parallelise *within* each run. Their product is the peak
-// goroutine demand, so when n > 1 the batch entry points cap workers at
-// GOMAXPROCS / n (minimum 1) unless WithWorkers asked for less. Prefer
-// WithWorkers for large batches (embarrassingly parallel, no barrier cost)
-// and WithDomains when latency of a single large run matters.
+// Deprecated: runs are never sharded; drop the option (use WithWorkers to
+// spread a batch across cores).
 func WithDomains(n int) Option {
-	return func(rc *runConfig) { rc.domains = &n }
+	return func(*runConfig) {}
 }
 
 // WithRouting selects the NoC routing policy by name: "xy" (dimension-
 // ordered, minimal — the default) or "deflect" (bufferless deflection: a
 // contended productive output misroutes the loser onto a free port, with
 // age-based priority as the livelock guard). Unknown names are rejected
-// with a typed config validation error before the run starts. Deflection
-// routing is not shardable; WithDomains falls back to serial under it.
+// with a typed config validation error before the run starts.
 func WithRouting(name string) Option {
 	return func(rc *runConfig) { rc.routing = name }
 }
