@@ -71,7 +71,6 @@ func (f WaiterFunc) LineFilled(line uint64) { f(line) }
 type Cache struct {
 	cfg   Config
 	sets  [][]uint64 // recency-ordered line addresses per set (0 = MRU)
-	valid [][]bool
 	Stats Stats
 
 	pending map[uint64][]Waiter

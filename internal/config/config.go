@@ -352,6 +352,9 @@ func (s System) Validate() error {
 	if s.GPM.NumCUs <= 0 || s.GPM.GMMUWalkers <= 0 {
 		return &ValidationError{Field: "gpm", Reason: "must have CUs and walkers"}
 	}
+	if err := s.validateGeometry(); err != nil {
+		return err
+	}
 	if s.IOMMU.Walkers <= 0 || s.IOMMU.PWQueueCap <= 0 {
 		return &ValidationError{Field: "iommu", Reason: "must have walkers and queue capacity"}
 	}
@@ -376,6 +379,54 @@ func (s System) Validate() error {
 	}
 	if !noc.ValidRouting(s.NoC.Routing) {
 		return &ValidationError{Field: "noc.routing", Reason: fmt.Sprintf("unknown routing %q (valid: %s)", s.NoC.Routing, strings.Join(noc.RoutingNames(), ", "))}
+	}
+	return nil
+}
+
+// validateGeometry rejects TLB and cache shapes the simulator cannot build
+// or run: every TLB needs sets and ways, every cache ways and a size, and
+// the levels that stall a miss while their MSHR file is full (the L2 TLB,
+// the L2 cache and the IOMMU's TLB variant) need at least one register, or
+// the first miss waits forever. The auxiliary TLB has no MSHR file, so its
+// zero MSHRs are valid.
+func (s System) validateGeometry() error {
+	type tlbLevel struct {
+		field string
+		c     tlb.Config
+		stall bool // a miss waits while the MSHR file is full
+	}
+	tlbs := []tlbLevel{
+		{"gpm.l1_tlb", s.GPM.L1TLB, false},
+		{"gpm.l2_tlb", s.GPM.L2TLB, true},
+		{"gpm.gmmu_cache", s.GPM.GMMUCache, false},
+		{"gpm.aux_tlb", s.GPM.AuxTLB, false},
+	}
+	if s.IOMMU.UseTLB {
+		tlbs = append(tlbs, tlbLevel{"iommu.tlb", tlb.Config{Sets: s.IOMMU.TLBSets, Ways: s.IOMMU.TLBWays, MSHRs: s.IOMMU.TLBMSHRs}, true})
+	}
+	for _, l := range tlbs {
+		if l.c.Sets <= 0 || l.c.Ways <= 0 {
+			return &ValidationError{Field: l.field, Reason: fmt.Sprintf("%d sets x %d ways: both must be positive", l.c.Sets, l.c.Ways)}
+		}
+		if l.stall && l.c.MSHRs <= 0 {
+			return &ValidationError{Field: l.field, Reason: fmt.Sprintf("%d MSHRs: a miss stalls until one frees, so at least 1 is needed", l.c.MSHRs)}
+		}
+	}
+	caches := []struct {
+		field string
+		c     cache.Config
+		stall bool
+	}{
+		{"gpm.l1_vcache", s.GPM.L1VCache, false},
+		{"gpm.l2_cache", s.GPM.L2Cache, true},
+	}
+	for _, l := range caches {
+		if l.c.Ways <= 0 || l.c.SizeBytes <= 0 {
+			return &ValidationError{Field: l.field, Reason: fmt.Sprintf("%d bytes, %d ways: both must be positive", l.c.SizeBytes, l.c.Ways)}
+		}
+		if l.stall && l.c.MSHRs <= 0 {
+			return &ValidationError{Field: l.field, Reason: fmt.Sprintf("%d MSHRs: a miss stalls until one frees, so at least 1 is needed", l.c.MSHRs)}
+		}
 	}
 	return nil
 }

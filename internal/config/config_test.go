@@ -221,3 +221,59 @@ func TestApplyScale(t *testing.T) {
 		t.Errorf("extreme scale produced degenerate config: %+v", ex.GPM.L2TLB)
 	}
 }
+
+// TestValidateGeometry: TLB and cache shapes that used to pass Validate and
+// then panic (a zero-way cache divides by zero, a zero-way TLB panics in
+// tlb.New) or never finish (a stalling level with no MSHRs) are rejected
+// with a typed error naming the level.
+func TestValidateGeometry(t *testing.T) {
+	cases := []struct {
+		name  string
+		set   func(*System)
+		field string
+	}{
+		{"l1 tlb sets", func(s *System) { s.GPM.L1TLB.Sets = 0 }, "gpm.l1_tlb"},
+		{"l1 tlb ways", func(s *System) { s.GPM.L1TLB.Ways = 0 }, "gpm.l1_tlb"},
+		{"l2 tlb sets", func(s *System) { s.GPM.L2TLB.Sets = -1 }, "gpm.l2_tlb"},
+		{"l2 tlb ways", func(s *System) { s.GPM.L2TLB.Ways = 0 }, "gpm.l2_tlb"},
+		{"l2 tlb mshrs", func(s *System) { s.GPM.L2TLB.MSHRs = 0 }, "gpm.l2_tlb"},
+		{"gmmu cache sets", func(s *System) { s.GPM.GMMUCache.Sets = 0 }, "gpm.gmmu_cache"},
+		{"gmmu cache ways", func(s *System) { s.GPM.GMMUCache.Ways = -4 }, "gpm.gmmu_cache"},
+		{"aux tlb sets", func(s *System) { s.GPM.AuxTLB.Sets = 0 }, "gpm.aux_tlb"},
+		{"aux tlb ways", func(s *System) { s.GPM.AuxTLB.Ways = 0 }, "gpm.aux_tlb"},
+		{"l1 vcache ways", func(s *System) { s.GPM.L1VCache.Ways = 0 }, "gpm.l1_vcache"},
+		{"l1 vcache size", func(s *System) { s.GPM.L1VCache.SizeBytes = 0 }, "gpm.l1_vcache"},
+		{"l2 cache ways", func(s *System) { s.GPM.L2Cache.Ways = 0 }, "gpm.l2_cache"},
+		{"l2 cache size", func(s *System) { s.GPM.L2Cache.SizeBytes = -1 }, "gpm.l2_cache"},
+		{"l2 cache mshrs", func(s *System) { s.GPM.L2Cache.MSHRs = 0 }, "gpm.l2_cache"},
+		{"iommu tlb sets", func(s *System) { s.IOMMU.UseTLB, s.IOMMU.TLBSets = true, 0 }, "iommu.tlb"},
+		{"iommu tlb ways", func(s *System) { s.IOMMU.UseTLB, s.IOMMU.TLBWays = true, 0 }, "iommu.tlb"},
+		{"iommu tlb mshrs", func(s *System) { s.IOMMU.UseTLB, s.IOMMU.TLBMSHRs = true, 0 }, "iommu.tlb"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := Default()
+			tc.set(&c)
+			var ve *ValidationError
+			if err := c.Validate(); !errors.As(err, &ve) || ve.Field != tc.field {
+				t.Fatalf("got %v, want *ValidationError on %s", err, tc.field)
+			}
+		})
+	}
+
+	// Shapes that stay valid: the auxiliary TLB has no MSHR file (zero is
+	// the shipped default), and the IOMMU's TLB fields only matter when the
+	// TLB variant is on.
+	ok := []func(*System){
+		func(s *System) { s.GPM.AuxTLB.MSHRs = 0 },
+		func(s *System) { s.IOMMU.UseTLB, s.IOMMU.TLBSets, s.IOMMU.TLBMSHRs = false, 0, 0 },
+		func(s *System) { s.IOMMU.UseTLB = true },
+	}
+	for i, set := range ok {
+		c := Default()
+		set(&c)
+		if err := c.Validate(); err != nil {
+			t.Errorf("valid shape %d rejected: %v", i, err)
+		}
+	}
+}

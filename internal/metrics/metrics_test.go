@@ -385,6 +385,14 @@ func TestPrometheusExposition(t *testing.T) {
 // parallel; run under -race this proves live scraping is safe.
 func TestConcurrentUpdatesAndSnapshots(t *testing.T) {
 	r := NewRegistry()
+	// Each merge folds in a fixed snapshot holding one count and one
+	// observation, so the final totals are exact. Merging r's own snapshot
+	// back into r would double the counter on every pass and wrap uint64.
+	one := NewRegistry()
+	one.Counter("c").Inc()
+	one.Gauge("g").Set(0)
+	one.Histogram("h").Observe(1)
+	delta := one.Snapshot()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
@@ -407,11 +415,14 @@ func TestConcurrentUpdatesAndSnapshots(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			s := r.Snapshot()
 			_ = s.Prometheus()
-			r.Merge(s) // merging while writing must also be safe
+			r.Merge(delta) // merging while writing must also be safe
 		}
 	}()
 	wg.Wait()
-	if r.Counter("c").Value() < 4000 {
-		t.Errorf("lost counter updates: %d", r.Counter("c").Value())
+	if got := r.Counter("c").Value(); got != 4100 {
+		t.Errorf("counter = %d, want 4100 (4000 increments + 100 merges)", got)
+	}
+	if got := r.Histogram("h").Count(); got != 4100 {
+		t.Errorf("histogram count = %d, want 4100 (4000 observations + 100 merges)", got)
 	}
 }

@@ -229,20 +229,61 @@ func TestLine(t *testing.T) {
 	}
 }
 
-func BenchmarkEngineScheduleRun(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		e := NewEngine()
-		for j := 0; j < 1000; j++ {
-			e.Schedule(VTime(j%17), func() {})
-		}
-		e.Run()
-	}
+// relay is a self-rescheduling typed event: each dispatch posts the next one
+// a pseudo-random 1..64 cycles ahead, so the queue keeps its depth. With far
+// set, one post in 16 instead lands up to three wheel turns ahead, so a
+// share of the traffic takes the overflow heap and its refill.
+type relay struct {
+	e    *Engine
+	left int
+	rng  uint64
+	far  bool
 }
+
+func (r *relay) Event(EventArg) {
+	r.left--
+	if r.left == 0 {
+		r.e.Stop()
+	}
+	r.rng = r.rng*6364136223846793005 + 1442695040888963407
+	d := 1 + VTime(r.rng>>58)
+	if r.far && r.rng>>54&15 == 0 {
+		d = 1 + VTime(r.rng>>32)%(3*wheelSlots)
+	}
+	r.e.Post(d, r, EventArg{})
+}
+
+// relayDepth is the steady number of pending events in the relay
+// benchmarks: the depth of the perfbench kernel probe, between the average
+// (hundreds to low thousands) and peak (several thousand) pending counts of
+// the Table I and 7x12 workloads.
+const relayDepth = 4096
+
+// benchRelay times one Post plus one dispatch at a steady queue depth.
+func benchRelay(b *testing.B, far bool) {
+	e := NewEngine()
+	r := &relay{e: e, rng: 1, far: far}
+	for i := 0; i < relayDepth; i++ {
+		e.Post(VTime(i%64), r, EventArg{})
+	}
+	r.left = 4 * relayDepth // settle the delay mix and the slab size
+	e.Run()
+	b.ReportAllocs()
+	b.ResetTimer()
+	r.left = b.N
+	e.Run()
+}
+
+// BenchmarkEngineRelay: near-future delays only, the common case.
+func BenchmarkEngineRelay(b *testing.B) { benchRelay(b, false) }
+
+// BenchmarkEngineRelayFar adds delays up to 3x the wheel size.
+func BenchmarkEngineRelayFar(b *testing.B) { benchRelay(b, true) }
 
 func TestEngineNextTimeEmpty(t *testing.T) {
 	e := NewEngine()
 	if _, ok := e.NextTime(); ok {
-		t.Error("NextTime on an empty heap reported ok")
+		t.Error("NextTime on an empty queue reported ok")
 	}
 	e.Schedule(5, func() {})
 	if next, ok := e.NextTime(); !ok || next != 5 {
@@ -513,6 +554,41 @@ func TestEngineSamplerLimitCutMatchesSliced(t *testing.T) {
 		if whole[i] != sliced[i] {
 			t.Fatalf("whole %v vs sliced %v", whole, sliced)
 		}
+	}
+}
+
+// TestEngineSamplerFarGap: the clock jumps over idle gaps longer than the
+// wheel, so the next events come out of the overflow heap. Boundaries still
+// fire one by one, before the event that passes them and with the clock at
+// the previous event, and a RunUntil limit inside a gap fires exactly the
+// boundaries up to the limit.
+func TestEngineSamplerFarGap(t *testing.T) {
+	type sample struct{ at, clock VTime }
+	e := NewEngine()
+	var got []sample
+	e.AttachSampler(wheelSlots, func(at VTime) { got = append(got, sample{at, e.Now()}) })
+	e.At(5, func() {})
+	e.At(3*wheelSlots+1, func() {
+		e.Schedule(2*wheelSlots, func() {}) // lands at 5*wheelSlots+1
+	})
+	e.At(3*wheelSlots+1, func() {})
+	e.RunUntil(2*wheelSlots + 7) // limit inside the first gap
+	e.Run()
+	want := []sample{
+		{1 * wheelSlots, 5}, {2 * wheelSlots, 5}, // limit cut at 2*wheelSlots+7
+		{3 * wheelSlots, 5},
+		{4 * wheelSlots, 3*wheelSlots + 1}, {5 * wheelSlots, 3*wheelSlots + 1},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("samples = %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("samples = %v, want %v", got, want)
+		}
+	}
+	if e.Now() != 5*wheelSlots+1 || e.Processed != 4 {
+		t.Fatalf("clock %d, processed %d; want %d, 4", e.Now(), e.Processed, 5*wheelSlots+1)
 	}
 }
 

@@ -7,9 +7,9 @@ import (
 )
 
 // refEvent / refHeap is a reference priority queue built on the standard
-// library's container/heap — the implementation the inlined 4-ary heap
-// replaced. The property tests below check that both dispatch any schedule
-// in the identical (time, seq) order.
+// library's container/heap. The property tests below check that it and the
+// engine's timing wheel (with its overflow heap) dispatch any schedule in the
+// identical (time, seq) order.
 type refEvent struct {
 	time VTime
 	seq  uint64
@@ -56,12 +56,33 @@ func (r *recorder) Event(arg EventArg) {
 	}
 }
 
+// drawTime picks the time a post made at now lands on. Most posts land 0..3
+// cycles ahead, so same-cycle collisions are common. The rest probe the
+// wheel horizon: exactly 4095, 4096 or 4097 cycles ahead, several whole
+// wheel turns ahead, or on an absolute multiple of the wheel size. Posts to
+// the same multiple from different clocks collide in one cycle, some
+// through the overflow heap and some straight into the wheel, which is the
+// ordering case the refill must get right.
+func drawTime(rnd *rand.Rand, now VTime) VTime {
+	switch rnd.Intn(10) {
+	case 0:
+		return now + wheelSlots - 1 + VTime(rnd.Intn(3))
+	case 1:
+		return now + VTime(2+rnd.Intn(3))*wheelSlots
+	case 2:
+		return (now/wheelSlots+VTime(1+rnd.Intn(3)))*wheelSlots + VTime(rnd.Intn(2))
+	default:
+		return now + VTime(rnd.Intn(4))
+	}
+}
+
 // runSchedule plays one randomized schedule through a fresh Engine and
 // through the reference heap, and fails if the dispatch orders differ.
 //
 // The schedule is driven by rnd: a mix of up-front events, events scheduled
-// from inside running events (including same-cycle zero delays, the subtle
-// ordering case), and periodic Stop/resume cuts.
+// from inside running events (same-cycle zero delays, the subtle ordering
+// case, and delays across the wheel horizon), periodic Stop/resume cuts,
+// and RunUntil limits that may fall inside a far idle gap.
 func runSchedule(t *testing.T, rnd *rand.Rand, initial, nested int) {
 	t.Helper()
 
@@ -87,8 +108,7 @@ func runSchedule(t *testing.T, rnd *rand.Rand, initial, nested int) {
 			// collision case the (time, seq) order must resolve.
 			e.PostAt(at, funcEvent(func() {
 				rec.Event(arg)
-				d := VTime(rnd.Intn(4)) // 0..3, zero = same cycle
-				post(e.Now()+d, remaining)
+				post(drawTime(rnd, e.Now()), remaining)
 			}), EventArg{})
 		} else {
 			if rnd.Intn(8) == 0 {
@@ -100,12 +120,12 @@ func runSchedule(t *testing.T, rnd *rand.Rand, initial, nested int) {
 
 	remaining := nested
 	for i := 0; i < initial; i++ {
-		post(VTime(rnd.Intn(50)), &remaining)
+		post(drawTime(rnd, VTime(rnd.Intn(50))), &remaining)
 	}
 
 	// Interleave full runs with Stop/resume and bounded RunUntil slices.
 	for e.Pending() > 0 {
-		switch rnd.Intn(3) {
+		switch rnd.Intn(4) {
 		case 0:
 			// Stop after a random number of events, then resume.
 			n := rnd.Intn(5) + 1
@@ -121,6 +141,10 @@ func runSchedule(t *testing.T, rnd *rand.Rand, initial, nested int) {
 			if next, ok := e.NextTime(); ok {
 				e.RunUntil(next + VTime(rnd.Intn(10)))
 			}
+		case 2:
+			// A limit up to three wheel turns out: it often lands inside
+			// an idle gap before a far event.
+			e.RunUntil(e.Now() + VTime(rnd.Intn(3*wheelSlots)))
 		default:
 			e.Run()
 		}
@@ -145,8 +169,8 @@ func runSchedule(t *testing.T, rnd *rand.Rand, initial, nested int) {
 }
 
 // TestHeapOrderProperty dispatches many randomized schedules — heavy on
-// same-cycle collisions — and checks the 4-ary heap agrees with
-// container/heap on every one.
+// same-cycle collisions and on posts across the wheel horizon — and checks
+// the engine agrees with container/heap on every one.
 func TestHeapOrderProperty(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rnd := rand.New(rand.NewSource(seed))
@@ -169,63 +193,65 @@ func FuzzHeapOrder(f *testing.F) {
 	})
 }
 
-// TestHeapCapacityRelease is the regression test for event-heap memory
-// retention: after a depth spike drains, the heap's backing array must not
-// stay pinned at peak size.
+// TestHeapCapacityRelease is the regression test for event-queue memory
+// retention: after a depth spike drains, neither the wheel's node slab nor
+// the overflow heap may stay pinned at peak size.
 func TestHeapCapacityRelease(t *testing.T) {
 	e := NewEngine()
 	const spike = 100_000
 	n := 0
 	for i := 0; i < spike; i++ {
-		e.Schedule(VTime(i), func() { n++ })
+		e.Schedule(VTime(i%wheelSlots), func() { n++ }) // wheel
+		e.Schedule(wheelSlots+VTime(i), func() { n++ }) // overflow heap
 	}
-	if cap(e.events) < spike {
-		t.Fatalf("expected spike capacity >= %d, got %d", spike, cap(e.events))
+	if cap(e.slab) < spike || cap(e.far) < spike {
+		t.Fatalf("expected spike capacity >= %d, got slab %d, overflow %d", spike, cap(e.slab), cap(e.far))
 	}
 	e.Run()
-	if n != spike {
-		t.Fatalf("ran %d events, want %d", n, spike)
+	if n != 2*spike {
+		t.Fatalf("ran %d events, want %d", n, 2*spike)
 	}
 	// After a full drain the shrink policy must have walked capacity down
-	// near minHeapCap; allow one doubling of slack.
-	if c := cap(e.events); c > 2*minHeapCap {
-		t.Fatalf("heap capacity %d retained after drain (want <= %d)", c, 2*minHeapCap)
+	// near minQueueCap; allow one doubling of slack.
+	if c, f := cap(e.slab), cap(e.far); c > 2*minQueueCap || f > 2*minQueueCap {
+		t.Fatalf("capacity retained after drain: slab %d, overflow %d (want <= %d)", c, f, 2*minQueueCap)
 	}
 
 	// Steady-state churn must not thrash: capacity stays bounded while a
-	// self-rescheduling workload holds a constant small depth.
+	// self-rescheduling workload holds a constant small depth, half of it
+	// in the wheel and half in the overflow heap.
 	left := 10_000
 	var tick func()
 	tick = func() {
 		if left > 0 {
 			left--
-			e.Schedule(1, tick)
+			e.Schedule(1+VTime(left%2)*wheelSlots, tick)
 		}
 	}
 	for i := 0; i < 8; i++ {
 		e.Schedule(1, tick)
 	}
 	e.Run()
-	if c := cap(e.events); c > 2*minHeapCap {
-		t.Fatalf("steady-state heap capacity %d (want <= %d)", c, 2*minHeapCap)
+	if c, f := cap(e.slab), cap(e.far); c > 2*minQueueCap || f > 2*minQueueCap {
+		t.Fatalf("steady-state capacity: slab %d, overflow %d (want <= %d)", c, f, 2*minQueueCap)
 	}
 }
 
 // TestTypedEventAllocs verifies the typed form's core promise: posting and
-// dispatching a typed event does not allocate (beyond heap growth, which is
+// dispatching a typed event does not allocate (beyond slab growth, which is
 // warmed up first).
 func TestTypedEventAllocs(t *testing.T) {
 	e := NewEngine()
 	var sink uint64
 	h := funcHandler{&sink}
-	// Warm the heap's backing array; keep depth under minHeapCap so the
-	// drain below never triggers a (deliberate, amortized) shrink realloc.
-	for i := 0; i < minHeapCap; i++ {
+	// Warm the node slab; keep depth under minQueueCap so the drain below
+	// never triggers a (deliberate, amortized) shrink realloc.
+	for i := 0; i < minQueueCap; i++ {
 		e.Post(VTime(i), h, EventArg{A: uint64(i)})
 	}
 	e.Run()
 	avg := testing.AllocsPerRun(100, func() {
-		for i := 0; i < minHeapCap/2; i++ {
+		for i := 0; i < minQueueCap/2; i++ {
 			e.Post(VTime(i), h, EventArg{A: uint64(i)})
 		}
 		e.Run()

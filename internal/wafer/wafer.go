@@ -382,9 +382,10 @@ func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, e
 	}
 	if coll != nil || chk != nil {
 		// Periodic sampler: queue-depth, walker-occupancy and link-busy
-		// series once per window, fired between events so the heap and event
-		// order are untouched. The collector and checker share one window,
-		// so the checker audits exactly the boundaries the series record.
+		// series once per window, fired between events so the event queue
+		// and dispatch order are untouched. The collector and checker share
+		// one window, so the checker audits exactly the boundaries the
+		// series record.
 		eng.AttachSampler(sim.VTime(sampleWindow), func(at sim.VTime) {
 			if coll != nil {
 				coll.Sample(uint64(at))
