@@ -4,7 +4,7 @@
 # data races.
 
 GO ?= go
-BENCH ?= BenchmarkBatch3x3|BenchmarkCompare|BenchmarkScale
+BENCH ?= BenchmarkBatch3x3|BenchmarkCompare|BenchmarkScale|BenchmarkBuildTableI
 BENCHTIME ?= 3x
 
 .PHONY: build test race vet staticcheck check verify-invariants bench bench-check bench-all report service-smoke scale-check

@@ -6,6 +6,7 @@
 package hdpat_test
 
 import (
+	"strings"
 	"testing"
 
 	"hdpat"
@@ -62,4 +63,20 @@ func BenchmarkCompareHDPATDeflect(b *testing.B) {
 // wafer.
 func BenchmarkCompareHDPAT7x12(b *testing.B) {
 	runCompareHot(b, hdpat.Wafer7x12Config(), "hdpat", "PR")
+}
+
+// BenchmarkBuildTableI prices the fixed per-run cost every Compare leg pays
+// before its first event: building the Table I wafer (GPM caches, TLBs,
+// cuckoo filters, per-CU traces) for hdpat/PR. The one-cycle limit stops
+// each run right after the build, so ns/op and allocs/op are the build.
+func BenchmarkBuildTableI(b *testing.B) {
+	cfg := hdpat.DefaultConfig()
+	spec := hdpat.RunSpec{Scheme: "hdpat", Benchmark: "PR", OpsBudget: 32, Seed: 3}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_, err := hdpat.Simulate(cfg, spec, hdpat.WithMaxCycles(1))
+		if err == nil || !strings.Contains(err.Error(), "cycle limit") {
+			b.Fatalf("want a cycle-limit error, got %v", err)
+		}
+	}
 }

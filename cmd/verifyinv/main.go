@@ -26,6 +26,7 @@ import (
 	"time"
 
 	"hdpat"
+	"hdpat/internal/xrand"
 )
 
 func main() {
@@ -44,7 +45,7 @@ func main() {
 	if !*skipDefault {
 		h.matrix("default (Table I)", hdpat.DefaultConfig(), hdpat.Benchmarks())
 	}
-	rng := rand.New(rand.NewSource(*seed))
+	rng := rand.New(xrand.NewSource(*seed))
 	for i := 0; i < *randConfigs; i++ {
 		cfg, desc := randomConfig(rng)
 		// Three random benchmarks per configuration keep the sweep bounded;

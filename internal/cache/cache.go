@@ -78,10 +78,13 @@ type Cache struct {
 
 // New creates a cache.
 func New(cfg Config) *Cache {
-	n := cfg.Sets()
+	n, w := cfg.Sets(), cfg.Ways
 	c := &Cache{cfg: cfg, sets: make([][]uint64, n), pending: make(map[uint64][]Waiter)}
+	// One backing array for every set; each set's capacity stops at its own
+	// ways, so append in Insert never reaches into the next set.
+	slots := make([]uint64, n*w)
 	for i := range c.sets {
-		c.sets[i] = make([]uint64, 0, cfg.Ways)
+		c.sets[i] = slots[i*w : i*w : (i+1)*w]
 	}
 	return c
 }

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -123,4 +124,72 @@ func TestFlush(t *testing.T) {
 	if c.Len() != 0 {
 		t.Errorf("Len = %d after flush", c.Len())
 	}
+}
+
+// TestSetIsolation pins that sets, which share one backing array, never
+// spill into a neighbour: filling, evicting from and refreshing one set
+// leaves every other set's contents exact, Len stays exact, and each set's
+// capacity stops at Ways. Every set after the first runs on a flushed cache.
+func TestSetIsolation(t *testing.T) {
+	const sets, ways = 4, 4
+	c := mk(LineSize*sets*ways, ways, 4)
+	line := func(set, k int) uint64 { return uint64(set + k*sets) }
+	for i := 0; i < sets; i++ {
+		c.Flush()
+		for s := 0; s < sets; s++ {
+			for k := 0; k < ways; k++ {
+				c.Insert(line(s, k))
+			}
+		}
+		before := make([][]uint64, sets)
+		for s := range before {
+			before[s] = slices.Clone(c.sets[s])
+		}
+		c.Insert(line(i, ways)) // evicts line(i, 0)
+		c.Insert(line(i, 2))    // refreshes a middle entry to MRU
+		before[i] = []uint64{line(i, 2), line(i, ways), line(i, 3), line(i, 1)}
+		for s := 0; s < sets; s++ {
+			if !slices.Equal(c.sets[s], before[s]) {
+				t.Fatalf("after touching set %d: set %d = %v, want %v", i, s, c.sets[s], before[s])
+			}
+			if cap(c.sets[s]) != ways {
+				t.Fatalf("set %d capacity %d, want %d", s, cap(c.sets[s]), ways)
+			}
+		}
+		if c.Len() != sets*ways {
+			t.Fatalf("after touching set %d: Len = %d, want %d", i, c.Len(), sets*ways)
+		}
+		if c.Stats.Evictions != uint64(i+1) {
+			t.Fatalf("Evictions = %d, want %d", c.Stats.Evictions, i+1)
+		}
+	}
+	c.Flush()
+	if c.Len() != 0 {
+		t.Fatalf("Len = %d after Flush", c.Len())
+	}
+}
+
+// BenchmarkCacheAccess prices one access on the Table I per-CU L1 vector
+// cache geometry (16 KB, 4-way): a lookup, and a fill on a miss. Lines are
+// drawn uniformly from twice the capacity, so about half the accesses hit.
+func BenchmarkCacheAccess(b *testing.B) {
+	c := mk(16<<10, 4, 16)
+	rng := rand.New(rand.NewSource(1))
+	stream := make([]uint64, 4096)
+	for i := range stream {
+		stream[i] = uint64(rng.Intn(2 * (16 << 10) / LineSize))
+	}
+	for _, l := range stream {
+		c.Insert(l)
+	}
+	c.Stats = Stats{}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		line := stream[i&(len(stream)-1)]
+		if !c.Lookup(line) {
+			c.Insert(line)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(c.Stats.HitRate(), "hit-rate")
 }

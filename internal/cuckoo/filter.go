@@ -10,7 +10,11 @@
 // displaced fingerprints can move without the original key.
 package cuckoo
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"hdpat/internal/xrand"
+)
 
 const (
 	// SlotsPerBucket is the bucket associativity (b=4 in the paper's
@@ -50,7 +54,7 @@ func New(n int) *Filter {
 	return &Filter{
 		buckets: make([][SlotsPerBucket]uint16, buckets),
 		mask:    uint64(buckets - 1),
-		rng:     rand.New(rand.NewSource(0x5eed)),
+		rng:     rand.New(xrand.NewSource(0x5eed)),
 	}
 }
 

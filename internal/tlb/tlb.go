@@ -76,9 +76,14 @@ func New(cfg Config) *TLB {
 	if cfg.Sets <= 0 || cfg.Ways <= 0 {
 		panic("tlb: sets and ways must be positive")
 	}
+	w := cfg.Ways
 	t := &TLB{cfg: cfg, sets: make([][]entry, cfg.Sets)}
+	// One backing array for every set; each set's capacity stops at its own
+	// ways, so append in Insert and Invalidate never reaches into the next
+	// set.
+	slots := make([]entry, cfg.Sets*w)
 	for i := range t.sets {
-		t.sets[i] = make([]entry, 0, cfg.Ways)
+		t.sets[i] = slots[i*w : i*w : (i+1)*w]
 	}
 	return t
 }

@@ -2,6 +2,7 @@ package tlb
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -204,5 +205,75 @@ func BenchmarkTLBLookup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tl.Lookup(Key{VPN: vm.VPN(i % 4096)})
+	}
+}
+
+// TestSetIsolation pins that sets, which share one backing array, never
+// spill into a neighbour: filling, evicting from, invalidating in and
+// refilling one set leaves every other set's entries exact, Len stays
+// exact, and each set's capacity stops at Ways. Every set after the first
+// runs on a flushed TLB.
+func TestSetIsolation(t *testing.T) {
+	const sets, ways = 4, 4
+	tl := mkTLB(sets, ways)
+	var evicted []vm.VPN
+	tl.OnEvict = func(p vm.PTE) { evicted = append(evicted, p.VPN) }
+	// vpns[s] lists ways+1 VPNs that hash to set s.
+	vpns := make([][]vm.VPN, sets)
+	for v, full := vm.VPN(0), 0; full < sets; v++ {
+		if s := tl.setOf(Key{VPN: v}); len(vpns[s]) <= ways {
+			vpns[s] = append(vpns[s], v)
+			if len(vpns[s]) == ways+1 {
+				full++
+			}
+		}
+	}
+	keys := func(set []entry) []vm.VPN {
+		out := make([]vm.VPN, len(set))
+		for i, e := range set {
+			out[i] = e.key.VPN
+		}
+		return out
+	}
+	for i := 0; i < sets; i++ {
+		tl.Flush()
+		for s := 0; s < sets; s++ {
+			for k := 0; k < ways; k++ {
+				tl.Insert(pte(vpns[s][k]))
+			}
+		}
+		before := make([][]vm.VPN, sets)
+		for s := range before {
+			before[s] = keys(tl.sets[s])
+		}
+		v := vpns[i]
+		evicted = evicted[:0]
+		tl.Insert(pte(v[ways])) // evicts v[0]
+		if !tl.Invalidate(Key{VPN: v[2]}) {
+			t.Fatalf("set %d: middle entry %d not resident", i, v[2])
+		}
+		if tl.Len() != sets*ways-1 {
+			t.Fatalf("set %d: Len = %d after Invalidate, want %d", i, tl.Len(), sets*ways-1)
+		}
+		tl.Insert(pte(v[2])) // refills the freed way
+		before[i] = []vm.VPN{v[2], v[ways], v[3], v[1]}
+		for s := 0; s < sets; s++ {
+			if got := keys(tl.sets[s]); !slices.Equal(got, before[s]) {
+				t.Fatalf("after touching set %d: set %d = %v, want %v", i, s, got, before[s])
+			}
+			if cap(tl.sets[s]) != ways {
+				t.Fatalf("set %d capacity %d, want %d", s, cap(tl.sets[s]), ways)
+			}
+		}
+		if tl.Len() != sets*ways {
+			t.Fatalf("after touching set %d: Len = %d, want %d", i, tl.Len(), sets*ways)
+		}
+		if !slices.Equal(evicted, []vm.VPN{v[0]}) {
+			t.Fatalf("set %d: evicted %v, want [%d]", i, evicted, v[0])
+		}
+	}
+	tl.Flush()
+	if tl.Len() != 0 {
+		t.Fatalf("Len = %d after Flush", tl.Len())
 	}
 }

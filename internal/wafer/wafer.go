@@ -590,5 +590,3 @@ func buildScheme(name string, f *core.Fabric, h config.HDPAT) (xlat.RemoteTransl
 	}
 	return nil, fmt.Errorf("wafer: %w %q", ErrUnknownScheme, name)
 }
-
-// auxProbe is a debugging aggregate filled at the end of Run.

@@ -18,6 +18,7 @@ import (
 	"math/rand"
 
 	"hdpat/internal/vm"
+	"hdpat/internal/xrand"
 )
 
 // ErrUnknownBenchmark is returned (wrapped with the offending abbreviation)
@@ -44,8 +45,11 @@ type Context struct {
 	Seed      int64
 }
 
+// rng returns this CU's trace generator. The lazily seeded xrand source
+// draws the math/rand stream of the same seed at a fraction of the seeding
+// cost; a trace draws only a few dozen values.
 func (c Context) rng() *rand.Rand {
-	return rand.New(rand.NewSource(c.Seed ^ int64(c.GPM)<<20 ^ int64(c.CU)<<8))
+	return rand.New(xrand.NewSource(c.Seed ^ int64(c.GPM)<<20 ^ int64(c.CU)<<8))
 }
 
 // globalCU returns this CU's index across the whole wafer.
