@@ -6,6 +6,13 @@
 GO ?= go
 BENCH ?= BenchmarkBatch3x3|BenchmarkCompare|BenchmarkScale|BenchmarkBuildTableI
 BENCHTIME ?= 3x
+# Layer microbenchmarks run beside the root-package legs, at a fixed
+# iteration count large enough that ns/op is not dominated by set-up.
+MICRO_PKGS ?= ./internal/tlb ./internal/cache
+MICRO_BENCH ?= BenchmarkTLBLookup|BenchmarkMSHR|BenchmarkCacheAccess
+MICRO_BENCHTIME ?= 1000000x
+BENCH_RUN = { $(GO) test -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -benchmem . ; \
+	$(GO) test -run '^$$' -bench '$(MICRO_BENCH)' -benchtime $(MICRO_BENCHTIME) -benchmem $(MICRO_PKGS) ; }
 
 .PHONY: build test race vet staticcheck check verify-invariants bench bench-check bench-all report service-smoke scale-check
 
@@ -51,14 +58,14 @@ verify-invariants:
 	$(GO) run ./cmd/verifyinv -ops $(INV_OPS) -rand $(INV_RAND) -routing $(INV_ROUTING) $(INV_FLAGS)
 
 # Machine-readable benchmark run: the batch-engine benchmarks (override
-# with BENCH=...) with allocation stats, teed to results/bench.txt and
+# with BENCH=...) and the layer microbenchmarks (MICRO_BENCH in
+# MICRO_PKGS) with allocation stats, teed to results/bench.txt and
 # parsed into results/bench.json for regression diffing. Set BENCHJSON_NOTE
 # to annotate the JSON (e.g. "baseline at <commit>").
 bench:
 	@mkdir -p results
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -benchmem \
-		| tee results/bench.txt | /tmp/benchjson > results/bench.json
+	$(BENCH_RUN) | tee results/bench.txt | /tmp/benchjson > results/bench.json
 	@echo "wrote results/bench.txt and results/bench.json"
 
 # Bench-regression gate: rerun the hot-path benchmarks and compare against
@@ -77,8 +84,7 @@ BYTES_TOLERANCE ?= 0.20
 BENCH_INFORMATIONAL ?=
 bench-check:
 	$(GO) build -o /tmp/benchjson ./cmd/benchjson
-	$(GO) test -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -benchmem \
-		| /tmp/benchjson > /tmp/bench-new.json
+	$(BENCH_RUN) | /tmp/benchjson > /tmp/bench-new.json
 	/tmp/benchjson -compare -tolerance $(BENCH_TOLERANCE) \
 		-alloc-tolerance $(ALLOC_TOLERANCE) -events-tolerance $(EVENTS_TOLERANCE) \
 		-bytes-tolerance $(BYTES_TOLERANCE) \

@@ -10,7 +10,8 @@
 //
 // Only standard benchmark result lines and the context header (goos/goarch/
 // pkg/cpu) are interpreted; everything else passes through to stderr so
-// failures stay visible in pipelines.
+// failures stay visible in pipelines. Output may span several packages:
+// each benchmark records the `pkg:` header it ran under.
 //
 // -compare diffs two reports and exits 1 when any benchmark present in both
 // regressed beyond tolerance — the CI bench-regression gate
@@ -49,6 +50,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"regexp"
 	"strconv"
@@ -62,9 +64,11 @@ type Metric struct {
 	Unit  string  `json:"unit"`
 }
 
-// Benchmark is one result line.
+// Benchmark is one result line, with the package of the most recent
+// `pkg:` header above it, so one report can hold several packages' runs.
 type Benchmark struct {
 	Name       string   `json:"name"`
+	Pkg        string   `json:"pkg,omitempty"`
 	Procs      int      `json:"procs,omitempty"` // the -N GOMAXPROCS suffix
 	Iterations int64    `json:"iterations"`
 	Metrics    []Metric `json:"metrics"`
@@ -74,7 +78,6 @@ type Benchmark struct {
 type Report struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
-	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
 	Note       string      `json:"note,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
@@ -238,8 +241,26 @@ func metricIndex(rep Report, unit string) map[string]float64 {
 
 // convert is the original stdin-to-JSON mode.
 func convert() {
-	rep := Report{Note: os.Getenv("BENCHJSON_NOTE")}
-	sc := bufio.NewScanner(os.Stdin)
+	rep, err := parse(os.Stdin, os.Stderr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	rep.Note = os.Getenv("BENCHJSON_NOTE")
+	out, err := json.MarshalIndent(rep, "", "  ")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchjson:", err)
+		os.Exit(1)
+	}
+	fmt.Println(string(out))
+}
+
+// parse reads `go test -bench` output, possibly from several packages, and
+// copies every line it does not interpret to chatter.
+func parse(r io.Reader, chatter io.Writer) (Report, error) {
+	var rep Report
+	var pkg string
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
@@ -249,32 +270,24 @@ func convert() {
 		case strings.HasPrefix(line, "goarch: "):
 			rep.Goarch = strings.TrimPrefix(line, "goarch: ")
 		case strings.HasPrefix(line, "pkg: "):
-			rep.Pkg = strings.TrimPrefix(line, "pkg: ")
+			pkg = strings.TrimPrefix(line, "pkg: ")
 		case strings.HasPrefix(line, "cpu: "):
 			rep.CPU = strings.TrimPrefix(line, "cpu: ")
 		case strings.HasPrefix(line, "Benchmark"):
 			if b, ok := parseBenchLine(line); ok {
+				b.Pkg = pkg
 				rep.Benchmarks = append(rep.Benchmarks, b)
 				continue
 			}
-			fmt.Fprintln(os.Stderr, line)
+			fmt.Fprintln(chatter, line)
 		default:
 			// PASS/FAIL/ok and test chatter: keep visible, out of the JSON.
 			if line != "" {
-				fmt.Fprintln(os.Stderr, line)
+				fmt.Fprintln(chatter, line)
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	out, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
-	}
-	fmt.Println(string(out))
+	return rep, sc.Err()
 }
 
 // parseBenchLine parses "BenchmarkName-8  3  123 ns/op  45 B/op ..." into a

@@ -1,8 +1,10 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -234,5 +236,47 @@ func TestCompareBytesPerGPMGate(t *testing.T) {
 	if code := compareReports(writeReport(t, "old3.json", old),
 		writeReport(t, "better.json", better), defaultTol()); code != 0 {
 		t.Errorf("5x bytes/GPM improvement: exit %d, want 0", code)
+	}
+}
+
+// TestParseRecordsPackagePerBenchmark pins that output from several
+// packages keeps each benchmark's own package, rather than the last `pkg:`
+// header overwriting one report-wide value.
+func TestParseRecordsPackagePerBenchmark(t *testing.T) {
+	out := `goos: linux
+goarch: amd64
+pkg: hdpat
+cpu: Test CPU
+BenchmarkCompareHDPAT-2   	       3	 125353618 ns/op	 3876298 events/sec
+PASS
+ok  	hdpat	1.2s
+goos: linux
+goarch: amd64
+pkg: hdpat/internal/tlb
+cpu: Test CPU
+BenchmarkTLBLookup/L2/lookup-2   	1000000	        34.09 ns/op	       0 B/op	       0 allocs/op
+BenchmarkMSHR-2                  	1000000	        73.77 ns/op
+PASS
+ok  	hdpat/internal/tlb	0.1s
+`
+	rep, err := parse(strings.NewReader(out), io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"BenchmarkCompareHDPAT":        "hdpat",
+		"BenchmarkTLBLookup/L2/lookup": "hdpat/internal/tlb",
+		"BenchmarkMSHR":                "hdpat/internal/tlb",
+	}
+	if len(rep.Benchmarks) != len(want) {
+		t.Fatalf("parsed %d benchmarks, want %d", len(rep.Benchmarks), len(want))
+	}
+	for _, b := range rep.Benchmarks {
+		if b.Pkg != want[b.Name] || b.Procs != 2 {
+			t.Errorf("%s: pkg %q procs %d, want %q and 2", b.Name, b.Pkg, b.Procs, want[b.Name])
+		}
+	}
+	if rep.Goos != "linux" || rep.CPU != "Test CPU" {
+		t.Errorf("header goos %q cpu %q", rep.Goos, rep.CPU)
 	}
 }

@@ -8,6 +8,7 @@
 package cache
 
 import (
+	"hdpat/internal/mshr"
 	"hdpat/internal/sim"
 	"hdpat/internal/vm"
 )
@@ -67,26 +68,22 @@ type WaiterFunc func(line uint64)
 // LineFilled implements Waiter.
 func (f WaiterFunc) LineFilled(line uint64) { f(line) }
 
-// Cache is a set-associative LRU cache of line addresses.
+// Cache is a set-associative LRU cache of line addresses. Set s owns
+// lines[s*Ways:(s+1)*Ways], of which the first n[s] are resident in recency
+// order (0 = MRU).
 type Cache struct {
 	cfg   Config
-	sets  [][]uint64 // recency-ordered line addresses per set (0 = MRU)
+	lines []uint64
+	n     []uint32
 	Stats Stats
 
-	pending map[uint64][]Waiter
+	pending mshr.File[uint64, Waiter]
 }
 
 // New creates a cache.
 func New(cfg Config) *Cache {
-	n, w := cfg.Sets(), cfg.Ways
-	c := &Cache{cfg: cfg, sets: make([][]uint64, n), pending: make(map[uint64][]Waiter)}
-	// One backing array for every set; each set's capacity stops at its own
-	// ways, so append in Insert never reaches into the next set.
-	slots := make([]uint64, n*w)
-	for i := range c.sets {
-		c.sets[i] = slots[i*w : i*w : (i+1)*w]
-	}
-	return c
+	n := cfg.Sets()
+	return &Cache{cfg: cfg, lines: make([]uint64, n*cfg.Ways), n: make([]uint32, n)}
 }
 
 // Config returns the cache geometry.
@@ -95,11 +92,17 @@ func (c *Cache) Config() Config { return c.cfg }
 // Latency returns the hit latency.
 func (c *Cache) Latency() sim.VTime { return c.cfg.Latency }
 
-func (c *Cache) setOf(line uint64) int { return int(line % uint64(len(c.sets))) }
+func (c *Cache) setOf(line uint64) int { return int(line % uint64(len(c.n))) }
+
+// resident returns set s's resident lines, MRU first.
+func (c *Cache) resident(s int) []uint64 {
+	base := s * c.cfg.Ways
+	return c.lines[base : base+int(c.n[s])]
+}
 
 // Lookup probes for a line, promoting hits to MRU.
 func (c *Cache) Lookup(line uint64) bool {
-	set := c.sets[c.setOf(line)]
+	set := c.resident(c.setOf(line))
 	for i, l := range set {
 		if l == line {
 			copy(set[1:i+1], set[:i])
@@ -114,8 +117,8 @@ func (c *Cache) Lookup(line uint64) bool {
 
 // Insert fills a line, evicting LRU on conflict.
 func (c *Cache) Insert(line uint64) {
-	si := c.setOf(line)
-	set := c.sets[si]
+	s := c.setOf(line)
+	set := c.resident(s)
 	for i, l := range set {
 		if l == line {
 			copy(set[1:i+1], set[:i])
@@ -124,13 +127,13 @@ func (c *Cache) Insert(line uint64) {
 		}
 	}
 	if len(set) < c.cfg.Ways {
-		set = append(set, 0)
+		c.n[s]++
+		set = set[:len(set)+1]
 	} else {
 		c.Stats.Evictions++
 	}
 	copy(set[1:], set)
 	set[0] = line
-	c.sets[si] = set
 }
 
 // MissTrack registers an outstanding miss on line.
@@ -139,45 +142,38 @@ func (c *Cache) Insert(line uint64) {
 //	primary=false, ok=true — merged; w wakes at Fill time.
 //	ok=false      — MSHR file full; caller must stall/retry.
 func (c *Cache) MissTrack(line uint64, w Waiter) (primary, ok bool) {
-	if ws, exists := c.pending[line]; exists {
-		c.pending[line] = append(ws, w)
-		c.Stats.MSHRMerge++
-		return false, true
-	}
-	if len(c.pending) >= c.cfg.MSHRs {
+	primary, ok = c.pending.Allocate(line, w, c.cfg.MSHRs)
+	switch {
+	case !ok:
 		c.Stats.MSHRStall++
-		return false, false
+	case !primary:
+		c.Stats.MSHRMerge++
 	}
-	c.pending[line] = []Waiter{w}
-	return true, true
+	return primary, ok
 }
 
 // OutstandingMisses returns occupied MSHR count.
-func (c *Cache) OutstandingMisses() int { return len(c.pending) }
+func (c *Cache) OutstandingMisses() int { return c.pending.Len() }
 
 // Fill completes an outstanding miss: installs the line and releases every
-// merged waiter.
+// merged waiter, primary first.
 func (c *Cache) Fill(line uint64) {
 	c.Insert(line)
-	ws := c.pending[line]
-	delete(c.pending, line)
+	ws := c.pending.Take(line)
 	for _, w := range ws {
 		w.LineFilled(line)
 	}
+	c.pending.Release(ws)
 }
 
 // Flush empties the cache (MSHRs are unaffected).
-func (c *Cache) Flush() {
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
-	}
-}
+func (c *Cache) Flush() { clear(c.n) }
 
 // Len returns resident line count.
 func (c *Cache) Len() int {
 	n := 0
-	for _, s := range c.sets {
-		n += len(s)
+	for _, k := range c.n {
+		n += int(k)
 	}
 	return n
 }

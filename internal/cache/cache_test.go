@@ -126,13 +126,18 @@ func TestFlush(t *testing.T) {
 	}
 }
 
-// TestSetIsolation pins that sets, which share one backing array, never
+// TestSetIsolation pins that sets, which share one flat line array, never
 // spill into a neighbour: filling, evicting from and refreshing one set
-// leaves every other set's contents exact, Len stays exact, and each set's
-// capacity stops at Ways. Every set after the first runs on a flushed cache.
+// leaves every other set's recency order exact and every slot and count
+// outside the set's own Ways untouched, Len stays exact, and exactly the
+// set's LRU line is evicted. Every set after the first runs on a flushed
+// cache.
 func TestSetIsolation(t *testing.T) {
 	const sets, ways = 4, 4
 	c := mk(LineSize*sets*ways, ways, 4)
+	if len(c.lines) != sets*ways || len(c.n) != sets {
+		t.Fatalf("%d slots in %d sets, want %d in %d", len(c.lines), len(c.n), sets*ways, sets)
+	}
 	line := func(set, k int) uint64 { return uint64(set + k*sets) }
 	for i := 0; i < sets; i++ {
 		c.Flush()
@@ -143,17 +148,23 @@ func TestSetIsolation(t *testing.T) {
 		}
 		before := make([][]uint64, sets)
 		for s := range before {
-			before[s] = slices.Clone(c.sets[s])
+			before[s] = slices.Clone(resident(c, s))
 		}
+		lines, n := slices.Clone(c.lines), slices.Clone(c.n)
 		c.Insert(line(i, ways)) // evicts line(i, 0)
 		c.Insert(line(i, 2))    // refreshes a middle entry to MRU
 		before[i] = []uint64{line(i, 2), line(i, ways), line(i, 3), line(i, 1)}
 		for s := 0; s < sets; s++ {
-			if !slices.Equal(c.sets[s], before[s]) {
-				t.Fatalf("after touching set %d: set %d = %v, want %v", i, s, c.sets[s], before[s])
+			if got := resident(c, s); !slices.Equal(got, before[s]) {
+				t.Fatalf("after touching set %d: set %d = %v, want %v", i, s, got, before[s])
 			}
-			if cap(c.sets[s]) != ways {
-				t.Fatalf("set %d capacity %d, want %d", s, cap(c.sets[s]), ways)
+			if s != i && c.n[s] != n[s] {
+				t.Fatalf("touching set %d changed set %d's count", i, s)
+			}
+		}
+		for j := range lines {
+			if j/ways != i && c.lines[j] != lines[j] {
+				t.Fatalf("touching set %d wrote slot %d of set %d", i, j, j/ways)
 			}
 		}
 		if c.Len() != sets*ways {
@@ -162,10 +173,114 @@ func TestSetIsolation(t *testing.T) {
 		if c.Stats.Evictions != uint64(i+1) {
 			t.Fatalf("Evictions = %d, want %d", c.Stats.Evictions, i+1)
 		}
+		if c.Lookup(line(i, 0)) || !c.Lookup(line(i, 1)) {
+			t.Fatalf("set %d: evicted something other than its LRU line", i)
+		}
 	}
 	c.Flush()
 	if c.Len() != 0 {
 		t.Fatalf("Len = %d after Flush", c.Len())
+	}
+}
+
+// TestMSHRWakeOrder pins that Fill wakes the primary first, then the merged
+// waiters in arrival order.
+func TestMSHRWakeOrder(t *testing.T) {
+	c := mk(1024, 2, 4)
+	var order []int
+	for id := 0; id < 5; id++ {
+		c.MissTrack(7, WaiterFunc(func(uint64) { order = append(order, id) }))
+	}
+	c.Fill(7)
+	if !slices.Equal(order, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("wake order %v", order)
+	}
+}
+
+// TestMSHRSwapRemove fills a miss from the middle of the register file, so
+// the last register moves into its slot, and checks OutstandingMisses and
+// every remaining line's waiters.
+func TestMSHRSwapRemove(t *testing.T) {
+	c := mk(1024, 2, 4)
+	var woke []uint64
+	for line := uint64(0); line < 4; line++ {
+		for n := uint64(0); n <= line; n++ {
+			c.MissTrack(line, WaiterFunc(func(l uint64) { woke = append(woke, line) }))
+		}
+	}
+	c.Fill(1)
+	if c.OutstandingMisses() != 3 {
+		t.Fatalf("OutstandingMisses = %d, want 3", c.OutstandingMisses())
+	}
+	for line, want := range []int{1, 0, 3, 4} {
+		if got := c.pending.Waiters(uint64(line)); got != want {
+			t.Fatalf("waiters on %d = %d, want %d", line, got, want)
+		}
+	}
+	for _, line := range []uint64{3, 0, 2} {
+		woke = woke[:0]
+		c.Fill(line)
+		if len(woke) != int(line)+1 || slices.ContainsFunc(woke, func(l uint64) bool { return l != line }) {
+			t.Fatalf("filling %d woke %v", line, woke)
+		}
+	}
+	if c.OutstandingMisses() != 0 {
+		t.Fatalf("OutstandingMisses = %d after draining", c.OutstandingMisses())
+	}
+}
+
+// TestMSHRRetrackDuringFill pins that a waiter re-tracking its own line
+// from inside Fill gets a fresh primary register and does not disturb the
+// list still being woken.
+func TestMSHRRetrackDuringFill(t *testing.T) {
+	c := mk(1024, 2, 2)
+	var order []string
+	var reprimary []bool
+	for _, name := range []string{"a", "b", "c"} {
+		c.MissTrack(5, WaiterFunc(func(uint64) {
+			order = append(order, name)
+			p, ok := c.MissTrack(5, WaiterFunc(func(uint64) { order = append(order, name+"'") }))
+			reprimary = append(reprimary, p && ok)
+		}))
+	}
+	c.Fill(5)
+	if !slices.Equal(order, []string{"a", "b", "c"}) {
+		t.Fatalf("first wake %v", order)
+	}
+	if !slices.Equal(reprimary, []bool{true, false, false}) {
+		t.Fatalf("re-tracks primary = %v, want only the first", reprimary)
+	}
+	if c.OutstandingMisses() != 1 || c.pending.Waiters(5) != 3 {
+		t.Fatalf("OutstandingMisses %d waiters %d, want 1 and 3", c.OutstandingMisses(), c.pending.Waiters(5))
+	}
+	order = order[:0]
+	c.Fill(5)
+	if !slices.Equal(order, []string{"a'", "b'", "c'"}) || c.OutstandingMisses() != 0 {
+		t.Fatalf("second wake %v, OutstandingMisses %d", order, c.OutstandingMisses())
+	}
+}
+
+type nopWaiter struct{}
+
+func (nopWaiter) LineFilled(uint64) {}
+
+// TestMSHRNoAllocs pins that track, merge and fill cycles allocate nothing
+// once the register file has warmed up.
+func TestMSHRNoAllocs(t *testing.T) {
+	c := mk(64<<10, 16, 64)
+	var w Waiter = nopWaiter{}
+	cycle := func() {
+		for line := uint64(0); line < 64; line++ {
+			c.MissTrack(line, w)
+			c.MissTrack(line, w)
+		}
+		for line := uint64(0); line < 64; line++ {
+			c.Fill((line * 7) % 64)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("%v allocations per cycle, want 0", n)
 	}
 }
 

@@ -1,6 +1,9 @@
 package tlb
 
-import "hdpat/internal/vm"
+import (
+	"hdpat/internal/mshr"
+	"hdpat/internal/vm"
+)
 
 // Filler receives an MSHR completion: the translation outcome for the key a
 // miss was registered under. Waiters are long-lived components or pooled
@@ -22,8 +25,8 @@ func (f FillerFunc) Fill(pte vm.PTE, found bool) { f(pte, found) }
 // occupied, further misses stall, the behaviour that motivates the
 // redirection table's advantage over an IOMMU-side TLB (§V-E, Fig 19).
 type MSHR struct {
-	cap     int
-	pending map[Key][]Filler
+	cap  int
+	regs mshr.File[Key, Filler]
 
 	// Stats
 	Allocated uint64
@@ -34,14 +37,14 @@ type MSHR struct {
 
 // NewMSHR creates a file with capacity registers.
 func NewMSHR(capacity int) *MSHR {
-	return &MSHR{cap: capacity, pending: make(map[Key][]Filler)}
+	return &MSHR{cap: capacity}
 }
 
 // Capacity returns the register count.
 func (m *MSHR) Capacity() int { return m.cap }
 
 // Used returns the number of occupied registers.
-func (m *MSHR) Used() int { return len(m.pending) }
+func (m *MSHR) Used() int { return m.regs.Len() }
 
 // Allocate registers a miss on k waking w at completion.
 //
@@ -51,32 +54,29 @@ func (m *MSHR) Used() int { return len(m.pending) }
 //	                the primary completes, no downstream request needed.
 //	ok=false      — MSHR file full; the miss must stall and retry.
 func (m *MSHR) Allocate(k Key, w Filler) (primary, ok bool) {
-	if ws, exists := m.pending[k]; exists {
-		m.pending[k] = append(ws, w)
+	primary, ok = m.regs.Allocate(k, w, m.cap)
+	switch {
+	case primary:
+		m.Allocated++
+		m.PeakUsed = max(m.PeakUsed, m.regs.Len())
+	case ok:
 		m.Merged++
-		return false, true
-	}
-	if len(m.pending) >= m.cap {
+	default:
 		m.Stalled++
-		return false, false
 	}
-	m.pending[k] = []Filler{w}
-	m.Allocated++
-	if len(m.pending) > m.PeakUsed {
-		m.PeakUsed = len(m.pending)
-	}
-	return true, true
+	return primary, ok
 }
 
 // Complete resolves the register for k, filling every merged waiter with
-// the outcome. Unknown keys are ignored (the register may have been flushed).
+// the outcome, primary first. Unknown keys are ignored (the register may
+// have been flushed).
 func (m *MSHR) Complete(k Key, pte vm.PTE, found bool) {
-	ws := m.pending[k]
-	delete(m.pending, k)
+	ws := m.regs.Take(k)
 	for _, w := range ws {
 		w.Fill(pte, found)
 	}
+	m.regs.Release(ws)
 }
 
 // Waiters returns how many fillers (primary + merged) wait on k.
-func (m *MSHR) Waiters(k Key) int { return len(m.pending[k]) }
+func (m *MSHR) Waiters(k Key) int { return m.regs.Waiters(k) }

@@ -36,17 +36,22 @@ type Stats struct {
 	MSHRStalls uint64 // misses rejected because the MSHR file was full
 }
 
-type entry struct {
-	key   Key
-	pte   vm.PTE
-	valid bool
-}
-
 // TLB is a set-associative, LRU-replacement translation cache.
-// Within each set, entries are kept in recency order (index 0 = MRU).
+//
+// Way w of set s lives at index s*Ways+w of three parallel arrays: vpn, the
+// tags a lookup scans; pte, the payload, which carries the PID; and stamp,
+// the way's last-touch time, where 0 marks an empty way. Each hit, refresh
+// and fill writes the next value of a per-TLB clock into the way's stamp,
+// so nothing moves. The victim is the way with the smallest stamp, and an
+// empty way always wins, so a set fills before it evicts. Stamps strictly
+// increase with each touch, so the smallest stamp is exactly the entry a
+// move-to-front recency list would hold last.
 type TLB struct {
 	cfg   Config
-	sets  [][]entry
+	vpn   []vm.VPN
+	pte   []vm.PTE
+	stamp []uint64
+	clock uint64 // last stamp written
 	Stats Stats
 
 	// OnEvict, when non-nil, is called with each evicted entry. The GMMU
@@ -76,16 +81,8 @@ func New(cfg Config) *TLB {
 	if cfg.Sets <= 0 || cfg.Ways <= 0 {
 		panic("tlb: sets and ways must be positive")
 	}
-	w := cfg.Ways
-	t := &TLB{cfg: cfg, sets: make([][]entry, cfg.Sets)}
-	// One backing array for every set; each set's capacity stops at its own
-	// ways, so append in Insert and Invalidate never reaches into the next
-	// set.
-	slots := make([]entry, cfg.Sets*w)
-	for i := range t.sets {
-		t.sets[i] = slots[i*w : i*w : (i+1)*w]
-	}
-	return t
+	n := cfg.Sets * cfg.Ways
+	return &TLB{cfg: cfg, vpn: make([]vm.VPN, n), pte: make([]vm.PTE, n), stamp: make([]uint64, n)}
 }
 
 // Config returns the TLB geometry.
@@ -100,8 +97,10 @@ func (t *TLB) Capacity() int { return t.cfg.Sets * t.cfg.Ways }
 // Len returns the number of valid entries.
 func (t *TLB) Len() int {
 	n := 0
-	for _, s := range t.sets {
-		n += len(s)
+	for _, s := range t.stamp {
+		if s != 0 {
+			n++
+		}
 	}
 	return n
 }
@@ -119,20 +118,32 @@ func (t *TLB) setOf(k Key) int {
 	return int(x % uint64(t.cfg.Sets))
 }
 
+// find returns the slot holding k, or -1, and the first slot of k's set.
+func (t *TLB) find(k Key) (slot, base int) {
+	base = t.setOf(k) * t.cfg.Ways
+	for i, v := range t.vpn[base : base+t.cfg.Ways] {
+		if v == k.VPN && t.stamp[base+i] != 0 && t.pte[base+i].PID == k.PID {
+			return base + i, base
+		}
+	}
+	return -1, base
+}
+
+// touch makes slot the most recently used way of its set.
+func (t *TLB) touch(slot int) {
+	t.clock++
+	t.stamp[slot] = t.clock
+}
+
 // Lookup probes the TLB, promoting a hit to MRU.
 func (t *TLB) Lookup(k Key) (vm.PTE, bool) {
-	set := t.sets[t.setOf(k)]
-	for i, e := range set {
-		if e.valid && e.key == k {
-			// Move to front (MRU).
-			copy(set[1:i+1], set[:i])
-			set[0] = e
-			t.Stats.Hits++
-			if t.m != nil {
-				t.m.hits.Inc()
-			}
-			return e.pte, true
+	if i, _ := t.find(k); i >= 0 {
+		t.touch(i)
+		t.Stats.Hits++
+		if t.m != nil {
+			t.m.hits.Inc()
 		}
+		return t.pte[i], true
 	}
 	t.Stats.Misses++
 	if t.m != nil {
@@ -145,10 +156,8 @@ func (t *TLB) Lookup(k Key) (vm.PTE, bool) {
 // should not perturb the local replacement state in some schemes, and by
 // tests).
 func (t *TLB) Peek(k Key) (vm.PTE, bool) {
-	for _, e := range t.sets[t.setOf(k)] {
-		if e.valid && e.key == k {
-			return e.pte, true
-		}
+	if i, _ := t.find(k); i >= 0 {
+		return t.pte[i], true
 	}
 	return vm.PTE{}, false
 }
@@ -156,50 +165,39 @@ func (t *TLB) Peek(k Key) (vm.PTE, bool) {
 // Insert fills pte, evicting the LRU entry of its set if needed.
 // Re-inserting an existing key refreshes it to MRU.
 func (t *TLB) Insert(pte vm.PTE) {
-	k := Key{PID: pte.PID, VPN: pte.VPN}
-	si := t.setOf(k)
-	set := t.sets[si]
-	for i, e := range set {
-		if e.valid && e.key == k {
-			copy(set[1:i+1], set[:i])
-			set[0] = entry{key: k, pte: pte, valid: true}
-			return
+	i, base := t.find(Key{PID: pte.PID, VPN: pte.VPN})
+	if i < 0 {
+		t.Stats.Fills++
+		i = base
+		for j := base + 1; j < base+t.cfg.Ways; j++ {
+			if t.stamp[j] < t.stamp[i] {
+				i = j
+			}
 		}
-	}
-	t.Stats.Fills++
-	if len(set) < t.cfg.Ways {
-		set = append(set, entry{})
-	} else {
-		victim := set[len(set)-1]
-		t.Stats.Evictions++
-		if t.OnEvict != nil && victim.valid {
-			t.OnEvict(victim.pte)
+		if t.stamp[i] != 0 {
+			t.Stats.Evictions++
+			if t.OnEvict != nil {
+				t.OnEvict(t.pte[i])
+			}
 		}
+		t.vpn[i] = pte.VPN
 	}
-	copy(set[1:], set)
-	set[0] = entry{key: k, pte: pte, valid: true}
-	t.sets[si] = set
+	t.pte[i] = pte
+	t.touch(i)
 }
 
 // Invalidate drops k if present and reports whether it was.
 func (t *TLB) Invalidate(k Key) bool {
-	si := t.setOf(k)
-	set := t.sets[si]
-	for i, e := range set {
-		if e.valid && e.key == k {
-			t.sets[si] = append(set[:i], set[i+1:]...)
-			return true
-		}
+	i, _ := t.find(k)
+	if i < 0 {
+		return false
 	}
-	return false
+	t.stamp[i] = 0
+	return true
 }
 
 // Flush invalidates everything.
-func (t *TLB) Flush() {
-	for i := range t.sets {
-		t.sets[i] = t.sets[i][:0]
-	}
-}
+func (t *TLB) Flush() { clear(t.stamp) }
 
 // HitRate returns hits/(hits+misses), or 0 with no accesses.
 func (s Stats) HitRate() float64 {

@@ -197,25 +197,18 @@ func TestMSHRCompleteUnknownKey(t *testing.T) {
 	m.Complete(Key{VPN: 5}, vm.PTE{}, false) // must not panic
 }
 
-func BenchmarkTLBLookup(b *testing.B) {
-	tl := New(Config{Sets: 64, Ways: 32, Latency: 32})
-	for v := vm.VPN(0); v < 2048; v++ {
-		tl.Insert(pte(v))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tl.Lookup(Key{VPN: vm.VPN(i % 4096)})
-	}
-}
-
-// TestSetIsolation pins that sets, which share one backing array, never
+// TestSetIsolation pins that sets, which share three flat arrays, never
 // spill into a neighbour: filling, evicting from, invalidating in and
-// refilling one set leaves every other set's entries exact, Len stays
-// exact, and each set's capacity stops at Ways. Every set after the first
-// runs on a flushed TLB.
+// refilling one set leaves every other set's recency order exact and every
+// slot outside the set's own Ways untouched, Len stays exact, and exactly
+// the set's LRU entry is evicted. Every set after the first runs on a
+// flushed TLB.
 func TestSetIsolation(t *testing.T) {
 	const sets, ways = 4, 4
 	tl := mkTLB(sets, ways)
+	if len(tl.vpn) != sets*ways || len(tl.pte) != sets*ways || len(tl.stamp) != sets*ways {
+		t.Fatalf("arrays hold %d/%d/%d slots, want %d", len(tl.vpn), len(tl.pte), len(tl.stamp), sets*ways)
+	}
 	var evicted []vm.VPN
 	tl.OnEvict = func(p vm.PTE) { evicted = append(evicted, p.VPN) }
 	// vpns[s] lists ways+1 VPNs that hash to set s.
@@ -228,10 +221,10 @@ func TestSetIsolation(t *testing.T) {
 			}
 		}
 	}
-	keys := func(set []entry) []vm.VPN {
-		out := make([]vm.VPN, len(set))
-		for i, e := range set {
-			out[i] = e.key.VPN
+	keys := func(s int) []vm.VPN {
+		var out []vm.VPN
+		for _, k := range recency(tl, s) {
+			out = append(out, k.VPN)
 		}
 		return out
 	}
@@ -244,8 +237,9 @@ func TestSetIsolation(t *testing.T) {
 		}
 		before := make([][]vm.VPN, sets)
 		for s := range before {
-			before[s] = keys(tl.sets[s])
+			before[s] = keys(s)
 		}
+		vpn, ptes, stamp := slices.Clone(tl.vpn), slices.Clone(tl.pte), slices.Clone(tl.stamp)
 		v := vpns[i]
 		evicted = evicted[:0]
 		tl.Insert(pte(v[ways])) // evicts v[0]
@@ -258,11 +252,13 @@ func TestSetIsolation(t *testing.T) {
 		tl.Insert(pte(v[2])) // refills the freed way
 		before[i] = []vm.VPN{v[2], v[ways], v[3], v[1]}
 		for s := 0; s < sets; s++ {
-			if got := keys(tl.sets[s]); !slices.Equal(got, before[s]) {
+			if got := keys(s); !slices.Equal(got, before[s]) {
 				t.Fatalf("after touching set %d: set %d = %v, want %v", i, s, got, before[s])
 			}
-			if cap(tl.sets[s]) != ways {
-				t.Fatalf("set %d capacity %d, want %d", s, cap(tl.sets[s]), ways)
+		}
+		for j := range stamp {
+			if j/ways != i && (tl.vpn[j] != vpn[j] || tl.pte[j] != ptes[j] || tl.stamp[j] != stamp[j]) {
+				t.Fatalf("touching set %d wrote slot %d of set %d", i, j, j/ways)
 			}
 		}
 		if tl.Len() != sets*ways {
@@ -275,5 +271,163 @@ func TestSetIsolation(t *testing.T) {
 	tl.Flush()
 	if tl.Len() != 0 {
 		t.Fatalf("Len = %d after Flush", tl.Len())
+	}
+}
+
+// TestMSHRWakeOrder pins that completion wakes the primary first, then the
+// merged waiters in arrival order.
+func TestMSHRWakeOrder(t *testing.T) {
+	m := NewMSHR(4)
+	var order []int
+	k := Key{VPN: 3}
+	for id := 0; id < 5; id++ {
+		m.Allocate(k, FillerFunc(func(vm.PTE, bool) { order = append(order, id) }))
+	}
+	m.Complete(k, vm.PTE{}, true)
+	if !slices.Equal(order, []int{0, 1, 2, 3, 4}) {
+		t.Fatalf("wake order %v", order)
+	}
+}
+
+// TestMSHRSwapRemove completes a register from the middle of the file, so
+// the last register moves into its slot, and checks every remaining
+// register's waiter count and key-to-waiter binding.
+func TestMSHRSwapRemove(t *testing.T) {
+	m := NewMSHR(4)
+	var woke []Key
+	for v := vm.VPN(0); v < 4; v++ {
+		k := Key{VPN: v}
+		for n := vm.VPN(0); n <= v; n++ {
+			m.Allocate(k, FillerFunc(func(vm.PTE, bool) { woke = append(woke, k) }))
+		}
+	}
+	m.Complete(Key{VPN: 1}, vm.PTE{}, true)
+	if m.Used() != 3 {
+		t.Fatalf("Used = %d, want 3", m.Used())
+	}
+	for v, want := range []int{1, 0, 3, 4} {
+		if got := m.Waiters(Key{VPN: vm.VPN(v)}); got != want {
+			t.Fatalf("Waiters(%d) = %d, want %d", v, got, want)
+		}
+	}
+	for _, v := range []vm.VPN{3, 0, 2} {
+		woke = woke[:0]
+		m.Complete(Key{VPN: v}, vm.PTE{}, true)
+		if len(woke) != int(v)+1 || slices.ContainsFunc(woke, func(k Key) bool { return k.VPN != v }) {
+			t.Fatalf("completing %d woke %v", v, woke)
+		}
+	}
+	if m.Used() != 0 {
+		t.Fatalf("Used = %d after draining", m.Used())
+	}
+}
+
+// TestMSHRReallocateDuringComplete pins that a waiter re-allocating its own
+// key from inside Complete gets a fresh primary register and does not
+// disturb the list still being woken.
+func TestMSHRReallocateDuringComplete(t *testing.T) {
+	m := NewMSHR(2)
+	k := Key{VPN: 9}
+	var order []string
+	var reprimary []bool
+	for _, name := range []string{"a", "b", "c"} {
+		m.Allocate(k, FillerFunc(func(vm.PTE, bool) {
+			order = append(order, name)
+			p, ok := m.Allocate(k, FillerFunc(func(vm.PTE, bool) { order = append(order, name+"'") }))
+			reprimary = append(reprimary, p && ok)
+		}))
+	}
+	m.Complete(k, vm.PTE{}, true)
+	if !slices.Equal(order, []string{"a", "b", "c"}) {
+		t.Fatalf("first wake %v", order)
+	}
+	if !slices.Equal(reprimary, []bool{true, false, false}) {
+		t.Fatalf("re-allocations primary = %v, want only the first", reprimary)
+	}
+	if m.Used() != 1 || m.Waiters(k) != 3 {
+		t.Fatalf("Used %d Waiters %d, want 1 and 3", m.Used(), m.Waiters(k))
+	}
+	order = order[:0]
+	m.Complete(k, vm.PTE{}, true)
+	if !slices.Equal(order, []string{"a'", "b'", "c'"}) || m.Used() != 0 {
+		t.Fatalf("second wake %v, Used %d", order, m.Used())
+	}
+}
+
+type nopFiller struct{}
+
+func (nopFiller) Fill(vm.PTE, bool) {}
+
+// TestMSHRNoAllocs pins that allocate, merge and complete cycles allocate
+// nothing once the register file has warmed up.
+func TestMSHRNoAllocs(t *testing.T) {
+	m := NewMSHR(32)
+	var w Filler = nopFiller{}
+	cycle := func() {
+		for v := vm.VPN(0); v < 32; v++ {
+			m.Allocate(Key{VPN: v}, w)
+			m.Allocate(Key{VPN: v}, w)
+		}
+		for v := vm.VPN(0); v < 32; v++ {
+			m.Complete(Key{VPN: (v * 7) % 32}, vm.PTE{}, true)
+		}
+	}
+	cycle()
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Fatalf("%v allocations per cycle, want 0", n)
+	}
+}
+
+var sinkPTE vm.PTE
+
+// BenchmarkTLBLookup prices, on the Table I L2 TLB (64 sets × 32 ways) and
+// L1 TLB (1 × 32) geometries, a lookup that hits half the time, and a miss
+// followed by the Insert that fills it, evicting the set's LRU entry.
+func BenchmarkTLBLookup(b *testing.B) {
+	for _, g := range []struct {
+		name       string
+		sets, ways int
+	}{{"L2", 64, 32}, {"L1", 1, 32}} {
+		n := vm.VPN(g.sets * g.ways)
+		b.Run(g.name, func(b *testing.B) {
+			b.Run("lookup", func(b *testing.B) {
+				tl := New(Config{Sets: g.sets, Ways: g.ways})
+				for v := vm.VPN(0); v < n; v++ {
+					tl.Insert(pte(v))
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sinkPTE, _ = tl.Lookup(Key{VPN: vm.VPN(i) % (2 * n)})
+				}
+			})
+			b.Run("miss-insert", func(b *testing.B) {
+				tl := New(Config{Sets: g.sets, Ways: g.ways})
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					k := Key{VPN: vm.VPN(i)}
+					if _, ok := tl.Lookup(k); !ok {
+						tl.Insert(pte(k.VPN))
+					}
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkMSHR prices one miss lifecycle on the Table I L2 TLB MSHR file
+// (32 registers, 16 occupied): allocate a register, merge a second waiter
+// into it, and complete it.
+func BenchmarkMSHR(b *testing.B) {
+	m := NewMSHR(32)
+	var w Filler = nopFiller{}
+	for v := vm.VPN(0); v < 16; v++ {
+		m.Allocate(Key{VPN: v}, w)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := Key{VPN: 16 + vm.VPN(i&15)}
+		m.Allocate(k, w)
+		m.Allocate(k, w)
+		m.Complete(k, vm.PTE{}, true)
 	}
 }
