@@ -6,13 +6,13 @@
 GO ?= go
 BENCH ?= BenchmarkBatch3x3|BenchmarkCompare|BenchmarkScale|BenchmarkBuildTableI
 BENCHTIME ?= 3x
-# Layer microbenchmarks run beside the root-package legs, at a fixed
-# iteration count large enough that ns/op is not dominated by set-up.
-MICRO_PKGS ?= ./internal/tlb ./internal/cache
-MICRO_BENCH ?= BenchmarkTLBLookup|BenchmarkMSHR|BenchmarkCacheAccess
-MICRO_BENCHTIME ?= 1000000x
+# The tlb and cache layer microbenchmarks run beside the root-package legs
+# at a fixed iteration count large enough that ns/op is not dominated by
+# set-up. BENCH narrows only the root-package legs; the layer set always
+# runs (about a second).
 BENCH_RUN = { $(GO) test -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -benchmem . ; \
-	$(GO) test -run '^$$' -bench '$(MICRO_BENCH)' -benchtime $(MICRO_BENCHTIME) -benchmem $(MICRO_PKGS) ; }
+	$(GO) test -run '^$$' -bench 'BenchmarkTLBLookup|BenchmarkMSHR|BenchmarkCacheAccess' \
+		-benchtime 1000000x -benchmem ./internal/tlb ./internal/cache ; }
 
 .PHONY: build test race vet staticcheck check verify-invariants bench bench-check bench-all report service-smoke scale-check
 
@@ -58,8 +58,8 @@ verify-invariants:
 	$(GO) run ./cmd/verifyinv -ops $(INV_OPS) -rand $(INV_RAND) -routing $(INV_ROUTING) $(INV_FLAGS)
 
 # Machine-readable benchmark run: the batch-engine benchmarks (override
-# with BENCH=...) and the layer microbenchmarks (MICRO_BENCH in
-# MICRO_PKGS) with allocation stats, teed to results/bench.txt and
+# with BENCH=...) and the tlb and cache layer microbenchmarks, with
+# allocation stats, teed to results/bench.txt and
 # parsed into results/bench.json for regression diffing. Set BENCHJSON_NOTE
 # to annotate the JSON (e.g. "baseline at <commit>").
 bench:

@@ -170,13 +170,14 @@ func compareReports(oldPath, newPath string, tol tolerances) int {
 		oldVals := metricIndex(oldRep, g.unit)
 		newVals := metricIndex(newRep, g.unit)
 		for _, b := range newRep.Benchmarks {
-			nv, ok := newVals[b.Name]
+			key := benchKey(b)
+			nv, ok := newVals[key]
 			if !ok {
 				continue
 			}
-			ov, ok := oldVals[b.Name]
+			ov, ok := oldVals[key]
 			if !ok {
-				fmt.Printf("%-40s %14.0f %-10s (new benchmark, not gated)\n", b.Name, nv, g.unit)
+				fmt.Printf("%-56s %14.0f %-10s (new benchmark, not gated)\n", key, nv, g.unit)
 				continue
 			}
 			var delta float64
@@ -198,11 +199,11 @@ func compareReports(oldPath, newPath string, tol tolerances) int {
 					regressed = append(regressed, g.unit)
 				}
 			}
-			fmt.Printf("%-40s %14.0f -> %14.0f %-10s %+7.1f%%  %s\n", b.Name, ov, nv, g.unit, delta*100, status)
+			fmt.Printf("%-56s %14.0f -> %14.0f %-10s %+7.1f%%  %s\n", key, ov, nv, g.unit, delta*100, status)
 		}
-		for name, ov := range oldVals {
-			if _, ok := newVals[name]; !ok {
-				fmt.Printf("%-40s %14.0f %-10s (removed, not gated)\n", name, ov, g.unit)
+		for key, ov := range oldVals {
+			if _, ok := newVals[key]; !ok {
+				fmt.Printf("%-56s %14.0f %-10s (removed, not gated)\n", key, ov, g.unit)
 			}
 		}
 	}
@@ -225,14 +226,24 @@ func loadReport(path string) (Report, error) {
 	return rep, nil
 }
 
-// metricIndex indexes one metric unit of a report by benchmark name.
-// Duplicate names (e.g. -cpu sweeps) keep the last value.
+// benchKey identifies a benchmark across two reports: its package and
+// name, so equal names in different packages are gated separately. A
+// benchmark without a recorded package is keyed by its name alone.
+func benchKey(b Benchmark) string {
+	if b.Pkg == "" {
+		return b.Name
+	}
+	return b.Pkg + "/" + b.Name
+}
+
+// metricIndex indexes one metric unit of a report by benchKey. Duplicate
+// keys (e.g. -cpu sweeps) keep the last value.
 func metricIndex(rep Report, unit string) map[string]float64 {
 	out := make(map[string]float64, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
 		for _, m := range b.Metrics {
 			if m.Unit == unit {
-				out[b.Name] = m.Value
+				out[benchKey(b)] = m.Value
 			}
 		}
 	}

@@ -209,6 +209,38 @@ func TestMetricIndexing(t *testing.T) {
 	}
 }
 
+// Benchmarks with the same name in different packages are gated
+// separately: keyed on the name alone, the later package's entry would
+// shadow the earlier one's in both reports and hide its regression.
+func TestCompareKeysOnPackage(t *testing.T) {
+	old := `{"benchmarks":[
+	  {"name":"BenchmarkMSHR","pkg":"hdpat/internal/cache","iterations":1000000,"metrics":[{"value":50,"unit":"ns/op"}]},
+	  {"name":"BenchmarkMSHR","pkg":"hdpat/internal/tlb","iterations":1000000,"metrics":[{"value":100,"unit":"ns/op"}]}
+	]}`
+	cacheSlower := `{"benchmarks":[
+	  {"name":"BenchmarkMSHR","pkg":"hdpat/internal/cache","iterations":1000000,"metrics":[{"value":100,"unit":"ns/op"}]},
+	  {"name":"BenchmarkMSHR","pkg":"hdpat/internal/tlb","iterations":1000000,"metrics":[{"value":100,"unit":"ns/op"}]}
+	]}`
+	if code := compareReports(writeReport(t, "old.json", old),
+		writeReport(t, "new.json", cacheSlower), defaultTol()); code != 1 {
+		t.Errorf("2x ns/op in one package's BenchmarkMSHR: exit %d, want 1", code)
+	}
+	if code := compareReports(writeReport(t, "old2.json", old),
+		writeReport(t, "new2.json", old), defaultTol()); code != 0 {
+		t.Errorf("unchanged same-name benchmarks in two packages: exit %d, want 0", code)
+	}
+	rep := Report{Benchmarks: []Benchmark{
+		{Name: "BenchmarkMSHR", Pkg: "hdpat/internal/cache", Metrics: []Metric{{Value: 50, Unit: "ns/op"}}},
+		{Name: "BenchmarkMSHR", Pkg: "hdpat/internal/tlb", Metrics: []Metric{{Value: 100, Unit: "ns/op"}}},
+		{Name: "BenchmarkLegacy", Metrics: []Metric{{Value: 7, Unit: "ns/op"}}},
+	}}
+	ns := metricIndex(rep, "ns/op")
+	if len(ns) != 3 || ns["hdpat/internal/cache/BenchmarkMSHR"] != 50 ||
+		ns["hdpat/internal/tlb/BenchmarkMSHR"] != 100 || ns["BenchmarkLegacy"] != 7 {
+		t.Errorf("metricIndex = %v", ns)
+	}
+}
+
 // bytes/GPM is the memory-scaling gate: heap growth per GPM reported by the
 // giant-wafer benchmarks. An increase past -bytes-tolerance fails, a
 // decrease never does.
