@@ -31,7 +31,9 @@ type RunResult struct {
 // (see WithWorkers) and returns one RunResult per spec, indexed by
 // submission order regardless of completion order. Simulations are
 // deterministic and share no state, so a parallel batch produces results
-// identical to running the same specs serially.
+// identical to running the same specs serially. Each worker does hand its
+// GPMs' TLBs, caches and filters, reset, from one run to its next, which
+// saves most of a wafer's build and changes no result.
 //
 // Cancelling ctx aborts in-flight simulations between engine slices and
 // marks unstarted runs with ctx's error; the returned error is ctx.Err()

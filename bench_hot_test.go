@@ -6,10 +6,12 @@
 package hdpat_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
 	"hdpat"
+	"hdpat/internal/wafer"
 )
 
 // runCompareHot executes one baseline-vs-scheme comparison per iteration on
@@ -70,13 +72,32 @@ func BenchmarkCompareHDPAT7x12(b *testing.B) {
 // cuckoo filters, per-CU traces) for hdpat/PR. The one-cycle limit stops
 // each run right after the build, so ns/op and allocs/op are the build.
 func BenchmarkBuildTableI(b *testing.B) {
+	runBuild(b, context.Background())
+}
+
+// BenchmarkBuildTableIRecycled is BenchmarkBuildTableI as a batch worker
+// pays it from its second run on: every build takes the GPM hierarchies
+// the previous run handed back to the worker's store instead of
+// allocating them.
+func BenchmarkBuildTableIRecycled(b *testing.B) {
+	runBuild(b, wafer.WithRecycling(context.Background()))
+}
+
+// runBuild times build-only Table I hdpat/PR runs under ctx, after one
+// untimed run that warms any recycling store ctx carries.
+func runBuild(b *testing.B, ctx context.Context) {
 	cfg := hdpat.DefaultConfig()
 	spec := hdpat.RunSpec{Scheme: "hdpat", Benchmark: "PR", OpsBudget: 32, Seed: 3}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, err := hdpat.Simulate(cfg, spec, hdpat.WithMaxCycles(1))
+	build := func() {
+		_, err := hdpat.SimulateContext(ctx, cfg, spec, hdpat.WithMaxCycles(1))
 		if err == nil || !strings.Contains(err.Error(), "cycle limit") {
 			b.Fatalf("want a cycle-limit error, got %v", err)
 		}
+	}
+	build()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build()
 	}
 }

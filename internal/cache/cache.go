@@ -169,6 +169,16 @@ func (c *Cache) Fill(line uint64) {
 // Flush empties the cache (MSHRs are unaffected).
 func (c *Cache) Flush() { clear(c.n) }
 
+// Reset returns the cache to the state New left it in: empty, Stats zeroed
+// and every outstanding miss dropped with its waiters unwoken. It costs
+// O(sets): lines past a set's resident count are never read, so only the
+// counts are cleared.
+func (c *Cache) Reset() {
+	clear(c.n)
+	c.Stats = Stats{}
+	c.pending.Reset()
+}
+
 // Len returns resident line count.
 func (c *Cache) Len() int {
 	n := 0

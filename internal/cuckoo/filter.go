@@ -26,6 +26,9 @@ const (
 	fpMask = 1<<fpBits - 1
 	// maxKicks bounds the eviction chain during insert.
 	maxKicks = 500
+	// kickSeed seeds the RNG that picks which fingerprint an insert into two
+	// full buckets displaces.
+	kickSeed = 0x5eed
 )
 
 // Filter is a cuckoo filter over uint64 keys (VPNs).
@@ -44,6 +47,16 @@ type Filter struct {
 // New creates a filter with capacity for roughly n keys at ~95 % load.
 // The bucket count is rounded up to a power of two.
 func New(n int) *Filter {
+	buckets := bucketsFor(n)
+	return &Filter{
+		buckets: make([][SlotsPerBucket]uint16, buckets),
+		mask:    uint64(buckets - 1),
+		rng:     rand.New(xrand.NewSource(kickSeed)),
+	}
+}
+
+// bucketsFor returns the bucket count New(n) allocates.
+func bucketsFor(n int) int {
 	buckets := 1
 	need := (n + SlotsPerBucket - 1) / SlotsPerBucket
 	// Head room: cuckoo filters fill reliably to ~95 %.
@@ -51,11 +64,7 @@ func New(n int) *Filter {
 	for buckets < need {
 		buckets <<= 1
 	}
-	return &Filter{
-		buckets: make([][SlotsPerBucket]uint16, buckets),
-		mask:    uint64(buckets - 1),
-		rng:     rand.New(xrand.NewSource(0x5eed)),
-	}
+	return buckets
 }
 
 // splitmix64 is a strong, allocation-free 64-bit mixer.
@@ -188,10 +197,27 @@ func (f *Filter) bucketDelete(i uint64, fp uint16) bool {
 	return false
 }
 
-// Reset clears the filter in place.
+// Reset clears the filter in place and restarts its kick sequence, so it
+// then behaves exactly as a New filter of the same capacity: the same
+// eviction chains, Kicked and Len.
 func (f *Filter) Reset() {
-	for i := range f.buckets {
-		f.buckets[i] = [SlotsPerBucket]uint16{}
-	}
+	clear(f.buckets)
 	f.count = 0
+	f.Kicked = 0
+	f.rng.Seed(kickSeed)
+}
+
+// Refit resets the filter to the bucket count New(n) would allocate,
+// reusing its storage, and reports whether that storage was large enough.
+// When it was not, the filter is left unchanged and the caller builds a New
+// one.
+func (f *Filter) Refit(n int) bool {
+	buckets := bucketsFor(n)
+	if buckets > cap(f.buckets) {
+		return false
+	}
+	f.buckets = f.buckets[:buckets]
+	f.mask = uint64(buckets - 1)
+	f.Reset()
+	return true
 }

@@ -2,6 +2,7 @@ package cuckoo
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -141,6 +142,21 @@ func TestHighLoadInsert(t *testing.T) {
 	}
 }
 
+// fillPastCapacity inserts keys from base until the filter's 128 slots are
+// nearly full, so later inserts displace fingerprints along RNG-chosen
+// chains, and returns the insert outcomes.
+func fillPastCapacity(f *Filter, base uint64) []bool {
+	out := make([]bool, 0, 124)
+	for k := base; k < base+124; k++ {
+		out = append(out, f.Insert(k))
+	}
+	return out
+}
+
+// Reset empties the filter, and a reset filter then follows the same
+// eviction chains as a new one: same bucket contents, Kicked and Len after
+// the same kick-heavy load. Before Reset reseeded the kick RNG, the first
+// full bucket diverged.
 func TestReset(t *testing.T) {
 	f := New(100)
 	for k := uint64(0); k < 100; k++ {
@@ -154,6 +170,53 @@ func TestReset(t *testing.T) {
 		if f.Contains(k) && k%7 == 0 {
 			t.Fatalf("stale key %d after reset", k)
 		}
+	}
+
+	used := New(100)
+	fillPastCapacity(used, 1000)
+	if used.Kicked == 0 {
+		t.Fatal("warm-up load forced no kicks; the test would not see the RNG")
+	}
+	used.Reset()
+	fresh := New(100)
+	gotIns, wantIns := fillPastCapacity(used, 0), fillPastCapacity(fresh, 0)
+	if fresh.Kicked == 0 {
+		t.Fatal("test load forced no kicks")
+	}
+	if !slices.Equal(gotIns, wantIns) {
+		t.Errorf("insert outcomes diverge after Reset:\n got %v\nwant %v", gotIns, wantIns)
+	}
+	if !slices.Equal(used.buckets, fresh.buckets) {
+		t.Error("bucket contents diverge after Reset")
+	}
+	if used.Kicked != fresh.Kicked || used.Len() != fresh.Len() {
+		t.Errorf("Kicked %d Len %d after Reset, want %d and %d", used.Kicked, used.Len(), fresh.Kicked, fresh.Len())
+	}
+}
+
+// Refit reuses larger storage at a smaller filter's bucket count and then
+// behaves as New at that count; it refuses to grow.
+func TestRefit(t *testing.T) {
+	big := New(1000)
+	fillPastCapacity(big, 5000)
+	if !big.Refit(100) {
+		t.Fatal("Refit(100) on a New(1000) filter refused")
+	}
+	fresh := New(100)
+	if big.Capacity() != fresh.Capacity() {
+		t.Fatalf("Capacity %d after Refit(100), want %d", big.Capacity(), fresh.Capacity())
+	}
+	fillPastCapacity(big, 0)
+	fillPastCapacity(fresh, 0)
+	if !slices.Equal(big.buckets, fresh.buckets) || big.Kicked != fresh.Kicked || big.Len() != fresh.Len() {
+		t.Error("refit filter diverges from New")
+	}
+	small := New(100)
+	if small.Refit(1000) {
+		t.Error("Refit(1000) on a New(100) filter claimed to fit")
+	}
+	if small.Capacity() != fresh.Capacity() {
+		t.Error("a refused Refit changed the filter")
 	}
 }
 

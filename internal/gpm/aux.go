@@ -40,6 +40,15 @@ func filterKey(k tlb.Key) uint64 {
 	return uint64(k.VPN) ^ uint64(k.PID)<<48
 }
 
+// reset empties the cache, its filter and its origins and zeroes its
+// counters, so it behaves as a NewAuxCache of the same geometry. The map
+// keeps its buckets.
+func (a *AuxCache) reset() {
+	a.tlb.Reset()
+	a.filter.Reset()
+	clear(a.origins)
+}
+
 // Install stores a pushed PTE with its origin, keeping the filter in sync.
 func (a *AuxCache) Install(pte vm.PTE, origin xlat.PushOrigin) {
 	k := tlb.Key{PID: pte.PID, VPN: pte.VPN}

@@ -6,10 +6,16 @@
 // the active xlat.RemoteTranslator scheme; peer-facing services (auxiliary
 // cache probes, local walks for Trans-FW, L2 TLB probes for Valkyrie) are
 // exposed as methods with modelled port contention.
+//
+// A GPM materializes lazily: New builds only a header, and the first
+// traffic builds its TLBs, MSHR files, cuckoo filters and caches (ensure).
+// Those structures are most of a wafer's build cost, so a GPM whose Spares
+// store holds a hierarchy from an earlier run on the same goroutine takes
+// and reuses it; Spares.Reclaim hands a finished run's hierarchies back,
+// reset to their new state. Recycled and new GPMs behave identically.
 package gpm
 
 import (
-	"hdpat/internal/cache"
 	"hdpat/internal/config"
 	"hdpat/internal/cuckoo"
 	"hdpat/internal/dram"
@@ -79,25 +85,22 @@ type GPM struct {
 	// reg defers per-level TLB metric attachment to materialization.
 	reg *metrics.Registry
 
-	// Translation hierarchy.
-	l1TLBs  []*tlb.TLB
-	l2TLB   *tlb.TLB
-	l2MSHR  *tlb.MSHR
-	filter  *cuckoo.Filter
-	llTLB   *tlb.TLB
-	aux     *AuxCache
+	// hierarchy holds the TLBs, MSHR files, cuckoo filters and caches that
+	// ensure materializes, either built new or recycled from Spares.
+	hierarchy
 	localPT *vm.PageTable
 	walkers *sim.Pool
+	hbm     *dram.HBM
 
 	// probePort serialises peer-facing translation services; local
 	// translations have priority in the paper's model, approximated here by
 	// the port charging only peer traffic.
 	probePort sim.Line
 
-	// Data hierarchy.
-	l1Caches []*cache.Cache
-	l2Cache  *cache.Cache
-	hbm      *dram.HBM
+	// Spares, when non-nil, supplies a recycled hierarchy at
+	// materialization instead of a new one. The system builder sets it to
+	// the store of the goroutine running the wafer (see Spares).
+	Spares *Spares
 
 	// Remote is the active translation scheme (set by the system builder).
 	Remote xlat.RemoteTranslator
@@ -203,24 +206,28 @@ func New(eng *sim.Engine, id int, coord geom.Coord, cfg config.GPM, ps vm.PageSi
 // line fetch, shootdown) funnels through here; pure stat readers
 // (TLBStats, AuxLen, AuxStats) deliberately do not, so assembling results
 // never defeats the laziness.
+//
+// The hierarchy comes from Spares when the store holds one built for an
+// equal config.GPM, already reset when its previous run handed it back;
+// otherwise it is built new. Either way the local-page-table filter is then
+// fitted to this GPM's page count, reusing the spare's storage when it is
+// large enough, so a recycled GPM is indistinguishable from a new one.
 func (g *GPM) ensure() {
 	if g.mat {
 		return
 	}
 	g.mat = true
 	cfg := g.cfg
-	g.l2TLB = tlb.New(cfg.L2TLB)
-	g.l2MSHR = tlb.NewMSHR(cfg.L2TLB.MSHRs)
-	g.llTLB = tlb.New(cfg.GMMUCache)
-	g.aux = NewAuxCache(cfg.AuxTLB)
-	g.walkers = sim.NewPool(cfg.GMMUWalkers)
-	g.l2Cache = cache.New(cfg.L2Cache)
-	g.hbm = dram.New(cfg.HBM)
-	g.filter = cuckoo.New(g.localPT.Len()*2 + 64)
-	for i := 0; i < cfg.NumCUs; i++ {
-		g.l1TLBs = append(g.l1TLBs, tlb.New(cfg.L1TLB))
-		g.l1Caches = append(g.l1Caches, cache.New(cfg.L1VCache))
+	h, ok := g.Spares.take(cfg)
+	if !ok {
+		h = newHierarchy(cfg)
 	}
+	g.hierarchy = h
+	if keys := g.localPT.Len()*2 + 64; g.filter == nil || !g.filter.Refit(keys) {
+		g.filter = cuckoo.New(keys)
+	}
+	g.walkers = sim.NewPool(cfg.GMMUWalkers)
+	g.hbm = dram.New(cfg.HBM)
 	if g.seed != nil {
 		seed := g.seed
 		g.seed = nil

@@ -78,3 +78,14 @@ func (f *File[K, W]) Release(ws []W) {
 	clear(ws)
 	f.free = append(f.free, ws[:0])
 }
+
+// Reset drops every register and its waiters without waking them, keeping
+// the waiter lists for reuse.
+func (f *File[K, W]) Reset() {
+	for i, ws := range f.waiters {
+		f.Release(ws)
+		f.waiters[i] = nil
+	}
+	clear(f.keys)
+	f.keys, f.waiters = f.keys[:0], f.waiters[:0]
+}

@@ -23,9 +23,10 @@ import (
 
 // Task is one unit of work: a prepared simulation closure. Tasks must be
 // independent of each other; the pool may run them in any order and in any
-// worker goroutine. The context is the batch context — long tasks should
-// pass it down (wafer.RunContext) so cancellation can interrupt a run
-// mid-simulation, not just between runs.
+// worker goroutine. The context is the batch context plus the worker's
+// recycling store — long tasks should pass it down (wafer.RunContext) so
+// cancellation can interrupt a run mid-simulation, not just between runs,
+// and so the run reuses the worker's GPM hierarchies.
 type Task func(ctx context.Context) (wafer.Result, error)
 
 // Outcome is one task's result plus its accounting.
@@ -123,6 +124,10 @@ func (p *Pool) Snapshot() Snapshot {
 // order. It always returns len(tasks) outcomes: when ctx is cancelled,
 // unstarted tasks settle immediately with ctx's error while already-running
 // tasks finish (or abort themselves via ctx) before Run returns.
+//
+// Each worker passes its tasks a wafer.WithRecycling context derived from
+// ctx, so successive wafer runs on one worker reuse each other's GPM
+// hierarchies for the length of this call.
 func (p *Pool) Run(ctx context.Context, tasks []Task) []Outcome {
 	n := len(tasks)
 	outs := make([]Outcome, n)
@@ -169,6 +174,9 @@ func (p *Pool) Run(ctx context.Context, tasks []Task) []Outcome {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			// Each worker's runs hand their GPM hierarchies to the next run
+			// on the same worker; the store is dropped with the batch.
+			wctx := wafer.WithRecycling(ctx)
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= n {
@@ -180,7 +188,7 @@ func (p *Pool) Run(ctx context.Context, tasks []Task) []Outcome {
 					settle(Outcome{Index: i, Err: err})
 					continue
 				}
-				settle(execute(ctx, i, tasks[i]))
+				settle(execute(wctx, i, tasks[i]))
 			}
 		}()
 	}

@@ -80,3 +80,10 @@ func (m *MSHR) Complete(k Key, pte vm.PTE, found bool) {
 
 // Waiters returns how many fillers (primary + merged) wait on k.
 func (m *MSHR) Waiters(k Key) int { return m.regs.Waiters(k) }
+
+// Reset empties the file and zeroes its statistics, dropping every waiter
+// unwoken, so it behaves as NewMSHR(Capacity()).
+func (m *MSHR) Reset() {
+	m.regs.Reset()
+	m.Allocated, m.Merged, m.Stalled, m.PeakUsed = 0, 0, 0, 0
+}

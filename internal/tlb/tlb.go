@@ -199,6 +199,18 @@ func (t *TLB) Invalidate(k Key) bool {
 // Flush invalidates everything.
 func (t *TLB) Flush() { clear(t.stamp) }
 
+// Reset returns the TLB to the state New left it in: empty, clock and
+// Stats zeroed, and detached from any metrics counters, so a finished run's
+// registry never sees another run's lookups. Tags and payloads are not
+// cleared, because a zero stamp already marks a way empty. OnEvict is kept:
+// it is the owner's wiring, not TLB state.
+func (t *TLB) Reset() {
+	clear(t.stamp)
+	t.clock = 0
+	t.Stats = Stats{}
+	t.m = nil
+}
+
 // HitRate returns hits/(hits+misses), or 0 with no accesses.
 func (s Stats) HitRate() float64 {
 	tot := s.Hits + s.Misses

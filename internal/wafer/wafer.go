@@ -7,6 +7,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"hdpat/internal/attr"
 	"hdpat/internal/check"
@@ -276,15 +277,70 @@ func runEngine(ctx context.Context, eng *sim.Engine, limit sim.VTime) error {
 	}
 }
 
+// recycler is the store of spare GPM hierarchies behind WithRecycling.
+type recycler struct {
+	// busy admits one run at a time; a run that finds the store busy
+	// builds its GPMs new, so sharing the context between goroutines
+	// costs speed, never correctness.
+	busy   atomic.Bool
+	spares gpm.Spares
+	// last is how many hierarchies the last reclaimed run handed back; the
+	// store never holds more.
+	last int
+}
+
+type recyclerKey struct{}
+
+// WithRecycling returns a context under which successive RunContext calls
+// reuse each other's GPM hierarchies — the TLBs, caches, MSHR files and
+// cuckoo filters that dominate a wafer's build — instead of allocating and
+// zeroing them per run. A run that completes or stops at its cycle limit
+// hands its hierarchies back, resetting each, and the store then keeps no
+// more than that run materialized. A cancelled or panicked run hands back
+// nothing. Recycled runs are byte-identical to fresh ones. The store serves
+// one run at a time, so give each goroutine its own context; runner.Pool
+// gives each worker one for the length of a batch.
+func WithRecycling(ctx context.Context) context.Context {
+	return context.WithValue(ctx, recyclerKey{}, new(recycler))
+}
+
+// acquireRecycler returns ctx's store, or nil when ctx has none or another
+// run holds it. A non-nil store must be released when the run is over.
+func acquireRecycler(ctx context.Context) *recycler {
+	r, _ := ctx.Value(recyclerKey{}).(*recycler)
+	if r == nil || !r.busy.CompareAndSwap(false, true) {
+		return nil
+	}
+	return r
+}
+
 // RunContext builds and executes one simulation, aborting with ctx.Err()
 // when ctx is cancelled mid-run (checked between engine slices; a cancelled
-// run returns a zero Result).
+// run returns a zero Result). Under a WithRecycling context the GPMs take
+// spare hierarchies from the context's store and hand them back afterwards.
 func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, error) {
+	rec := acquireRecycler(ctx)
+	if rec == nil {
+		res, _, err := run(ctx, cfg, opts, nil)
+		return res, err
+	}
+	defer rec.busy.Store(false)
+	res, gpms, err := run(ctx, cfg, opts, &rec.spares)
+	if gpms != nil {
+		rec.last = rec.spares.Reclaim(gpms)
+	}
+	return res, err
+}
+
+// run builds and executes one simulation, its GPMs drawing hierarchies from
+// spares. It returns the GPMs only when the run reached its end or its
+// cycle limit, the runs whose hierarchies are worth handing back.
+func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spares) (Result, []*gpm.GPM, error) {
 	if opts.Routing != "" {
 		cfg.NoC.Routing = opts.Routing
 	}
 	if err := cfg.Validate(); err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	// Keep footprint:capacity ratios at their Table II values (see
 	// config.ApplyScale).
@@ -349,6 +405,7 @@ func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, e
 	gpms := make([]*gpm.GPM, numGPMs)
 	for i, c := range mesh.GPMs() {
 		gpms[i] = gpm.New(eng, i, c, cfg.GPM, cfg.PageSize, placement.Local(i))
+		gpms[i].Spares = spares
 		id := i
 		gpms[i].SeedFilter(func(g *gpm.GPM) {
 			var vpns []vm.VPN
@@ -425,7 +482,7 @@ func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, e
 
 	scheme, err := buildScheme(opts.Scheme, fabric, cfg.HDPAT)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	var validationErrs []string
 	if opts.Validate {
@@ -469,24 +526,20 @@ func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, e
 
 	// Load traces and start.
 	var totalOps uint64
-	for i, g := range gpms {
-		for cu := 0; cu < cfg.GPM.NumCUs; cu++ {
-			tr := opts.Benchmark.Trace(workload.Context{
-				Regions: regions, PageSize: cfg.PageSize,
-				GPM: i, NumGPMs: numGPMs, CU: cu, NumCUs: cfg.GPM.NumCUs,
-				OpsBudget: opts.OpsBudget, Seed: opts.Seed,
-			})
-			totalOps += uint64(len(tr))
-			g.LoadTrace(cu, tr)
-		}
-	}
+	opts.Benchmark.Traces(workload.Context{
+		Regions: regions, PageSize: cfg.PageSize, NumGPMs: numGPMs, NumCUs: cfg.GPM.NumCUs,
+		OpsBudget: opts.OpsBudget, Seed: opts.Seed,
+	}, func(i, cu int, tr []vm.VAddr) {
+		totalOps += uint64(len(tr))
+		gpms[i].LoadTrace(cu, tr)
+	})
 	finished := 0
 	for _, g := range gpms {
 		g.Start(sim.VTime(opts.Benchmark.Gap), func(int, sim.VTime) { finished++ })
 	}
 
 	if err := runEngine(ctx, eng, opts.MaxCycles); err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
 	var runErr error
 	if finished < numGPMs {
@@ -495,7 +548,7 @@ func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, e
 	} else {
 		// Drain stragglers (late miss responses etc.) for accurate NoC stats.
 		if err := runEngine(ctx, eng, sim.Infinity); err != nil {
-			return Result{}, err
+			return Result{}, nil, err
 		}
 	}
 
@@ -564,7 +617,7 @@ func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, e
 			runErr = errors.Join(runErr, err)
 		}
 	}
-	return res, runErr
+	return res, gpms, runErr
 }
 
 func buildScheme(name string, f *core.Fabric, h config.HDPAT) (xlat.RemoteTranslator, error) {

@@ -33,21 +33,22 @@ func WriteTrace(w io.Writer, b Benchmark, scale, numGPMs, numCUs, opsBudget int,
 	}
 	bw := bufio.NewWriter(w)
 	enc := json.NewEncoder(bw)
-	for g := 0; g < numGPMs; g++ {
-		for cu := 0; cu < numCUs; cu++ {
-			tr := b.Trace(Context{
-				Regions: regions, PageSize: ps,
-				GPM: g, NumGPMs: numGPMs, CU: cu, NumCUs: numCUs,
-				OpsBudget: opsBudget, Seed: seed,
-			})
-			rec := TraceRecord{GPM: g, CU: cu, Addrs: make([]uint64, len(tr))}
-			for i, a := range tr {
-				rec.Addrs[i] = uint64(a)
-			}
-			if err := enc.Encode(rec); err != nil {
-				return err
-			}
+	var err error
+	b.Traces(Context{
+		Regions: regions, PageSize: ps, NumGPMs: numGPMs, NumCUs: numCUs,
+		OpsBudget: opsBudget, Seed: seed,
+	}, func(g, cu int, tr []vm.VAddr) {
+		if err != nil {
+			return
 		}
+		rec := TraceRecord{GPM: g, CU: cu, Addrs: make([]uint64, len(tr))}
+		for i, a := range tr {
+			rec.Addrs[i] = uint64(a)
+		}
+		err = enc.Encode(rec)
+	})
+	if err != nil {
+		return err
 	}
 	return bw.Flush()
 }

@@ -43,13 +43,24 @@ type Context struct {
 	// issue; generators size their patterns to land near it.
 	OpsBudget int
 	Seed      int64
+
+	// src, when set by Traces, is one generator reused across a run's CUs.
+	src *rand.Rand
 }
 
-// rng returns this CU's trace generator. The lazily seeded xrand source
-// draws the math/rand stream of the same seed at a fraction of the seeding
-// cost; a trace draws only a few dozen values.
+// rng returns this CU's trace generator, seeded from the run seed and the
+// CU's position. The lazily seeded xrand source draws the math/rand stream
+// of the same seed at a fraction of the seeding cost; a trace draws only a
+// few dozen values. Under Traces every CU reseeds one shared source, whose
+// Seed restarts the stream exactly, so a generator calls rng once per trace
+// and must not keep it past its return.
 func (c Context) rng() *rand.Rand {
-	return rand.New(xrand.NewSource(c.Seed ^ int64(c.GPM)<<20 ^ int64(c.CU)<<8))
+	seed := c.Seed ^ int64(c.GPM)<<20 ^ int64(c.CU)<<8
+	if c.src == nil {
+		return rand.New(xrand.NewSource(seed))
+	}
+	c.src.Seed(seed)
+	return c.src
 }
 
 // globalCU returns this CU's index across the whole wafer.
@@ -92,6 +103,21 @@ func (b Benchmark) Regions(scale, numGPMs int, ps vm.PageSize) []RegionSpec {
 
 // Trace produces the address trace for one CU.
 func (b Benchmark) Trace(ctx Context) []vm.VAddr { return b.trace(ctx) }
+
+// Traces produces every CU's trace for a whole wafer, GPM-major, passing
+// each to fn with its GPM and CU; ctx's GPM and CU fields are ignored. The
+// traces equal what Trace returns per CU, but one random source serves
+// them all instead of one per CU (each is 4.9 KB, and a Table I run has
+// 1,536 CUs).
+func (b Benchmark) Traces(ctx Context, fn func(gpm, cu int, trace []vm.VAddr)) {
+	ctx.src = rand.New(xrand.NewSource(ctx.Seed))
+	for g := range ctx.NumGPMs {
+		for cu := range ctx.NumCUs {
+			ctx.GPM, ctx.CU = g, cu
+			fn(g, cu, b.trace(ctx))
+		}
+	}
+}
 
 // ByAbbr resolves a benchmark by its Table II abbreviation.
 func ByAbbr(abbr string) (Benchmark, error) {

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -112,6 +113,32 @@ func TestTracesValidAndDeterministic(t *testing.T) {
 
 // Different CUs should mostly access different pages of the partitioned
 // regions (work is partitioned, not duplicated) for streaming workloads.
+// Traces reseeds one shared source per CU; every benchmark must still
+// produce, CU by CU and in GPM-major order, exactly the trace Trace builds
+// from a fresh source.
+func TestTracesMatchTrace(t *testing.T) {
+	for _, b := range All() {
+		ctx := buildCtx(t, b, 0, 0)
+		want := ctx.NumGPMs * ctx.NumCUs
+		n := 0
+		b.Traces(ctx, func(g, cu int, got []vm.VAddr) {
+			if g != n/ctx.NumCUs || cu != n%ctx.NumCUs {
+				t.Fatalf("%s: trace %d is GPM %d CU %d, want GPM-major order", b.Abbr, n, g, cu)
+			}
+			n++
+			one := ctx
+			one.GPM, one.CU = g, cu
+			if exp := b.Trace(one); !slices.Equal(got, exp) {
+				t.Fatalf("%s: GPM %d CU %d: Traces gave %d addresses, Trace %d, or they differ",
+					b.Abbr, g, cu, len(got), len(exp))
+			}
+		})
+		if n != want {
+			t.Fatalf("%s: Traces produced %d traces, want %d", b.Abbr, n, want)
+		}
+	}
+}
+
 func TestStreamingWorkloadsPartition(t *testing.T) {
 	// Compare only the main (partitioned) region. AES is excluded: its
 	// scaled state region has fewer pages per GPM than CUs, so CUs share
