@@ -45,6 +45,13 @@ func BenchmarkCompareHDPAT(b *testing.B) {
 	runCompareHot(b, hdpat.DefaultConfig(), "hdpat", "PR")
 }
 
+// BenchmarkCompareHDPATMetrics is BenchmarkCompareHDPAT with every run
+// publishing into a metrics registry: against BenchmarkCompareHDPAT it
+// prices leaving metrics on.
+func BenchmarkCompareHDPATMetrics(b *testing.B) {
+	runCompareHot(b, hdpat.DefaultConfig(), "hdpat", "PR", hdpat.WithMetrics(hdpat.NewMetricsRegistry()))
+}
+
 // BenchmarkCompareBaseline isolates the naive path: every remote
 // translation walks at the IOMMU, so the kernel and request pooling
 // dominate; scheme-side probe traffic is absent.

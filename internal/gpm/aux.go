@@ -2,7 +2,6 @@ package gpm
 
 import (
 	"hdpat/internal/cuckoo"
-	"hdpat/internal/metrics"
 	"hdpat/internal/tlb"
 	"hdpat/internal/vm"
 	"hdpat/internal/xlat"
@@ -72,12 +71,6 @@ func (a *AuxCache) Probe(k tlb.Key) (vm.PTE, xlat.PushOrigin, bool) {
 		return vm.PTE{}, 0, false
 	}
 	return pte, a.origins[k], true
-}
-
-// AttachMetrics mirrors the underlying TLB's hits and misses into the given
-// counters (shared across all auxiliary caches on the wafer).
-func (a *AuxCache) AttachMetrics(hits, misses *metrics.Counter) {
-	a.tlb.AttachMetrics(hits, misses)
 }
 
 // Len returns resident entry count.

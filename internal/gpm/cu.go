@@ -92,9 +92,6 @@ func (g *GPM) issue(cu int) {
 	c.next++
 	c.inflight++
 	g.Stats.OpsIssued++
-	if g.m != nil {
-		g.m.opsIssued.Inc()
-	}
 	// Launch the op end to end: translate, then access, then opDone — no
 	// per-op callbacks on this path.
 	g.getOp(cu, va).startTranslate()
@@ -108,15 +105,9 @@ func (g *GPM) opDone(cu int) {
 	c := &g.cus[cu]
 	c.inflight--
 	g.Stats.OpsCompleted++
-	if g.m != nil {
-		g.m.opsCompleted.Inc()
-	}
 	if c.stalled && !c.armed {
 		stalled := uint64(g.eng.Now() - c.stallSince)
 		g.Stats.CUStallCycles += stalled
-		if g.m != nil {
-			g.m.stallCycles.Add(stalled)
-		}
 		c.stalled = false
 		c.armed = true
 		g.eng.Post(0, c, sim.EventArg{})

@@ -20,8 +20,8 @@ import (
 	"hdpat/internal/cuckoo"
 	"hdpat/internal/dram"
 	"hdpat/internal/geom"
-	"hdpat/internal/metrics"
 	"hdpat/internal/sim"
+	"hdpat/internal/stats"
 	"hdpat/internal/tlb"
 	"hdpat/internal/trace"
 	"hdpat/internal/vm"
@@ -82,8 +82,6 @@ type GPM struct {
 	// cuckoo filter (SeedFilter); it replaces an eager ReseedFilter call
 	// at build time.
 	seed func(*GPM)
-	// reg defers per-level TLB metric attachment to materialization.
-	reg *metrics.Registry
 
 	// hierarchy holds the TLBs, MSHR files, cuckoo filters and caches that
 	// ensure materializes, either built new or recycled from Spares.
@@ -130,62 +128,11 @@ type GPM struct {
 	// opFree recycles finished memory-operation state machines.
 	opFree []*op
 
-	// m mirrors GPM activity into an attached registry; counters are shared
-	// across GPMs (same names), aggregating the wafer.
-	m *gpmMetrics
+	// remoteLat is the distribution of remote translation round trips, the
+	// cycles RemoteLatencySum totals.
+	remoteLat stats.Histogram
 
 	Stats Stats
-}
-
-// gpmMetrics are the GPM-side registry series.
-type gpmMetrics struct {
-	opsIssued    *metrics.Counter
-	opsCompleted *metrics.Counter
-	stallCycles  *metrics.Counter
-	remoteReqs   *metrics.Counter
-	probes       *metrics.Counter
-	probeHits    *metrics.Counter
-	remoteLat    *metrics.Histogram
-}
-
-// AttachMetrics mirrors this GPM's activity into reg. All GPMs attach to
-// the same series names, so the registry aggregates the wafer: per-level
-// TLB hit/miss counters (tlb.l1, tlb.l2, tlb.ll, tlb.aux), op issue and
-// stall counters (gpm.*), and the remote-translation latency histogram.
-func (g *GPM) AttachMetrics(reg *metrics.Registry) {
-	g.reg = reg
-	g.m = &gpmMetrics{
-		opsIssued:    reg.Counter("gpm.ops.issued"),
-		opsCompleted: reg.Counter("gpm.ops.completed"),
-		stallCycles:  reg.Counter("gpm.cu.stall_cycles"),
-		remoteReqs:   reg.Counter("gpm.remote.requests"),
-		probes:       reg.Counter("gpm.probes.served"),
-		probeHits:    reg.Counter("gpm.probes.hits"),
-		remoteLat:    reg.Histogram("gpm.remote.latency"),
-	}
-	// Create the shared per-level TLB counters now so the registry's series
-	// set does not depend on which GPMs end up seeing traffic; the actual
-	// TLB instances attach at materialization.
-	for _, name := range [...]string{"tlb.l1", "tlb.l2", "tlb.ll", "tlb.aux"} {
-		reg.Counter(name + ".hits")
-		reg.Counter(name + ".misses")
-	}
-	if g.mat {
-		g.attachLevelMetrics()
-	}
-}
-
-// attachLevelMetrics wires the materialized TLB instances into the shared
-// per-level counters. Called from AttachMetrics when already materialized,
-// or from ensure when metrics were attached first.
-func (g *GPM) attachLevelMetrics() {
-	l1Hits, l1Misses := g.reg.Counter("tlb.l1.hits"), g.reg.Counter("tlb.l1.misses")
-	for _, t := range g.l1TLBs {
-		t.AttachMetrics(l1Hits, l1Misses)
-	}
-	g.l2TLB.AttachMetrics(g.reg.Counter("tlb.l2.hits"), g.reg.Counter("tlb.l2.misses"))
-	g.llTLB.AttachMetrics(g.reg.Counter("tlb.ll.hits"), g.reg.Counter("tlb.ll.misses"))
-	g.aux.AttachMetrics(g.reg.Counter("tlb.aux.hits"), g.reg.Counter("tlb.aux.misses"))
 }
 
 // New builds a GPM header with the given configuration. The local page
@@ -233,9 +180,6 @@ func (g *GPM) ensure() {
 		g.seed = nil
 		seed(g)
 	}
-	if g.reg != nil {
-		g.attachLevelMetrics()
-	}
 }
 
 // SeedFilter registers fn to populate the cuckoo filter when the GPM
@@ -250,27 +194,29 @@ func (g *GPM) SeedFilter(fn func(*GPM)) {
 	g.seed = fn
 }
 
-// TLBStats returns per-level TLB statistics for this GPM: "l1" aggregated
-// over all CU-private instances, "l2", "ll" (the last-level GMMU cache) and
-// "aux" (the auxiliary translation cache). The attribution layer's TLB
-// section reads hit rates and lookup volumes through this seam.
-func (g *GPM) TLBStats() map[string]tlb.Stats {
+// TLBLevels names the TLB levels TLBStats reports, in its order: "l1"
+// aggregated over all CU-private instances, "l2", "ll" (the last-level
+// GMMU cache) and "aux" (the auxiliary translation cache).
+var TLBLevels = [...]string{"l1", "l2", "ll", "aux"}
+
+// TLBStats returns this GPM's per-level TLB statistics in TLBLevels order,
+// all zero for an unmaterialized GPM. The attribution layer's TLB section
+// and the metrics publisher read hit rates and lookup volumes through this
+// seam.
+func (g *GPM) TLBStats() (s [len(TLBLevels)]tlb.Stats) {
 	if !g.mat {
-		// Unmaterialized: no lookups ever happened. Report the same four
-		// levels, all zero, without building the hierarchy.
-		return map[string]tlb.Stats{"l1": {}, "l2": {}, "ll": {}, "aux": {}}
+		return s
 	}
-	var l1 tlb.Stats
 	for _, t := range g.l1TLBs {
-		l1.Add(t.Stats)
+		s[0].Add(t.Stats)
 	}
-	return map[string]tlb.Stats{
-		"l1":  l1,
-		"l2":  g.l2TLB.Stats,
-		"ll":  g.llTLB.Stats,
-		"aux": g.aux.Stats(),
-	}
+	s[1], s[2], s[3] = g.l2TLB.Stats, g.llTLB.Stats, g.aux.Stats()
+	return s
 }
+
+// RemoteLatency returns the distribution of this GPM's remote translation
+// round trips: cycles from issue at the GMMU boundary to completion.
+func (g *GPM) RemoteLatency() *stats.Histogram { return &g.remoteLat }
 
 // ReseedFilter inserts the VPNs of all locally mapped pages into the cuckoo
 // filter, as the GMMU does when the driver installs the local page table.
@@ -363,9 +309,7 @@ func (g *GPM) RequestDone(req *xlat.Request, res xlat.Result) {
 	issued := req.Issued
 	g.Stats.RemoteBySource[res.Source]++
 	g.Stats.RemoteLatencySum += uint64(done - issued)
-	if g.m != nil {
-		g.m.remoteLat.Observe(uint64(done - issued))
-	}
+	g.remoteLat.Add(uint64(done - issued))
 	g.Trace.RequestSpan(uint64(issued), uint64(done), req.ID, int(res.Source), g.ID)
 	g.l2TLB.Insert(res.PTE)
 	g.completeL2(tlb.Key{PID: req.PID, VPN: req.VPN}, res.PTE)
@@ -381,9 +325,6 @@ func (g *GPM) RequestDone(req *xlat.Request, res xlat.Result) {
 func (g *GPM) ProbeAux(k tlb.Key, latency sim.VTime, done func(vm.PTE, xlat.PushOrigin, bool)) {
 	g.ensure()
 	g.Stats.ProbesServed++
-	if g.m != nil {
-		g.m.probes.Inc()
-	}
 	_, end := g.probePort.Occupy(g.eng.Now(), latency)
 	g.eng.At(end, func() {
 		if !g.aux.MightHave(k) {
@@ -393,9 +334,6 @@ func (g *GPM) ProbeAux(k tlb.Key, latency sim.VTime, done func(vm.PTE, xlat.Push
 		pte, origin, ok := g.aux.Probe(k)
 		if ok {
 			g.Stats.ProbeHits++
-			if g.m != nil {
-				g.m.probeHits.Inc()
-			}
 		}
 		done(pte, origin, ok)
 	})
@@ -405,17 +343,11 @@ func (g *GPM) ProbeAux(k tlb.Key, latency sim.VTime, done func(vm.PTE, xlat.Push
 func (g *GPM) ProbeL2TLB(k tlb.Key, done func(vm.PTE, bool)) {
 	g.ensure()
 	g.Stats.ProbesServed++
-	if g.m != nil {
-		g.m.probes.Inc()
-	}
 	_, end := g.probePort.Occupy(g.eng.Now(), g.l2TLB.Latency())
 	g.eng.At(end, func() {
 		pte, ok := g.l2TLB.Peek(k)
 		if ok {
 			g.Stats.ProbeHits++
-			if g.m != nil {
-				g.m.probeHits.Inc()
-			}
 		}
 		done(pte, ok)
 	})

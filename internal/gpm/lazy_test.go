@@ -7,6 +7,7 @@ import (
 	"hdpat/internal/config"
 	"hdpat/internal/geom"
 	"hdpat/internal/sim"
+	"hdpat/internal/tlb"
 	"hdpat/internal/vm"
 )
 
@@ -58,10 +59,9 @@ func TestLazyGPMsAtLeast5xCheaper(t *testing.T) {
 func TestStatReadersDoNotMaterialize(t *testing.T) {
 	eng := sim.NewEngine()
 	g := New(eng, 0, geom.XY(0, 0), config.Default().GPM, vm.Page4K, vm.NewPageTable())
-	stats := g.TLBStats()
-	for _, lvl := range []string{"l1", "l2", "ll", "aux"} {
-		if _, ok := stats[lvl]; !ok {
-			t.Errorf("TLBStats missing %q on unmaterialized GPM", lvl)
+	for i, s := range g.TLBStats() {
+		if s != (tlb.Stats{}) {
+			t.Errorf("TLBStats %s = %+v on unmaterialized GPM", TLBLevels[i], s)
 		}
 	}
 	if g.AuxLen() != 0 {

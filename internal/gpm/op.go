@@ -184,9 +184,6 @@ func (o *op) stepWalkDone() {
 func (o *op) goRemote() {
 	g := o.g
 	g.Stats.RemoteRequests++
-	if g.m != nil {
-		g.m.remoteReqs.Inc()
-	}
 	req := g.ReqPool.Get(g.NextReqID(), o.k.PID, o.k.VPN, g.ID, g.eng.Now(), g)
 	g.Remote.Translate(req)
 }

@@ -44,8 +44,8 @@ func newHierarchy(cfg config.GPM) hierarchy {
 
 // reset returns every structure but the local filter to its new state and
 // drops the references a finished run left in them: MSHR waiters (pooled
-// ops of that run) and metrics handles (that run's registry). The filter
-// holds no references; ensure refits it to the next GPM's page count.
+// ops of that run). The filter holds no references; ensure refits it to
+// the next GPM's page count.
 func (h *hierarchy) reset() {
 	for _, t := range h.l1TLBs {
 		t.Reset()

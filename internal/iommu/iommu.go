@@ -9,7 +9,6 @@ package iommu
 import (
 	"hdpat/internal/config"
 	"hdpat/internal/geom"
-	"hdpat/internal/metrics"
 	"hdpat/internal/noc"
 	"hdpat/internal/sim"
 	"hdpat/internal/stats"
@@ -188,62 +187,16 @@ type IOMMU struct {
 
 	// hooks observe arriving requests in registration order (AddHook).
 	hooks []RequestHook
-	// m mirrors IOMMU activity into an attached registry (AttachMetrics).
-	m *iommuMetrics
+	// latency is the distribution of arrival-to-walk-completion cycles.
+	latency stats.Histogram
 
 	Stats Stats
-}
-
-// iommuMetrics are the IOMMU's registry series.
-type iommuMetrics struct {
-	requests    *metrics.Counter
-	walks       *metrics.Counter
-	redirects   *metrics.Counter
-	revisits    *metrics.Counter
-	prefetches  *metrics.Counter
-	pushDemand  *metrics.Counter
-	pushPref    *metrics.Counter
-	tlbBlocked  *metrics.Counter
-	tlbMerged   *metrics.Counter
-	skipped     *metrics.Counter
-	queueDepth  *metrics.Gauge
-	queuePeak   *metrics.Gauge
-	walkersBusy *metrics.Gauge
-	latency     *metrics.Histogram
 }
 
 // AddHook registers h to observe every request arriving at the IOMMU.
 func (io *IOMMU) AddHook(h RequestHook) {
 	if h != nil {
 		io.hooks = append(io.hooks, h)
-	}
-}
-
-// AttachMetrics mirrors IOMMU activity into reg: arrival/walk/redirect/
-// revisit/prefetch/push counters, queue-depth and walker-occupancy gauges,
-// and an iommu.latency histogram of arrival-to-walk-completion cycles. The
-// iommu.walkers gauge carries the configured walker count so the IOMMU is
-// visible in a snapshot even for schemes that fully offload it.
-func (io *IOMMU) AttachMetrics(reg *metrics.Registry) {
-	io.m = &iommuMetrics{
-		requests:    reg.Counter("iommu.requests"),
-		walks:       reg.Counter("iommu.walks"),
-		redirects:   reg.Counter("iommu.redirects"),
-		revisits:    reg.Counter("iommu.revisits"),
-		prefetches:  reg.Counter("iommu.prefetches"),
-		pushDemand:  reg.Counter("iommu.pushes.demand"),
-		pushPref:    reg.Counter("iommu.pushes.prefetch"),
-		tlbBlocked:  reg.Counter("iommu.tlb.mshr_blocked"),
-		tlbMerged:   reg.Counter("iommu.tlb.mshr_merged"),
-		skipped:     reg.Counter("iommu.skipped_completed"),
-		queueDepth:  reg.Gauge("iommu.queue.depth"),
-		queuePeak:   reg.Gauge("iommu.queue.peak"),
-		walkersBusy: reg.Gauge("iommu.walkers.busy"),
-		latency:     reg.Histogram("iommu.latency"),
-	}
-	reg.Gauge("iommu.walkers").Set(int64(io.cfg.Walkers))
-	if io.iotlb != nil {
-		io.iotlb.AttachMetrics(reg.Counter("iommu.tlb.hits"), reg.Counter("iommu.tlb.misses"))
 	}
 }
 
@@ -282,6 +235,20 @@ func (io *IOMMU) QueueDepth() int { return len(io.admission) + len(io.pwq) }
 // sampler probe for walker-occupancy time series.
 func (io *IOMMU) WalkersBusy() int { return io.busy }
 
+// Latency returns the distribution of walk latencies: cycles from a
+// request's arrival at the IOMMU to the completion of its walk. Requests
+// that end without a walk are not in it.
+func (io *IOMMU) Latency() *stats.Histogram { return &io.latency }
+
+// TLBStats reports the IOMMU-TLB's counters; ok is false when this IOMMU
+// has no TLB (every variant but the Fig 19 one).
+func (io *IOMMU) TLBStats() (s tlb.Stats, ok bool) {
+	if io.iotlb == nil {
+		return s, false
+	}
+	return io.iotlb.Stats, true
+}
+
 // traceQueue emits the admission- and PW-queue residency spans for a job
 // leaving the queue stages at time until, whatever path it leaves by (walk
 // start, revisit service, or redirection).
@@ -298,7 +265,7 @@ func (io *IOMMU) traceQueue(j *job, until sim.VTime) {
 }
 
 // noteQueue records the combined waiting depth (QueueDepth's definition)
-// into Stats.PeakQueue, the Fig 4 series and the attached gauges.
+// into Stats.PeakQueue and the Fig 4 series.
 func (io *IOMMU) noteQueue() {
 	d := io.QueueDepth()
 	if d > io.Stats.PeakQueue {
@@ -306,10 +273,6 @@ func (io *IOMMU) noteQueue() {
 	}
 	if io.QueueSeries != nil {
 		io.QueueSeries.Record(uint64(io.eng.Now()), float64(d))
-	}
-	if io.m != nil {
-		io.m.queueDepth.Set(int64(d))
-		io.m.queuePeak.Max(int64(d))
 	}
 }
 
@@ -320,9 +283,6 @@ func (io *IOMMU) noteQueue() {
 // across the call itself.
 func (io *IOMMU) Submit(req *xlat.Request, noRedirect bool) {
 	io.Stats.Requests++
-	if io.m != nil {
-		io.m.requests.Inc()
-	}
 	for _, h := range io.hooks {
 		h.IOMMURequest(io.eng.Now(), req)
 	}
@@ -350,9 +310,6 @@ func (j *job) probeRT() {
 	io := j.io
 	if gpm, ok := io.rt.Lookup(tlb.Key{PID: j.pid, VPN: j.vpn}); ok && io.Redirect != nil {
 		io.Stats.RTRedirects++
-		if io.m != nil {
-			io.m.redirects.Inc()
-		}
 		io.Redirect(j.req, gpm)
 		j.release()
 		return
@@ -376,9 +333,6 @@ func (j *job) tryTLB() {
 		// All MSHRs occupied: the request stalls outside the TLB (§V-E)
 		// until a register frees.
 		io.Stats.MSHRBlocked++
-		if io.m != nil {
-			io.m.tlbBlocked.Inc()
-		}
 		io.tlbWait = append(io.tlbWait, j)
 		return
 	}
@@ -393,9 +347,6 @@ func (j *job) tryTLB() {
 	// Coalesced into an outstanding register: the request completes with
 	// that register's walk, never enqueueing itself.
 	io.Stats.MSHRMerged++
-	if io.m != nil {
-		io.m.tlbMerged.Inc()
-	}
 	j.state = jobMerged
 }
 
@@ -437,9 +388,6 @@ func (io *IOMMU) dispatch() {
 		// or the queue time silently vanishes from traces and conservation.
 		if io.iotlb == nil && j.req.Completed() {
 			io.Stats.SkippedCompleted++
-			if io.m != nil {
-				io.m.skipped.Inc()
-			}
 			io.traceQueue(j, io.eng.Now())
 			j.release()
 			continue
@@ -452,9 +400,6 @@ func (io *IOMMU) dispatch() {
 			k := tlb.Key{PID: j.pid, VPN: j.vpn}
 			if gpm, ok := io.rt.Lookup(k); ok {
 				io.Stats.RTRedirects++
-				if io.m != nil {
-					io.m.redirects.Inc()
-				}
 				io.traceQueue(j, io.eng.Now())
 				io.Redirect(j.req, gpm)
 				j.release()
@@ -462,9 +407,6 @@ func (io *IOMMU) dispatch() {
 			}
 		}
 		io.busy++
-		if io.m != nil {
-			io.m.walkersBusy.Set(int64(io.busy))
-		}
 		start := io.eng.Now()
 		service := io.cfg.WalkCycles
 		if io.cfg.PrefetchDegree > 1 {
@@ -495,11 +437,7 @@ func (io *IOMMU) walkDone(j *job) {
 		uint64(started-j.enqueued),
 		uint64(service),
 	)
-	if io.m != nil {
-		io.m.walks.Inc()
-		io.m.walkersBusy.Set(int64(io.busy))
-		io.m.latency.Observe(uint64(io.eng.Now() - j.arrived))
-	}
+	io.latency.Add(uint64(io.eng.Now() - j.arrived))
 	io.traceQueue(j, started)
 	if io.Trace != nil {
 		io.Trace.WalkSpan(uint64(started), uint64(started+service), j.id, uint64(j.vpn))
@@ -528,9 +466,6 @@ func (io *IOMMU) walkDone(j *job) {
 	if found && io.Push != nil && io.counts[k] >= io.cfg.PushThreshold {
 		if gpm, ok := io.Push(pte, xlat.PushDemand); ok {
 			io.Stats.PushesDemand++
-			if io.m != nil {
-				io.m.pushDemand.Inc()
-			}
 			pushedTo = gpm
 		}
 	}
@@ -549,9 +484,6 @@ func (io *IOMMU) walkDone(j *job) {
 				continue
 			}
 			io.Stats.Prefetches++
-			if io.m != nil {
-				io.m.prefetches.Inc()
-			}
 			if io.iotlb != nil {
 				io.iotlb.Insert(npte)
 				continue
@@ -559,9 +491,6 @@ func (io *IOMMU) walkDone(j *job) {
 			if io.Push != nil {
 				if gpm, ok := io.Push(npte, xlat.PushPrefetch); ok {
 					io.Stats.PushesPref++
-					if io.m != nil {
-						io.m.pushPref.Inc()
-					}
 					if io.rt != nil && d == 1 {
 						io.rt.Insert(nk, gpm)
 					}
@@ -601,9 +530,6 @@ func (io *IOMMU) revisit(k tlb.Key, pte vm.PTE, found bool) {
 	// be clobbered by the compaction and strand that request.
 	for _, j := range served {
 		io.Stats.Revisits++
-		if io.m != nil {
-			io.m.revisits.Inc()
-		}
 		io.traceQueue(j, io.eng.Now())
 		if io.iotlb != nil {
 			io.completeTLBMSHR(tlb.Key{PID: j.pid, VPN: j.vpn}, pte, true)

@@ -1,9 +1,9 @@
 // Package metrics is a dependency-free registry of named counters, gauges
-// and log2-bucketed histograms: the observability backbone every simulator
-// component reports into. Hot-path updates are single atomic operations so a
-// disabled component pays one nil-check and an enabled one stays cheap;
-// reads (snapshots, the HTTP exposition in http.go) may run concurrently
-// with a simulation.
+// and log2-bucketed histograms: the observability backbone a run publishes
+// into. Simulator components keep only their own Stats; the wafer layer
+// derives the registry series from them between engine slices. Updates are
+// atomic, so reads (snapshots, the HTTP exposition in http.go) may run
+// concurrently with a simulation.
 //
 // A Registry is attached per run (wafer.Options.Metrics); its immutable
 // Snapshot travels on the run's Result so schemes can be diffed series by
@@ -103,6 +103,24 @@ func (h *Histogram) Observe(v uint64) {
 
 // Count returns the number of observations.
 func (h *Histogram) Count() uint64 { return h.count.Load() }
+
+// Add folds hs into the histogram: buckets, count and sum accumulate, and
+// the maximum rises to hs.Max.
+func (h *Histogram) Add(hs HistSnapshot) {
+	for i, b := range hs.Buckets {
+		if b > 0 {
+			h.buckets[i].Add(b)
+		}
+	}
+	h.count.Add(hs.Count)
+	h.sum.Add(hs.Sum)
+	for {
+		cur := h.max.Load()
+		if hs.Max <= cur || h.max.CompareAndSwap(cur, hs.Max) {
+			return
+		}
+	}
+}
 
 // Registry holds named series. The zero value is not usable; create with
 // NewRegistry. Series creation takes a lock; updates through the returned
@@ -231,20 +249,7 @@ func (r *Registry) Merge(s *Snapshot) {
 		r.Gauge(name).Set(v)
 	}
 	for name, hs := range s.Histograms {
-		h := r.Histogram(name)
-		for i, b := range hs.Buckets {
-			if b > 0 {
-				h.buckets[i].Add(b)
-			}
-		}
-		h.count.Add(hs.Count)
-		h.sum.Add(hs.Sum)
-		for {
-			cur := h.max.Load()
-			if hs.Max <= cur || h.max.CompareAndSwap(cur, hs.Max) {
-				break
-			}
-		}
+		r.Histogram(name).Add(hs)
 	}
 }
 

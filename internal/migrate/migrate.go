@@ -15,7 +15,6 @@ package migrate
 
 import (
 	"hdpat/internal/core"
-	"hdpat/internal/metrics"
 	"hdpat/internal/sim"
 	"hdpat/internal/tlb"
 	"hdpat/internal/trace"
@@ -74,26 +73,6 @@ type Manager struct {
 	// Trace, when non-nil, receives one span per migration (from decision to
 	// destination write completion).
 	Trace *trace.Tracer
-
-	m *migrateMetrics
-}
-
-// migrateMetrics are the manager's registry series.
-type migrateMetrics struct {
-	migrations, bytesMoved, dropped, skipShare, skipBusy *metrics.Counter
-}
-
-// AttachMetrics mirrors migration activity into reg: migrate.migrations,
-// migrate.bytes_moved, migrate.shootdown_dropped, migrate.skipped.shared and
-// migrate.skipped.busy counters.
-func (m *Manager) AttachMetrics(reg *metrics.Registry) {
-	m.m = &migrateMetrics{
-		migrations: reg.Counter("migrate.migrations"),
-		bytesMoved: reg.Counter("migrate.bytes_moved"),
-		dropped:    reg.Counter("migrate.shootdown_dropped"),
-		skipShare:  reg.Counter("migrate.skipped.shared"),
-		skipBusy:   reg.Counter("migrate.skipped.busy"),
-	}
 }
 
 // New creates a manager over an assembled fabric (Placement must be set).
@@ -142,17 +121,11 @@ func (m *Manager) observe(req *xlat.Request) {
 	// Dominance check: a page most GPMs share must stay put.
 	if n*m.cfg.DominanceDen < h.total*m.cfg.DominanceNum {
 		m.Stats.SkippedShare++
-		if m.m != nil {
-			m.m.skipShare.Inc()
-		}
 		return
 	}
 	now := m.f.Eng.Now()
 	if m.inflight >= m.cfg.MaxInflight || (h.moved && now-h.lastMoved < m.cfg.Cooldown) {
 		m.Stats.SkippedBusy++
-		if m.m != nil {
-			m.m.skipBusy.Inc()
-		}
 		return
 	}
 	m.migrate(k, req.Requester, h)
@@ -215,9 +188,6 @@ type migration struct {
 func (mg *migration) shotDown(dropped int) {
 	m := mg.m
 	m.Stats.Dropped += uint64(dropped)
-	if m.m != nil {
-		m.m.dropped.Add(uint64(dropped))
-	}
 	src := m.f.GPMs[mg.from]
 	mg.state = migCopyArrived
 	m.f.Mesh.SendH(src.Coord, m.f.GPMs[mg.to].Coord, mg.pageBytes, mg, sim.EventArg{})
@@ -233,10 +203,6 @@ func (mg *migration) Event(sim.EventArg) {
 		m := mg.m
 		m.Stats.Migrations++
 		m.Stats.BytesMoved += uint64(mg.pageBytes)
-		if m.m != nil {
-			m.m.migrations.Inc()
-			m.m.bytesMoved.Add(uint64(mg.pageBytes))
-		}
 		if m.Trace != nil {
 			m.Trace.MigrationSpan(uint64(mg.started), uint64(m.f.Eng.Now()), uint64(mg.k.VPN), mg.from, mg.to)
 		}

@@ -13,8 +13,8 @@ import (
 	"fmt"
 
 	"hdpat/internal/geom"
-	"hdpat/internal/metrics"
 	"hdpat/internal/sim"
+	"hdpat/internal/stats"
 	"hdpat/internal/trace"
 )
 
@@ -85,21 +85,14 @@ type Mesh struct {
 	// Trace, when non-nil, receives one span per link traversal.
 	Trace *trace.Tracer
 
-	reg *metrics.Registry
-	m   *meshMetrics
+	// hops is the distribution of hops per delivered message.
+	hops stats.Histogram
 
 	// free recycles in-flight transfer state machines; a transfer lives
 	// from Send until final delivery, one event per hop, no allocation per
 	// hop or per message in steady state. The mesh belongs to one run on
 	// one goroutine, so a plain freelist suffices.
 	free []*transfer
-}
-
-// meshMetrics are the mesh's hot-path registry series.
-type meshMetrics struct {
-	messages *metrics.Counter
-	byteHops *metrics.Counter
-	hops     *metrics.Histogram
 }
 
 // direction indices
@@ -159,38 +152,12 @@ func (m *Mesh) linkFreeAt(id, dir int, now sim.VTime) bool {
 	return m.slab.nextFree[int(base)+dir] <= now
 }
 
-// AttachMetrics mirrors mesh activity into reg: noc.messages and
-// noc.byte_hops counters plus a noc.hops histogram (hops per message).
-// FlushMetrics adds the per-link utilisation gauges at end of run.
-func (m *Mesh) AttachMetrics(reg *metrics.Registry) {
-	m.reg = reg
-	m.m = &meshMetrics{
-		messages: reg.Counter("noc.messages"),
-		byteHops: reg.Counter("noc.byte_hops"),
-		hops:     reg.Histogram("noc.hops"),
-	}
-}
-
 // dirNames label the four directed output links in exposition series.
 var dirNames = [4]string{"e", "w", "s", "n"}
 
-// FlushMetrics publishes the per-link busy-cycle gauges
-// (noc.link.busy.x<X>y<Y>.<dir>, non-idle links only) and the
-// noc.links.busy_total aggregate into the attached registry. Link occupancy
-// accumulates monotonically, so this is called once when a run settles.
-func (m *Mesh) FlushMetrics() {
-	if m.reg == nil {
-		return
-	}
-	var total sim.VTime
-	m.VisitLinks(func(c geom.Coord, dir string, busy sim.VTime) {
-		total += busy
-		if busy > 0 {
-			m.reg.Gauge(fmt.Sprintf("noc.link.busy.x%dy%d.%s", c.X, c.Y, dir)).Set(int64(busy))
-		}
-	})
-	m.reg.Gauge("noc.links.busy_total").Set(int64(total))
-}
+// Hops returns the distribution of hops per delivered message, a message
+// between GPMs on one tile counting zero.
+func (m *Mesh) Hops() *stats.Histogram { return &m.hops }
 
 // Layout returns the wafer geometry the mesh routes over.
 func (m *Mesh) Layout() *geom.Mesh { return m.layout }
@@ -255,9 +222,7 @@ func (t *transfer) Event(sim.EventArg) {
 		if hops > m.Stats.MaxHops {
 			m.Stats.MaxHops = hops
 		}
-		if m.m != nil {
-			m.m.hops.Observe(uint64(hops))
-		}
+		m.hops.Add(uint64(hops))
 		*t = transfer{}
 		m.free = append(m.free, t)
 		if h != nil {
@@ -304,9 +269,6 @@ func (t *transfer) step() {
 	if deflected {
 		st.Deflections++
 	}
-	if m.m != nil {
-		m.m.byteHops.Add(uint64(t.size))
-	}
 	t.hops++
 	if m.Trace != nil {
 		m.Trace.HopSpan(uint64(now), uint64(arrive), t.cur.X, t.cur.Y, next.X, next.Y, t.size, deflected)
@@ -321,13 +283,8 @@ func (m *Mesh) send(src, dst geom.Coord, size int, h sim.Handler, arg sim.EventA
 	st.Messages++
 	man := src.Manhattan(dst) // == len(XYPath): the minimal-path hop count
 	st.ManhattanTotal += uint64(man)
-	if m.m != nil {
-		m.m.messages.Inc()
-	}
 	if man == 0 {
-		if m.m != nil {
-			m.m.hops.Observe(0)
-		}
+		m.hops.Add(0)
 		if h != nil {
 			eng.Post(1, h, arg)
 		} else {

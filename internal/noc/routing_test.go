@@ -2,9 +2,8 @@
 // geometric reference path, the deflection policy is checked against its
 // delivery and accounting laws (every message arrives; HopsTotal ==
 // ManhattanTotal + 2 x Deflections, since each misroute moves one hop away
-// from the destination and must be paid back), and the fabric's
-// observability surfaces (FlushMetrics, VisitLinks) are pinned idempotent
-// and deterministic.
+// from the destination and must be paid back), and the fabric's link
+// visitor (VisitLinks) is pinned deterministic.
 package noc
 
 import (
@@ -13,7 +12,6 @@ import (
 	"testing"
 
 	"hdpat/internal/geom"
-	"hdpat/internal/metrics"
 	"hdpat/internal/sim"
 )
 
@@ -213,13 +211,10 @@ func TestDeflectAgeGuardFloorStillDelivers(t *testing.T) {
 // fixedRun drives a fixed traffic pattern on a 4x4 mesh — messages in every
 // direction, sizes that leave fractional serialisation debt — and returns
 // the mesh after the run.
-func fixedRun(t *testing.T, reg *metrics.Registry) *Mesh {
+func fixedRun(t *testing.T) *Mesh {
 	t.Helper()
 	eng := sim.NewEngine()
 	m := New(eng, geom.NewMesh(4, 4), Config{HopLatency: 32, BytesPerCycle: 64})
-	if reg != nil {
-		m.AttachMetrics(reg)
-	}
 	sends := []struct {
 		src, dst geom.Coord
 		size     int
@@ -242,25 +237,6 @@ func fixedRun(t *testing.T, reg *metrics.Registry) *Mesh {
 	return m
 }
 
-// FlushMetrics publishes link gauges by Set, so flushing twice must leave
-// every metric at the same value.
-func TestFlushMetricsIdempotent(t *testing.T) {
-	reg := metrics.NewRegistry()
-	m := fixedRun(t, reg)
-	m.FlushMetrics()
-	total := reg.Gauge("noc.links.busy_total").Value()
-	if total == 0 {
-		t.Fatal("no busy cycles published")
-	}
-	m.FlushMetrics()
-	if again := reg.Gauge("noc.links.busy_total").Value(); again != total {
-		t.Errorf("second flush moved busy_total %d -> %d", total, again)
-	}
-	if total != int64(m.LinkUtilization()) {
-		t.Errorf("busy_total gauge %d != LinkUtilization %d", total, m.LinkUtilization())
-	}
-}
-
 // visitOrder renders one VisitLinks walk as strings for comparison.
 func visitOrder(m *Mesh) []string {
 	var out []string
@@ -274,8 +250,8 @@ func visitOrder(m *Mesh) []string {
 // deterministic across runs and strictly tile-ordered, never in slab
 // (materialization) order.
 func TestVisitLinksDeterministic(t *testing.T) {
-	a := visitOrder(fixedRun(t, nil))
-	b := visitOrder(fixedRun(t, nil))
+	a := visitOrder(fixedRun(t))
+	b := visitOrder(fixedRun(t))
 	if len(a) == 0 || len(a)%4 != 0 {
 		t.Fatalf("visited %d links, want a positive multiple of 4", len(a))
 	}

@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-
-	"hdpat/internal/metrics"
 )
 
 // VTime is a point in simulated time, in cycles.
@@ -133,9 +131,9 @@ type Engine struct {
 	// and for bounding runaway simulations in tests.
 	Processed uint64
 
-	// m mirrors dispatch activity into an attached metrics registry; nil
-	// (the default) costs one branch per event.
-	m *engineMetrics
+	// peak is the most events left pending after any dispatch
+	// (PeakPending).
+	peak int
 
 	// Periodic sampler (AttachSampler): fired between events at window
 	// boundaries, never through the event queue, so an attached sampler
@@ -309,34 +307,6 @@ func (e *Engine) popFar() event {
 	return root
 }
 
-// engineMetrics are the engine's registry series.
-type engineMetrics struct {
-	events *metrics.Counter
-	heap   *metrics.Gauge
-	peak   *metrics.Gauge
-}
-
-// AttachMetrics mirrors the engine's dispatch activity into reg:
-// sim.events_dispatched (counter), sim.heap_depth (gauge, pending events
-// after the latest dispatch) and sim.heap_peak (gauge, most pending events
-// seen). The depth series keep their historical names; they count every
-// pending event, in the wheel and in the overflow heap.
-// Attaching does not perturb event order — metrics only observe.
-func (e *Engine) AttachMetrics(reg *metrics.Registry) {
-	e.m = &engineMetrics{
-		events: reg.Counter("sim.events_dispatched"),
-		heap:   reg.Gauge("sim.heap_depth"),
-		peak:   reg.Gauge("sim.heap_peak"),
-	}
-}
-
-// note records one dispatched event in the attached registry.
-func (m *engineMetrics) note(pending int) {
-	m.events.Inc()
-	m.heap.Set(int64(pending))
-	m.peak.Max(int64(pending))
-}
-
 // AttachSampler arranges for fn to be called at every multiple of period
 // cycles, between event executions — the periodic probe behind queue-depth
 // and link-utilisation time series. Unlike a self-rescheduling event, the
@@ -385,6 +355,10 @@ func (e *Engine) Now() VTime { return e.now }
 
 // Pending reports the number of events not yet executed.
 func (e *Engine) Pending() int { return e.inWheel + len(e.far) }
+
+// PeakPending returns the most events left pending after any dispatch:
+// the high-water mark of Pending, counting the wheel and the overflow heap.
+func (e *Engine) PeakPending() int { return e.peak }
 
 // NextTime returns the time of the earliest pending event. ok is false when
 // the queue is empty. Callers slicing a run with RunUntil (cancellation
@@ -490,8 +464,8 @@ func (e *Engine) dispatch(t VTime) {
 	}
 	h, arg := e.wheelPop(int(t & wheelMask))
 	e.Processed++
-	if e.m != nil {
-		e.m.note(e.Pending())
+	if p := e.Pending(); p > e.peak {
+		e.peak = p
 	}
 	h.Event(arg)
 }

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"hdpat/internal/metrics"
 )
 
 func TestEngineOrdering(t *testing.T) {
@@ -322,8 +320,7 @@ func TestEngineScheduleAtCurrentCycle(t *testing.T) {
 }
 
 // TestEngineStopMidDrainDeterminism stops a run partway, resumes it, and
-// checks the event order matches an uninterrupted run — with and without
-// metrics attached, which must not perturb dispatch in any way.
+// checks the event order matches an uninterrupted run.
 func TestEngineStopMidDrainDeterminism(t *testing.T) {
 	build := func(e *Engine, log *[]int) {
 		for i := 0; i < 20; i++ {
@@ -344,7 +341,6 @@ func TestEngineStopMidDrainDeterminism(t *testing.T) {
 
 	var sliced []int
 	es := NewEngine()
-	es.AttachMetrics(metrics.NewRegistry())
 	build(es, &sliced)
 	for i := 0; es.Pending() > 0 && i < 1000; i++ {
 		// Stop after every event: the worst-case drain interruption.
@@ -467,35 +463,32 @@ func TestEngineSamplerAttachMidRunAligns(t *testing.T) {
 	}
 }
 
+// TestEngineMetricsObserveOnly checks the dispatch counters the metrics
+// publisher reads, Processed and the PeakPending high-water mark, on a run
+// whose order they must not disturb.
 func TestEngineMetricsObserveOnly(t *testing.T) {
-	reg := metrics.NewRegistry()
-	run := func(e *Engine) []int {
-		var log []int
-		for i := 0; i < 10; i++ {
-			i := i
-			e.Schedule(VTime(10-i), func() { log = append(log, i) })
-		}
-		e.Run()
-		return log
+	e := NewEngine()
+	var log []int
+	for i := 0; i < 10; i++ {
+		i := i
+		e.Schedule(VTime(10-i), func() { log = append(log, i) })
 	}
-	a := run(NewEngine())
-	em := NewEngine()
-	em.AttachMetrics(reg)
-	b := run(em)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("metrics perturbed order: %v vs %v", a, b)
+	e.Run()
+	for i, v := range log {
+		if v != 9-i {
+			t.Fatalf("dispatch order %v", log)
 		}
 	}
-	s := reg.Snapshot()
-	if s.Counter("sim.events_dispatched") != 10 {
-		t.Errorf("events_dispatched = %d", s.Counter("sim.events_dispatched"))
+	if e.Processed != 10 {
+		t.Errorf("Processed = %d, want 10", e.Processed)
 	}
-	if s.Gauge("sim.heap_peak") < 1 {
-		t.Errorf("heap_peak = %d", s.Gauge("sim.heap_peak"))
+	// The first dispatch leaves the other nine pending; nothing later
+	// raises the mark.
+	if e.PeakPending() != 9 {
+		t.Errorf("PeakPending = %d, want 9", e.PeakPending())
 	}
-	if s.Gauge("sim.heap_depth") != 0 {
-		t.Errorf("heap_depth after drain = %d", s.Gauge("sim.heap_depth"))
+	if e.Pending() != 0 {
+		t.Errorf("Pending after drain = %d", e.Pending())
 	}
 }
 

@@ -62,23 +62,28 @@ func Percentile(xs []float64, p float64) float64 {
 // Histogram is a log2-bucketed histogram for wide-ranged counts such as
 // reuse distances (Fig 7 spans 1 to hundreds of thousands). Bucketing
 // follows metrics.Log2Bucket — the repository's single log2-bucket rule —
-// so stats and metrics histograms agree bucket for bucket.
+// so stats and metrics histograms agree bucket for bucket. The first Add
+// allocates room for every bucket at once, so later ones never allocate:
+// simulator components record into one on their hot paths.
 type Histogram struct {
 	buckets []uint64 // buckets[i] counts values in metrics.BucketRange(i), bucket 0 = {0}
 	total   uint64
-	sum     float64
+	sum     uint64
 	max     uint64
 }
 
 // Add records v.
 func (h *Histogram) Add(v uint64) {
 	b := metrics.Log2Bucket(v)
-	for len(h.buckets) <= b {
-		h.buckets = append(h.buckets, 0)
+	if b >= len(h.buckets) {
+		if h.buckets == nil {
+			h.buckets = make([]uint64, 0, metrics.NumBuckets)
+		}
+		h.buckets = h.buckets[:b+1]
 	}
 	h.buckets[b]++
 	h.total++
-	h.sum += float64(v)
+	h.sum += v
 	if v > h.max {
 		h.max = v
 	}
@@ -86,6 +91,9 @@ func (h *Histogram) Add(v uint64) {
 
 // Total returns the number of recorded values.
 func (h *Histogram) Total() uint64 { return h.total }
+
+// Sum returns the sum of recorded values.
+func (h *Histogram) Sum() uint64 { return h.sum }
 
 // Max returns the largest recorded value.
 func (h *Histogram) Max() uint64 { return h.max }
@@ -95,7 +103,7 @@ func (h *Histogram) Mean() float64 {
 	if h.total == 0 {
 		return 0
 	}
-	return h.sum / float64(h.total)
+	return float64(h.sum) / float64(h.total)
 }
 
 // Bucket returns the count and inclusive value range of bucket i.

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"hdpat/internal/metrics"
 	"hdpat/internal/vm"
 )
 
@@ -53,12 +52,11 @@ func (p *tlbPair) step(op, kb byte, n int) any {
 }
 
 // FuzzTLBResetMatchesNew drives a TLB and its MSHR file with a first op
-// sequence — leaving entries, metrics counts and outstanding misses with
-// waiters behind — then Resets both. The reset pair and a New pair then run
-// a second sequence side by side: every return value, Stats, Len, each
-// set's recency order, the OnEvict sequence, the MSHR counters and the wake
-// order must match, no waiter of the first sequence may wake, and the
-// first sequence's metrics counters must not move.
+// sequence — leaving entries, counts and outstanding misses with waiters
+// behind — then Resets both. The reset pair and a New pair then run a
+// second sequence side by side: every return value, Stats, Len, each set's
+// recency order, the OnEvict sequence, the MSHR counters and the wake order
+// must match, and no waiter of the first sequence may wake.
 func FuzzTLBResetMatchesNew(f *testing.F) {
 	f.Add([]byte{0x21, 3, 6, 6, 1, 6, 1, 6, 2, 3, 3, 0, 3, 3, 4, 6, 4, 7, 2, 6, 9, 0, 1, 3, 1, 7, 1})
 	f.Add([]byte{0x13, 1, 4, 3, 0, 3, 1, 3, 2, 6, 5, 3, 0, 3, 1, 3, 2, 3, 3, 0, 2, 6, 5, 7, 5})
@@ -71,15 +69,12 @@ func FuzzTLBResetMatchesNew(f *testing.F) {
 		first := 2 * (int(data[2]) % (len(ops)/2 + 1))
 
 		used := newTLBPair(sets, ways, mshrs)
-		reg := metrics.NewRegistry()
-		hits, misses := reg.Counter("hits"), reg.Counter("misses")
-		used.t.AttachMetrics(hits, misses)
 		for n, i := 0, 0; i+1 < first; n, i = n+1, i+2 {
 			used.step(ops[i], ops[i+1], n)
 		}
 		used.t.Reset()
 		used.m.Reset()
-		stale, h0, m0 := len(used.log), hits.Value(), misses.Value()
+		stale := len(used.log)
 		used.evicted = nil
 
 		fresh := newTLBPair(sets, ways, mshrs)
@@ -107,9 +102,6 @@ func FuzzTLBResetMatchesNew(f *testing.F) {
 			if !slices.Equal(used.log[stale:], fresh.log) {
 				t.Fatalf("op %d: wake order %v, new %v (first-sequence wakes: %v)", n, used.log[stale:], fresh.log, used.log[:stale])
 			}
-		}
-		if hits.Value() != h0 || misses.Value() != m0 {
-			t.Fatalf("reset TLB still counts into the old registry: hits %d→%d misses %d→%d", h0, hits.Value(), m0, misses.Value())
 		}
 	})
 }

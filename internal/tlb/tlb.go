@@ -6,7 +6,6 @@
 package tlb
 
 import (
-	"hdpat/internal/metrics"
 	"hdpat/internal/sim"
 	"hdpat/internal/vm"
 )
@@ -58,22 +57,6 @@ type TLB struct {
 	// uses this to keep its cuckoo filter in sync with the auxiliary
 	// translation cache contents.
 	OnEvict func(vm.PTE)
-
-	// m mirrors hits/misses into registry counters shared across every TLB
-	// of the same level (AttachMetrics); nil costs one branch per lookup.
-	m *levelCounters
-}
-
-// levelCounters are the per-level registry series a TLB reports into.
-type levelCounters struct {
-	hits, misses *metrics.Counter
-}
-
-// AttachMetrics mirrors this TLB's hits and misses into the given counters.
-// Many TLB instances (one L1 per CU, one L2 per GPM, ...) typically share
-// one counter pair, aggregating the level across the wafer.
-func (t *TLB) AttachMetrics(hits, misses *metrics.Counter) {
-	t.m = &levelCounters{hits: hits, misses: misses}
 }
 
 // New creates a TLB with the given geometry.
@@ -140,15 +123,9 @@ func (t *TLB) Lookup(k Key) (vm.PTE, bool) {
 	if i, _ := t.find(k); i >= 0 {
 		t.touch(i)
 		t.Stats.Hits++
-		if t.m != nil {
-			t.m.hits.Inc()
-		}
 		return t.pte[i], true
 	}
 	t.Stats.Misses++
-	if t.m != nil {
-		t.m.misses.Inc()
-	}
 	return vm.PTE{}, false
 }
 
@@ -199,16 +176,14 @@ func (t *TLB) Invalidate(k Key) bool {
 // Flush invalidates everything.
 func (t *TLB) Flush() { clear(t.stamp) }
 
-// Reset returns the TLB to the state New left it in: empty, clock and
-// Stats zeroed, and detached from any metrics counters, so a finished run's
-// registry never sees another run's lookups. Tags and payloads are not
-// cleared, because a zero stamp already marks a way empty. OnEvict is kept:
-// it is the owner's wiring, not TLB state.
+// Reset returns the TLB to the state New left it in: empty, with clock and
+// Stats zeroed. Tags and payloads are not cleared, because a zero stamp
+// already marks a way empty. OnEvict is kept: it is the owner's wiring, not
+// TLB state.
 func (t *TLB) Reset() {
 	clear(t.stamp)
 	t.clock = 0
 	t.Stats = Stats{}
-	t.m = nil
 }
 
 // HitRate returns hits/(hits+misses), or 0 with no accesses.

@@ -3,14 +3,24 @@ package wafer
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
+	"hdpat/internal/config"
+	"hdpat/internal/core"
+	"hdpat/internal/geom"
+	"hdpat/internal/iommu"
 	"hdpat/internal/metrics"
 	"hdpat/internal/migrate"
+	"hdpat/internal/noc"
+	"hdpat/internal/sim"
 	"hdpat/internal/trace"
+	"hdpat/internal/vm"
 	"hdpat/internal/workload"
+	"hdpat/internal/xlat"
 )
 
 // runWith executes one small run with the given observability options.
@@ -67,36 +77,40 @@ func TestMetricsNonZeroForEveryScheme(t *testing.T) {
 	}
 }
 
-// TestMetricsMatchLegacyStats cross-checks registry series against the
-// hand-rolled Stats structs the Result already carried.
-func TestMetricsMatchLegacyStats(t *testing.T) {
-	res := runWith(t, "hdpat", 32, metrics.NewRegistry(), nil)
-	s := res.Metrics
-	if got, want := s.Counter("iommu.requests"), res.IOMMU.Requests; got != want {
-		t.Errorf("iommu.requests = %d, stats say %d", got, want)
+// checkPublished asserts that the counters in s equal the sums of the Stats
+// of runs, and that the per-link NoC gauges add up to their total.
+func checkPublished(t *testing.T, s *metrics.Snapshot, runs ...Result) {
+	t.Helper()
+	var want = map[string]uint64{}
+	for _, res := range runs {
+		want["iommu.requests"] += res.IOMMU.Requests
+		want["iommu.walks"] += res.IOMMU.Walks
+		want["noc.messages"] += res.NoC.Messages
+		want["noc.byte_hops"] += res.NoC.ByteHops
+		want["sim.events_dispatched"] += res.Events
+		for _, g := range res.GPMStats {
+			want["gpm.ops.issued"] += g.OpsIssued
+			want["gpm.cu.stall_cycles"] += g.CUStallCycles
+			want["gpm.remote.requests"] += g.RemoteRequests
+		}
 	}
-	if got, want := s.Counter("iommu.walks"), res.IOMMU.Walks; got != want {
-		t.Errorf("iommu.walks = %d, stats say %d", got, want)
+	for name, w := range want {
+		if got := s.Counter(name); got != w {
+			t.Errorf("%s = %d, stats say %d", name, got, w)
+		}
 	}
-	if got, want := s.Counter("noc.messages"), res.NoC.Messages; got != want {
-		t.Errorf("noc.messages = %d, stats say %d", got, want)
+	var latSum, remote uint64
+	for _, res := range runs {
+		for _, g := range res.GPMStats {
+			latSum += g.RemoteLatencySum
+			remote += g.RemoteRequests
+		}
 	}
-	if got, want := s.Counter("noc.byte_hops"), res.NoC.ByteHops; got != want {
-		t.Errorf("noc.byte_hops = %d, stats say %d", got, want)
+	if h := s.Histograms["gpm.remote.latency"]; h.Sum != latSum || h.Count != remote {
+		t.Errorf("gpm.remote.latency count %d sum %d, stats say %d and %d", h.Count, h.Sum, remote, latSum)
 	}
-	var issued, stall uint64
-	for _, g := range res.GPMStats {
-		issued += g.OpsIssued
-		stall += g.CUStallCycles
-	}
-	if got := s.Counter("gpm.ops.issued"); got != issued {
-		t.Errorf("gpm.ops.issued = %d, stats say %d", got, issued)
-	}
-	if got := s.Counter("gpm.cu.stall_cycles"); got != stall {
-		t.Errorf("gpm.cu.stall_cycles = %d, stats say %d", got, stall)
-	}
-	if uint64(s.Gauge("run.cycles")) != uint64(res.Cycles) {
-		t.Errorf("run.cycles = %d, result says %d", s.Gauge("run.cycles"), res.Cycles)
+	if h, msgs := s.Histograms["noc.hops"], want["noc.messages"]; h.Count != msgs {
+		t.Errorf("noc.hops count %d, stats say %d messages", h.Count, msgs)
 	}
 	// Per-link NoC gauges must aggregate to the busy total.
 	var linkSum int64
@@ -107,6 +121,111 @@ func TestMetricsMatchLegacyStats(t *testing.T) {
 	}
 	if total := s.Gauge("noc.links.busy_total"); linkSum != total {
 		t.Errorf("per-link busy sum %d != busy_total %d", linkSum, total)
+	}
+}
+
+// TestPublishMatchesStats checks the published series against the Stats
+// the Result carries: for one run, for two runs sharing a registry, whose
+// counters must add up, and under a concurrent reader, which must never
+// see a counter fall.
+func TestPublishMatchesStats(t *testing.T) {
+	t.Run("single", func(t *testing.T) {
+		res := runWith(t, "hdpat", 32, metrics.NewRegistry(), nil)
+		checkPublished(t, res.Metrics, res)
+		if uint64(res.Metrics.Gauge("run.cycles")) != uint64(res.Cycles) {
+			t.Errorf("run.cycles = %d, result says %d", res.Metrics.Gauge("run.cycles"), res.Cycles)
+		}
+	})
+	t.Run("shared", func(t *testing.T) {
+		reg := metrics.NewRegistry()
+		a := runWith(t, "hdpat", 32, reg, nil)
+		b := runWith(t, "baseline", 24, reg, nil)
+		checkPublished(t, reg.Snapshot(), a, b)
+	})
+	t.Run("live", func(t *testing.T) {
+		// Baseline SPMV at this budget spans several engine slices.
+		cfg, err := ConfigFor("baseline", smallConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := workload.ByAbbr("SPMV")
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := metrics.NewRegistry()
+		events := reg.Counter("sim.events_dispatched")
+		// seen holds the published event count as each IOMMU request
+		// arrives: a mid-run value proves publication between slices.
+		var seen []uint64
+		hook := iommu.RequestHookFunc(func(sim.VTime, *xlat.Request) { seen = append(seen, events.Value()) })
+		done := make(chan struct{})
+		errs := make(chan string, 1)
+		go func() {
+			defer close(errs)
+			last := map[string]uint64{}
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for name, v := range reg.Snapshot().Counters {
+					if v < last[name] {
+						errs <- fmt.Sprintf("%s fell from %d to %d", name, last[name], v)
+						return
+					}
+					last[name] = v
+				}
+			}
+		}()
+		res, err := Run(cfg, Options{
+			Scheme: "baseline", Benchmark: b, OpsBudget: 256, Seed: 1,
+			Metrics: reg, Hooks: []iommu.RequestHook{hook},
+		})
+		close(done)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for e := range errs {
+			t.Error(e)
+		}
+		if !slices.ContainsFunc(seen, func(v uint64) bool { return v > 0 && v < res.Events }) {
+			t.Errorf("no publication between engine slices in a %d-cycle run", res.Cycles)
+		}
+		checkPublished(t, reg.Snapshot(), res)
+	})
+}
+
+// TestPublishLinkGaugesIdempotent: the link gauges are set, not added, and
+// every other series publishes a delta, so publishing a settled run twice
+// leaves every series where it was.
+func TestPublishLinkGaugesIdempotent(t *testing.T) {
+	eng := sim.NewEngine()
+	mesh := noc.New(eng, geom.NewMesh(4, 4), noc.Config{HopLatency: 32, BytesPerCycle: 64})
+	for _, s := range [][2]geom.Coord{
+		{geom.XY(0, 0), geom.XY(3, 3)},
+		{geom.XY(3, 3), geom.XY(0, 0)},
+		{geom.XY(1, 0), geom.XY(1, 3)},
+		{geom.XY(0, 1), geom.XY(3, 1)},
+	} {
+		mesh.Send(s[0], s[1], 192, func() {})
+	}
+	eng.Run()
+	io := iommu.New(eng, config.Default().IOMMU, geom.XY(2, 2), mesh, vm.NewPageTable())
+	reg := metrics.NewRegistry()
+	pub := newPublisher(reg, &core.Fabric{Eng: eng, Mesh: mesh, IOMMU: io}, nil, 1)
+	pub.publish()
+	first := reg.Snapshot()
+	total := first.Gauge("noc.links.busy_total")
+	if total == 0 {
+		t.Fatal("no busy cycles published")
+	}
+	if total != int64(mesh.LinkUtilization()) {
+		t.Errorf("busy_total gauge %d != LinkUtilization %d", total, mesh.LinkUtilization())
+	}
+	pub.publish()
+	if again := reg.Snapshot(); !reflect.DeepEqual(first, again) {
+		t.Errorf("second publication moved series:\nfirst %+v\nagain %+v", first, again)
 	}
 }
 

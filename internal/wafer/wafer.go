@@ -98,10 +98,12 @@ type Options struct {
 	// (characterisation figures attach trackers). Replaces the former
 	// single-callback Observer field.
 	Hooks []iommu.RequestHook
-	// Metrics, when non-nil, has every component report into it
-	// (sim.*, noc.*, tlb.*, iommu.*, gpm.*, migrate.* series); the run's
-	// final snapshot lands on Result.Metrics. Nil costs one branch per
-	// instrumented hot-path site.
+	// Metrics, when non-nil, receives the run's sim.*, noc.*, tlb.*,
+	// iommu.*, gpm.*, migrate.* and run.* series, derived from the
+	// components' Stats after every engine slice of at most 65,536
+	// simulated cycles and once more when the run ends; the run's
+	// final snapshot lands on Result.Metrics. Nil publishes nothing and
+	// costs nothing per event.
 	Metrics *metrics.Registry
 	// Trace, when non-nil, receives cycle-domain spans (IOMMU walks and
 	// queueing, NoC hops, migrations). Tracing only observes; a traced run
@@ -250,10 +252,11 @@ func Run(cfg config.System, opts Options) (Result, error) {
 // short runs; large enough that the per-check cost vanishes in the noise.
 const ctxCheckInterval = 1 << 16
 
-// runEngine executes events with time <= limit, checking ctx between
-// slices of at most ctxCheckInterval cycles. Slicing does not perturb event
-// order, so results are identical to a single RunUntil(limit) call.
-func runEngine(ctx context.Context, eng *sim.Engine, limit sim.VTime) error {
+// runEngine executes events with time <= limit, checking ctx and
+// publishing pub's metrics between slices of at most ctxCheckInterval
+// cycles. Slicing does not perturb event order, so results are identical
+// to a single RunUntil(limit) call.
+func runEngine(ctx context.Context, eng *sim.Engine, limit sim.VTime, pub *publisher) error {
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -274,6 +277,7 @@ func runEngine(ctx context.Context, eng *sim.Engine, limit sim.VTime) error {
 			slice = limit
 		}
 		eng.RunUntil(slice)
+		pub.publish()
 	}
 }
 
@@ -361,11 +365,6 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 	network := noc.New(eng, mesh, cfg.NoC)
 	numGPMs := mesh.NumGPMs()
 
-	reg := opts.Metrics
-	if reg != nil {
-		eng.AttachMetrics(reg)
-		network.AttachMetrics(reg)
-	}
 	// The attribution ledger rides the tracer seam: Attach fans typed spans
 	// out to the collector (sink-only when no trace output was requested),
 	// and the resulting tracer replaces opts.Trace at every component. The
@@ -452,12 +451,6 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 			}
 		})
 	}
-	if reg != nil {
-		io.AttachMetrics(reg)
-		for _, g := range gpms {
-			g.AttachMetrics(reg)
-		}
-	}
 	if opts.QueueWindow > 0 {
 		io.QueueSeries = stats.NewMaxSeries(opts.QueueWindow)
 	}
@@ -502,9 +495,6 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 	if opts.Migration != nil {
 		migrator = migrate.New(fabric, *opts.Migration)
 		migrator.Trace = tr
-		if reg != nil {
-			migrator.AttachMetrics(reg)
-		}
 		scheme = migrator.Wrap(scheme)
 	}
 
@@ -538,18 +528,20 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 		g.Start(sim.VTime(opts.Benchmark.Gap), func(int, sim.VTime) { finished++ })
 	}
 
-	if err := runEngine(ctx, eng, opts.MaxCycles); err != nil {
+	pub := newPublisher(opts.Metrics, fabric, migrator, cfg.IOMMU.Walkers)
+	err = runEngine(ctx, eng, opts.MaxCycles, pub)
+	if err == nil && finished == numGPMs {
+		// Drain stragglers (late miss responses etc.) for accurate NoC stats.
+		err = runEngine(ctx, eng, sim.Infinity, pub)
+	}
+	pub.publish()
+	if err != nil {
 		return Result{}, nil, err
 	}
 	var runErr error
 	if finished < numGPMs {
 		runErr = fmt.Errorf("wafer: %s/%s finished %d/%d GPMs by cycle limit %d",
 			opts.Scheme, opts.Benchmark.Abbr, finished, numGPMs, opts.MaxCycles)
-	} else {
-		// Drain stragglers (late miss responses etc.) for accurate NoC stats.
-		if err := runEngine(ctx, eng, sim.Infinity); err != nil {
-			return Result{}, nil, err
-		}
 	}
 
 	res := Result{
@@ -583,16 +575,15 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 			res.Cycles = g.Stats.FinishTime
 		}
 	}
-	if reg != nil {
-		network.FlushMetrics()
+	if reg := opts.Metrics; reg != nil {
 		reg.Gauge("run.cycles").Set(int64(res.Cycles))
 		reg.Gauge("run.total_ops").Set(int64(totalOps))
 		res.Metrics = reg.Snapshot()
 	}
 	if coll != nil {
 		for _, g := range gpms {
-			for level, s := range g.TLBStats() {
-				coll.AddTLB(level, s.Hits, s.Misses)
+			for i, s := range g.TLBStats() {
+				coll.AddTLB(gpm.TLBLevels[i], s.Hits, s.Misses)
 			}
 		}
 		res.Breakdown = coll.Finalize(res.Scheme, res.Benchmark, uint64(res.Cycles))

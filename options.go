@@ -171,16 +171,18 @@ func WithMonitor(m *BatchMonitor) Option {
 	return func(rc *runConfig) { rc.monitor = m }
 }
 
-// WithMetrics has every component of the simulated system report into reg:
-// counters, gauges and log2 histograms under the sim.*, noc.*, tlb.*,
-// iommu.*, gpm.*, migrate.* and run.* series documented in
-// docs/observability.md. Single runs write into reg live (scrape it while
-// the simulation executes via ServeMetrics); batch entry points give every
-// run a fresh private registry — so concurrent runs never share series —
-// and fold each run's final snapshot into reg as it settles, alongside the
-// batch's own runner.* throughput series. Each run's snapshot also lands on
-// its Result.Metrics. Passing nil disables metrics; so does omitting the
-// option, at a cost of one branch per instrumented hot-path site.
+// WithMetrics publishes the simulated system's counters, gauges and log2
+// histograms into reg under the sim.*, noc.*, tlb.*, iommu.*, gpm.*,
+// migrate.* and run.* series documented in docs/observability.md. Each run
+// derives the series from its components' statistics after every engine
+// slice of at most 65,536 simulated cycles and once more when it ends, so
+// no event pays for metrics. Single runs write into reg live (scrape it
+// while the simulation executes via ServeMetrics; it updates once per
+// slice); batch entry points give every run a fresh private registry — so
+// concurrent runs never share series — and fold each run's final snapshot
+// into reg as it settles, alongside the batch's own runner.* throughput
+// series. Each run's snapshot also lands on its Result.Metrics. Passing
+// nil disables metrics; so does omitting the option.
 func WithMetrics(reg *metrics.Registry) Option {
 	return func(rc *runConfig) { rc.metrics = reg }
 }
