@@ -37,7 +37,7 @@ func (s *Route) Translate(req *xlat.Request) {
 func (s *Route) step(req *xlat.Request, cur geom.Coord, path []geom.Coord, i int) {
 	next := path[i]
 	req.Ref() // hop leg: transit plus aux-probe callback
-	s.f.Mesh.Send(cur, next, xlat.ReqBytes, func() {
+	s.f.Mesh.SendH(cur, next, xlat.ReqBytes, sim.HandlerFunc(func() {
 		if next == s.f.Layout.CPU {
 			s.f.IOMMU.Submit(req, false)
 			// On response, fill the path caches (return-path installs).
@@ -45,7 +45,7 @@ func (s *Route) step(req *xlat.Request, cur geom.Coord, path []geom.Coord, i int
 			req.Unref()
 			return
 		}
-		g := s.f.At(next)
+		g := s.f.GPMAt(next)
 		s.Attempts++
 		g.ProbeAux(keyOf(req), s.lat.AuxProbeLatency, func(pte vm.PTE, _ xlat.PushOrigin, ok bool) {
 			defer req.Unref()
@@ -56,41 +56,24 @@ func (s *Route) step(req *xlat.Request, cur geom.Coord, path []geom.Coord, i int
 			}
 			s.step(req, next, path, i+1)
 		})
-	})
+	}), sim.EventArg{})
 }
 
 // fillOnReturn installs the translation into every GPM on the path once the
 // IOMMU answers: the response passes each tile on its way back, so each
-// path GPM receives the PTE after its hop distance from the CPU. The
-// request carries no shadow callback, so completion is observed by polling
-// the (monotonic) completed flag at hop granularity; the poll loop holds a
-// reference so the pooled request cannot recycle under it, released as soon
-// as the VPN has been read out.
+// path GPM receives the PTE after its hop distance from the CPU.
 func (s *Route) fillOnReturn(req *xlat.Request, path []geom.Coord) {
 	hop := s.f.Mesh.Config().HopLatency
-	req.Ref()
-	var poll func()
-	poll = func() {
-		if !req.Completed() {
-			s.f.Eng.Schedule(hop, poll)
-			return
-		}
-		vpn := req.VPN
-		req.Unref()
-		e, _, ok := s.f.Placement.Global().Lookup(vpn)
-		if !ok {
-			return
-		}
+	s.f.fillOnCompletion(req, func(e vm.PTE) {
 		for i, c := range path {
 			if c == s.f.Layout.CPU {
 				continue
 			}
-			g := s.f.At(c)
+			g := s.f.GPMAt(c)
 			delay := hop * sim.VTime(len(path)-1-i)
-			s.f.Eng.Schedule(delay, func() { g.CacheOnPath(e) })
+			s.f.Eng.Post(delay, sim.HandlerFunc(func() { g.CacheOnPath(e) }), sim.EventArg{})
 		}
-	}
-	s.f.Eng.Schedule(hop, poll)
+	})
 }
 
 // Concentric is the concentric-caching ablation (§IV-C): one attempt per
@@ -138,9 +121,9 @@ func (s *Concentric) Translate(req *xlat.Request) {
 
 func (s *Concentric) attempt(req *xlat.Request, from geom.Coord, l int) {
 	target := s.nearestInLayer(l, from)
-	g := s.f.At(target)
+	g := s.f.GPMAt(target)
 	req.Ref() // attempt leg: transit plus aux-probe callback
-	s.f.Mesh.Send(from, target, xlat.ReqBytes, func() {
+	s.f.Mesh.SendH(from, target, xlat.ReqBytes, sim.HandlerFunc(func() {
 		s.Attempts++
 		g.ProbeAux(keyOf(req), s.cfg.AuxProbeLatency, func(pte vm.PTE, _ xlat.PushOrigin, ok bool) {
 			defer req.Unref()
@@ -156,30 +139,10 @@ func (s *Concentric) attempt(req *xlat.Request, from geom.Coord, l int) {
 			s.f.ToIOMMU(target, req, false)
 			// The attempting GPMs cache the eventual translation
 			// (unclustered: every server duplicates).
-			s.fillLater(g, req)
+			s.f.fillOnCompletion(req, g.CacheOnPath)
 		})
-	})
+	}), sim.EventArg{})
 }
-
-func (s *Concentric) fillLater(g gpmInstaller, req *xlat.Request) {
-	hop := s.f.Mesh.Config().HopLatency
-	req.Ref() // the poll loop reads req until completion
-	var poll func()
-	poll = func() {
-		if !req.Completed() {
-			s.f.Eng.Schedule(hop, poll)
-			return
-		}
-		vpn := req.VPN
-		req.Unref()
-		if e, _, ok := s.f.Placement.Global().Lookup(vpn); ok {
-			g.CacheOnPath(e)
-		}
-	}
-	s.f.Eng.Schedule(hop, poll)
-}
-
-type gpmInstaller interface{ CacheOnPath(vm.PTE) }
 
 // Distributed is the straightforward distributed-caching baseline of §V-A:
 // the caching GPMs are split into two symmetric groups either side of the
@@ -226,7 +189,7 @@ func NewDistributed(f *Fabric, cfg config.HDPAT) *Distributed {
 				best, bd = t, d
 			}
 		}
-		s.groupPeer[g.ID] = f.At(best).ID
+		s.groupPeer[g.ID] = f.GPMAt(best).ID
 	}
 	return s
 }
@@ -240,7 +203,7 @@ func (s *Distributed) Translate(req *xlat.Request) {
 	from := s.f.CoordOf(req.Requester)
 	s.Probes++
 	req.Ref() // probe leg: transit plus aux-probe callback
-	s.f.Mesh.Send(from, peer.Coord, xlat.ReqBytes, func() {
+	s.f.Mesh.SendH(from, peer.Coord, xlat.ReqBytes, sim.HandlerFunc(func() {
 		peer.ProbeAux(keyOf(req), s.cfg.AuxProbeLatency, func(pte vm.PTE, _ xlat.PushOrigin, ok bool) {
 			defer req.Unref()
 			if ok {
@@ -250,25 +213,7 @@ func (s *Distributed) Translate(req *xlat.Request) {
 			}
 			s.f.ToIOMMU(peer.Coord, req, false)
 			// The peer caches the eventual translation for its group.
-			s.fill(peer, req)
+			s.f.fillOnCompletion(req, peer.CacheOnPath)
 		})
-	})
-}
-
-func (s *Distributed) fill(peer gpmInstaller, req *xlat.Request) {
-	hop := s.f.Mesh.Config().HopLatency
-	req.Ref() // the poll loop reads req until completion
-	var poll func()
-	poll = func() {
-		if !req.Completed() {
-			s.f.Eng.Schedule(hop, poll)
-			return
-		}
-		vpn := req.VPN
-		req.Unref()
-		if e, _, ok := s.f.Placement.Global().Lookup(vpn); ok {
-			peer.CacheOnPath(e)
-		}
-	}
-	s.f.Eng.Schedule(hop, poll)
+	}), sim.EventArg{})
 }

@@ -238,12 +238,12 @@ func TestDistributedProbesGroupPeer(t *testing.T) {
 
 func TestFabricHelpers(t *testing.T) {
 	f, eng := testFabric(t, config.DefaultIOMMU())
-	if f.At(f.Layout.CPU) != nil {
+	if f.GPMAt(f.Layout.CPU) != nil {
 		t.Error("CPU tile should have no GPM")
 	}
 	for _, g := range f.GPMs {
-		if f.At(g.Coord) != g {
-			t.Fatalf("At(%v) mismatched", g.Coord)
+		if f.GPMAt(g.Coord) != g {
+			t.Fatalf("GPMAt(%v) mismatched", g.Coord)
 		}
 		if f.CoordOf(g.ID) != g.Coord {
 			t.Fatalf("CoordOf(%d) mismatched", g.ID)

@@ -88,8 +88,8 @@ func (f *Fabric) Finish() {
 	}
 }
 
-// At returns the GPM on a tile (nil for the CPU tile).
-func (f *Fabric) At(c geom.Coord) *gpm.GPM { return f.byCoord[c] }
+// GPMAt returns the GPM on a tile (nil for the CPU tile).
+func (f *Fabric) GPMAt(c geom.Coord) *gpm.GPM { return f.byCoord[c] }
 
 // CoordOf returns GPM id's tile.
 func (f *Fabric) CoordOf(id int) geom.Coord { return f.GPMs[id].Coord }
@@ -107,6 +107,30 @@ func (f *Fabric) ToIOMMU(from geom.Coord, req *xlat.Request, noRedirect bool) {
 // requester and completes the request there.
 func (f *Fabric) Respond(from geom.Coord, req *xlat.Request, res xlat.Result) {
 	f.sendReq(from, f.CoordOf(req.Requester), xlat.RespBytes, req, res, msgRespond)
+}
+
+// fillOnCompletion passes the global page-table entry of req's page to fill
+// once req completes; an unmapped page calls nothing. The request carries
+// no shadow callback, so completion is observed by polling the (monotonic)
+// completed flag at hop latency; the poll loop holds a reference so the
+// pooled request cannot recycle under it, released as soon as the VPN has
+// been read out.
+func (f *Fabric) fillOnCompletion(req *xlat.Request, fill func(vm.PTE)) {
+	hop := f.Mesh.Config().HopLatency
+	req.Ref()
+	var poll sim.HandlerFunc
+	poll = func() {
+		if !req.Completed() {
+			f.Eng.Post(hop, poll, sim.EventArg{})
+			return
+		}
+		vpn := req.VPN
+		req.Unref()
+		if e, _, ok := f.Placement.Global().Lookup(vpn); ok {
+			fill(e)
+		}
+	}
+	f.Eng.Post(hop, poll, sim.EventArg{})
 }
 
 // keyOf builds the TLB key of a request.
@@ -132,16 +156,16 @@ func (f *Fabric) Shootdown(pid vm.PID, vpns []vm.VPN, done func(dropped int)) {
 	cpu := f.Layout.CPU
 	for _, g := range f.GPMs {
 		g := g
-		f.Mesh.Send(cpu, g.Coord, msgBytes, func() {
-			f.Eng.Schedule(gpm.ShootdownLatency(len(keys)), func() {
+		f.Mesh.SendH(cpu, g.Coord, msgBytes, sim.HandlerFunc(func() {
+			f.Eng.Post(gpm.ShootdownLatency(len(keys)), sim.HandlerFunc(func() {
 				dropped += g.Shootdown(keys)
-				f.Mesh.Send(g.Coord, cpu, 8, func() {
+				f.Mesh.SendH(g.Coord, cpu, 8, sim.HandlerFunc(func() {
 					pending--
 					if pending == 0 && done != nil {
 						done(dropped)
 					}
-				})
-			})
-		})
+				}), sim.EventArg{})
+			}), sim.EventArg{})
+		}), sim.EventArg{})
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"hdpat/internal/config"
 	"hdpat/internal/geom"
+	"hdpat/internal/sim"
 	"hdpat/internal/vm"
 	"hdpat/internal/xlat"
 )
@@ -67,7 +68,7 @@ func (s *HDPAT) Translate(req *xlat.Request) {
 // concurrent mode only layer 0 escalates, and outer-layer misses die.
 func (s *HDPAT) probeLayer(req *xlat.Request, l int, sequential bool) {
 	home := s.layers.Home(l, uint64(req.VPN))
-	target := s.f.At(home)
+	target := s.f.GPMAt(home)
 	from := s.f.CoordOf(req.Requester)
 	if sequential && l < s.layers.NumLayers()-1 {
 		// Inward forwarding: the request is at the previous layer's GPM.
@@ -75,7 +76,7 @@ func (s *HDPAT) probeLayer(req *xlat.Request, l int, sequential bool) {
 	}
 	s.Probes++
 	req.Ref() // probe leg: transit plus aux-probe callback
-	s.f.Mesh.Send(from, home, xlat.ReqBytes, func() {
+	s.f.Mesh.SendH(from, home, xlat.ReqBytes, sim.HandlerFunc(func() {
 		target.ProbeAux(keyOf(req), s.cfg.AuxProbeLatency, func(pte vm.PTE, origin xlat.PushOrigin, ok bool) {
 			defer req.Unref()
 			if ok {
@@ -94,7 +95,7 @@ func (s *HDPAT) probeLayer(req *xlat.Request, l int, sequential bool) {
 			// Concurrent mode: an outer-layer miss is simply dropped; the
 			// inner layers or the IOMMU will answer.
 		})
-	})
+	}), sim.EventArg{})
 }
 
 func (s *HDPAT) sendToIOMMU(req *xlat.Request) {
@@ -117,11 +118,11 @@ func (s *HDPAT) push(pte vm.PTE, origin xlat.PushOrigin) (int, bool) {
 	innermost := -1
 	for l := 0; l < n; l++ {
 		home := s.layers.Home(l, uint64(pte.VPN))
-		target := s.f.At(home)
+		target := s.f.GPMAt(home)
 		p := pte
-		s.f.Mesh.Send(s.f.Layout.CPU, home, xlat.PushPTEBytes, func() {
+		s.f.Mesh.SendH(s.f.Layout.CPU, home, xlat.PushPTEBytes, sim.HandlerFunc(func() {
 			target.InstallAux(p, origin)
-		})
+		}), sim.EventArg{})
 		if l == 0 {
 			innermost = target.ID
 		}
@@ -138,7 +139,7 @@ func (s *HDPAT) redirect(req *xlat.Request, gpmID int) {
 	// The IOMMU job releases its reference as soon as Redirect returns, so
 	// the redirect legs carry their own.
 	req.Ref()
-	s.f.Mesh.Send(cpu, target.Coord, xlat.ReqBytes, func() {
+	s.f.Mesh.SendH(cpu, target.Coord, xlat.ReqBytes, sim.HandlerFunc(func() {
 		target.ProbeAux(keyOf(req), s.cfg.AuxProbeLatency, func(pte vm.PTE, _ xlat.PushOrigin, ok bool) {
 			if ok {
 				s.RedirectOK++
@@ -147,13 +148,13 @@ func (s *HDPAT) redirect(req *xlat.Request, gpmID int) {
 				return
 			}
 			s.RedirectNo++
-			s.f.Mesh.Send(target.Coord, cpu, xlat.ReqBytes, func() {
+			s.f.Mesh.SendH(target.Coord, cpu, xlat.ReqBytes, sim.HandlerFunc(func() {
 				if rt := s.f.IOMMU.RT(); rt != nil {
 					rt.Remove(keyOf(req))
 				}
 				s.f.IOMMU.Submit(req, true)
 				req.Unref()
-			})
+			}), sim.EventArg{})
 		})
-	})
+	}), sim.EventArg{})
 }

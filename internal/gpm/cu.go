@@ -64,7 +64,7 @@ func (g *GPM) Start(gap sim.VTime, onFinish func(id int, at sim.VTime)) {
 		// Idle GPM: finish immediately (same event time as the eager
 		// layout) without materializing anything.
 		fin := g.onFinish
-		g.eng.Schedule(0, func() { fin(g.ID, g.eng.Now()) })
+		g.eng.Post(0, sim.HandlerFunc(func() { fin(g.ID, g.eng.Now()) }), sim.EventArg{})
 		return
 	}
 	g.ensure()

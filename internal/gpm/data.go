@@ -46,16 +46,10 @@ func (g *GPM) fillL2(line uint64) {
 	}
 }
 
-// ServeLine services a remote cacheline fetch against this GPM's HBM; the
-// system's fetch path routes requests here and carries the response back.
-func (g *GPM) ServeLine(line uint64, done func()) {
-	g.ensure()
-	doneAt := g.hbm.Access(g.eng.Now(), cache.LineSize)
-	g.eng.At(doneAt, done)
-}
-
-// ServeLineH is ServeLine with a typed completion.
-func (g *GPM) ServeLineH(line uint64, h sim.Handler, arg sim.EventArg) {
+// ServeLine services a remote cacheline fetch against this GPM's HBM and
+// fires h.Event(arg) when the line is read; the system's fetch path routes
+// requests here and carries the response back.
+func (g *GPM) ServeLine(line uint64, h sim.Handler, arg sim.EventArg) {
 	g.ensure()
 	doneAt := g.hbm.Access(g.eng.Now(), cache.LineSize)
 	g.eng.PostAt(doneAt, h, arg)

@@ -289,17 +289,6 @@ func (g *GPM) finishLocal(k tlb.Key, pte vm.PTE) {
 	g.completeL2(k, pte)
 }
 
-// walkLocal performs a GMMU page table walk over the local table, modelling
-// walker pool contention. It is also the service Trans-FW requests remotely.
-func (g *GPM) walkLocal(k tlb.Key, done func(vm.PTE, bool)) {
-	g.Stats.LocalWalks++
-	start := g.walkers.Acquire(g.eng.Now(), g.cfg.WalkCycles)
-	g.eng.At(start+g.cfg.WalkCycles, func() {
-		pte, _, found := g.localPT.Lookup(k.VPN)
-		done(pte, found)
-	})
-}
-
 // RequestDone implements xlat.Completer: the scheme resolved a remote
 // translation this GPM issued. Fills the L2 TLB, wakes the waiting ops, and
 // drops the creator reference — the request recycles once any still-running
@@ -326,7 +315,7 @@ func (g *GPM) ProbeAux(k tlb.Key, latency sim.VTime, done func(vm.PTE, xlat.Push
 	g.ensure()
 	g.Stats.ProbesServed++
 	_, end := g.probePort.Occupy(g.eng.Now(), latency)
-	g.eng.At(end, func() {
+	g.eng.PostAt(end, sim.HandlerFunc(func() {
 		if !g.aux.MightHave(k) {
 			done(vm.PTE{}, 0, false)
 			return
@@ -336,7 +325,7 @@ func (g *GPM) ProbeAux(k tlb.Key, latency sim.VTime, done func(vm.PTE, xlat.Push
 			g.Stats.ProbeHits++
 		}
 		done(pte, origin, ok)
-	})
+	}), sim.EventArg{})
 }
 
 // ProbeL2TLB services a Valkyrie-style neighbour probe of the shared L2 TLB.
@@ -344,20 +333,26 @@ func (g *GPM) ProbeL2TLB(k tlb.Key, done func(vm.PTE, bool)) {
 	g.ensure()
 	g.Stats.ProbesServed++
 	_, end := g.probePort.Occupy(g.eng.Now(), g.l2TLB.Latency())
-	g.eng.At(end, func() {
+	g.eng.PostAt(end, sim.HandlerFunc(func() {
 		pte, ok := g.l2TLB.Peek(k)
 		if ok {
 			g.Stats.ProbeHits++
 		}
 		done(pte, ok)
-	})
+	}), sim.EventArg{})
 }
 
 // WalkForPeer services a Trans-FW remote walk against this GPM's local page
-// table, sharing the GMMU walker pool with local translations.
+// table, modelling contention for the GMMU walker pool it shares with local
+// translations.
 func (g *GPM) WalkForPeer(k tlb.Key, done func(vm.PTE, bool)) {
 	g.ensure()
-	g.walkLocal(k, done)
+	g.Stats.LocalWalks++
+	start := g.walkers.Acquire(g.eng.Now(), g.cfg.WalkCycles)
+	g.eng.PostAt(start+g.cfg.WalkCycles, sim.HandlerFunc(func() {
+		pte, _, found := g.localPT.Lookup(k.VPN)
+		done(pte, found)
+	}), sim.EventArg{})
 }
 
 // InstallAux accepts a pushed PTE into the auxiliary cache.

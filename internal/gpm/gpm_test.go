@@ -23,9 +23,9 @@ func (f *fakeRemote) Name() string { return "fake" }
 func (f *fakeRemote) Translate(req *xlat.Request) {
 	f.calls++
 	pte := f.table[req.VPN]
-	f.eng.Schedule(f.delay, func() {
+	f.eng.Post(f.delay, sim.HandlerFunc(func() {
 		req.Complete(xlat.Result{PTE: pte, Source: xlat.SourceIOMMU})
-	})
+	}), sim.EventArg{})
 }
 
 // testGPM builds a GPM owning pages [0,64) of a 128-page space; the rest is
@@ -55,7 +55,7 @@ func testGPM(t *testing.T) (*GPM, *sim.Engine, *fakeRemote) {
 	id := uint64(0)
 	g.NextReqID = func() uint64 { id++; return id }
 	g.Fetch = fetchFunc(func(requester *GPM, owner int, line uint64) {
-		eng.Schedule(200, func() { requester.FillLine(line) })
+		eng.Post(200, sim.HandlerFunc(func() { requester.FillLine(line) }), sim.EventArg{})
 	})
 	return g, eng, remote
 }

@@ -198,7 +198,7 @@ func (mg *migration) Event(sim.EventArg) {
 	switch mg.state {
 	case migCopyArrived:
 		mg.state = migWritten
-		mg.m.f.GPMs[mg.to].ServeLineH(0, mg, sim.EventArg{}) // destination write
+		mg.m.f.GPMs[mg.to].ServeLine(0, mg, sim.EventArg{}) // destination write
 	case migWritten:
 		m := mg.m
 		m.Stats.Migrations++

@@ -89,7 +89,7 @@ type Mesh struct {
 	hops stats.Histogram
 
 	// free recycles in-flight transfer state machines; a transfer lives
-	// from Send until final delivery, one event per hop, no allocation per
+	// from SendH until final delivery, one event per hop, no allocation per
 	// hop or per message in steady state. The mesh belongs to one run on
 	// one goroutine, so a plain freelist suffices.
 	free []*transfer
@@ -199,9 +199,9 @@ func nextHop(cur, dst geom.Coord) geom.Coord {
 
 // transfer is one in-flight message: a pooled state machine whose Event
 // fires at each hop arrival. cur is the tile the message has reached; the
-// final arrival hands off to the typed (h, arg) or closure (deliver)
-// completion and recycles the transfer. hops counts actual link traversals
-// so far; born is the send time, read by age-based routing policies.
+// final arrival recycles the transfer and hands off to its (h, arg)
+// completion. hops counts actual link traversals so far; born is the send
+// time, read by age-based routing policies.
 type transfer struct {
 	m        *Mesh
 	cur, dst geom.Coord
@@ -210,7 +210,6 @@ type transfer struct {
 	born     sim.VTime
 	h        sim.Handler
 	arg      sim.EventArg
-	deliver  func()
 }
 
 // Event advances the message: deliver if it has reached dst, otherwise take
@@ -218,18 +217,14 @@ type transfer struct {
 // final hop count — MaxHops and the hops histogram.
 func (t *transfer) Event(sim.EventArg) {
 	if t.cur == t.dst {
-		m, h, arg, deliver, hops := t.m, t.h, t.arg, t.deliver, t.hops
+		m, h, arg, hops := t.m, t.h, t.arg, t.hops
 		if hops > m.Stats.MaxHops {
 			m.Stats.MaxHops = hops
 		}
 		m.hops.Add(uint64(hops))
 		*t = transfer{}
 		m.free = append(m.free, t)
-		if h != nil {
-			h.Event(arg)
-		} else {
-			deliver()
-		}
+		h.Event(arg)
 		return
 	}
 	t.step()
@@ -277,19 +272,18 @@ func (t *transfer) step() {
 	m.eng.PostAt(arrive, t, sim.EventArg{})
 }
 
-// send is the single entry point behind both delivery forms.
-func (m *Mesh) send(src, dst geom.Coord, size int, h sim.Handler, arg sim.EventArg, deliver func()) {
+// SendH routes a message of `size` bytes from src to dst; h.Event(arg) fires
+// at the arrival time. src == dst delivers after a single local forwarding
+// delay of one cycle (an on-tile loopback, no link consumed). Nothing is
+// allocated per message in steady state.
+func (m *Mesh) SendH(src, dst geom.Coord, size int, h sim.Handler, arg sim.EventArg) {
 	st, eng := &m.Stats, m.eng
 	st.Messages++
 	man := src.Manhattan(dst) // == len(XYPath): the minimal-path hop count
 	st.ManhattanTotal += uint64(man)
 	if man == 0 {
 		m.hops.Add(0)
-		if h != nil {
-			eng.Post(1, h, arg)
-		} else {
-			eng.Schedule(1, deliver)
-		}
+		eng.Post(1, h, arg)
 		return
 	}
 	var t *transfer
@@ -299,22 +293,8 @@ func (m *Mesh) send(src, dst geom.Coord, size int, h sim.Handler, arg sim.EventA
 	} else {
 		t = new(transfer)
 	}
-	*t = transfer{m: m, cur: src, dst: dst, size: size, born: eng.Now(), h: h, arg: arg, deliver: deliver}
+	*t = transfer{m: m, cur: src, dst: dst, size: size, born: eng.Now(), h: h, arg: arg}
 	t.step()
-}
-
-// Send routes a message of `size` bytes from src to dst and invokes deliver
-// at the arrival time. src == dst delivers after a single local forwarding
-// delay of one cycle (an on-tile loopback, no link consumed). The closure
-// form; hot senders use SendH.
-func (m *Mesh) Send(src, dst geom.Coord, size int, deliver func()) {
-	m.send(src, dst, size, nil, sim.EventArg{}, deliver)
-}
-
-// SendH is Send with a typed arrival: h.Event(arg) fires at delivery time.
-// Nothing is allocated per message in steady state.
-func (m *Mesh) SendH(src, dst geom.Coord, size int, h sim.Handler, arg sim.EventArg) {
-	m.send(src, dst, size, h, arg, nil)
 }
 
 // VisitLinks calls fn for every materialized directed output link with its

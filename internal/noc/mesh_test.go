@@ -18,7 +18,7 @@ func TestZeroLoadLatency(t *testing.T) {
 	eng, m := mkMesh()
 	var arrived sim.VTime
 	src, dst := geom.XY(0, 0), geom.XY(3, 3)
-	m.Send(src, dst, 16, func() { arrived = eng.Now() })
+	m.SendH(src, dst, 16, sim.HandlerFunc(func() { arrived = eng.Now() }), sim.EventArg{})
 	eng.Run()
 	want := m.LatencyLowerBound(src, dst) // 6 hops x 32 = 192
 	if arrived != want {
@@ -30,7 +30,7 @@ func TestLocalLoopback(t *testing.T) {
 	eng, m := mkMesh()
 	var arrived sim.VTime
 	c := geom.XY(2, 2)
-	m.Send(c, c, 64, func() { arrived = eng.Now() })
+	m.SendH(c, c, 64, sim.HandlerFunc(func() { arrived = eng.Now() }), sim.EventArg{})
 	eng.Run()
 	if arrived != 1 {
 		t.Errorf("loopback at %d, want 1", arrived)
@@ -45,7 +45,7 @@ func TestSerialisationUnderLoad(t *testing.T) {
 	src, dst := geom.XY(0, 1), geom.XY(1, 1)
 	var times []sim.VTime
 	for i := 0; i < 4; i++ {
-		m.Send(src, dst, 64, func() { times = append(times, eng.Now()) })
+		m.SendH(src, dst, 64, sim.HandlerFunc(func() { times = append(times, eng.Now()) }), sim.EventArg{})
 	}
 	eng.Run()
 	// First message: serialise 1 cycle + 10 latency = 11; then one per cycle.
@@ -63,8 +63,8 @@ func TestOppositeDirectionsIndependent(t *testing.T) {
 	m := New(eng, layout, Config{HopLatency: 10, BytesPerCycle: 64})
 	a, b := geom.XY(0, 1), geom.XY(1, 1)
 	var ta, tb sim.VTime
-	m.Send(a, b, 64, func() { ta = eng.Now() })
-	m.Send(b, a, 64, func() { tb = eng.Now() })
+	m.SendH(a, b, 64, sim.HandlerFunc(func() { ta = eng.Now() }), sim.EventArg{})
+	m.SendH(b, a, 64, sim.HandlerFunc(func() { tb = eng.Now() }), sim.EventArg{})
 	eng.Run()
 	if ta != 11 || tb != 11 {
 		t.Errorf("opposite-direction sends interfered: %d, %d", ta, tb)
@@ -73,7 +73,7 @@ func TestOppositeDirectionsIndependent(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	eng, m := mkMesh()
-	m.Send(geom.XY(0, 0), geom.XY(2, 0), 100, func() {})
+	m.SendH(geom.XY(0, 0), geom.XY(2, 0), 100, sim.HandlerFunc(func() {}), sim.EventArg{})
 	eng.Run()
 	if m.Stats.Messages != 1 {
 		t.Errorf("Messages = %d", m.Stats.Messages)
@@ -97,7 +97,7 @@ func TestManySendsAllDeliver(t *testing.T) {
 				continue
 			}
 			n++
-			m.Send(src, dst, 32, func() { delivered++ })
+			m.SendH(src, dst, 32, sim.HandlerFunc(func() { delivered++ }), sim.EventArg{})
 		}
 	}
 	eng.Run()
@@ -116,7 +116,7 @@ func TestFarLinkCongestionRaisesLatency(t *testing.T) {
 	var last sim.VTime
 	const n = 100
 	for i := 0; i < n; i++ {
-		m.Send(src, dst, 64, func() { last = eng.Now() })
+		m.SendH(src, dst, 64, sim.HandlerFunc(func() { last = eng.Now() }), sim.EventArg{})
 	}
 	eng.Run()
 	zeroLoad := m.LatencyLowerBound(src, dst)
@@ -140,7 +140,7 @@ func TestByteHopsConservation(t *testing.T) {
 		dst := layout.GPMs()[rng.Intn(layout.NumGPMs())]
 		size := rng.Intn(100) + 1
 		want += uint64(size) * uint64(src.Manhattan(dst))
-		m.Send(src, dst, size, func() {})
+		m.SendH(src, dst, size, sim.HandlerFunc(func() {}), sim.EventArg{})
 	}
 	eng.Run()
 	if m.Stats.ByteHops != want {
@@ -161,7 +161,7 @@ func TestMeshDeterminism(t *testing.T) {
 		for i := 0; i < 300; i++ {
 			src := layout.GPMs()[rng.Intn(layout.NumGPMs())]
 			dst := layout.GPMs()[rng.Intn(layout.NumGPMs())]
-			m.Send(src, dst, rng.Intn(200)+1, func() { times = append(times, eng.Now()) })
+			m.SendH(src, dst, rng.Intn(200)+1, sim.HandlerFunc(func() { times = append(times, eng.Now()) }), sim.EventArg{})
 		}
 		eng.Run()
 		return times
@@ -190,7 +190,7 @@ func TestFractionalDebtAccumulatesWholeBusyCycles(t *testing.T) {
 	const n, size = 64, 16
 	delivered := 0
 	for i := 0; i < n; i++ {
-		m.Send(src, dst, size, func() { delivered++ })
+		m.SendH(src, dst, size, sim.HandlerFunc(func() { delivered++ }), sim.EventArg{})
 	}
 	eng.Run()
 	if delivered != n {
@@ -213,7 +213,7 @@ func TestFractionalDebtSpreadOverTime(t *testing.T) {
 	const n, size = 31, 48 // 0.75 cycles each, deliberately not divisible
 	for i := 0; i < n; i++ {
 		at := sim.VTime(i * 100)
-		eng.At(at, func() { m.Send(src, dst, size, func() {}) })
+		eng.PostAt(at, sim.HandlerFunc(func() { m.SendH(src, dst, size, sim.HandlerFunc(func() {}), sim.EventArg{}) }), sim.EventArg{})
 	}
 	eng.Run()
 	totalBytes := float64(n * size)
@@ -239,7 +239,7 @@ func TestFractionalDebtSpreadOverTime(t *testing.T) {
 func TestSparseLinksOnlyTouchedMaterialize(t *testing.T) {
 	eng, m := mkMesh()
 	src, dst := geom.XY(0, 0), geom.XY(2, 0)
-	m.Send(src, dst, 768*4, func() {})
+	m.SendH(src, dst, 768*4, sim.HandlerFunc(func() {}), sim.EventArg{})
 	eng.Run()
 	touched := 0
 	for id := range m.tile {

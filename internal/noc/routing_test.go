@@ -116,7 +116,7 @@ func TestDeflectUncontendedMatchesXYLatency(t *testing.T) {
 	eng, m := mkDeflect(7, 7)
 	var arrived sim.VTime
 	src, dst := geom.XY(1, 5), geom.XY(5, 0)
-	m.Send(src, dst, 16, func() { arrived = eng.Now() })
+	m.SendH(src, dst, 16, sim.HandlerFunc(func() { arrived = eng.Now() }), sim.EventArg{})
 	eng.Run()
 	// 16 B at 64 B/cycle is sub-cycle debt on every link: zero-load exactly.
 	if want := m.LatencyLowerBound(src, dst); arrived != want {
@@ -156,7 +156,7 @@ func TestDeflectContentionDeflectsAndDelivers(t *testing.T) {
 	for i := 0; i < n; i++ {
 		// 256 B at 64 B/cycle: each message holds the east port 4 cycles,
 		// so the burst saturates the row and losers must misroute.
-		m.Send(src, dst, 256, func() { delivered++ })
+		m.SendH(src, dst, 256, sim.HandlerFunc(func() { delivered++ }), sim.EventArg{})
 	}
 	eng.Run()
 	if delivered != n {
@@ -180,7 +180,7 @@ func TestDeflectHeavyCongestionSettles(t *testing.T) {
 	for i := 0; i < n; i++ {
 		src := layout.CoordOf(rng.Intn(layout.NumTiles()))
 		dst := layout.CoordOf(rng.Intn(layout.NumTiles()))
-		m.Send(src, dst, rng.Intn(256)+1, func() { delivered++ })
+		m.SendH(src, dst, rng.Intn(256)+1, sim.HandlerFunc(func() { delivered++ }), sim.EventArg{})
 	}
 	eng.Run()
 	if delivered != n {
@@ -199,7 +199,7 @@ func TestDeflectAgeGuardFloorStillDelivers(t *testing.T) {
 	const n = 16
 	delivered := 0
 	for i := 0; i < n; i++ {
-		m.Send(src, dst, 256, func() { delivered++ })
+		m.SendH(src, dst, 256, sim.HandlerFunc(func() { delivered++ }), sim.EventArg{})
 	}
 	eng.Run()
 	if delivered != n {
@@ -228,7 +228,7 @@ func fixedRun(t *testing.T) *Mesh {
 	}
 	delivered := 0
 	for _, s := range sends {
-		m.Send(s.src, s.dst, s.size, func() { delivered++ })
+		m.SendH(s.src, s.dst, s.size, sim.HandlerFunc(func() { delivered++ }), sim.EventArg{})
 	}
 	eng.Run()
 	if delivered != len(sends) {

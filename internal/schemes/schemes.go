@@ -9,6 +9,7 @@ package schemes
 import (
 	"hdpat/internal/core"
 	"hdpat/internal/geom"
+	"hdpat/internal/sim"
 	"hdpat/internal/tlb"
 	"hdpat/internal/vm"
 	"hdpat/internal/xlat"
@@ -101,7 +102,7 @@ func (s *OwnerFW) Translate(req *xlat.Request) {
 	s.Forwarded++
 	target := s.f.GPMs[owner]
 	req.Ref() // forward leg: transit plus the peer walk
-	s.f.Mesh.Send(from, target.Coord, xlat.ReqBytes, func() {
+	s.f.Mesh.SendH(from, target.Coord, xlat.ReqBytes, sim.HandlerFunc(func() {
 		target.WalkForPeer(key(req), func(pte vm.PTE, found bool) {
 			defer req.Unref()
 			if found {
@@ -111,7 +112,7 @@ func (s *OwnerFW) Translate(req *xlat.Request) {
 			s.Fallback++
 			s.f.ToIOMMU(target.Coord, req, false)
 		})
-	})
+	}), sim.EventArg{})
 }
 
 // Valkyrie exploits inter-TLB locality (PACT'20): before burdening the
@@ -137,7 +138,7 @@ func (s *Valkyrie) Translate(req *xlat.Request) {
 	var neighbours []geom.Coord
 	for _, d := range [][2]int{{1, 0}, {-1, 0}, {0, 1}, {0, -1}} {
 		c := geom.XY(from.X+d[0], from.Y+d[1])
-		if s.f.Layout.Contains(c) && s.f.At(c) != nil {
+		if s.f.Layout.Contains(c) && s.f.GPMAt(c) != nil {
 			neighbours = append(neighbours, c)
 		}
 	}
@@ -149,10 +150,10 @@ func (s *Valkyrie) Translate(req *xlat.Request) {
 	total := len(neighbours)
 	for _, nb := range neighbours {
 		nb := nb
-		target := s.f.At(nb)
+		target := s.f.GPMAt(nb)
 		s.Probes++
 		req.Ref() // probe leg: transit, L2 probe and possible miss response
-		s.f.Mesh.Send(from, nb, xlat.ReqBytes, func() {
+		s.f.Mesh.SendH(from, nb, xlat.ReqBytes, sim.HandlerFunc(func() {
 			target.ProbeL2TLB(key(req), func(pte vm.PTE, ok bool) {
 				if ok {
 					s.Hits++
@@ -162,15 +163,15 @@ func (s *Valkyrie) Translate(req *xlat.Request) {
 				}
 				// Miss responses return to the requester; after the last
 				// one, escalate to the IOMMU.
-				s.f.Mesh.Send(nb, from, xlat.MissRespBytes, func() {
+				s.f.Mesh.SendH(nb, from, xlat.MissRespBytes, sim.HandlerFunc(func() {
 					misses++
 					if misses == total && !req.Completed() {
 						s.f.ToIOMMU(from, req, false)
 					}
 					req.Unref()
-				})
+				}), sim.EventArg{})
 			})
-		})
+		}), sim.EventArg{})
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -117,10 +118,16 @@ type journalState struct {
 	timeline string
 }
 
+// maxJournalLine bounds the journal line readJournal holds in memory,
+// newline included. An accepted spec can marshal to a longer line (HTML
+// escaping turns each '<', '>' or '&' into six bytes), so such a line is
+// skipped like a torn one rather than failing recovery.
+const maxJournalLine = 1 << 20
+
 // readJournal replays one job's journal file. Lines that fail to parse
-// (e.g. a torn final write from a kill) are skipped: every complete line
-// before them still counts, which is exactly the run-boundary granularity
-// resume wants.
+// (e.g. a torn final write from a kill) or exceed maxJournalLine are
+// skipped: every complete line before them still counts, which is exactly
+// the run-boundary granularity resume wants. Only a read error fails it.
 func readJournal(path string) (journalState, error) {
 	st := journalState{completed: make(map[int]string)}
 	f, err := os.Open(path)
@@ -128,37 +135,60 @@ func readJournal(path string) (journalState, error) {
 		return st, err
 	}
 	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		var e journalEntry
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			continue // torn tail write: ignore
+	r := bufio.NewReader(f)
+	var line []byte
+	long := false
+	for {
+		frag, err := r.ReadSlice('\n')
+		if long || len(line)+len(frag) > maxJournalLine {
+			line, long = line[:0], true
+		} else {
+			line = append(line, frag...)
 		}
-		switch e.T {
-		case evAccepted:
-			if e.Spec != nil {
-				st.spec = *e.Spec
-				st.accepted = e.Time
-			}
-		case evRun:
-			if e.Digest != "" {
-				st.completed[e.Index] = e.Digest
-			}
-		case evDone:
-			st.terminal = evDone
-			st.artifacts = e.Artifacts
-			st.timeline = e.Timeline
-		case evFailed:
-			st.terminal = evFailed
-			st.errMsg = e.Error
-			st.timeline = e.Timeline
-		case evCancelled:
-			st.terminal = evCancelled
-			st.timeline = e.Timeline
+		if err == bufio.ErrBufferFull {
+			continue // the line goes on
 		}
+		if err != nil && err != io.EOF {
+			return st, err
+		}
+		if !long {
+			st.apply(line)
+		}
+		if err == io.EOF {
+			return st, nil
+		}
+		line, long = line[:0], false
 	}
-	return st, sc.Err()
+}
+
+// apply replays one journal line; a line that does not parse is ignored.
+func (st *journalState) apply(line []byte) {
+	var e journalEntry
+	if err := json.Unmarshal(line, &e); err != nil {
+		return
+	}
+	switch e.T {
+	case evAccepted:
+		if e.Spec != nil {
+			st.spec = *e.Spec
+			st.accepted = e.Time
+		}
+	case evRun:
+		if e.Digest != "" {
+			st.completed[e.Index] = e.Digest
+		}
+	case evDone:
+		st.terminal = evDone
+		st.artifacts = e.Artifacts
+		st.timeline = e.Timeline
+	case evFailed:
+		st.terminal = evFailed
+		st.errMsg = e.Error
+		st.timeline = e.Timeline
+	case evCancelled:
+		st.terminal = evCancelled
+		st.timeline = e.Timeline
+	}
 }
 
 // scanJournals replays every job journal under root, keyed by job ID

@@ -1,22 +1,20 @@
 // Package sim provides the discrete-event simulation kernel used by every
 // other component of the wafer-scale GPU model.
 //
-// Time is measured in GPU cycles (VTime). The Engine dispatches typed events
-// in (time, sequence number) order: events scheduled for the same cycle run
-// in scheduling order, which makes every simulation fully deterministic for
+// Time is measured in GPU cycles (VTime). The Engine dispatches events in
+// (time, sequence number) order: events posted for the same cycle run in
+// posting order, which makes every simulation fully deterministic for
 // a given input. The queue is a timing wheel with one FIFO slot per cycle
 // for the next wheelSlots cycles, plus an overflow heap for the rare events
 // scheduled further ahead, so posting and dispatching cost O(1) for the
 // near-future events that make up almost all of a run.
 //
-// Events come in two forms. The closure form (Schedule/At) is convenient
-// and right for cold paths and tests; it costs one closure allocation per
-// event at the call site. The typed form (Post/PostAt) carries a Handler —
-// typically a pooled, long-lived component or request object — plus a small
-// EventArg payload, and allocates nothing: hot components schedule millions
-// of events per simulated second, so the per-event closure was the kernel's
-// dominant allocation source (see docs/performance.md for the scheduling
-// rules).
+// Every event is a Handler: Post and PostAt queue h.Event(arg), and nothing
+// else does. Hot components post long-lived or pooled Handlers with a small
+// EventArg payload, which allocates nothing per event — they schedule
+// millions of events per simulated second. Cold paths and tests wrap a
+// closure in HandlerFunc, paying the closure's allocation at its creation
+// site (see docs/performance.md for the scheduling rules).
 package sim
 
 import (
@@ -31,7 +29,7 @@ type VTime uint64
 // Infinity is a time later than any event a simulation will ever schedule.
 const Infinity VTime = math.MaxUint64
 
-// EventArg is the payload of a typed event: an optional pointer (usually a
+// EventArg is the payload of an event: an optional pointer (usually a
 // pooled request or state-machine object) and two integer scratch words, so
 // common payloads (a cacheline address, a generation counter, a drop count)
 // need no allocation.
@@ -40,21 +38,21 @@ type EventArg struct {
 	A, B uint64
 }
 
-// Handler is the typed event form: Event is invoked at dispatch time with
-// the argument the event was posted with. Implementations are long-lived
-// components or pooled per-request objects, so posting a typed event
-// allocates nothing.
+// Handler is the one event form: Event is invoked at dispatch time with the
+// argument the event was posted with. Implementations on hot paths are
+// long-lived components or pooled per-request objects, so posting allocates
+// nothing.
 type Handler interface {
 	Event(arg EventArg)
 }
 
-// funcEvent adapts a closure to Handler. Func values are pointer-shaped, so
-// the interface conversion itself does not allocate (the closure already
-// did, at its creation site).
-type funcEvent func()
+// HandlerFunc adapts a closure to Handler, for cold paths and tests. Func
+// values are pointer-shaped, so the conversion itself does not allocate;
+// the closure already did, where it was created.
+type HandlerFunc func()
 
 // Event implements Handler.
-func (f funcEvent) Event(EventArg) { f() }
+func (f HandlerFunc) Event(EventArg) { f() }
 
 // Wheel geometry. Measured on the Table I and 7x12 workloads, at least 96%
 // of posts land under 128 cycles ahead, at least 99.4% under 4096, and none
@@ -373,34 +371,15 @@ func (e *Engine) NextTime() (t VTime, ok bool) {
 	return 0, false
 }
 
-// Schedule runs fn after delay cycles (possibly zero, meaning later in the
-// current cycle, after already-scheduled same-cycle events). The closure
-// form: convenient, one allocation per event at the call site. Hot paths
-// use Post.
-func (e *Engine) Schedule(delay VTime, fn func()) {
-	e.AtH(e.now+delay, funcEvent(fn), EventArg{})
-}
-
-// At runs fn at absolute time t. Scheduling in the past is a programming
-// error and panics, since it would silently corrupt causality.
-func (e *Engine) At(t VTime, fn func()) {
-	e.AtH(t, funcEvent(fn), EventArg{})
-}
-
-// Post runs h.Event(arg) after delay cycles: the typed, allocation-free
-// event form. Ordering is identical to Schedule — one shared sequence
-// counter covers both forms.
+// Post runs h.Event(arg) after delay cycles (possibly zero, meaning later
+// in the current cycle, after already-posted same-cycle events).
 func (e *Engine) Post(delay VTime, h Handler, arg EventArg) {
-	e.AtH(e.now+delay, h, arg)
+	e.PostAt(e.now+delay, h, arg)
 }
 
-// PostAt runs h.Event(arg) at absolute time t.
+// PostAt runs h.Event(arg) at absolute time t. Posting in the past is a
+// programming error and panics, since it would silently corrupt causality.
 func (e *Engine) PostAt(t VTime, h Handler, arg EventArg) {
-	e.AtH(t, h, arg)
-}
-
-// AtH is the single scheduling entry point both forms funnel through.
-func (e *Engine) AtH(t VTime, h Handler, arg EventArg) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, e.now))
 	}

@@ -10,9 +10,9 @@ import (
 func TestEngineOrdering(t *testing.T) {
 	e := NewEngine()
 	var got []int
-	e.Schedule(10, func() { got = append(got, 2) })
-	e.Schedule(5, func() { got = append(got, 1) })
-	e.Schedule(20, func() { got = append(got, 3) })
+	e.Post(10, HandlerFunc(func() { got = append(got, 2) }), EventArg{})
+	e.Post(5, HandlerFunc(func() { got = append(got, 1) }), EventArg{})
+	e.Post(20, HandlerFunc(func() { got = append(got, 3) }), EventArg{})
 	e.Run()
 	want := []int{1, 2, 3}
 	if len(got) != len(want) {
@@ -33,7 +33,7 @@ func TestEngineSameCycleFIFO(t *testing.T) {
 	var got []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.Schedule(7, func() { got = append(got, i) })
+		e.Post(7, HandlerFunc(func() { got = append(got, i) }), EventArg{})
 	}
 	e.Run()
 	for i := range got {
@@ -46,11 +46,11 @@ func TestEngineSameCycleFIFO(t *testing.T) {
 func TestEngineNestedScheduling(t *testing.T) {
 	e := NewEngine()
 	var trace []VTime
-	e.Schedule(1, func() {
+	e.Post(1, HandlerFunc(func() {
 		trace = append(trace, e.Now())
-		e.Schedule(3, func() { trace = append(trace, e.Now()) })
-		e.Schedule(0, func() { trace = append(trace, e.Now()) })
-	})
+		e.Post(3, HandlerFunc(func() { trace = append(trace, e.Now()) }), EventArg{})
+		e.Post(0, HandlerFunc(func() { trace = append(trace, e.Now()) }), EventArg{})
+	}), EventArg{})
 	e.Run()
 	want := []VTime{1, 1, 4}
 	for i := range want {
@@ -64,7 +64,7 @@ func TestEngineRunUntil(t *testing.T) {
 	e := NewEngine()
 	ran := 0
 	for _, d := range []VTime{5, 10, 15, 20} {
-		e.Schedule(d, func() { ran++ })
+		e.Post(d, HandlerFunc(func() { ran++ }), EventArg{})
 	}
 	e.RunUntil(10)
 	if ran != 2 {
@@ -82,8 +82,8 @@ func TestEngineRunUntil(t *testing.T) {
 func TestEngineStop(t *testing.T) {
 	e := NewEngine()
 	ran := 0
-	e.Schedule(1, func() { ran++; e.Stop() })
-	e.Schedule(2, func() { ran++ })
+	e.Post(1, HandlerFunc(func() { ran++; e.Stop() }), EventArg{})
+	e.Post(2, HandlerFunc(func() { ran++ }), EventArg{})
 	e.Run()
 	if ran != 1 {
 		t.Fatalf("Stop did not halt engine: ran %d", ran)
@@ -96,21 +96,21 @@ func TestEngineStop(t *testing.T) {
 
 func TestEngineSchedulePastPanics(t *testing.T) {
 	e := NewEngine()
-	e.Schedule(10, func() {
+	e.Post(10, HandlerFunc(func() {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(5, func() {})
-	})
+		e.PostAt(5, HandlerFunc(func() {}), EventArg{})
+	}), EventArg{})
 	e.Run()
 }
 
 func TestEngineStep(t *testing.T) {
 	e := NewEngine()
 	n := 0
-	e.Schedule(3, func() { n++ })
+	e.Post(3, HandlerFunc(func() { n++ }), EventArg{})
 	if !e.Step() {
 		t.Fatal("Step returned false with a pending event")
 	}
@@ -130,7 +130,7 @@ func TestEngineTimeMonotonic(t *testing.T) {
 		var times []VTime
 		for _, d := range delays {
 			d := VTime(d)
-			e.Schedule(d, func() { times = append(times, e.Now()) })
+			e.Post(d, HandlerFunc(func() { times = append(times, e.Now()) }), EventArg{})
 		}
 		e.Run()
 		if len(times) != len(delays) {
@@ -283,7 +283,7 @@ func TestEngineNextTimeEmpty(t *testing.T) {
 	if _, ok := e.NextTime(); ok {
 		t.Error("NextTime on an empty queue reported ok")
 	}
-	e.Schedule(5, func() {})
+	e.Post(5, HandlerFunc(func() {}), EventArg{})
 	if next, ok := e.NextTime(); !ok || next != 5 {
 		t.Errorf("NextTime = %d, %v, want 5, true", next, ok)
 	}
@@ -295,15 +295,15 @@ func TestEngineNextTimeEmpty(t *testing.T) {
 
 func TestEngineScheduleAtCurrentCycle(t *testing.T) {
 	// Zero-delay events scheduled from a handler run later in the same
-	// cycle, after already-queued same-cycle events, and At(now) is legal.
+	// cycle, after already-queued same-cycle events, and PostAt(now) is legal.
 	e := NewEngine()
 	var order []string
-	e.At(10, func() {
+	e.PostAt(10, HandlerFunc(func() {
 		order = append(order, "first")
-		e.Schedule(0, func() { order = append(order, "nested") })
-		e.At(e.Now(), func() { order = append(order, "at-now") })
-	})
-	e.At(10, func() { order = append(order, "second") })
+		e.Post(0, HandlerFunc(func() { order = append(order, "nested") }), EventArg{})
+		e.PostAt(e.Now(), HandlerFunc(func() { order = append(order, "at-now") }), EventArg{})
+	}), EventArg{})
+	e.PostAt(10, HandlerFunc(func() { order = append(order, "second") }), EventArg{})
 	e.Run()
 	if e.Now() != 10 {
 		t.Errorf("clock = %d, want 10", e.Now())
@@ -325,12 +325,12 @@ func TestEngineStopMidDrainDeterminism(t *testing.T) {
 	build := func(e *Engine, log *[]int) {
 		for i := 0; i < 20; i++ {
 			i := i
-			e.At(VTime(i%7), func() {
+			e.PostAt(VTime(i%7), HandlerFunc(func() {
 				*log = append(*log, i)
 				if i == 3 {
-					e.Schedule(2, func() { *log = append(*log, 100+i) })
+					e.Post(2, HandlerFunc(func() { *log = append(*log, 100+i) }), EventArg{})
 				}
-			})
+			}), EventArg{})
 		}
 	}
 
@@ -344,7 +344,7 @@ func TestEngineStopMidDrainDeterminism(t *testing.T) {
 	build(es, &sliced)
 	for i := 0; es.Pending() > 0 && i < 1000; i++ {
 		// Stop after every event: the worst-case drain interruption.
-		es.At(es.Now(), func() {})
+		es.PostAt(es.Now(), HandlerFunc(func() {}), EventArg{})
 		es.Step()
 		es.Stop()
 		es.Run()
@@ -366,7 +366,7 @@ func TestEngineSamplerBoundaries(t *testing.T) {
 	var samples []VTime
 	e.AttachSampler(10, func(at VTime) { samples = append(samples, at) })
 	for _, d := range []VTime{5, 12, 35, 35, 60} {
-		e.At(d, func() {})
+		e.PostAt(d, HandlerFunc(func() {}), EventArg{})
 	}
 	e.Run()
 	// Boundaries fire only when an event at or past them runs: 10 before the
@@ -388,7 +388,7 @@ func TestEngineSamplerObserveOnly(t *testing.T) {
 		var log []int
 		for i := 0; i < 30; i++ {
 			i := i
-			e.Schedule(VTime((i*13)%40), func() { log = append(log, i) })
+			e.Post(VTime((i*13)%40), HandlerFunc(func() { log = append(log, i) }), EventArg{})
 		}
 		e.Run()
 		return log, e.Processed
@@ -420,8 +420,8 @@ func TestEngineSamplerSeesPreEventState(t *testing.T) {
 	e := NewEngine()
 	var clockAtSample []VTime
 	e.AttachSampler(10, func(at VTime) { clockAtSample = append(clockAtSample, e.Now()) })
-	e.At(4, func() {})
-	e.At(25, func() {})
+	e.PostAt(4, HandlerFunc(func() {}), EventArg{})
+	e.PostAt(25, HandlerFunc(func() {}), EventArg{})
 	e.Run()
 	// Boundaries 10 and 20 fire before the t=25 event, with the clock still 4.
 	if len(clockAtSample) != 2 || clockAtSample[0] != 4 || clockAtSample[1] != 4 {
@@ -433,8 +433,8 @@ func TestEngineSamplerStepAndDetach(t *testing.T) {
 	e := NewEngine()
 	var samples []VTime
 	e.AttachSampler(5, func(at VTime) { samples = append(samples, at) })
-	e.At(7, func() {})
-	e.At(13, func() {})
+	e.PostAt(7, HandlerFunc(func() {}), EventArg{})
+	e.PostAt(13, HandlerFunc(func() {}), EventArg{})
 	if !e.Step() { // fires boundary 5 before the t=7 event
 		t.Fatal("Step returned false")
 	}
@@ -451,12 +451,12 @@ func TestEngineSamplerStepAndDetach(t *testing.T) {
 func TestEngineSamplerAttachMidRunAligns(t *testing.T) {
 	e := NewEngine()
 	var samples []VTime
-	e.At(23, func() {
+	e.PostAt(23, HandlerFunc(func() {
 		// Attaching at t=23 with period 10 aligns the next boundary to 30 —
 		// never a boundary in the past.
 		e.AttachSampler(10, func(at VTime) { samples = append(samples, at) })
-	})
-	e.At(31, func() {})
+	}), EventArg{})
+	e.PostAt(31, HandlerFunc(func() {}), EventArg{})
 	e.Run()
 	if len(samples) != 1 || samples[0] != 30 {
 		t.Fatalf("samples = %v, want [30]", samples)
@@ -471,7 +471,7 @@ func TestEngineMetricsObserveOnly(t *testing.T) {
 	var log []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.Schedule(VTime(10-i), func() { log = append(log, i) })
+		e.Post(VTime(10-i), HandlerFunc(func() { log = append(log, i) }), EventArg{})
 	}
 	e.Run()
 	for i, v := range log {
@@ -500,8 +500,8 @@ func TestEngineSamplerLimitCutFiresTrailingBoundaries(t *testing.T) {
 	e := NewEngine()
 	var samples []VTime
 	e.AttachSampler(10, func(at VTime) { samples = append(samples, at) })
-	e.At(12, func() {})
-	e.At(95, func() {})
+	e.PostAt(12, HandlerFunc(func() {}), EventArg{})
+	e.PostAt(95, HandlerFunc(func() {}), EventArg{})
 	e.RunUntil(47) // runs t=12, leaves t=95 pending
 	want := []VTime{10, 20, 30, 40}
 	if len(samples) != len(want) {
@@ -527,7 +527,7 @@ func TestEngineSamplerLimitCutMatchesSliced(t *testing.T) {
 	build := func() *Engine {
 		e := NewEngine()
 		for _, d := range []VTime{3, 18, 44, 90} {
-			e.At(d, func() {})
+			e.PostAt(d, HandlerFunc(func() {}), EventArg{})
 		}
 		return e
 	}
@@ -560,11 +560,11 @@ func TestEngineSamplerFarGap(t *testing.T) {
 	e := NewEngine()
 	var got []sample
 	e.AttachSampler(wheelSlots, func(at VTime) { got = append(got, sample{at, e.Now()}) })
-	e.At(5, func() {})
-	e.At(3*wheelSlots+1, func() {
-		e.Schedule(2*wheelSlots, func() {}) // lands at 5*wheelSlots+1
-	})
-	e.At(3*wheelSlots+1, func() {})
+	e.PostAt(5, HandlerFunc(func() {}), EventArg{})
+	e.PostAt(3*wheelSlots+1, HandlerFunc(func() {
+		e.Post(2*wheelSlots, HandlerFunc(func() {}), EventArg{}) // lands at 5*wheelSlots+1
+	}), EventArg{})
+	e.PostAt(3*wheelSlots+1, HandlerFunc(func() {}), EventArg{})
 	e.RunUntil(2*wheelSlots + 7) // limit inside the first gap
 	e.Run()
 	want := []sample{
@@ -591,7 +591,7 @@ func TestEngineFlushSamples(t *testing.T) {
 	e := NewEngine()
 	var samples []VTime
 	e.AttachSampler(10, func(at VTime) { samples = append(samples, at) })
-	e.At(25, func() {})
+	e.PostAt(25, HandlerFunc(func() {}), EventArg{})
 	e.Run()
 	if len(samples) != 2 { // 10, 20 before the t=25 event
 		t.Fatalf("samples before flush = %v", samples)

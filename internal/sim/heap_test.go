@@ -106,7 +106,7 @@ func runSchedule(t *testing.T, rnd *rand.Rand, initial, nested int) {
 			// Nested variant: on dispatch, record then schedule another
 			// event at a random (possibly zero) delay — the same-cycle
 			// collision case the (time, seq) order must resolve.
-			e.PostAt(at, funcEvent(func() {
+			e.PostAt(at, HandlerFunc(func() {
 				rec.Event(arg)
 				post(drawTime(rnd, e.Now()), remaining)
 			}), EventArg{})
@@ -201,8 +201,8 @@ func TestHeapCapacityRelease(t *testing.T) {
 	const spike = 100_000
 	n := 0
 	for i := 0; i < spike; i++ {
-		e.Schedule(VTime(i%wheelSlots), func() { n++ }) // wheel
-		e.Schedule(wheelSlots+VTime(i), func() { n++ }) // overflow heap
+		e.Post(VTime(i%wheelSlots), HandlerFunc(func() { n++ }), EventArg{}) // wheel
+		e.Post(wheelSlots+VTime(i), HandlerFunc(func() { n++ }), EventArg{}) // overflow heap
 	}
 	if cap(e.slab) < spike || cap(e.far) < spike {
 		t.Fatalf("expected spike capacity >= %d, got slab %d, overflow %d", spike, cap(e.slab), cap(e.far))
@@ -225,11 +225,11 @@ func TestHeapCapacityRelease(t *testing.T) {
 	tick = func() {
 		if left > 0 {
 			left--
-			e.Schedule(1+VTime(left%2)*wheelSlots, tick)
+			e.Post(1+VTime(left%2)*wheelSlots, HandlerFunc(tick), EventArg{})
 		}
 	}
 	for i := 0; i < 8; i++ {
-		e.Schedule(1, tick)
+		e.Post(1, HandlerFunc(tick), EventArg{})
 	}
 	e.Run()
 	if c, f := cap(e.slab), cap(e.far); c > 2*minQueueCap || f > 2*minQueueCap {
@@ -237,27 +237,35 @@ func TestHeapCapacityRelease(t *testing.T) {
 	}
 }
 
-// TestTypedEventAllocs verifies the typed form's core promise: posting and
-// dispatching a typed event does not allocate (beyond slab growth, which is
-// warmed up first).
+// TestTypedEventAllocs verifies the event form's core promise: posting and
+// dispatching a long-lived Handler does not allocate (beyond slab growth,
+// which is warmed up first). A prebuilt HandlerFunc is such a Handler too:
+// its closure is allocated once, not per post.
 func TestTypedEventAllocs(t *testing.T) {
-	e := NewEngine()
 	var sink uint64
-	h := funcHandler{&sink}
-	// Warm the node slab; keep depth under minQueueCap so the drain below
-	// never triggers a (deliberate, amortized) shrink realloc.
-	for i := 0; i < minQueueCap; i++ {
-		e.Post(VTime(i), h, EventArg{A: uint64(i)})
-	}
-	e.Run()
-	avg := testing.AllocsPerRun(100, func() {
-		for i := 0; i < minQueueCap/2; i++ {
-			e.Post(VTime(i), h, EventArg{A: uint64(i)})
+	for _, tc := range []struct {
+		name string
+		h    Handler
+	}{
+		{"typed", funcHandler{&sink}},
+		{"HandlerFunc", HandlerFunc(func() { sink++ })},
+	} {
+		e := NewEngine()
+		// Warm the node slab; keep depth under minQueueCap so the drain
+		// below never triggers a (deliberate, amortized) shrink realloc.
+		for i := 0; i < minQueueCap; i++ {
+			e.Post(VTime(i), tc.h, EventArg{A: uint64(i)})
 		}
 		e.Run()
-	})
-	if avg > 0 {
-		t.Fatalf("typed schedule+dispatch allocates %.1f per batch", avg)
+		avg := testing.AllocsPerRun(100, func() {
+			for i := 0; i < minQueueCap/2; i++ {
+				e.Post(VTime(i), tc.h, EventArg{A: uint64(i)})
+			}
+			e.Run()
+		})
+		if avg > 0 {
+			t.Fatalf("%s: post+dispatch allocates %.1f per batch", tc.name, avg)
+		}
 	}
 }
 

@@ -50,7 +50,7 @@ func (lf *lineFetch) Event(sim.EventArg) {
 	switch lf.state {
 	case fetchReqArrived:
 		lf.state = fetchHBMDone
-		lf.owner.ServeLineH(lf.line, lf, sim.EventArg{})
+		lf.owner.ServeLine(lf.line, lf, sim.EventArg{})
 	case fetchHBMDone:
 		lf.state = fetchRespArrived
 		lf.f.mesh.SendH(lf.owner.Coord, lf.requester.Coord, xlat.DataRespBytes, lf, sim.EventArg{})

@@ -208,7 +208,7 @@ func TestPublishLinkGaugesIdempotent(t *testing.T) {
 		{geom.XY(1, 0), geom.XY(1, 3)},
 		{geom.XY(0, 1), geom.XY(3, 1)},
 	} {
-		mesh.Send(s[0], s[1], 192, func() {})
+		mesh.SendH(s[0], s[1], 192, sim.HandlerFunc(func() {}), sim.EventArg{})
 	}
 	eng.Run()
 	io := iommu.New(eng, config.Default().IOMMU, geom.XY(2, 2), mesh, vm.NewPageTable())

@@ -54,10 +54,11 @@ func WriteTrace(w io.Writer, b Benchmark, scale, numGPMs, numCUs, opsBudget int,
 }
 
 // ReadTrace parses JSON-line trace records and returns a replaying
-// Benchmark. The caller supplies the regions the addresses refer to (page
-// counts must cover every address; FromTraceRecords validates this), the
-// replay is exact: each (GPM, CU) gets its recorded stream, and positions
-// with no record get an empty trace.
+// Benchmark (see FromTraceRecords). The caller supplies the regions the
+// addresses refer to. The replay is exact for addresses inside them: each
+// (GPM, CU) gets its recorded stream, and positions with no record get an
+// empty trace. Addresses outside the regions are dropped silently when a
+// trace is built, not reported as an error.
 func ReadTrace(r io.Reader, abbr string, gap int, regions []RegionSpec) (Benchmark, error) {
 	var recs []TraceRecord
 	dec := json.NewDecoder(bufio.NewReader(r))
@@ -74,9 +75,10 @@ func ReadTrace(r io.Reader, abbr string, gap int, regions []RegionSpec) (Benchma
 }
 
 // FromTraceRecords builds a replaying Benchmark from in-memory records.
-// Every address must fall inside the named regions once they are allocated
-// contiguously in declaration order starting at the replay placement's
-// first VPN; addresses are validated at trace-build time.
+// The regions are assumed to be allocated contiguously in declaration order
+// starting at the replay placement's first VPN. Each trace keeps only the
+// addresses that fall inside them and drops the rest silently; a negative
+// GPM or CU is the only record error.
 func FromTraceRecords(abbr string, gap int, regions []RegionSpec, recs []TraceRecord) (Benchmark, error) {
 	if len(recs) == 0 {
 		return Benchmark{}, fmt.Errorf("workload: empty trace")

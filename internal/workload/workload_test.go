@@ -392,3 +392,43 @@ func TestFromTraceRecordsDropsOutOfRange(t *testing.T) {
 		t.Fatalf("replay kept %d addrs, want 1 (out-of-range dropped)", len(tr))
 	}
 }
+
+// fuzzRegions is the region layout FuzzReadTrace replays against.
+var fuzzRegions = []RegionSpec{{Name: "a", Pages: 16}, {Name: "b", Pages: 48}}
+
+// FuzzReadTrace feeds arbitrary bytes to ReadTrace. Whatever it accepts must
+// build a small wafer's traces without a panic, and the bytes WriteTrace
+// records from that replay must read back to the same records: replaying
+// them and recording again reproduces them byte for byte.
+func FuzzReadTrace(f *testing.F) {
+	km, _ := ByAbbr("KM")
+	var rec bytes.Buffer
+	if err := WriteTrace(&rec, km, 16, 2, 2, 8, vm.Page4K, 1); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(rec.Bytes())
+	f.Add([]byte(`{"gpm":0,"cu":0,"addrs":[4096,65536,1125899906842624]}`))
+	f.Add([]byte(`{"gpm":1,"cu":3,"addrs":[]}{"gpm":1,"cu":3,"addrs":[8192]}`))
+	f.Add([]byte("{bad json"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		b, err := ReadTrace(bytes.NewReader(data), "F", 4, fuzzRegions)
+		if err != nil {
+			return
+		}
+		record := func(b Benchmark) []byte {
+			var buf bytes.Buffer
+			if err := WriteTrace(&buf, b, 1, 3, 4, 16, vm.Page4K, 7); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		first := record(b)
+		replay, err := ReadTrace(bytes.NewReader(first), "F", 4, fuzzRegions)
+		if err != nil {
+			t.Fatalf("ReadTrace rejected WriteTrace's output: %v", err)
+		}
+		if second := record(replay); !bytes.Equal(first, second) {
+			t.Fatalf("round trip changed the records:\n%s\nbecame\n%s", first, second)
+		}
+	})
+}
