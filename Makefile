@@ -6,13 +6,16 @@
 GO ?= go
 BENCH ?= BenchmarkBatch3x3|BenchmarkCompare|BenchmarkScale|BenchmarkBuildTableI
 BENCHTIME ?= 3x
-# The tlb and cache layer microbenchmarks run beside the root-package legs
-# at a fixed iteration count large enough that ns/op is not dominated by
-# set-up. BENCH narrows only the root-package legs; the layer set always
-# runs (about a second).
+# The tlb, cache and vm layer microbenchmarks run beside the root-package
+# legs at a fixed iteration count large enough that ns/op is not dominated
+# by set-up; the page-table build leg (a whole Table I placement per op)
+# runs at its own, smaller count. BENCH narrows only the root-package legs;
+# the layer set always runs (a few seconds).
 BENCH_RUN = { $(GO) test -run '^$$' -bench '$(BENCH)' -benchtime $(BENCHTIME) -benchmem . ; \
 	$(GO) test -run '^$$' -bench 'BenchmarkTLBLookup|BenchmarkMSHR|BenchmarkCacheAccess' \
-		-benchtime 1000000x -benchmem ./internal/tlb ./internal/cache ; }
+		-benchtime 1000000x -benchmem ./internal/tlb ./internal/cache ; \
+	$(GO) test -run '^$$' -bench 'BenchmarkPageTable/(global|view)' -benchtime 1000000x -benchmem ./internal/vm ; \
+	$(GO) test -run '^$$' -bench 'BenchmarkPageTable/build' -benchtime 20x -benchmem ./internal/vm ; }
 
 .PHONY: build test race vet staticcheck check verify-invariants bench bench-check bench-all report service-smoke scale-check
 
@@ -58,7 +61,7 @@ verify-invariants:
 	$(GO) run ./cmd/verifyinv -ops $(INV_OPS) -rand $(INV_RAND) -routing $(INV_ROUTING) $(INV_FLAGS)
 
 # Machine-readable benchmark run: the batch-engine benchmarks (override
-# with BENCH=...) and the tlb and cache layer microbenchmarks, with
+# with BENCH=...) and the tlb, cache and vm layer microbenchmarks, with
 # allocation stats, teed to results/bench.txt and
 # parsed into results/bench.json for regression diffing. Set BENCHJSON_NOTE
 # to annotate the JSON (e.g. "baseline at <commit>").

@@ -378,7 +378,7 @@ func (s *Scheme) Translate(req *xlat.Request) {
 		if s.Now != nil {
 			cycle = s.Now()
 		}
-		want, _, ok := s.Global.Lookup(req.VPN)
+		want, ok := s.Global.Lookup(req.VPN)
 		if !ok {
 			s.Report(Violation{
 				Invariant: "xlat.bad-pfn", Req: req.ID, Cycle: cycle,

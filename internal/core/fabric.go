@@ -126,7 +126,7 @@ func (f *Fabric) fillOnCompletion(req *xlat.Request, fill func(vm.PTE)) {
 		}
 		vpn := req.VPN
 		req.Unref()
-		if e, _, ok := f.Placement.Global().Lookup(vpn); ok {
+		if e, ok := f.Placement.Global().Lookup(vpn); ok {
 			fill(e)
 		}
 	}

@@ -86,7 +86,7 @@ type GPM struct {
 	// hierarchy holds the TLBs, MSHR files, cuckoo filters and caches that
 	// ensure materializes, either built new or recycled from Spares.
 	hierarchy
-	localPT *vm.PageTable
+	localPT LocalTable
 	walkers *sim.Pool
 	hbm     *dram.HBM
 
@@ -135,12 +135,21 @@ type GPM struct {
 	Stats Stats
 }
 
+// LocalTable is a GMMU's local page table: the mappings whose frames live
+// in the GPM's own HBM. The system builder passes the GPM's owner view of
+// the wafer's one page table (vm.Placement.Local).
+type LocalTable interface {
+	Lookup(vm.VPN) (vm.PTE, bool)
+	Contains(vm.VPN) bool
+	Len() int
+}
+
 // New builds a GPM header with the given configuration. The local page
 // table must already be populated by the placement layer. The translation
 // and data hierarchies (TLB arrays, cuckoo filter, caches, HBM model) are
 // NOT built here — ensure materializes them on the first request, so a
 // giant wafer's idle tiles allocate nothing.
-func New(eng *sim.Engine, id int, coord geom.Coord, cfg config.GPM, ps vm.PageSize, localPT *vm.PageTable) *GPM {
+func New(eng *sim.Engine, id int, coord geom.Coord, cfg config.GPM, ps vm.PageSize, localPT LocalTable) *GPM {
 	return &GPM{
 		ID: id, Coord: coord, eng: eng, cfg: cfg, ps: ps,
 		localPT: localPT,
@@ -350,7 +359,7 @@ func (g *GPM) WalkForPeer(k tlb.Key, done func(vm.PTE, bool)) {
 	g.Stats.LocalWalks++
 	start := g.walkers.Acquire(g.eng.Now(), g.cfg.WalkCycles)
 	g.eng.PostAt(start+g.cfg.WalkCycles, sim.HandlerFunc(func() {
-		pte, _, found := g.localPT.Lookup(k.VPN)
+		pte, found := g.localPT.Lookup(k.VPN)
 		done(pte, found)
 	}), sim.EventArg{})
 }

@@ -402,7 +402,7 @@ func TestShootdownSyncsLocalFilter(t *testing.T) {
 	g, eng, _ := testGPM(t)
 	// Unmap page 5 from the local table, then shoot it down: the cuckoo
 	// filter must stop claiming it so future requests go remote directly.
-	g.localPT.Remove(5)
+	g.localPT.(*vm.PageTable).Remove(5)
 	g.Shootdown([]tlb.Key{{VPN: 5}})
 	g.Translate(0, addr(5), func(vm.PTE) {})
 	eng.Run()

@@ -168,7 +168,7 @@ func (o *op) stepLL() {
 
 func (o *op) stepWalkDone() {
 	g := o.g
-	pte, _, found := g.localPT.Lookup(o.k.VPN)
+	pte, found := g.localPT.Lookup(o.k.VPN)
 	if found {
 		g.llTLB.Insert(pte)
 		g.finishLocal(o.k, pte)

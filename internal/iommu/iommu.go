@@ -443,7 +443,7 @@ func (io *IOMMU) walkDone(j *job) {
 		io.Trace.WalkSpan(uint64(started), uint64(started+service), j.id, uint64(j.vpn))
 	}
 	k := tlb.Key{PID: j.pid, VPN: j.vpn}
-	pte, _, found := io.global.Lookup(k.VPN)
+	pte, found := io.global.Lookup(k.VPN)
 	io.counts[k]++
 
 	if io.iotlb != nil {
@@ -479,7 +479,7 @@ func (io *IOMMU) walkDone(j *job) {
 	if io.cfg.PrefetchDegree > 1 {
 		for d := 1; d < io.cfg.PrefetchDegree; d++ {
 			nk := tlb.Key{PID: k.PID, VPN: k.VPN + vm.VPN(d)}
-			npte, _, nfound := io.global.Lookup(nk.VPN)
+			npte, nfound := io.global.Lookup(nk.VPN)
 			if !nfound {
 				continue
 			}

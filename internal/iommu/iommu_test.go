@@ -562,7 +562,7 @@ func TestRevisitCompletesMSHRAndDrainsTLBWait(t *testing.T) {
 			h.io.WalkersBusy(), len(h.io.pwq), len(h.io.tlbWait))
 	}
 	// A same-key walk completes elsewhere: revisit the PW-queue for VPN 5.
-	pte, _, ok := h.io.global.Lookup(5)
+	pte, ok := h.io.global.Lookup(5)
 	if !ok {
 		t.Fatal("page 5 unmapped")
 	}

@@ -67,7 +67,7 @@ func TestMigrationMovesDominantPage(t *testing.T) {
 	if !ok || newOwner != requester {
 		t.Fatalf("owner = %d, want %d", newOwner, requester)
 	}
-	pte, _, ok := f.Placement.Global().Lookup(vpn)
+	pte, ok := f.Placement.Global().Lookup(vpn)
 	if !ok || pte.Owner != requester {
 		t.Fatalf("global PTE owner = %d", pte.Owner)
 	}
@@ -157,7 +157,7 @@ func TestMigrationShootsDownStaleEntries(t *testing.T) {
 	requester := (owner + 5) % len(f.GPMs)
 	// Warm another GPM's aux with the old translation.
 	other := f.GPMs[(owner+11)%len(f.GPMs)]
-	oldPTE, _, _ := f.Placement.Global().Lookup(vpn)
+	oldPTE, _ := f.Placement.Global().Lookup(vpn)
 	other.InstallAux(oldPTE, xlat.PushDemand)
 
 	id := uint64(0)

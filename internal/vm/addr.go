@@ -1,8 +1,8 @@
 // Package vm models the virtual-memory substrate of the wafer-scale GPU:
-// 64-bit virtual and physical addresses, page table entries, a five-level
-// radix page table matching the paper's 100-cycles-per-level walk cost, and
-// the zero-copy block placement that evenly partitions allocations across
-// GPMs (§II-A).
+// 64-bit virtual and physical addresses, page table entries, the one page
+// table per wafer (GMMU local tables are owner views of it; walk cost lives
+// in config), and the zero-copy block placement that evenly partitions
+// allocations across GPMs (§II-A).
 package vm
 
 import "fmt"

@@ -1,130 +1,114 @@
 package vm
 
-// PageTable is a five-level radix page table, the structure both the GMMUs
-// and the IOMMU walk. Each level resolves 9 bits of the VPN (as in x86-64
-// with LA57), so a walk touches five levels; the paper charges 100 cycles of
-// memory access per level for a 500-cycle total walk (Table I).
+// PageTable maps VPNs to PTEs. A wafer holds exactly one: the global table
+// the IOMMU walks, of which each GMMU's local table is an owner view
+// (OwnerView). Walk cost lives in config, not in the structure: the GMMU
+// and IOMMU charge config.GPM.WalkCycles and config.IOMMU.WalkCycles, the
+// paper's five levels at 100 cycles each (Table I).
 //
-// The table is a real radix tree rather than a flat map so that walk cost
-// accounting (levels touched, shared interior nodes for adjacent VPNs) falls
-// out of the structure — in particular, the prefetcher's claim that adjacent
-// PTEs live in the same leaf node is directly observable via LeafIndex.
+// Entries live in sparse 512-PTE leaves keyed by leaf number v>>9, the
+// grouping of a radix table's last level: adjacent VPNs share a leaf, while
+// a table mapping a few pages costs one leaf rather than a chain of
+// interior nodes.
 type PageTable struct {
-	root   *node
+	leaves map[uint64]*leaf
 	size   int
-	levels int
+	owned  []int // owned[o]: valid mappings whose frame lives on GPM o
 }
 
-const (
-	radixBits = 9
-	radixFan  = 1 << radixBits
-	radixMask = radixFan - 1
-)
+const leafBits = 9
 
-type node struct {
-	children [radixFan]*node // interior levels
-	entries  []PTE           // leaf level, allocated lazily
-}
+type leaf [1 << leafBits]PTE
 
-// NewPageTable creates an empty 5-level table.
-func NewPageTable() *PageTable {
-	return &PageTable{root: &node{}, levels: 5}
-}
-
-// Levels returns the number of radix levels a walk traverses.
-func (t *PageTable) Levels() int { return t.levels }
+// NewPageTable creates an empty table.
+func NewPageTable() *PageTable { return &PageTable{leaves: map[uint64]*leaf{}} }
 
 // Len returns the number of valid mappings.
 func (t *PageTable) Len() int { return t.size }
 
-func (t *PageTable) indices(v VPN) [5]int {
-	var idx [5]int
-	x := uint64(v)
-	for l := t.levels - 1; l >= 0; l-- {
-		idx[l] = int(x & radixMask)
-		x >>= radixBits
+func (t *PageTable) slot(v VPN) *PTE {
+	if l := t.leaves[uint64(v)>>leafBits]; l != nil {
+		return &l[v&(1<<leafBits-1)]
 	}
-	return idx
+	return nil
 }
 
-// Insert maps v. Replacing an existing mapping is allowed.
+// Insert maps pte.VPN. Replacing an existing mapping is allowed.
 func (t *PageTable) Insert(pte PTE) {
-	idx := t.indices(pte.VPN)
-	n := t.root
-	for l := 0; l < t.levels-1; l++ {
-		c := n.children[idx[l]]
-		if c == nil {
-			c = &node{}
-			if l == t.levels-2 {
-				c.entries = make([]PTE, radixFan)
-			}
-			n.children[idx[l]] = c
-		}
-		n = c
+	s := t.slot(pte.VPN)
+	if s == nil {
+		l := new(leaf)
+		t.leaves[uint64(pte.VPN)>>leafBits] = l
+		s = &l[pte.VPN&(1<<leafBits-1)]
 	}
-	slot := &n.entries[idx[t.levels-1]]
-	if !slot.Valid {
+	if s.Valid {
+		t.owned[s.Owner]--
+	} else {
 		t.size++
 	}
+	for len(t.owned) <= pte.Owner {
+		t.owned = append(t.owned, 0)
+	}
+	t.owned[pte.Owner]++
 	pte.Valid = true
-	*slot = pte
+	*s = pte
 }
 
-// Lookup walks the table and returns the entry for v. levels reports how
-// many radix levels were touched before the walk resolved or failed — a
-// missing interior node terminates the walk early, exactly as hardware does.
-func (t *PageTable) Lookup(v VPN) (pte PTE, levels int, ok bool) {
-	idx := t.indices(v)
-	n := t.root
-	for l := 0; l < t.levels-1; l++ {
-		levels++
-		c := n.children[idx[l]]
-		if c == nil {
-			return PTE{}, levels, false
-		}
-		n = c
+// Lookup returns the entry mapping v.
+func (t *PageTable) Lookup(v VPN) (PTE, bool) {
+	if s := t.slot(v); s != nil && s.Valid {
+		return *s, true
 	}
-	levels++
-	e := n.entries[idx[t.levels-1]]
-	if !e.Valid {
-		return PTE{}, levels, false
-	}
-	return e, levels, true
+	return PTE{}, false
 }
 
 // Contains reports whether v is mapped.
 func (t *PageTable) Contains(v VPN) bool {
-	_, _, ok := t.Lookup(v)
+	_, ok := t.Lookup(v)
 	return ok
 }
 
-// Remove unmaps v and reports whether it was present. Interior nodes are not
-// reclaimed; unmap traffic is negligible in this model (§II-A: no page
-// migration, shootdown only at free).
+// Remove unmaps v and reports whether it was present. Emptied leaves are
+// not reclaimed; unmap traffic is negligible in this model (§II-A:
+// shootdown only at free).
 func (t *PageTable) Remove(v VPN) bool {
-	idx := t.indices(v)
-	n := t.root
-	for l := 0; l < t.levels-1; l++ {
-		c := n.children[idx[l]]
-		if c == nil {
-			return false
-		}
-		n = c
-	}
-	slot := &n.entries[idx[t.levels-1]]
-	if !slot.Valid {
+	s := t.slot(v)
+	if s == nil || !s.Valid {
 		return false
 	}
-	slot.Valid = false
+	s.Valid = false
 	t.size--
+	t.owned[s.Owner]--
 	return true
 }
 
-// LeafIndex returns a key identifying the leaf node v resides in; two VPNs
-// with equal LeafIndex share a leaf page-table page, so walking one brings
-// the other's PTE into the same memory access. The prefetcher (§IV-G)
-// exploits this: fetching N..N+3 after walking N costs one extra leaf read,
-// not four walks.
-func (t *PageTable) LeafIndex(v VPN) uint64 {
-	return uint64(v) >> radixBits
+// OwnerView is a GMMU's local page table: the global table filtered to
+// PTE.Owner == owner. In the zero-copy model every frame lives on exactly
+// one GPM, so the filter is the whole local table, and it stays consistent
+// with the global one by construction.
+type OwnerView struct {
+	t     *PageTable
+	owner int
+}
+
+// Lookup returns the entry mapping v if its frame lives on the view's owner.
+func (o OwnerView) Lookup(v VPN) (PTE, bool) {
+	if pte, ok := o.t.Lookup(v); ok && pte.Owner == o.owner {
+		return pte, true
+	}
+	return PTE{}, false
+}
+
+// Contains reports whether v is mapped to a frame on the view's owner.
+func (o OwnerView) Contains(v VPN) bool {
+	_, ok := o.Lookup(v)
+	return ok
+}
+
+// Len returns the number of pages whose frames live on the view's owner.
+func (o OwnerView) Len() int {
+	if o.owner < len(o.t.owned) {
+		return o.t.owned[o.owner]
+	}
+	return 0
 }

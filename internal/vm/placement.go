@@ -12,14 +12,13 @@ import "fmt"
 // exploits to short-circuit walks directly to the owning GMMU.
 //
 // Placement also plays the role of the OS allocator: it hands out physical
-// frames per GPM and populates the global page table (IOMMU) plus each GPM's
-// local page table.
+// frames per GPM and populates the one global page table the IOMMU walks;
+// each GPM's local page table is the owner view of it (Local).
 type Placement struct {
 	NumGPMs  int
 	PageSize PageSize
 
-	global *PageTable   // every mapping; walked by the IOMMU
-	local  []*PageTable // local[i]: mappings whose frames live on GPM i
+	global *PageTable // every mapping; walked by the IOMMU
 
 	nextVPN VPN   // simple bump allocator for virtual pages
 	nextPFN []PFN // per-GPM physical frame bump allocator
@@ -68,12 +67,10 @@ func NewPlacement(n int, ps PageSize) *Placement {
 		NumGPMs:  n,
 		PageSize: ps,
 		global:   NewPageTable(),
-		local:    make([]*PageTable, n),
 		nextVPN:  1, // keep VPN 0 unmapped, as a guard
 		nextPFN:  make([]PFN, n),
 	}
-	for i := range p.local {
-		p.local[i] = NewPageTable()
+	for i := range p.nextPFN {
 		p.nextPFN[i] = PFN(uint64(i) << frameSpaceBits) // disjoint frame spaces per GPM
 	}
 	return p
@@ -101,8 +98,9 @@ func (p *Placement) takeFrame(owner int) PFN {
 // Global returns the IOMMU's global page table.
 func (p *Placement) Global() *PageTable { return p.global }
 
-// Local returns GPM i's local page table (covers only its own HBM).
-func (p *Placement) Local(i int) *PageTable { return p.local[i] }
+// Local returns GPM i's local page table: the global table's mappings whose
+// frames live in its own HBM.
+func (p *Placement) Local(i int) OwnerView { return OwnerView{t: p.global, owner: i} }
 
 // Regions returns all allocations made so far.
 func (p *Placement) Regions() []Region { return p.regions }
@@ -122,7 +120,6 @@ func (p *Placement) Alloc(name string, pages int, pid PID) Region {
 		owner := ownerOfIndex(i, pages, p.NumGPMs)
 		pte := PTE{VPN: v, PFN: p.takeFrame(owner), PID: pid, Owner: owner, Valid: true}
 		p.global.Insert(pte)
-		p.local[owner].Insert(pte)
 	}
 	p.nextVPN += VPN(pages)
 	p.regions = append(p.regions, r)
@@ -153,10 +150,10 @@ func (p *Placement) TotalPages() int {
 	return n
 }
 
-// Free unmaps an entire region from the global table and every local
-// table, returning the VPNs that were unmapped. The caller is responsible
-// for the TLB shootdown that must follow (§II-A: freeing memory is the one
-// operation that requires one).
+// Free unmaps an entire region, migrated pages included, returning the VPNs
+// that were unmapped. The caller is responsible for the TLB shootdown that
+// must follow (§II-A: freeing memory is the one operation that requires
+// one).
 func (p *Placement) Free(r Region) []VPN {
 	var vpns []VPN
 	for i := 0; i < r.Pages; i++ {
@@ -164,8 +161,7 @@ func (p *Placement) Free(r Region) []VPN {
 		if p.global.Remove(v) {
 			vpns = append(vpns, v)
 		}
-		owner := ownerOfIndex(i, r.Pages, p.NumGPMs)
-		p.local[owner].Remove(v)
+		delete(p.moved, v)
 	}
 	// Drop the region record so OwnerOf stops resolving it.
 	for i := range p.regions {
@@ -178,13 +174,13 @@ func (p *Placement) Free(r Region) []VPN {
 }
 
 // Migrate moves page v's frame to GPM `to`: the global table is repointed
-// at a fresh frame on the target, the old owner's local table drops the
-// page, and the target's local table gains it. The ownership overlay keeps
-// OwnerOf computable (migrated pages are exceptions to the block
-// arithmetic, which is exactly why the paper's zero-copy model defers
-// migration to future work). Returns the old and new PTEs.
+// at a fresh frame on the target, which moves the page from the old owner's
+// local view to the target's. The ownership overlay keeps OwnerOf
+// computable (migrated pages are exceptions to the block arithmetic, which
+// is exactly why the paper's zero-copy model defers migration to future
+// work). Returns the old and new PTEs.
 func (p *Placement) Migrate(v VPN, to int) (old, new PTE, ok bool) {
-	old, _, ok = p.global.Lookup(v)
+	old, ok = p.global.Lookup(v)
 	if !ok || old.Owner == to {
 		return old, old, false
 	}
@@ -192,8 +188,6 @@ func (p *Placement) Migrate(v VPN, to int) (old, new PTE, ok bool) {
 	new.Owner = to
 	new.PFN = p.takeFrame(to)
 	p.global.Insert(new)
-	p.local[old.Owner].Remove(v)
-	p.local[to].Insert(new)
 	if p.moved == nil {
 		p.moved = make(map[VPN]int)
 	}

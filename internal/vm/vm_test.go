@@ -38,12 +38,9 @@ func TestTranslatePreservesOffset(t *testing.T) {
 func TestPageTableInsertLookup(t *testing.T) {
 	pt := NewPageTable()
 	pt.Insert(PTE{VPN: 42, PFN: 100, Owner: 3})
-	e, levels, ok := pt.Lookup(42)
+	e, ok := pt.Lookup(42)
 	if !ok || e.PFN != 100 || e.Owner != 3 {
 		t.Fatalf("lookup = %+v ok=%v", e, ok)
-	}
-	if levels != 5 {
-		t.Errorf("successful walk touched %d levels, want 5", levels)
 	}
 	if pt.Len() != 1 {
 		t.Errorf("Len = %d, want 1", pt.Len())
@@ -53,19 +50,14 @@ func TestPageTableInsertLookup(t *testing.T) {
 func TestPageTableMissEarlyTermination(t *testing.T) {
 	pt := NewPageTable()
 	pt.Insert(PTE{VPN: 0})
-	// A VPN differing in the top radix digit misses at level 1.
+	// A VPN with no leaf misses.
 	far := VPN(1) << (9 * 4)
-	_, levels, ok := pt.Lookup(far)
-	if ok {
+	if _, ok := pt.Lookup(far); ok {
 		t.Fatal("unexpected hit")
 	}
-	if levels != 1 {
-		t.Errorf("early miss touched %d levels, want 1", levels)
-	}
-	// A neighbour in the same leaf misses only at the last level.
-	_, levels, ok = pt.Lookup(1)
-	if ok || levels != 5 {
-		t.Errorf("leaf miss touched %d levels (ok=%v), want 5", levels, ok)
+	// A neighbour in an allocated leaf misses too.
+	if _, ok := pt.Lookup(1); ok {
+		t.Error("unmapped neighbour in a populated leaf hit")
 	}
 }
 
@@ -90,7 +82,7 @@ func TestPageTableOverwrite(t *testing.T) {
 	pt := NewPageTable()
 	pt.Insert(PTE{VPN: 5, PFN: 1})
 	pt.Insert(PTE{VPN: 5, PFN: 2})
-	e, _, _ := pt.Lookup(5)
+	e, _ := pt.Lookup(5)
 	if e.PFN != 2 || pt.Len() != 1 {
 		t.Fatalf("overwrite: pfn=%d len=%d", e.PFN, pt.Len())
 	}
@@ -98,11 +90,15 @@ func TestPageTableOverwrite(t *testing.T) {
 
 func TestLeafSharing(t *testing.T) {
 	pt := NewPageTable()
-	if pt.LeafIndex(100) != pt.LeafIndex(103) {
-		t.Error("adjacent VPNs should share a leaf")
+	pt.Insert(PTE{VPN: 100})
+	pt.Insert(PTE{VPN: 103})
+	if len(pt.leaves) != 1 {
+		t.Errorf("adjacent VPNs span %d leaves, want 1", len(pt.leaves))
 	}
-	if pt.LeafIndex(511) == pt.LeafIndex(512) {
-		t.Error("VPNs across a 512 boundary should not share a leaf")
+	pt.Insert(PTE{VPN: 511})
+	pt.Insert(PTE{VPN: 512})
+	if len(pt.leaves) != 2 {
+		t.Errorf("VPNs across a 512 boundary span %d leaves, want 2", len(pt.leaves))
 	}
 }
 
@@ -120,7 +116,7 @@ func TestPageTableProperty(t *testing.T) {
 			ref[v] = p
 		}
 		for v, p := range ref {
-			e, _, ok := pt.Lookup(v)
+			e, ok := pt.Lookup(v)
 			if !ok || e.PFN != p {
 				return false
 			}
@@ -154,7 +150,7 @@ func TestPlacementPartition(t *testing.T) {
 		if !ok || owner != i/10 {
 			t.Fatalf("page %d owner = %d (ok=%v), want %d", i, owner, ok, i/10)
 		}
-		e, _, ok := p.Global().Lookup(v)
+		e, ok := p.Global().Lookup(v)
 		if !ok || e.Owner != owner {
 			t.Fatalf("global table owner mismatch for page %d", i)
 		}
@@ -217,7 +213,7 @@ func TestPlacementDisjointFrames(t *testing.T) {
 	seen := map[PFN]bool{}
 	for _, r := range p.Regions() {
 		for i := 0; i < r.Pages; i++ {
-			e, _, ok := p.Global().Lookup(r.Start + VPN(i))
+			e, ok := p.Global().Lookup(r.Start + VPN(i))
 			if !ok {
 				t.Fatalf("unmapped page in region %s", r.Name)
 			}
@@ -252,7 +248,7 @@ func TestPlacementOwnerAgreesWithTable(t *testing.T) {
 			for i := 0; i < r.Pages; i++ {
 				v := r.Start + VPN(i)
 				o1, ok1 := p.OwnerOf(v)
-				e, _, ok2 := p.Global().Lookup(v)
+				e, ok2 := p.Global().Lookup(v)
 				if !ok1 || !ok2 || o1 != e.Owner {
 					return false
 				}
@@ -317,7 +313,7 @@ func TestPlacementMigrate(t *testing.T) {
 	if got, _ := p.OwnerOf(v); got != target {
 		t.Errorf("OwnerOf = %d, want %d (overlay)", got, target)
 	}
-	e, _, _ := p.Global().Lookup(v)
+	e, _ := p.Global().Lookup(v)
 	if e.Owner != target || e.PFN != moved.PFN {
 		t.Errorf("global PTE %+v", e)
 	}
@@ -347,9 +343,6 @@ func TestPlacementTotalPagesAndStringers(t *testing.T) {
 	pte := PTE{VPN: 1, PFN: 2, Owner: 3}
 	if pte.String() == "" {
 		t.Error("PTE.String empty")
-	}
-	if NewPageTable().Levels() != 5 {
-		t.Error("Levels != 5")
 	}
 }
 

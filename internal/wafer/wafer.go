@@ -400,7 +400,8 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 	// pages only if the GPM ever materializes, so idle tiles of a giant
 	// wafer never build a VPN list or a populated cuckoo table. Region
 	// ownership is static, so a deferred seed observes the same pages an
-	// eager one would.
+	// eager one would; regions are walked in allocation order, so the
+	// filter's insertion order never depends on map iteration.
 	gpms := make([]*gpm.GPM, numGPMs)
 	for i, c := range mesh.GPMs() {
 		gpms[i] = gpm.New(eng, i, c, cfg.GPM, cfg.PageSize, placement.Local(i))
@@ -408,7 +409,7 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 		id := i
 		gpms[i].SeedFilter(func(g *gpm.GPM) {
 			var vpns []vm.VPN
-			for _, r := range regions {
+			for _, r := range placement.Regions() {
 				lo, hi := r.OwnerSlice(id, numGPMs)
 				for p := lo; p < hi; p++ {
 					vpns = append(vpns, r.Start+vm.VPN(p))
