@@ -2,7 +2,9 @@ package attr
 
 import (
 	"bytes"
+	"encoding/json"
 	"io"
+	"strings"
 	"testing"
 
 	"hdpat/internal/trace"
@@ -44,7 +46,8 @@ func recordTrace(t testing.TB, data []byte, run int) []byte {
 }
 
 // FuzzReplayJSONL checks that ReplayJSONL never panics: any input yields
-// either an error or a Breakdown that renders, and a trace recorded by
+// either an error or a Breakdown that renders, an accepted replay runs no
+// longer than the latest span end in its input, and a trace recorded by
 // trace's JSONL writer always replays to a Breakdown.
 func FuzzReplayJSONL(f *testing.F) {
 	lifecycle := []byte{
@@ -55,12 +58,17 @@ func FuzzReplayJSONL(f *testing.F) {
 	f.Add(recordTrace(f, lifecycle, 2), 2)
 	f.Add(recordTrace(f, lifecycle, 3), 1)
 	f.Add([]byte("{\"ev\":\"hop\",\"ts\":1e300,\"dur\":-5}\n\n{not json}\n"), 0)
+	f.Add([]byte("{\"ev\":\"request\",\"ts\":0,\"dur\":-5,\"req\":1}\n"), 0)
+	f.Add([]byte("{\"ev\":\"request\",\"ts\":1e300,\"dur\":1,\"req\":1}\n"), 0)
 	f.Fuzz(func(t *testing.T, data []byte, run int) {
 		b, err := ReplayJSONL(bytes.NewReader(data), run)
 		if (b == nil) == (err == nil) {
 			t.Fatalf("ReplayJSONL = %v, %v; want exactly one of a Breakdown or an error", b, err)
 		}
 		if b != nil {
+			if last := latestEnd(data); float64(b.Cycles) > last {
+				t.Fatalf("replay runs %d cycles, past the latest span end %v", b.Cycles, last)
+			}
 			b.WriteMarkdown(io.Discard)
 			_ = b.HeatmapCSV()
 		}
@@ -70,4 +78,37 @@ func FuzzReplayJSONL(f *testing.F) {
 		}
 		b.WriteMarkdown(io.Discard)
 	})
+}
+
+// latestEnd is the largest ts+dur over the JSON lines of data, read as plain
+// floats, and at least 0.
+func latestEnd(data []byte) float64 {
+	var last float64
+	for _, line := range bytes.Split(data, []byte("\n")) {
+		var e map[string]any
+		if json.Unmarshal(line, &e) != nil {
+			continue
+		}
+		ts, _ := e["ts"].(float64)
+		dur, _ := e["dur"].(float64)
+		last = max(last, ts+dur)
+	}
+	return last
+}
+
+// Replay rejects trace numbers that are no cycle count or id: negative,
+// fractional, or too large to be exact.
+func TestReplayRejectsBadNumbers(t *testing.T) {
+	for _, line := range []string{
+		`{"ev":"request","ts":0,"dur":-5,"req":1}`,
+		`{"ev":"request","ts":1e300,"dur":1,"req":1}`,
+		`{"ev":"request","ts":9007199254740994,"dur":1,"req":1}`,
+		`{"ev":"walk","ts":3,"dur":2.5,"req":1}`,
+		`{"ev":"hop","ts":3,"dur":2,"fx":-1}`,
+		`{"ev":"request","ts":3,"dur":2,"run":-2}`,
+	} {
+		if b, err := ReplayJSONL(strings.NewReader(line), 0); err == nil {
+			t.Errorf("%s: replayed to %d cycles, want an error", line, b.Cycles)
+		}
+	}
 }

@@ -3,6 +3,7 @@ package attr
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 )
@@ -16,7 +17,8 @@ import (
 // differences: there is no sampler, so time series and peak-window
 // utilisation are absent, and link busy cycles are approximated by the sum
 // of hop span durations (an upper bound including the fixed hop latency).
-// The run length is taken as the latest span end.
+// The run length is taken as the latest span end. A number that is
+// negative, fractional or above 2^53 is an error.
 func ReplayJSONL(r io.Reader, run int) (*Breakdown, error) {
 	c := NewCollector(Config{})
 	sc := bufio.NewScanner(r)
@@ -29,32 +31,31 @@ func ReplayJSONL(r io.Reader, run int) (*Breakdown, error) {
 		if len(line) == 0 {
 			continue
 		}
-		var e map[string]any
-		if err := json.Unmarshal(line, &e); err != nil {
+		var e traceLine
+		err := json.Unmarshal(line, &e)
+		if err == nil && max(e.Run, e.Ts, e.Dur, e.Req, e.Src, e.GPM, e.VPN, e.From, e.To,
+			e.Fx, e.Fy, e.Tx, e.Ty, e.Bytes, e.Defl) > maxExact {
+			err = errors.New("number above 2^53")
+		}
+		if err != nil {
 			return nil, fmt.Errorf("attr: trace line %d: %w", lineNo, err)
 		}
-		if run >= 0 && int(num(e, "run")) != run {
+		if run >= 0 && int(e.Run) != run {
 			continue
 		}
-		ts := num(e, "ts")
-		end := ts + num(e, "dur")
-		if end > maxEnd {
-			maxEnd = end
-		}
-		switch e["ev"] {
+		ts, end := e.Ts, e.Ts+e.Dur
+		maxEnd = max(maxEnd, end)
+		switch e.Ev {
 		case "request":
-			c.OnRequest(ts, end, num(e, "req"), int(num(e, "src")), int(num(e, "gpm")))
+			c.OnRequest(ts, end, e.Req, int(e.Src), int(e.GPM))
 		case "queued":
-			stage, _ := e["tid"].(string)
-			c.OnQueue(stage, ts, end, num(e, "req"))
+			c.OnQueue(e.Tid, ts, end, e.Req)
 		case "walk":
-			c.OnWalk(ts, end, num(e, "req"), num(e, "vpn"))
+			c.OnWalk(ts, end, e.Req, e.VPN)
 		case "hop":
-			c.OnHop(ts, end, int(num(e, "fx")), int(num(e, "fy")),
-				int(num(e, "tx")), int(num(e, "ty")), int(num(e, "bytes")),
-				num(e, "defl") != 0)
+			c.OnHop(ts, end, int(e.Fx), int(e.Fy), int(e.Tx), int(e.Ty), int(e.Bytes), e.Defl != 0)
 		case "migration":
-			c.OnMigration(ts, end, num(e, "vpn"), int(num(e, "from")), int(num(e, "to")))
+			c.OnMigration(ts, end, e.VPN, int(e.From), int(e.To))
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -63,8 +64,15 @@ func ReplayJSONL(r io.Reader, run int) (*Breakdown, error) {
 	return c.Finalize("", "", maxEnd), nil
 }
 
-// num reads a numeric field, 0 when absent.
-func num(e map[string]any, k string) uint64 {
-	f, _ := e[k].(float64)
-	return uint64(f)
+// maxExact bounds every trace number: whole numbers up to 2^53 are exact
+// in any JSON reader, larger ones are not.
+const maxExact = 1 << 53
+
+// traceLine is one JSONL trace event; keys match field names regardless of
+// case. Every number is a cycle count, id or coordinate, so a negative or
+// fractional one fails to decode into its uint64 field.
+type traceLine struct {
+	Ev, Tid                                    string
+	Run, Ts, Dur, Req, Src, GPM, VPN, From, To uint64
+	Fx, Fy, Tx, Ty, Bytes, Defl                uint64
 }

@@ -16,7 +16,8 @@
 //     exactly one window apart — a gap means time-series windows were
 //     silently dropped.
 //   - xlat.bad-pfn: via Scheme, every remote translation's completion carries
-//     the frame the global page table maps (reported through Record).
+//     a mapped page. A frame other than the page's current mapping is held
+//     as a suspect and resolved at settle (below).
 //
 // At settle (Finish with Final.Settled):
 //
@@ -40,6 +41,9 @@
 //     (stage sums equal the total, nothing clipped or left unfinished).
 //   - sampler.lost-window: no boundary at or before the final cycle is
 //     missing.
+//   - xlat.bad-pfn: a stale frame is legitimate only as a race with a
+//     migration of its page (OnMigration): the PTE's owner is the GPM the
+//     page left, and the request was issued before the migration ended.
 //
 // Always (Finish):
 //
@@ -94,17 +98,6 @@ func (v Violation) Error() string {
 // Is matches ErrInvariant, so errors.Is works through errors.Join.
 func (v Violation) Is(target error) bool { return target == ErrInvariant }
 
-// LinkVisitor receives one directed link's coordinates, direction label and
-// accumulated busy cycles (the shape of noc.Mesh.VisitLinks).
-type LinkVisitor func(x, y int, dir string, busy uint64)
-
-// Options parameterise a Checker.
-type Options struct {
-	// Window is the expected sampler period in cycles; 0 disables the
-	// sampler-coverage invariant.
-	Window uint64
-}
-
 // Final is the end-of-run state Finish cross-checks the streamed
 // observations against.
 type Final struct {
@@ -147,37 +140,36 @@ type Checker struct {
 	hopDefl    uint64
 	nextSample uint64
 
-	linkProbe func(LinkVisitor)
+	linkProbe func(attr.LinkVisitor)
+
+	// stale holds completions whose frame was not the page's mapping, and
+	// moved the end of the latest migration of each page away from each
+	// GPM; Finish matches them at settle.
+	stale []staleFrame
+	moved map[pageFrom]uint64
 
 	violations []Violation
 	nViolated  uint64
 }
 
-// New returns an empty checker.
-func New(o Options) *Checker {
+// New returns an empty checker expecting a sampler boundary every window
+// cycles; 0 disables the sampler-coverage invariant.
+func New(window uint64) *Checker {
 	return &Checker{
-		window:     o.Window,
-		nextSample: o.Window,
+		window:     window,
+		nextSample: window,
 		completed:  make(map[uint64]struct{}),
 		arrived:    make(map[uint64]struct{}),
+		moved:      make(map[pageFrom]uint64),
 	}
 }
 
-// Record adds one violation (bounded; the count stays exact).
-func (c *Checker) Record(v Violation) {
+// violate adds one violation (bounded; the count stays exact).
+func (c *Checker) violate(inv string, req, cycle uint64, format string, args ...any) {
 	c.nViolated++
 	if len(c.violations) < maxRecorded {
-		c.violations = append(c.violations, v)
+		c.violations = append(c.violations, Violation{Invariant: inv, Req: req, Cycle: cycle, Detail: fmt.Sprintf(format, args...)})
 	}
-}
-
-func (c *Checker) violate(inv string, req, cycle uint64, format string, args ...any) {
-	c.Record(Violation{Invariant: inv, Req: req, Cycle: cycle, Detail: fmt.Sprintf(format, args...)})
-}
-
-// Violations returns the recorded violations (capped) and the exact total.
-func (c *Checker) Violations() ([]Violation, uint64) {
-	return c.violations, c.nViolated
 }
 
 // Err joins the recorded violations into one error, nil when clean. When more
@@ -234,8 +226,12 @@ func (c *Checker) OnHop(start, end uint64, fromX, fromY, toX, toY, size int, def
 	}
 }
 
-// OnMigration implements trace.Sink.
-func (c *Checker) OnMigration(start, end uint64, vpn uint64, from, to int) {}
+// OnMigration records one completed page migration (trace.Sink): a
+// completion that raced it may carry the page's frame under from.
+func (c *Checker) OnMigration(start, end uint64, vpn uint64, from, to int) {
+	k := pageFrom{vpn, from}
+	c.moved[k] = max(c.moved[k], end)
+}
 
 // Sample receives one sampler boundary. Boundaries must arrive in order,
 // exactly one window apart — anything else means a dropped or duplicated
@@ -255,7 +251,7 @@ func (c *Checker) Sample(at uint64) {
 
 // Probes wires the end-of-run link occupancy walk (noc.Mesh.VisitLinks
 // adapted). May be nil.
-func (c *Checker) Probes(links func(LinkVisitor)) {
+func (c *Checker) Probes(links func(attr.LinkVisitor)) {
 	c.linkProbe = links
 }
 
@@ -340,6 +336,15 @@ func (c *Checker) Finish(f Final) error {
 			c.violate("sampler.lost-window", 0, f.Cycle,
 				"sampler boundary %d never fired by final cycle %d", c.nextSample, f.Cycle)
 		}
+		for _, sf := range c.stale {
+			// A race needs a migration of the page away from the frame's
+			// owner that ended after the request was issued.
+			if sf.issued >= c.moved[pageFrom{sf.vpn, sf.owner}] {
+				c.violate("xlat.bad-pfn", sf.req, sf.cycle,
+					"vpn %#x: pfn %#x of GPM %d from %v, want %#x; no migration from GPM %d ended after the issue at cycle %d",
+					sf.vpn, sf.pfn, sf.owner, sf.source, sf.want, sf.owner, sf.issued)
+			}
+		}
 	}
 	if c.linkProbe != nil {
 		c.linkProbe(func(x, y int, dir string, busy uint64) {
@@ -352,19 +357,29 @@ func (c *Checker) Finish(f Final) error {
 	return c.Err()
 }
 
-// Scheme wraps a remote translator, validating that every completion carries
-// the frame number the global page table maps for the requested page — the
-// generalised form of the wafer's former checkedScheme. Report receives one
-// Violation per mismatch; wiring it to Checker.Record folds translation
-// correctness into the invariant error, wiring it elsewhere (the Validate
-// option's string list) keeps the legacy behaviour. Do not wrap a migrating
-// scheme: in-flight completions legitimately race the table repoint.
+// pageFrom names a page and a GPM it migrated away from.
+type pageFrom struct {
+	vpn  uint64
+	from int
+}
+
+// staleFrame is a completion whose frame was not its page's mapping.
+type staleFrame struct {
+	req, vpn, pfn, want, issued, cycle uint64
+	owner                              int
+	source                             xlat.Source
+}
+
+// Scheme wraps a remote translator so that Checker sees every completion:
+// an unmapped page is a violation at once, and a frame other than the
+// page's current mapping is held until Finish, which accepts it only as a
+// race with a migration of that page (see xlat.bad-pfn). Every scheme,
+// migrating or not, is wrapped the same way.
 type Scheme struct {
-	Inner  xlat.RemoteTranslator
-	Global *vm.PageTable
-	Report func(Violation)
-	// Now supplies the detection cycle for reported violations; nil means 0.
-	Now func() uint64
+	Inner   xlat.RemoteTranslator
+	Global  *vm.PageTable
+	Eng     *sim.Engine
+	Checker *Checker
 }
 
 // Name returns the wrapped scheme's name.
@@ -374,21 +389,14 @@ func (s *Scheme) Name() string { return s.Inner.Name() }
 // against the global page table before completing the real request.
 func (s *Scheme) Translate(req *xlat.Request) {
 	proxy := xlat.NewRequest(req.ID, req.PID, req.VPN, req.Requester, req.Issued, func(res xlat.Result) {
-		var cycle uint64
-		if s.Now != nil {
-			cycle = s.Now()
-		}
+		c, cycle := s.Checker, uint64(s.Eng.Now())
 		want, ok := s.Global.Lookup(req.VPN)
 		if !ok {
-			s.Report(Violation{
-				Invariant: "xlat.bad-pfn", Req: req.ID, Cycle: cycle,
-				Detail: fmt.Sprintf("vpn %#x: completed but unmapped", uint64(req.VPN)),
-			})
+			c.violate("xlat.bad-pfn", req.ID, cycle, "vpn %#x: completed but unmapped", uint64(req.VPN))
 		} else if want.PFN != res.PTE.PFN {
-			s.Report(Violation{
-				Invariant: "xlat.bad-pfn", Req: req.ID, Cycle: cycle,
-				Detail: fmt.Sprintf("vpn %#x: pfn %#x from %v, want %#x",
-					uint64(req.VPN), uint64(res.PTE.PFN), res.Source, uint64(want.PFN)),
+			c.stale = append(c.stale, staleFrame{
+				req: req.ID, vpn: uint64(req.VPN), pfn: uint64(res.PTE.PFN), want: uint64(want.PFN),
+				owner: res.PTE.Owner, issued: uint64(req.Issued), cycle: cycle, source: res.Source,
 			})
 		}
 		req.Complete(res)

@@ -8,6 +8,7 @@ import (
 	"hdpat/internal/attr"
 	"hdpat/internal/iommu"
 	"hdpat/internal/noc"
+	"hdpat/internal/sim"
 	"hdpat/internal/vm"
 	"hdpat/internal/xlat"
 )
@@ -52,7 +53,7 @@ func feed(c *Checker, n int, latency uint64) {
 }
 
 func TestCleanRunReportsNothing(t *testing.T) {
-	c := New(Options{})
+	c := New(0)
 	feed(c, 5, 300)
 	c.OnHop(0, 40, 0, 0, 1, 0, 64, false)
 	c.OnHop(40, 80, 1, 0, 2, 0, 64, false)
@@ -63,7 +64,7 @@ func TestCleanRunReportsNothing(t *testing.T) {
 
 // Mutation: a double-completed request must be caught by name.
 func TestCatchesDoubleComplete(t *testing.T) {
-	c := New(Options{})
+	c := New(0)
 	feed(c, 3, 300)
 	c.OnRequest(100, 400, 2, 0, 0) // request 2 completes again
 	err := c.Finish(cleanFinal(3, 300, 0, 0))
@@ -75,7 +76,7 @@ func TestCatchesDoubleComplete(t *testing.T) {
 // Mutation: a request that reached the IOMMU but was silently dropped (a
 // dispatch that never completes) must be caught by name.
 func TestCatchesDroppedDispatch(t *testing.T) {
-	c := New(Options{})
+	c := New(0)
 	feed(c, 3, 300)
 	c.IOMMURequest(50, &xlat.Request{ID: 99}) // arrives, never completes
 	err := c.Finish(cleanFinal(3, 300, 0, 0))
@@ -88,19 +89,19 @@ func TestCatchesDroppedDispatch(t *testing.T) {
 // Mutation: a skipped sampler boundary must be caught by name, both as a gap
 // between boundaries and as missing trailing coverage.
 func TestCatchesLostSamplerWindow(t *testing.T) {
-	c := New(Options{Window: 100})
+	c := New(100)
 	c.Sample(100)
 	c.Sample(300) // boundary 200 never fired
 	err := c.Err()
 	wantViolation(t, err, "sampler.lost-window")
 
-	c2 := New(Options{Window: 100})
+	c2 := New(100)
 	c2.Sample(100)
 	f := cleanFinal(0, 0, 0, 0)
 	f.Cycle = 350 // boundaries 200 and 300 should have fired by now
 	wantViolation(t, c2.Finish(f), "sampler.lost-window")
 
-	c3 := New(Options{Window: 100})
+	c3 := New(100)
 	c3.Sample(100)
 	c3.Sample(200)
 	c3.Sample(300)
@@ -112,7 +113,7 @@ func TestCatchesLostSamplerWindow(t *testing.T) {
 }
 
 func TestCatchesByteHopMismatch(t *testing.T) {
-	c := New(Options{})
+	c := New(0)
 	c.OnHop(0, 40, 0, 0, 1, 0, 64, false)
 	f := cleanFinal(0, 0, 100, 1) // ByteHops says 100, links carried 64
 	wantViolation(t, c.Finish(f), "noc.byte-hops")
@@ -121,7 +122,7 @@ func TestCatchesByteHopMismatch(t *testing.T) {
 // Mutation: hop-count accounting that disagrees with the hops actually
 // observed crossing links must be caught by name.
 func TestCatchesHopCountMismatch(t *testing.T) {
-	c := New(Options{})
+	c := New(0)
 	c.OnHop(0, 40, 0, 0, 1, 0, 64, false)
 	c.OnHop(40, 80, 1, 0, 2, 0, 64, false)
 	f := cleanFinal(0, 0, 128, 3) // HopsTotal says 3, links saw 2
@@ -131,7 +132,7 @@ func TestCatchesHopCountMismatch(t *testing.T) {
 // Mutation: a deflection count that disagrees with the deflected hops
 // observed must be caught by name.
 func TestCatchesDeflectionMismatch(t *testing.T) {
-	c := New(Options{})
+	c := New(0)
 	c.OnHop(0, 40, 0, 0, 1, 0, 64, true)
 	f := cleanFinal(0, 0, 64, 1)
 	f.ExactHops = false
@@ -143,7 +144,7 @@ func TestCatchesDeflectionMismatch(t *testing.T) {
 // Mutation: fewer hops than the Manhattan lower bound is impossible under
 // any routing and must be caught by name.
 func TestCatchesHopsBelowManhattan(t *testing.T) {
-	c := New(Options{})
+	c := New(0)
 	c.OnHop(0, 40, 0, 0, 1, 0, 64, false)
 	f := cleanFinal(0, 0, 64, 1)
 	f.NoC.ManhattanTotal = 2 // bound says 2, only 1 hop taken
@@ -154,7 +155,7 @@ func TestCatchesHopsBelowManhattan(t *testing.T) {
 // deflection must be caught by name; under a non-minimal routing the same
 // surplus is legal.
 func TestExactHopsTightensLowerBound(t *testing.T) {
-	c := New(Options{})
+	c := New(0)
 	c.OnHop(0, 40, 0, 0, 1, 0, 64, false)
 	c.OnHop(40, 80, 1, 0, 2, 0, 64, false)
 	f := cleanFinal(0, 0, 128, 2)
@@ -162,7 +163,7 @@ func TestExactHopsTightensLowerBound(t *testing.T) {
 	f.NoC.ManhattanTotal = 1 // 2 hops for a 1-hop Manhattan path
 	wantViolation(t, c.Finish(f), "noc.hops-lower-bound")
 
-	c2 := New(Options{})
+	c2 := New(0)
 	c2.OnHop(0, 40, 0, 0, 1, 0, 64, false)
 	c2.OnHop(40, 80, 1, 0, 2, 0, 64, true)
 	f2 := cleanFinal(0, 0, 128, 2)
@@ -172,7 +173,7 @@ func TestExactHopsTightensLowerBound(t *testing.T) {
 		t.Fatalf("non-minimal surplus reported: %v", err)
 	}
 
-	c3 := New(Options{})
+	c3 := New(0)
 	c3.OnHop(0, 40, 0, 0, 1, 0, 64, true)
 	f3 := cleanFinal(0, 0, 64, 1)
 	f3.ExactHops = true
@@ -181,14 +182,14 @@ func TestExactHopsTightensLowerBound(t *testing.T) {
 }
 
 func TestCatchesIOMMUConservationBreak(t *testing.T) {
-	c := New(Options{})
+	c := New(0)
 	f := cleanFinal(0, 0, 0, 0)
 	f.IOMMU = iommu.Stats{Requests: 5, Walks: 4} // one submission unaccounted
 	wantViolation(t, c.Finish(f), "iommu.conservation")
 }
 
 func TestCatchesUnsettledQueues(t *testing.T) {
-	c := New(Options{})
+	c := New(0)
 	f := cleanFinal(0, 0, 0, 0)
 	f.QueueDepth = 2
 	f.WalkersBusy = 1
@@ -196,7 +197,7 @@ func TestCatchesUnsettledQueues(t *testing.T) {
 }
 
 func TestCatchesLatencyAccountingBreak(t *testing.T) {
-	c := New(Options{})
+	c := New(0)
 	feed(c, 2, 300)
 	f := cleanFinal(2, 300, 0, 0)
 	f.RemoteLatencySum = 599 // spans sum to 600
@@ -204,7 +205,7 @@ func TestCatchesLatencyAccountingBreak(t *testing.T) {
 }
 
 func TestCatchesInexactBreakdown(t *testing.T) {
-	c := New(Options{})
+	c := New(0)
 	feed(c, 1, 300)
 	f := cleanFinal(1, 300, 0, 0)
 	f.Breakdown = &attr.Breakdown{Clipped: 1, Stages: map[string]*attr.Dist{}}
@@ -212,8 +213,8 @@ func TestCatchesInexactBreakdown(t *testing.T) {
 }
 
 func TestCatchesOverfullLink(t *testing.T) {
-	c := New(Options{})
-	c.Probes(func(v LinkVisitor) {
+	c := New(0)
+	c.Probes(func(v attr.LinkVisitor) {
 		v(1, 1, "e", 20_000) // busier than the run is long
 	})
 	f := cleanFinal(0, 0, 0, 0)
@@ -223,7 +224,7 @@ func TestCatchesOverfullLink(t *testing.T) {
 
 // A cut run (Settled false) must skip quiescence-only checks.
 func TestCutRunSkipsSettleChecks(t *testing.T) {
-	c := New(Options{})
+	c := New(0)
 	c.IOMMURequest(0, &xlat.Request{ID: 1}) // in flight at the cut
 	f := Final{Cycle: 500, Settled: false, QueueDepth: 3, WalkersBusy: 2}
 	if err := c.Finish(f); err != nil {
@@ -232,11 +233,11 @@ func TestCutRunSkipsSettleChecks(t *testing.T) {
 }
 
 func TestViolationCapKeepsExactCount(t *testing.T) {
-	c := New(Options{})
+	c := New(0)
 	for i := 0; i < maxRecorded+10; i++ {
 		c.violate("test.cap", 0, 0, "violation %d", i)
 	}
-	vs, total := c.Violations()
+	vs, total := c.violations, c.nViolated
 	if len(vs) != maxRecorded || total != maxRecorded+10 {
 		t.Fatalf("recorded %d / total %d, want %d / %d", len(vs), total, maxRecorded, maxRecorded+10)
 	}
@@ -245,36 +246,88 @@ func TestViolationCapKeepsExactCount(t *testing.T) {
 	}
 }
 
-// fakeScheme completes every request with a fixed PFN.
-type fakeScheme struct{ pfn vm.PFN }
+// fakeScheme completes every request with a fixed frame of GPM owner.
+type fakeScheme struct {
+	pfn   vm.PFN
+	owner int
+}
 
 func (f *fakeScheme) Name() string { return "fake" }
 func (f *fakeScheme) Translate(req *xlat.Request) {
-	req.Complete(xlat.Result{PTE: vm.PTE{VPN: req.VPN, PFN: f.pfn, Valid: true}, Source: xlat.SourceIOMMU})
+	req.Complete(xlat.Result{PTE: vm.PTE{VPN: req.VPN, PFN: f.pfn, Owner: f.owner, Valid: true}, Source: xlat.SourceIOMMU})
+}
+
+// translate sends one request for vpn, issued at cycle issued, through a
+// checked fakeScheme returning frame pfn of GPM owner.
+func translate(t *testing.T, c *Checker, global *vm.PageTable, id uint64, vpn vm.VPN, pfn vm.PFN, owner int, issued sim.VTime) {
+	t.Helper()
+	s := &Scheme{Inner: &fakeScheme{pfn: pfn, owner: owner}, Global: global, Eng: sim.NewEngine(), Checker: c}
+	done := false
+	s.Translate(xlat.NewRequest(id, 0, vpn, 0, issued, func(xlat.Result) { done = true }))
+	if !done {
+		t.Fatal("wrapped request never completed")
+	}
 }
 
 func TestSchemeCatchesBadPFN(t *testing.T) {
 	global := vm.NewPageTable()
 	global.Insert(vm.PTE{VPN: 7, PFN: 5007, Valid: true})
-	c := New(Options{})
-	s := &Scheme{
-		Inner:  &fakeScheme{pfn: 1234},
-		Global: global,
-		Report: c.Record,
-		Now:    func() uint64 { return 42 },
-	}
-	done := false
-	s.Translate(xlat.NewRequest(1, 0, 7, 0, 0, func(xlat.Result) { done = true }))
-	if !done {
-		t.Fatal("wrapped request never completed")
-	}
+
+	// A stale frame with no migration to excuse it fails at settle.
+	c := New(0)
+	translate(t, c, global, 1, 7, 1234, 0, 0)
+	wantViolation(t, c.Finish(cleanFinal(0, 0, 0, 0)), "xlat.bad-pfn")
+
+	// An unmapped page fails at once.
+	c = New(0)
+	translate(t, c, global, 2, 8, 1234, 0, 0)
 	wantViolation(t, c.Err(), "xlat.bad-pfn")
 
 	// A correct completion passes through clean.
-	c2 := New(Options{})
-	s2 := &Scheme{Inner: &fakeScheme{pfn: 5007}, Global: global, Report: c2.Record}
-	s2.Translate(xlat.NewRequest(2, 0, 7, 0, 0, func(xlat.Result) {}))
-	if err := c2.Err(); err != nil {
+	c = New(0)
+	translate(t, c, global, 3, 7, 5007, 0, 0)
+	if err := c.Finish(cleanFinal(0, 0, 0, 0)); err != nil {
 		t.Fatalf("correct translation reported: %v", err)
+	}
+}
+
+// A stale frame passes only as a race with a migration of its page: owned
+// by the migration's source GPM, and issued before the migration ended.
+func TestSchemeMigrationLaw(t *testing.T) {
+	global := vm.NewPageTable()
+	global.Insert(vm.PTE{VPN: 7, PFN: 5007, Owner: 4, Valid: true})
+	cases := []struct {
+		name     string
+		migrated uint64 // page moved from GPM 3 to 4 over cycles 50-500
+		owner    int
+		issued   sim.VTime
+		ok       bool
+	}{
+		{"in-flight race", 7, 3, 100, true},
+		{"issued after the migration", 7, 3, 500, false},
+		{"owner never held the page", 7, 2, 100, false},
+		{"other page migrated", 9, 3, 100, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(0)
+			c.OnMigration(50, 500, tc.migrated, 3, 4)
+			translate(t, c, global, 1, 7, 1234, tc.owner, tc.issued)
+			err := c.Finish(cleanFinal(0, 0, 0, 0))
+			if tc.ok {
+				if err != nil {
+					t.Fatalf("legitimate race reported: %v", err)
+				}
+				return
+			}
+			wantViolation(t, err, "xlat.bad-pfn")
+		})
+	}
+
+	// Suspects wait for settle: a cut run cannot tell a race from a leak.
+	c := New(0)
+	translate(t, c, global, 1, 7, 1234, 3, 100)
+	if err := c.Finish(Final{Cycle: 500}); err != nil {
+		t.Fatalf("cut run resolved a suspect: %v", err)
 	}
 }

@@ -64,14 +64,14 @@ func (s *Route) step(req *xlat.Request, cur geom.Coord, path []geom.Coord, i int
 // path GPM receives the PTE after its hop distance from the CPU.
 func (s *Route) fillOnReturn(req *xlat.Request, path []geom.Coord) {
 	hop := s.f.Mesh.Config().HopLatency
-	s.f.fillOnCompletion(req, func(e vm.PTE) {
+	s.f.fillOnCompletion(req, func(e vm.PTE, read sim.VTime) {
 		for i, c := range path {
 			if c == s.f.Layout.CPU {
 				continue
 			}
 			g := s.f.GPMAt(c)
 			delay := hop * sim.VTime(len(path)-1-i)
-			s.f.Eng.Post(delay, sim.HandlerFunc(func() { g.CacheOnPath(e) }), sim.EventArg{})
+			s.f.Eng.Post(delay, sim.HandlerFunc(func() { g.CacheOnPath(e, read) }), sim.EventArg{})
 		}
 	})
 }

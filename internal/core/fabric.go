@@ -29,6 +29,10 @@ type Fabric struct {
 
 	byCoord map[geom.Coord]*gpm.GPM
 	msgFree []*reqMsg
+	// shot is the shootdown ledger, made at the first Shootdown and shared
+	// with every GPM; nil until then, so runs that never shoot down pay
+	// only a nil check per fill.
+	shot *gpm.Shootdowns
 }
 
 // reqMsg phases: what happens when the message reaches its destination.
@@ -109,13 +113,13 @@ func (f *Fabric) Respond(from geom.Coord, req *xlat.Request, res xlat.Result) {
 	f.sendReq(from, f.CoordOf(req.Requester), xlat.RespBytes, req, res, msgRespond)
 }
 
-// fillOnCompletion passes the global page-table entry of req's page to fill
-// once req completes; an unmapped page calls nothing. The request carries
-// no shadow callback, so completion is observed by polling the (monotonic)
-// completed flag at hop latency; the poll loop holds a reference so the
-// pooled request cannot recycle under it, released as soon as the VPN has
-// been read out.
-func (f *Fabric) fillOnCompletion(req *xlat.Request, fill func(vm.PTE)) {
+// fillOnCompletion passes the global page-table entry of req's page, and
+// the cycle it was read, to fill once req completes; an unmapped page calls
+// nothing. The request carries no shadow callback, so completion is
+// observed by polling the (monotonic) completed flag at hop latency; the
+// poll loop holds a reference so the pooled request cannot recycle under
+// it, released as soon as the VPN has been read out.
+func (f *Fabric) fillOnCompletion(req *xlat.Request, fill func(vm.PTE, sim.VTime)) {
 	hop := f.Mesh.Config().HopLatency
 	req.Ref()
 	var poll sim.HandlerFunc
@@ -127,7 +131,7 @@ func (f *Fabric) fillOnCompletion(req *xlat.Request, fill func(vm.PTE)) {
 		vpn := req.VPN
 		req.Unref()
 		if e, ok := f.Placement.Global().Lookup(vpn); ok {
-			fill(e)
+			fill(e, f.Eng.Now())
 		}
 	}
 	f.Eng.Post(hop, poll, sim.EventArg{})
@@ -141,13 +145,23 @@ func keyOf(req *xlat.Request) tlb.Key { return tlb.Key{PID: req.PID, VPN: req.VP
 // invalidation to every GPM over the mesh; each GPM invalidates its TLB
 // hierarchy and auxiliary cache and acknowledges. done fires when the last
 // acknowledgement arrives back at the CPU tile, receiving the total number
-// of cached entries dropped. The paper needs this only when freeing memory
-// (§II-A); the page-migration extension issues one per migrated page.
+// of cached entries dropped. From the call to the last acknowledgement the
+// pages are pending in the shootdown ledger, so no GPM fills a translation
+// of them that was in flight meanwhile. The paper needs this only when
+// freeing memory (§II-A); the page-migration extension issues one per
+// migrated page.
 func (f *Fabric) Shootdown(pid vm.PID, vpns []vm.VPN, done func(dropped int)) {
 	keys := make([]tlb.Key, len(vpns))
 	for i, v := range vpns {
 		keys[i] = tlb.Key{PID: pid, VPN: v}
 	}
+	if f.shot == nil {
+		f.shot = gpm.NewShootdowns()
+		for _, g := range f.GPMs {
+			g.Shootdowns = f.shot
+		}
+	}
+	f.shot.Begin(keys)
 	f.IOMMU.Invalidate(keys)
 	// One invalidation message per GPM, sized by the key list.
 	msgBytes := 16 + 8*len(keys)
@@ -161,7 +175,11 @@ func (f *Fabric) Shootdown(pid vm.PID, vpns []vm.VPN, done func(dropped int)) {
 				dropped += g.Shootdown(keys)
 				f.Mesh.SendH(g.Coord, cpu, 8, sim.HandlerFunc(func() {
 					pending--
-					if pending == 0 && done != nil {
+					if pending > 0 {
+						return
+					}
+					f.shot.End(keys, f.Eng.Now())
+					if done != nil {
 						done(dropped)
 					}
 				}), sim.EventArg{})

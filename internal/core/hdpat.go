@@ -120,15 +120,23 @@ func (s *HDPAT) push(pte vm.PTE, origin xlat.PushOrigin) (int, bool) {
 		home := s.layers.Home(l, uint64(pte.VPN))
 		target := s.f.GPMAt(home)
 		p := pte
-		s.f.Mesh.SendH(s.f.Layout.CPU, home, xlat.PushPTEBytes, sim.HandlerFunc(func() {
-			target.InstallAux(p, origin)
-		}), sim.EventArg{})
+		s.f.Mesh.SendH(s.f.Layout.CPU, home, xlat.PushPTEBytes, pushArrived(func(read sim.VTime) {
+			target.InstallAux(p, origin, read)
+		}), sim.EventArg{A: uint64(s.f.Eng.Now())})
 		if l == 0 {
 			innermost = target.ID
 		}
 	}
 	return innermost, true
 }
+
+// pushArrived delivers a pushed PTE at its home GPM. The cycle the IOMMU
+// read the PTE rides in the event argument, not the closure, which keeps
+// the closure each push allocates in the 64-byte size class.
+type pushArrived func(read sim.VTime)
+
+// Event implements sim.Handler.
+func (f pushArrived) Event(a sim.EventArg) { f(sim.VTime(a.A)) }
 
 // redirect implements the IOMMU Redirect hook (§IV-F operational flow):
 // forward the request to the GPM the redirection table names; a stale entry

@@ -114,6 +114,10 @@ type GPM struct {
 	// (issue at the GMMU boundary to completion) — the lifecycle anchor the
 	// attribution ledger stitches walk/queue/hop spans onto.
 	Trace *trace.Tracer
+	// Shootdowns, when non-nil, is the wafer's shootdown ledger; the fabric
+	// sets it at its first shootdown. Remote completions, pushes and on-path
+	// caching consult it before filling (Shootdowns.Raced).
+	Shootdowns *Shootdowns
 
 	cus      []cuState
 	gap      sim.VTime
@@ -282,9 +286,10 @@ func (g *GPM) Translate(cu int, va vm.VAddr, done func(vm.PTE)) {
 }
 
 // completeL2 resolves an outstanding L2 TLB miss and wakes one stalled
-// request per freed MSHR register.
-func (g *GPM) completeL2(k tlb.Key, pte vm.PTE) {
-	g.l2MSHR.Complete(k, pte, true)
+// request per freed MSHR register. With cache false (a translation that
+// raced a shootdown) the waiters use pte without filling their L1 TLBs.
+func (g *GPM) completeL2(k tlb.Key, pte vm.PTE, cache bool) {
+	g.l2MSHR.Complete(k, pte, cache)
 	if len(g.l2TLBWait) > 0 {
 		w := g.l2TLBWait[0]
 		g.l2TLBWait = g.l2TLBWait[1:]
@@ -295,13 +300,14 @@ func (g *GPM) completeL2(k tlb.Key, pte vm.PTE) {
 
 func (g *GPM) finishLocal(k tlb.Key, pte vm.PTE) {
 	g.l2TLB.Insert(pte)
-	g.completeL2(k, pte)
+	g.completeL2(k, pte, true)
 }
 
 // RequestDone implements xlat.Completer: the scheme resolved a remote
-// translation this GPM issued. Fills the L2 TLB, wakes the waiting ops, and
-// drops the creator reference — the request recycles once any still-running
-// scheme legs release theirs.
+// translation this GPM issued. Fills the L2 TLB unless the translation raced
+// a shootdown of its page, wakes the waiting ops, and drops the creator
+// reference — the request recycles once any still-running scheme legs
+// release theirs.
 func (g *GPM) RequestDone(req *xlat.Request, res xlat.Result) {
 	done := g.eng.Now()
 	issued := req.Issued
@@ -309,8 +315,12 @@ func (g *GPM) RequestDone(req *xlat.Request, res xlat.Result) {
 	g.Stats.RemoteLatencySum += uint64(done - issued)
 	g.remoteLat.Add(uint64(done - issued))
 	g.Trace.RequestSpan(uint64(issued), uint64(done), req.ID, int(res.Source), g.ID)
-	g.l2TLB.Insert(res.PTE)
-	g.completeL2(tlb.Key{PID: req.PID, VPN: req.VPN}, res.PTE)
+	k := tlb.Key{PID: req.PID, VPN: req.VPN}
+	cache := !g.Shootdowns.Raced(k, issued)
+	if cache {
+		g.l2TLB.Insert(res.PTE)
+	}
+	g.completeL2(k, res.PTE, cache)
 	req.Unref()
 }
 
@@ -364,17 +374,20 @@ func (g *GPM) WalkForPeer(k tlb.Key, done func(vm.PTE, bool)) {
 	}), sim.EventArg{})
 }
 
-// InstallAux accepts a pushed PTE into the auxiliary cache.
-func (g *GPM) InstallAux(pte vm.PTE, origin xlat.PushOrigin) {
+// InstallAux accepts a PTE pushed after being read from the page table at
+// cycle read into the auxiliary cache, unless it raced a shootdown.
+func (g *GPM) InstallAux(pte vm.PTE, origin xlat.PushOrigin, read sim.VTime) {
 	g.ensure()
-	g.aux.Install(pte, origin)
+	if !g.Shootdowns.Raced(tlb.Key{PID: pte.PID, VPN: pte.VPN}, read) {
+		g.aux.Install(pte, origin)
+	}
 }
 
 // CacheOnPath installs a translation observed flowing through this GPM
-// (route-based caching, §IV-B). It shares the aux structure.
-func (g *GPM) CacheOnPath(pte vm.PTE) {
-	g.ensure()
-	g.aux.Install(pte, xlat.PushDemand)
+// (route-based caching, §IV-B), read from the page table at cycle read,
+// unless it raced a shootdown. It shares the aux structure.
+func (g *GPM) CacheOnPath(pte vm.PTE, read sim.VTime) {
+	g.InstallAux(pte, xlat.PushDemand, read)
 }
 
 // AddLocalMapping registers a page newly resident in this GPM's HBM (page

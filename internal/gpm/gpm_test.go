@@ -263,7 +263,7 @@ func TestProbeAuxAndInstall(t *testing.T) {
 	if hit {
 		t.Fatal("probe hit on empty aux cache")
 	}
-	g.InstallAux(vm.PTE{VPN: 200, PFN: 9, Valid: true}, xlat.PushPrefetch)
+	g.InstallAux(vm.PTE{VPN: 200, PFN: 9, Valid: true}, xlat.PushPrefetch, eng.Now())
 	var origin xlat.PushOrigin
 	var pte vm.PTE
 	g.ProbeAux(k, 18, func(p vm.PTE, o xlat.PushOrigin, ok bool) { hit, pte, origin = ok, p, o })
@@ -376,7 +376,7 @@ func TestShootdownClearsAllStructures(t *testing.T) {
 	// Warm every structure: local translation (L1/L2/LLTLB), aux install.
 	g.Translate(0, addr(5), func(vm.PTE) {})
 	eng.Run()
-	g.InstallAux(vm.PTE{VPN: 5, PFN: 1, Valid: true}, xlat.PushDemand)
+	g.InstallAux(vm.PTE{VPN: 5, PFN: 1, Valid: true}, xlat.PushDemand, eng.Now())
 	keys := []tlb.Key{{VPN: 5}}
 	dropped := g.Shootdown(keys)
 	if dropped < 3 {
@@ -408,5 +408,45 @@ func TestShootdownSyncsLocalFilter(t *testing.T) {
 	eng.Run()
 	if g.Stats.FilterPositive != 0 {
 		t.Error("filter still positive for unmapped, shot-down page")
+	}
+}
+
+// A remote translation issued before a shootdown of its page and completing
+// after this GPM processed its share must not refill a TLB with the old
+// frame: nothing would ever invalidate it. The op still uses the frame once.
+func TestNoFillAfterShootdownRace(t *testing.T) {
+	g, eng, remote := testGPM(t)
+	remote.delay = 1000
+	shot := NewShootdowns()
+	g.Shootdowns = shot
+	k := tlb.Key{VPN: 100}
+	var got vm.PTE
+	g.Translate(0, addr(100), func(p vm.PTE) { got = p })
+	// The whole shootdown falls while the request is in flight.
+	eng.PostAt(500, sim.HandlerFunc(func() {
+		shot.Begin([]tlb.Key{k})
+		g.Shootdown([]tlb.Key{k})
+		shot.End([]tlb.Key{k}, eng.Now())
+	}), sim.EventArg{})
+	eng.Run()
+	if got.PFN != 1100 {
+		t.Fatalf("op got PFN %d, want the in-flight frame 1100", got.PFN)
+	}
+	if _, ok := g.l2TLB.Peek(k); ok {
+		t.Error("L2 TLB took a translation that raced a shootdown")
+	}
+	if _, ok := g.l1TLBs[0].Peek(k); ok {
+		t.Error("L1 TLB took a translation that raced a shootdown")
+	}
+	g.InstallAux(remote.table[100], xlat.PushDemand, 400)
+	if _, _, ok := g.Aux().Probe(k); ok {
+		t.Error("aux cache took a push read before the shootdown ended")
+	}
+
+	// A translation issued after the shootdown ended fills as usual.
+	g.Translate(0, addr(100), func(vm.PTE) {})
+	eng.Run()
+	if _, ok := g.l2TLB.Peek(k); !ok {
+		t.Error("L2 TLB refused a translation issued after the shootdown")
 	}
 }

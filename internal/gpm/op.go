@@ -129,7 +129,7 @@ func (o *op) stepL2() {
 	g := o.g
 	if pte, ok := g.l2TLB.Lookup(o.k); ok {
 		g.Stats.L2TLBHits++
-		g.completeL2(o.k, pte)
+		g.completeL2(o.k, pte, true)
 		return
 	}
 	o.state = opFilter
@@ -189,8 +189,12 @@ func (o *op) goRemote() {
 }
 
 // Fill implements tlb.Filler: the L2 TLB MSHR resolved this op's key.
-func (o *op) Fill(pte vm.PTE, _ bool) {
-	o.g.l1TLBs[o.cu].Insert(pte)
+// completeL2 passes found false for a translation that raced a shootdown:
+// the op uses it without filling its L1 TLB.
+func (o *op) Fill(pte vm.PTE, found bool) {
+	if found {
+		o.g.l1TLBs[o.cu].Insert(pte)
+	}
 	o.translated(pte)
 }
 

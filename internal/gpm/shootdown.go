@@ -44,6 +44,60 @@ func (g *GPM) Shootdown(keys []tlb.Key) int {
 	return n
 }
 
+// Shootdowns is the wafer-wide ledger of TLB shootdowns in flight: for each
+// page, how many are pending and when the last one was acknowledged by every
+// GPM. A GPM invalidates its own copies when its shootdown message arrives,
+// but a translation read elsewhere before then — a peer's L2 TLB or aux
+// cache, or the page table before the repoint — can still be in flight,
+// and would outlive the shootdown if a TLB or aux cache took it. So no fill
+// may take a translation of a page whose shootdown was pending at any point
+// while the translation was in flight (Raced). The op that asked for it
+// still uses the frame once: the in-flight race that the xlat.bad-pfn
+// migration law in internal/check accepts.
+type Shootdowns struct {
+	pages map[tlb.Key]shootdown
+}
+
+type shootdown struct {
+	pending int
+	ended   sim.VTime
+}
+
+// NewShootdowns returns an empty ledger.
+func NewShootdowns() *Shootdowns {
+	return &Shootdowns{pages: make(map[tlb.Key]shootdown)}
+}
+
+// Begin marks a shootdown of keys in flight.
+func (s *Shootdowns) Begin(keys []tlb.Key) {
+	for _, k := range keys {
+		st := s.pages[k]
+		st.pending++
+		s.pages[k] = st
+	}
+}
+
+// End marks a shootdown of keys acknowledged wafer-wide at cycle now.
+func (s *Shootdowns) End(keys []tlb.Key, now sim.VTime) {
+	for _, k := range keys {
+		st := s.pages[k]
+		st.pending--
+		st.ended = now
+		s.pages[k] = st
+	}
+}
+
+// Raced reports whether a shootdown of k was pending at any point since
+// cycle since, when a translation of k read then was put in flight. A nil
+// ledger (no shootdown yet) reports false.
+func (s *Shootdowns) Raced(k tlb.Key, since sim.VTime) bool {
+	if s == nil {
+		return false
+	}
+	st, ok := s.pages[k]
+	return ok && (st.pending > 0 || st.ended >= since)
+}
+
 // ShootdownLatency returns the cycles a GPM spends processing an
 // invalidation of n keys: a fixed decode cost plus per-key port occupancy.
 func ShootdownLatency(n int) sim.VTime {

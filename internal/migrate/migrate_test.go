@@ -158,7 +158,7 @@ func TestMigrationShootsDownStaleEntries(t *testing.T) {
 	// Warm another GPM's aux with the old translation.
 	other := f.GPMs[(owner+11)%len(f.GPMs)]
 	oldPTE, _ := f.Placement.Global().Lookup(vpn)
-	other.InstallAux(oldPTE, xlat.PushDemand)
+	other.InstallAux(oldPTE, xlat.PushDemand, eng.Now())
 
 	id := uint64(0)
 	for i := 0; i < 2; i++ {

@@ -72,11 +72,12 @@ type Pool struct {
 	// the batch size. Calls are serialised; done is strictly increasing from
 	// 1 to total.
 	Progress func(done, total int, out Outcome)
-	// Metrics, when set, receives batch throughput series as tasks settle:
-	// runner.runs and runner.errors counters, a runner.sim_cycles counter of
-	// simulated cycles completed, and a runner.wall_ms histogram of per-run
-	// wall time. Safe to scrape live (e.g. via metrics.ListenAndServe) while
-	// the batch runs.
+	// Metrics, when set, receives batch throughput series, registered
+	// zero-valued when Run starts and updated as tasks settle: runner.runs
+	// and runner.errors counters, a runner.sim_cycles counter of simulated
+	// cycles completed, and a runner.wall_ms histogram of per-run wall time.
+	// Safe to scrape live (e.g. via metrics.ListenAndServe) while the batch
+	// runs.
 	Metrics *metrics.Registry
 
 	// Task accounting behind Snapshot, cumulative across Run calls.
@@ -148,18 +149,28 @@ func (p *Pool) Run(ctx context.Context, tasks []Task) []Outcome {
 		mu   sync.Mutex
 		done int
 		wg   sync.WaitGroup
+
+		runs, errs, cycles *metrics.Counter
+		wallMS             *metrics.Histogram
 	)
+	if reg := p.Metrics; reg != nil {
+		// Register every runner series, zero-valued, before any task runs:
+		// a scrape before the first task settles sees the whole set, not
+		// an empty registry.
+		runs, errs, cycles = reg.Counter("runner.runs"), reg.Counter("runner.errors"), reg.Counter("runner.sim_cycles")
+		wallMS = reg.Histogram("runner.wall_ms")
+	}
 	settle := func(out Outcome) {
 		outs[out.Index] = out
 		p.settled.Add(1)
-		if p.Metrics != nil {
-			p.Metrics.Counter("runner.runs").Inc()
+		if runs != nil {
+			runs.Inc()
 			if out.Err != nil {
-				p.Metrics.Counter("runner.errors").Inc()
+				errs.Inc()
 			} else {
-				p.Metrics.Counter("runner.sim_cycles").Add(uint64(out.Result.Cycles))
+				cycles.Add(uint64(out.Result.Cycles))
 			}
-			p.Metrics.Histogram("runner.wall_ms").Observe(uint64(out.Wall.Milliseconds()))
+			wallMS.Observe(uint64(out.Wall.Milliseconds()))
 		}
 		if p.Progress == nil {
 			return

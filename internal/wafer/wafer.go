@@ -114,19 +114,14 @@ type Options struct {
 	// with or without Trace; like the other observers it never perturbs
 	// results.
 	Attribution *attr.Config
-	// Validate cross-checks every remote translation result against the
-	// global page table and records mismatches in Result.ValidationErrors.
-	// Intended for tests; adds a lookup per remote translation. Do not
-	// combine with Migration: in-flight completions legitimately race the
-	// table repoint.
-	Validate bool
 	// Invariants attaches the internal/check invariant checker through the
-	// observation seams (request hook, trace sink, sampler, link visitor):
-	// conservation violations come back as errors naming the invariant,
-	// request and cycle, joined onto the run error. Results are
-	// byte-identical with the checker on or off. With Migration enabled the
-	// per-translation PFN check is skipped (legitimate races); the
-	// conservation checks still run.
+	// observation seams (request hook, trace sink, sampler, link visitor)
+	// and wraps the scheme in check.Scheme, which checks every remote
+	// translation's frame against the global page table. Violations come
+	// back as errors naming the invariant, request and cycle, joined onto
+	// the run error. Results are byte-identical with the checker on or off.
+	// With Migration enabled the frame check still runs: a stale frame
+	// passes only as a race with a migration of its page.
 	Invariants bool
 	// Migration, when non-nil, enables the page-migration extension with
 	// the given policy (see internal/migrate).
@@ -165,9 +160,10 @@ type Result struct {
 	AuxLen   int
 	AuxStats tlb.Stats
 
-	// ValidationErrors holds translation-correctness violations found when
-	// Options.Validate is set (nil/empty means every remote translation
-	// returned the frame the global page table maps).
+	// Deprecated: always empty. Translation correctness is checked by
+	// Options.Invariants, whose violations join the run error. The field
+	// stays because stored run JSON carries its key, and dropping it would
+	// change the bytes of every stored artifact.
 	ValidationErrors []string
 
 	// Migration reports page-migration activity when the extension is on.
@@ -376,16 +372,13 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 		coll = attr.NewCollector(*opts.Attribution)
 		tr = trace.Attach(tr, coll)
 	}
-	var sampleWindow uint64
+	sampleWindow := uint64(attr.DefaultWindow)
 	if coll != nil {
 		sampleWindow = coll.Window()
 	}
 	var chk *check.Checker
 	if opts.Invariants {
-		if sampleWindow == 0 {
-			sampleWindow = attr.DefaultWindow
-		}
-		chk = check.New(check.Options{Window: sampleWindow})
+		chk = check.New(sampleWindow)
 		tr = trace.Attach(tr, chk)
 	}
 	network.Trace = tr
@@ -422,22 +415,20 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 	io := iommu.New(eng, cfg.IOMMU, mesh.CPU, network, placement.Global())
 	io.GPMCoord = func(id int) geom.Coord { return gpms[id].Coord }
 	io.Trace = tr
-	if coll != nil {
-		coll.Probes(io.QueueDepth, io.WalkersBusy, func(v attr.LinkVisitor) {
-			network.VisitLinks(func(c geom.Coord, dir string, busy sim.VTime) {
-				v(c.X, c.Y, dir, uint64(busy))
-			})
-		})
-	}
-	if chk != nil {
-		io.AddHook(chk)
-		chk.Probes(func(v check.LinkVisitor) {
-			network.VisitLinks(func(c geom.Coord, dir string, busy sim.VTime) {
-				v(c.X, c.Y, dir, uint64(busy))
-			})
-		})
-	}
 	if coll != nil || chk != nil {
+		// One link walk serves the collector's and the checker's probes.
+		links := func(v attr.LinkVisitor) {
+			network.VisitLinks(func(c geom.Coord, dir string, busy sim.VTime) {
+				v(c.X, c.Y, dir, uint64(busy))
+			})
+		}
+		if coll != nil {
+			coll.Probes(io.QueueDepth, io.WalkersBusy, links)
+		}
+		if chk != nil {
+			io.AddHook(chk)
+			chk.Probes(links)
+		}
 		// Periodic sampler: queue-depth, walker-occupancy and link-busy
 		// series once per window, fired between events so the event queue
 		// and dispatch order are untouched. The collector and checker share
@@ -458,8 +449,6 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 	var served *stats.TimeSeries
 	if opts.ServedWindow > 0 {
 		served = stats.NewCountSeries(opts.ServedWindow)
-	}
-	if served != nil {
 		io.AddHook(iommu.RequestHookFunc(func(now sim.VTime, req *xlat.Request) {
 			served.Record(uint64(now), 1)
 		}))
@@ -478,19 +467,8 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 	if err != nil {
 		return Result{}, nil, err
 	}
-	var validationErrs []string
-	if opts.Validate {
-		scheme = &check.Scheme{
-			Inner: scheme, Global: placement.Global(),
-			Report: func(v check.Violation) { validationErrs = append(validationErrs, v.Detail) },
-		}
-	}
-	if chk != nil && opts.Migration == nil {
-		scheme = &check.Scheme{
-			Inner: scheme, Global: placement.Global(),
-			Report: chk.Record,
-			Now:    func() uint64 { return uint64(eng.Now()) },
-		}
+	if chk != nil {
+		scheme = &check.Scheme{Inner: scheme, Global: placement.Global(), Eng: eng, Checker: chk}
 	}
 	var migrator *migrate.Manager
 	if opts.Migration != nil {
@@ -549,9 +527,8 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 		Scheme: scheme.Name(), Benchmark: opts.Benchmark.Abbr,
 		IOMMU: io.Stats, NoC: network.Stats,
 		QueueSeries: io.QueueSeries, ServedSeries: served,
-		TotalOps:         totalOps,
-		Events:           eng.Processed,
-		ValidationErrors: validationErrs,
+		TotalOps: totalOps,
+		Events:   eng.Processed,
 	}
 	if migrator != nil {
 		res.Migration = migrator.Stats
@@ -564,11 +541,7 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 	res.GPMStats = make([]gpm.Stats, numGPMs)
 	for i, g := range gpms {
 		res.AuxLen += g.AuxLen()
-		as := g.AuxStats()
-		res.AuxStats.Hits += as.Hits
-		res.AuxStats.Misses += as.Misses
-		res.AuxStats.Fills += as.Fills
-		res.AuxStats.Evictions += as.Evictions
+		res.AuxStats.Add(g.AuxStats())
 		res.GPMCoords[i] = g.Coord
 		res.GPMFinish[i] = g.Stats.FinishTime
 		res.GPMStats[i] = g.Stats

@@ -118,23 +118,27 @@ func TestInvariantsSerialVsParallel(t *testing.T) {
 // with the concentrated scale workload (see bench_scale_test.go): the
 // conservation and accounting invariants must hold when most of the wafer
 // is unmaterialized and link state is sparse — the configuration where a
-// broken VisitLinks sweep or a resurrected lazy GPM would first show up.
+// broken VisitLinks sweep or a resurrected lazy GPM would first show up —
+// and the checked run must equal a plain one, so checking only observes
+// at scale too.
 func TestInvariants30x30(t *testing.T) {
 	if testing.Short() {
 		t.Skip("30x30 run is not short")
 	}
-	res, err := wafer.Run(scaleConfig(t), wafer.Options{
-		Scheme: "hdpat", Benchmark: scaleWorkload(),
-		OpsBudget: 8, Seed: 1,
-		Invariants: true,
-	})
+	opts := wafer.Options{Scheme: "hdpat", Benchmark: scaleWorkload(), OpsBudget: 8, Seed: 1}
+	plain, err := wafer.Run(scaleConfig(t), opts)
+	if err != nil {
+		t.Fatalf("30x30 plain: %v", err)
+	}
+	opts.Invariants = true
+	checked, err := wafer.Run(scaleConfig(t), opts)
 	if err != nil {
 		t.Fatalf("30x30 invariants: %v", err)
 	}
-	if len(res.ValidationErrors) != 0 {
-		t.Errorf("validation errors: %v", res.ValidationErrors)
+	if checked.Events == 0 || checked.Cycles == 0 {
+		t.Errorf("degenerate run: events=%d cycles=%d", checked.Events, checked.Cycles)
 	}
-	if res.Events == 0 || res.Cycles == 0 {
-		t.Errorf("degenerate run: events=%d cycles=%d", res.Events, res.Cycles)
+	if !reflect.DeepEqual(plain, checked) {
+		t.Error("invariant checking changed the 30x30 result")
 	}
 }

@@ -208,8 +208,9 @@ func WithAttribution() Option {
 // IOMMU submission terminates in exactly one outcome counter, NoC byte-hops
 // match the traffic observed on links, link occupancy never exceeds elapsed
 // time, per-request latency sums match the GPM counters, every remote
-// translation returns the globally mapped frame, and no sampler window is
-// lost. Violations come back as errors naming the invariant, request ID and
+// translation returns the globally mapped frame (or, under page migration,
+// the frame a migration it raced moved the page from), and no sampler
+// window is lost. Violations come back as errors naming the invariant, request ID and
 // cycle (match with errors.Is(err, ErrInvariant)); the Result is still
 // returned alongside them. Checking only observes — results are
 // byte-identical with it on or off — and composes freely with WithMetrics,
