@@ -1,7 +1,7 @@
 # Tier-1 verification lives behind `make check`: vet plus the full test
 # suite under the race detector, which guards the parallel batch engine
-# (internal/runner, hdpat.RunBatch, the experiments warm-up phase) against
-# data races.
+# (internal/runner, hdpat.RunBatch, the experiments Session's batches)
+# against data races.
 
 GO ?= go
 BENCH ?= BenchmarkBatch3x3|BenchmarkCompare|BenchmarkScale|BenchmarkBuildTableI

@@ -8,7 +8,6 @@ import (
 	"hdpat/internal/iommu"
 	"hdpat/internal/sim"
 	"hdpat/internal/stats"
-	"hdpat/internal/wafer"
 	"hdpat/internal/workload"
 	"hdpat/internal/xlat"
 )
@@ -56,44 +55,19 @@ func Table2(s *Session) (Table, error) {
 func Fig2(s *Session) (Table, error) {
 	t := Table{ID: "fig2", Title: "Performance headroom of idealised IOMMUs",
 		Header: []string{"Benchmark", "Ideal latency (1cyc/16W)", "Ideal parallel (500cyc/4096W)"}}
-	var jobs []simJob
-	for _, bench := range s.benchmarks() {
-		baseCfg, _ := wafer.ConfigFor("baseline", config.Default())
-		jobs = append(jobs, simJob{cfg: baseCfg, scheme: "baseline", bench: bench})
-		latCfg := baseCfg
-		latCfg.IOMMU = config.IdealLatencyIOMMU()
-		latCfg.Name = "ideal-latency"
-		jobs = append(jobs, simJob{cfg: latCfg, scheme: "baseline", bench: bench})
-		parCfg := baseCfg
-		parCfg.IOMMU = config.IdealParallelIOMMU()
-		parCfg.Name = "ideal-parallel"
-		jobs = append(jobs, simJob{cfg: parCfg, scheme: "baseline", bench: bench})
-	}
-	if err := s.warm(jobs); err != nil {
+	base := s.job("baseline", "", config.Default())
+	lat, par := base, base
+	lat.cfg.IOMMU = config.IdealLatencyIOMMU()
+	lat.cfg.Name = "ideal-latency"
+	par.cfg.IOMMU = config.IdealParallelIOMMU()
+	par.cfg.Name = "ideal-parallel"
+	res, err := s.perBench(base, lat, par)
+	if err != nil {
 		return t, err
 	}
 	var latSp, parSp []float64
-	for _, bench := range s.benchmarks() {
-		baseCfg, _ := wafer.ConfigFor("baseline", config.Default())
-		base, err := s.run(baseCfg, "baseline", bench, wafer.Options{})
-		if err != nil {
-			return t, err
-		}
-		latCfg := baseCfg
-		latCfg.IOMMU = config.IdealLatencyIOMMU()
-		latCfg.Name = "ideal-latency"
-		lat, err := s.run(latCfg, "baseline", bench, wafer.Options{})
-		if err != nil {
-			return t, err
-		}
-		parCfg := baseCfg
-		parCfg.IOMMU = config.IdealParallelIOMMU()
-		parCfg.Name = "ideal-parallel"
-		par, err := s.run(parCfg, "baseline", bench, wafer.Options{})
-		if err != nil {
-			return t, err
-		}
-		ls, ps := lat.Speedup(base), par.Speedup(base)
+	for b, bench := range s.benchmarks() {
+		ls, ps := res[b][1].Speedup(res[b][0]), res[b][2].Speedup(res[b][0])
 		latSp = append(latSp, ls)
 		parSp = append(parSp, ps)
 		t.Addf(bench, ls, ps)
@@ -108,11 +82,11 @@ func Fig2(s *Session) (Table, error) {
 func Fig3(s *Session) (Table, error) {
 	t := Table{ID: "fig3", Title: "Averaged latency breakdown per IOMMU translation request (SPMV)",
 		Header: []string{"Component", "Cycles (mean)", "Share %"}}
-	cfg, _ := wafer.ConfigFor("baseline", config.Default())
-	res, err := s.run(cfg, "baseline", "SPMV", wafer.Options{})
+	out, err := s.runs([]simJob{s.job("baseline", "SPMV", config.Default())})
 	if err != nil {
 		return t, err
 	}
+	res := out[0]
 	pre, q, w := res.IOMMU.Breakdown.Means()
 	pp, qp, wp := res.IOMMU.Breakdown.Percentages()
 	t.Addf("pre-queue", pre, pp)
@@ -128,24 +102,23 @@ func Fig3(s *Session) (Table, error) {
 func Fig4(s *Session) (Table, error) {
 	t := Table{ID: "fig4", Title: "IOMMU buffer pressure over time (SPMV)",
 		Header: []string{"System", "Peak depth", "Mean depth", "Sparkline (time ->)"}}
-	window := uint64(2000)
-	for _, sys := range []struct {
-		name string
-		cfg  config.System
-	}{
-		{"MCM (3x3 wafer)", config.MCM4()},
-		{"wafer-scale (7x7)", config.Default()},
-	} {
-		cfg, _ := wafer.ConfigFor("baseline", sys.cfg)
+	names := []string{"MCM (3x3 wafer)", "wafer-scale (7x7)"}
+	var jobs []simJob
+	for _, sys := range []config.System{config.MCM4(), config.Default()} {
+		j := s.job("baseline", "SPMV", sys)
 		// The paper sets the IOMMU buffer to 4096 in this experiment "to
 		// better demonstrate the load".
-		cfg.IOMMU.PWQueueCap = 4096
-		res, err := s.run(cfg, "baseline", "SPMV", wafer.Options{QueueWindow: window})
-		if err != nil {
-			return t, err
-		}
+		j.cfg.IOMMU.PWQueueCap = 4096
+		j.queueWindow = 2000
+		jobs = append(jobs, j)
+	}
+	out, err := s.runs(jobs)
+	if err != nil {
+		return t, err
+	}
+	for i, res := range out {
 		vals := res.QueueSeries.Values()
-		t.Addf(sys.name, res.QueueSeries.Peak(), mean(vals), res.QueueSeries.Sparkline(48))
+		t.Addf(names[i], res.QueueSeries.Peak(), mean(vals), res.QueueSeries.Sparkline(48))
 	}
 	t.Note("paper: wafer-scale backlog is persistently high (~700 with a 4096 buffer); MCM stays low")
 	return t, nil
@@ -156,12 +129,17 @@ func Fig4(s *Session) (Table, error) {
 func Fig5(s *Session) (Table, error) {
 	t := Table{ID: "fig5", Title: "GPM execution time (kcycles) by geometric position",
 		Header: []string{"Benchmark", "Ring 1 (centre)", "Ring 2", "Ring 3 (edge)", "Edge/centre"}}
-	for _, bench := range []string{"FIR", "SPMV"} {
-		cfg, _ := wafer.ConfigFor("baseline", config.Default())
-		res, err := s.run(cfg, "baseline", bench, wafer.Options{})
-		if err != nil {
-			return t, err
-		}
+	benches := []string{"FIR", "SPMV"}
+	var jobs []simJob
+	for _, bench := range benches {
+		jobs = append(jobs, s.job("baseline", bench, config.Default()))
+	}
+	out, err := s.runs(jobs)
+	if err != nil {
+		return t, err
+	}
+	for i, res := range out {
+		cfg := jobs[i].cfg
 		sums := map[int]float64{}
 		counts := map[int]int{}
 		cpu := geom.XY((cfg.MeshW-1)/2, (cfg.MeshH-1)/2)
@@ -181,7 +159,7 @@ func Fig5(s *Session) (Table, error) {
 		if r1 > 0 {
 			ratio = r3 / r1
 		}
-		t.Addf(bench, r1, r2, r3, ratio)
+		t.Addf(benches[i], r1, r2, r3, ratio)
 	}
 	t.Note("paper: centrally located GPMs exhibit lower execution times")
 	return t, nil
@@ -191,17 +169,12 @@ func Fig5(s *Session) (Table, error) {
 func Fig6(s *Session) (Table, error) {
 	t := Table{ID: "fig6", Title: "Distribution of per-page IOMMU translation counts",
 		Header: []string{"Benchmark", "Pages", "x1 %", "x2-3 %", "x4-7 %", "x8+ %", "Max"}}
-	for _, bench := range s.benchmarks() {
-		tracker := stats.NewReuseTracker()
-		cfg, _ := wafer.ConfigFor("baseline", config.Default())
-		_, err := s.run(cfg, "baseline", bench, wafer.Options{
-			Hooks: []iommu.RequestHook{iommu.RequestHookFunc(
-				func(now sim.VTime, req *xlat.Request) { tracker.Touch(uint64(req.VPN)) })},
-		})
-		if err != nil {
-			return t, err
-		}
-		h := tracker.CountHistogram()
+	trackers, err := touchRuns(s, s.benchmarks(), stats.NewReuseTracker)
+	if err != nil {
+		return t, err
+	}
+	for i, bench := range s.benchmarks() {
+		h := trackers[i].CountHistogram()
 		var once, x23, x47, x8 uint64
 		for i := 0; i < h.NumBuckets(); i++ {
 			c, lo, _ := h.Bucket(i)
@@ -236,17 +209,12 @@ func Fig7(s *Session) (Table, error) {
 	if s.P.Quick {
 		benches = []string{"BT", "PR"}
 	}
-	for _, bench := range benches {
-		tracker := stats.NewReuseTracker()
-		cfg, _ := wafer.ConfigFor("baseline", config.Default())
-		_, err := s.run(cfg, "baseline", bench, wafer.Options{
-			Hooks: []iommu.RequestHook{iommu.RequestHookFunc(
-				func(now sim.VTime, req *xlat.Request) { tracker.Touch(uint64(req.VPN)) })},
-		})
-		if err != nil {
-			return t, err
-		}
-		d := &tracker.Distances
+	trackers, err := touchRuns(s, benches, stats.NewReuseTracker)
+	if err != nil {
+		return t, err
+	}
+	for i, bench := range benches {
+		d := &trackers[i].Distances
 		t.Addf(bench, d.Total(), 100*d.FractionAtMost(16), 100*d.FractionAtMost(256),
 			100*d.FractionAtMost(4096), d.Max())
 	}
@@ -258,16 +226,12 @@ func Fig7(s *Session) (Table, error) {
 func Fig8(s *Session) (Table, error) {
 	t := Table{ID: "fig8", Title: "Virtual-page distance between consecutive translation requests",
 		Header: []string{"Benchmark", "Pairs", "within 1 %", "within 2 %", "within 4 %"}}
-	for _, bench := range s.benchmarks() {
-		var tracker stats.SpatialTracker
-		cfg, _ := wafer.ConfigFor("baseline", config.Default())
-		_, err := s.run(cfg, "baseline", bench, wafer.Options{
-			Hooks: []iommu.RequestHook{iommu.RequestHookFunc(
-				func(now sim.VTime, req *xlat.Request) { tracker.Touch(uint64(req.VPN)) })},
-		})
-		if err != nil {
-			return t, err
-		}
+	trackers, err := touchRuns(s, s.benchmarks(), func() *stats.SpatialTracker { return new(stats.SpatialTracker) })
+	if err != nil {
+		return t, err
+	}
+	for i, bench := range s.benchmarks() {
+		tracker := trackers[i]
 		t.Addf(bench, tracker.Distances.Total(),
 			100*tracker.FractionWithin(1), 100*tracker.FractionWithin(2), 100*tracker.FractionWithin(4))
 	}
@@ -275,20 +239,43 @@ func Fig8(s *Session) (Table, error) {
 	return t, nil
 }
 
+// touchRuns runs the baseline on each benchmark with a fresh tracker
+// touched by every request's VPN as it reaches the IOMMU, and returns the
+// trackers in benchmark order.
+func touchRuns[T interface{ Touch(uint64) }](s *Session, benches []string, fresh func() T) ([]T, error) {
+	trackers := make([]T, len(benches))
+	jobs := make([]simJob, len(benches))
+	for i, bench := range benches {
+		tr := fresh()
+		trackers[i] = tr
+		jobs[i] = s.job("baseline", bench, config.Default())
+		jobs[i].hooks = []iommu.RequestHook{iommu.RequestHookFunc(
+			func(now sim.VTime, req *xlat.Request) { tr.Touch(uint64(req.VPN)) })}
+	}
+	_, err := s.runs(jobs)
+	return trackers, err
+}
+
 // Fig13 runs FIR at three problem sizes and reports the windowed IOMMU
 // request-rate series, demonstrating size-invariant behaviour.
 func Fig13(s *Session) (Table, error) {
 	t := Table{ID: "fig13", Title: "IOMMU-served translation requests over time, FIR problem sizes",
 		Header: []string{"Scale (1/N of Table II)", "Requests", "Peak/window", "Mean/window", "Sparkline"}}
-	window := uint64(5000)
-	for _, scale := range []int{16, 8, 4} {
-		cfg, _ := wafer.ConfigFor("baseline", config.Default())
-		cfg.WorkloadScale = scale
-		cfg.Name = fmt.Sprintf("fir-scale%d", scale)
-		res, err := s.run(cfg, "baseline", "FIR", wafer.Options{ServedWindow: window})
-		if err != nil {
-			return t, err
-		}
+	scales := []int{16, 8, 4}
+	var jobs []simJob
+	for _, scale := range scales {
+		j := s.job("baseline", "FIR", config.Default())
+		j.cfg.WorkloadScale = scale
+		j.cfg.Name = fmt.Sprintf("fir-scale%d", scale)
+		j.servedWindow = 5000
+		jobs = append(jobs, j)
+	}
+	out, err := s.runs(jobs)
+	if err != nil {
+		return t, err
+	}
+	for i, res := range out {
+		scale := scales[i]
 		vals := res.ServedSeries.Values()
 		t.Addf(fmt.Sprintf("1/%d", scale), res.IOMMU.Requests, res.ServedSeries.Peak(),
 			mean(vals), res.ServedSeries.Sparkline(48))

@@ -3,6 +3,17 @@
 // artifact id (fig2..fig22, tab1, tab2, area) and produces a Table whose
 // rows mirror what the paper reports, so EXPERIMENTS.md can record
 // paper-vs-measured side by side.
+//
+// A Session runs the simulations. Each figure declares its runs once, as a
+// list of simJobs, and hands the list to Session.runs, the one run path: it
+// returns the results in declaration order, and the figure reads them by
+// index. Results are memoised for the Session's lifetime on the whole run
+// description (memoKey): the complete config.System, scheme, benchmark, ops
+// budget, seed and migration policy, so two runs share a result only when
+// every input that shapes it is equal. Jobs carrying per-call observers
+// (request hooks, queue or served series, a custom benchmark) execute
+// every time and are never cached. Everything not memoised runs as one
+// parallel runner.Pool batch per declaration.
 package experiments
 
 import (
@@ -15,7 +26,9 @@ import (
 	"strings"
 
 	"hdpat/internal/config"
+	"hdpat/internal/iommu"
 	"hdpat/internal/metrics"
+	"hdpat/internal/migrate"
 	"hdpat/internal/runner"
 	"hdpat/internal/sim"
 	"hdpat/internal/wafer"
@@ -130,25 +143,22 @@ type Params struct {
 	// Benchmarks restricts the benchmark set (nil = Table II set, or the
 	// quick subset under Quick).
 	Benchmarks []string
-	// Workers bounds the simulations a figure's warm-up phase runs in
-	// parallel (<= 0 means GOMAXPROCS; 1 forces serial execution).
+	// Workers bounds the simulations a figure's batch runs in parallel
+	// (<= 0 means GOMAXPROCS; 1 forces serial execution).
 	Workers int
 }
 
 // Session runs experiments, memoising simulation results so figures that
-// share runs (fig14/15/16/17 all need baseline+hdpat per benchmark) pay
-// once. Figure generators declare their run set up front (warm/warmPairs),
-// which executes the cache misses as one parallel batch; the generators'
-// serial loops then assemble tables from cache hits. A Session is not
-// goroutine-safe — parallelism lives inside warm.
+// share runs (fig14..fig19 all need the baseline per benchmark) pay once.
+// A Session is not goroutine-safe; parallelism lives inside runs.
 type Session struct {
 	P     Params
-	cache map[string]wafer.Result
+	cache map[memoKey]wafer.Result
 	// Runs counts actual (non-cached) simulations, for reporting.
 	Runs int
 	// Metrics, when set, receives runner.* batch-throughput series from the
-	// warm-up pools, so a live endpoint (metrics.ListenAndServe) can report
-	// progress while figures regenerate.
+	// figures' batches, so a live endpoint (metrics.ListenAndServe) can
+	// report progress while figures regenerate.
 	Metrics *metrics.Registry
 }
 
@@ -161,7 +171,7 @@ func NewSession(p Params) *Session {
 			p.OpsBudget = 96
 		}
 	}
-	return &Session{P: p, cache: make(map[string]wafer.Result)}
+	return &Session{P: p, cache: make(map[memoKey]wafer.Result)}
 }
 
 // benchmarks returns the active benchmark list.
@@ -175,143 +185,145 @@ func (s *Session) benchmarks() []string {
 	return workload.Names()
 }
 
-// runKey is the memo key for one simulation.
-func runKey(cfg config.System, scheme, bench string, opts wafer.Options) string {
-	return fmt.Sprintf("%s|%s|%s|%d|%d|%d|%d|%v|%d|%d|%d|%d|%v|%d|%d",
-		cfg.Name, scheme, bench, cfg.MeshW, cfg.MeshH, cfg.PageSize, cfg.WorkloadScale,
-		cfg.IOMMU.UseTLB, cfg.IOMMU.Walkers, cfg.IOMMU.WalkCycles, cfg.IOMMU.PrefetchDegree,
-		cfg.IOMMU.RedirectEntries, cfg.IOMMU.Revisit, cfg.GPM.L2Cache.SizeBytes,
-		opts.OpsBudget)
-}
-
-// plainRun reports whether a run is memoisable (no hooks, observability
-// sinks or series, which attach per-call state the cache cannot share).
-func plainRun(opts wafer.Options) bool {
-	return len(opts.Hooks) == 0 && opts.Metrics == nil && opts.Trace == nil &&
-		opts.Attribution == nil && opts.QueueWindow == 0 && opts.ServedWindow == 0
-}
-
-// execute performs one simulation with the session's defaults applied. It
-// touches no session state, so warm may call it from worker goroutines.
-func (s *Session) execute(ctx context.Context, cfg config.System, scheme, bench string, opts wafer.Options) (wafer.Result, error) {
-	b, err := workload.ByAbbr(bench)
-	if err != nil {
-		return wafer.Result{}, err
-	}
-	opts.Scheme = scheme
-	opts.Benchmark = b
-	if opts.OpsBudget == 0 {
-		opts.OpsBudget = s.P.OpsBudget
-	}
-	if opts.Seed == 0 {
-		opts.Seed = s.P.Seed + 1
-	}
-	return wafer.RunContext(ctx, cfg, opts)
-}
-
-// run executes (or recalls) one simulation.
-func (s *Session) run(cfg config.System, scheme, bench string, opts wafer.Options) (wafer.Result, error) {
-	key := runKey(cfg, scheme, bench, opts)
-	plain := plainRun(opts)
-	if plain {
-		if r, ok := s.cache[key]; ok {
-			return r, nil
-		}
-	}
-	res, err := s.execute(context.Background(), cfg, scheme, bench, opts)
-	if err != nil {
-		return wafer.Result{}, err
-	}
-	s.Runs++
-	if plain {
-		s.cache[key] = res
-	}
-	return res, nil
-}
-
-// simJob names one simulation for parallel pre-execution.
-type simJob struct {
+// memoKey holds every input that shapes a simulation's result: the whole
+// wafer configuration (config.System is comparable), scheme, benchmark,
+// budget, seed and the migration policy by value.
+type memoKey struct {
 	cfg           config.System
 	scheme, bench string
-	opts          wafer.Options
+	opsBudget     int
+	seed          int64
+	// migration enables page migration when non-zero.
+	migration migrate.Config
 }
 
-// warm executes the given simulations' cache misses as one parallel batch
-// (bounded by Params.Workers) and memoises the results, so the caller's
-// subsequent run() calls are cache hits. Non-memoisable jobs (observers,
-// series) are skipped — they run serially in the generator as before.
-// Results are identical to serial execution; only wall-clock changes.
-func (s *Session) warm(jobs []simJob) error {
-	var pending []simJob
-	var keys []string
-	seen := map[string]bool{}
-	for _, j := range jobs {
-		key := runKey(j.cfg, j.scheme, j.bench, j.opts)
-		if !plainRun(j.opts) || seen[key] {
-			continue
+// simJob is one simulation's whole description: its memoKey plus the
+// per-call observers. A job carrying any observer attaches state the memo
+// cannot share, so it is executed every time and never cached.
+type simJob struct {
+	memoKey
+	hooks        []iommu.RequestHook
+	queueWindow  uint64
+	servedWindow uint64
+	// custom, when non-nil, replaces the named benchmark.
+	custom *workload.Benchmark
+}
+
+// job describes scheme running bench on sys, with the scheme's settings
+// applied by wafer.ConfigFor, at the session's budget and seed. An unknown
+// scheme surfaces as the run's error.
+func (s *Session) job(scheme, bench string, sys config.System) simJob {
+	cfg, _ := wafer.ConfigFor(scheme, sys)
+	return simJob{memoKey: memoKey{cfg: cfg, scheme: scheme, bench: bench,
+		opsBudget: s.P.OpsBudget, seed: s.P.Seed + 1}}
+}
+
+// observed reports whether the job carries per-call state.
+func (j simJob) observed() bool {
+	return len(j.hooks) > 0 || j.queueWindow != 0 || j.servedWindow != 0 || j.custom != nil
+}
+
+// simulate executes the job. It touches no session state, so it runs on
+// the pool's worker goroutines.
+func (j simJob) simulate(ctx context.Context) (wafer.Result, error) {
+	opts := wafer.Options{Scheme: j.scheme, OpsBudget: j.opsBudget, Seed: j.seed,
+		Hooks: j.hooks, QueueWindow: j.queueWindow, ServedWindow: j.servedWindow}
+	if j.custom != nil {
+		opts.Benchmark = *j.custom
+	} else {
+		b, err := workload.ByAbbr(j.bench)
+		if err != nil {
+			return wafer.Result{}, err
 		}
-		if _, ok := s.cache[key]; ok {
-			continue
-		}
-		seen[key] = true
-		pending = append(pending, j)
-		keys = append(keys, key)
+		opts.Benchmark = b
 	}
-	if len(pending) == 0 {
-		return nil
+	if j.migration != (migrate.Config{}) {
+		m := j.migration
+		opts.Migration = &m
 	}
-	tasks := make([]runner.Task, len(pending))
-	for i, j := range pending {
-		j := j
-		tasks[i] = func(ctx context.Context) (wafer.Result, error) {
-			return s.execute(ctx, j.cfg, j.scheme, j.bench, j.opts)
+	return wafer.RunContext(ctx, j.cfg, opts)
+}
+
+// runs is the Session's one entry point: it returns each job's result, in
+// job order. Jobs with equal keys run once, memo hits are served from the
+// cache, and everything else — observer-carrying jobs included — executes
+// as one parallel batch bounded by Params.Workers. Results are identical
+// to serial execution; only wall-clock changes.
+func (s *Session) runs(jobs []simJob) ([]wafer.Result, error) {
+	out := make([]wafer.Result, len(jobs))
+	slot := make([]int, len(jobs)) // job -> its task, or -1 for a memo hit
+	var todo []simJob
+	queued := map[memoKey]int{}
+	for i, j := range jobs {
+		if !j.observed() {
+			if r, ok := s.cache[j.memoKey]; ok {
+				out[i], slot[i] = r, -1
+				continue
+			}
+			if t, ok := queued[j.memoKey]; ok {
+				slot[i] = t
+				continue
+			}
+			queued[j.memoKey] = len(todo)
 		}
+		slot[i] = len(todo)
+		todo = append(todo, j)
+	}
+	tasks := make([]runner.Task, len(todo))
+	for t, j := range todo {
+		tasks[t] = j.simulate
 	}
 	pool := &runner.Pool{Workers: s.P.Workers, Metrics: s.Metrics}
-	for i, out := range pool.Run(context.Background(), tasks) {
-		if out.Err != nil {
-			return fmt.Errorf("experiments: %s/%s: %w", pending[i].scheme, pending[i].bench, out.Err)
+	done := pool.Run(context.Background(), tasks)
+	for t, o := range done {
+		if o.Err != nil {
+			return nil, fmt.Errorf("experiments: %s/%s: %w", todo[t].scheme, todo[t].bench, o.Err)
 		}
 		s.Runs++
-		s.cache[keys[i]] = out.Result
-	}
-	return nil
-}
-
-// warmPairs pre-runs the baseline plus each named scheme across the given
-// benchmarks on the default wafer — the run set behind pair()-based
-// figures.
-func (s *Session) warmPairs(schemes []string, benches []string) error {
-	var jobs []simJob
-	for _, bench := range benches {
-		for _, scheme := range append([]string{"baseline"}, schemes...) {
-			cfg, err := wafer.ConfigFor(scheme, config.Default())
-			if err != nil {
-				return err
-			}
-			jobs = append(jobs, simJob{cfg: cfg, scheme: scheme, bench: bench})
+		if !todo[t].observed() {
+			s.cache[todo[t].memoKey] = o.Result
 		}
 	}
-	return s.warm(jobs)
+	for i, t := range slot {
+		if t >= 0 {
+			out[i] = done[t].Result
+		}
+	}
+	return out, nil
 }
 
-// pair runs baseline and the named scheme on a benchmark with the default
-// wafer and returns (base, other).
-func (s *Session) pair(scheme, bench string) (wafer.Result, wafer.Result, error) {
-	baseCfg, err := wafer.ConfigFor("baseline", config.Default())
-	if err != nil {
-		return wafer.Result{}, wafer.Result{}, err
+// perBench runs the given variants on every benchmark of the session in
+// one batch: out[b][v] is variants[v] on benchmark b. The variants' own
+// bench fields are ignored.
+func (s *Session) perBench(variants ...simJob) ([][]wafer.Result, error) {
+	benches := s.benchmarks()
+	jobs := make([]simJob, 0, len(benches)*len(variants))
+	for _, bench := range benches {
+		for _, v := range variants {
+			v.bench = bench
+			jobs = append(jobs, v)
+		}
 	}
-	base, err := s.run(baseCfg, "baseline", bench, wafer.Options{})
+	res, err := s.runs(jobs)
 	if err != nil {
-		return wafer.Result{}, wafer.Result{}, err
+		return nil, err
 	}
-	cfg, err := wafer.ConfigFor(scheme, config.Default())
-	if err != nil {
-		return wafer.Result{}, wafer.Result{}, err
+	out := make([][]wafer.Result, len(benches))
+	for b := range out {
+		out[b] = res[b*len(variants) : (b+1)*len(variants)]
 	}
-	res, err := s.run(cfg, scheme, bench, wafer.Options{})
-	return base, res, err
+	return out, nil
+}
+
+// versusBaseline runs the baseline plus each named scheme on every
+// benchmark on the default wafer: out[b][0] is the baseline and
+// out[b][1+k] is schemes[k].
+func (s *Session) versusBaseline(schemes ...string) ([][]wafer.Result, error) {
+	variants := []simJob{s.job("baseline", "", config.Default())}
+	for _, scheme := range schemes {
+		variants = append(variants, s.job(scheme, "", config.Default()))
+	}
+	return s.perBench(variants...)
 }
 
 // Experiment is one reproducible paper artifact.
@@ -426,6 +438,28 @@ func fmtCycles(c sim.VTime) string {
 		return fmt.Sprintf("%.1fk", float64(c)/1e3)
 	}
 	return fmt.Sprintf("%d", c)
+}
+
+// speedupTable adds one row per benchmark of each variant's speedup over
+// that benchmark's baseline (res[b][0] is the baseline, res[b][1+k] fills
+// header column 1+k), then a MEAN row. It returns the speedups by column.
+func speedupTable(t *Table, benches []string, res [][]wafer.Result) [][]float64 {
+	sums := make([][]float64, len(t.Header)-1)
+	for b, bench := range benches {
+		row := []any{bench}
+		for k := range sums {
+			sp := res[b][1+k].Speedup(res[b][0])
+			sums[k] = append(sums[k], sp)
+			row = append(row, sp)
+		}
+		t.Addf(row...)
+	}
+	meanRow := []any{"MEAN"}
+	for _, xs := range sums {
+		meanRow = append(meanRow, mean(xs))
+	}
+	t.Addf(meanRow...)
+	return sums
 }
 
 func offloadPct(r wafer.Result) float64 { return 100 * r.OffloadFraction() }

@@ -6,7 +6,6 @@ import (
 	"hdpat/internal/config"
 	"hdpat/internal/migrate"
 	"hdpat/internal/vm"
-	"hdpat/internal/wafer"
 	"hdpat/internal/workload"
 )
 
@@ -32,49 +31,19 @@ func ExtProbePolicy(s *Session) (Table, error) {
 		{"c1", 1, false},
 		{"c3", 3, false},
 	}
-	var jobs []simJob
-	for _, bench := range s.benchmarks() {
-		baseCfg, _ := wafer.ConfigFor("baseline", config.Default())
-		jobs = append(jobs, simJob{cfg: baseCfg, scheme: "baseline", bench: bench})
-		for _, v := range variants {
-			cfg, _ := wafer.ConfigFor("hdpat", config.Default())
-			cfg.HDPAT.Layers = v.layers
-			cfg.HDPAT.SequentialLayers = v.sequential
-			cfg.Name = "probe-" + v.name
-			jobs = append(jobs, simJob{cfg: cfg, scheme: "hdpat", bench: bench})
-		}
+	jobs := []simJob{s.job("baseline", "", config.Default())}
+	for _, v := range variants {
+		j := s.job("hdpat", "", config.Default())
+		j.cfg.HDPAT.Layers = v.layers
+		j.cfg.HDPAT.SequentialLayers = v.sequential
+		j.cfg.Name = "probe-" + v.name
+		jobs = append(jobs, j)
 	}
-	if err := s.warm(jobs); err != nil {
+	res, err := s.perBench(jobs...)
+	if err != nil {
 		return t, err
 	}
-	sums := make([][]float64, len(variants))
-	for _, bench := range s.benchmarks() {
-		baseCfg, _ := wafer.ConfigFor("baseline", config.Default())
-		base, err := s.run(baseCfg, "baseline", bench, wafer.Options{})
-		if err != nil {
-			return t, err
-		}
-		row := []any{bench}
-		for i, v := range variants {
-			cfg, _ := wafer.ConfigFor("hdpat", config.Default())
-			cfg.HDPAT.Layers = v.layers
-			cfg.HDPAT.SequentialLayers = v.sequential
-			cfg.Name = "probe-" + v.name
-			res, err := s.run(cfg, "hdpat", bench, wafer.Options{})
-			if err != nil {
-				return t, err
-			}
-			sp := res.Speedup(base)
-			sums[i] = append(sums[i], sp)
-			row = append(row, sp)
-		}
-		t.Addf(row...)
-	}
-	meanRow := []any{"MEAN"}
-	for i := range variants {
-		meanRow = append(meanRow, mean(sums[i]))
-	}
-	t.Addf(meanRow...)
+	speedupTable(&t, s.benchmarks(), res)
 	t.Note("concurrent probes trade wasted walker work for latency; sequential saves traffic")
 	return t, nil
 }
@@ -85,47 +54,18 @@ func ExtPushThreshold(s *Session) (Table, error) {
 	thresholds := []uint32{1, 2, 4, 8}
 	t := Table{ID: "ext-threshold", Title: "Selective push threshold (speedup vs baseline)",
 		Header: []string{"Benchmark", "t=1", "t=2", "t=4", "t=8"}}
-	var jobs []simJob
-	for _, bench := range s.benchmarks() {
-		baseCfg, _ := wafer.ConfigFor("baseline", config.Default())
-		jobs = append(jobs, simJob{cfg: baseCfg, scheme: "baseline", bench: bench})
-		for _, th := range thresholds {
-			cfg, _ := wafer.ConfigFor("hdpat", config.Default())
-			cfg.IOMMU.PushThreshold = th
-			cfg.Name = fmt.Sprintf("push-t%d", th)
-			jobs = append(jobs, simJob{cfg: cfg, scheme: "hdpat", bench: bench})
-		}
+	jobs := []simJob{s.job("baseline", "", config.Default())}
+	for _, th := range thresholds {
+		j := s.job("hdpat", "", config.Default())
+		j.cfg.IOMMU.PushThreshold = th
+		j.cfg.Name = fmt.Sprintf("push-t%d", th)
+		jobs = append(jobs, j)
 	}
-	if err := s.warm(jobs); err != nil {
+	res, err := s.perBench(jobs...)
+	if err != nil {
 		return t, err
 	}
-	sums := make([][]float64, len(thresholds))
-	for _, bench := range s.benchmarks() {
-		baseCfg, _ := wafer.ConfigFor("baseline", config.Default())
-		base, err := s.run(baseCfg, "baseline", bench, wafer.Options{})
-		if err != nil {
-			return t, err
-		}
-		row := []any{bench}
-		for i, th := range thresholds {
-			cfg, _ := wafer.ConfigFor("hdpat", config.Default())
-			cfg.IOMMU.PushThreshold = th
-			cfg.Name = fmt.Sprintf("push-t%d", th)
-			res, err := s.run(cfg, "hdpat", bench, wafer.Options{})
-			if err != nil {
-				return t, err
-			}
-			sp := res.Speedup(base)
-			sums[i] = append(sums[i], sp)
-			row = append(row, sp)
-		}
-		t.Addf(row...)
-	}
-	meanRow := []any{"MEAN"}
-	for i := range thresholds {
-		meanRow = append(meanRow, mean(sums[i]))
-	}
-	t.Addf(meanRow...)
+	speedupTable(&t, s.benchmarks(), res)
 	t.Note("t=1 pushes every walk (more traffic, earlier coverage); high t starves the aux caches")
 	return t, nil
 }
@@ -138,25 +78,11 @@ func ExtPushThreshold(s *Session) (Table, error) {
 func ExtOwnerForward(s *Session) (Table, error) {
 	t := Table{ID: "ext-ownerfw", Title: "Owner-forwarded walks vs HDPAT (speedup vs baseline)",
 		Header: []string{"Benchmark", "HDPAT", "OwnerFW"}}
-	if err := s.warmPairs([]string{"hdpat", "ownerfw"}, s.benchmarks()); err != nil {
+	res, err := s.versusBaseline("hdpat", "ownerfw")
+	if err != nil {
 		return t, err
 	}
-	var hd, of []float64
-	for _, bench := range s.benchmarks() {
-		base, h, err := s.pair("hdpat", bench)
-		if err != nil {
-			return t, err
-		}
-		_, o, err := s.pair("ownerfw", bench)
-		if err != nil {
-			return t, err
-		}
-		hs, os := h.Speedup(base), o.Speedup(base)
-		hd = append(hd, hs)
-		of = append(of, os)
-		t.Addf(bench, hs, os)
-	}
-	t.Addf("MEAN", mean(hd), mean(of))
+	speedupTable(&t, s.benchmarks(), res)
 	t.Note("owner forwarding exploits 48x8 distributed walkers but loses on hot partitions and")
 	t.Note("gives up the centralized management the zero-copy model assumes")
 	return t, nil
@@ -169,27 +95,16 @@ func ExtOwnerForward(s *Session) (Table, error) {
 func ExtMigration(s *Session) (Table, error) {
 	t := Table{ID: "ext-migrate", Title: "Page migration on top of HDPAT (speedup vs baseline)",
 		Header: []string{"Benchmark", "HDPAT", "HDPAT+migration", "Pages moved", "Shared-skips"}}
+	migrating := s.job("hdpat", "", config.Default())
+	migrating.cfg.Name = "hdpat-migrate"
+	migrating.migration = migrate.DefaultConfig()
+	runs, err := s.perBench(s.job("baseline", "", config.Default()), s.job("hdpat", "", config.Default()), migrating)
+	if err != nil {
+		return t, err
+	}
 	var hd, mg []float64
-	mcfg := migrate.DefaultConfig()
-	for _, bench := range s.benchmarks() {
-		base, h, err := s.pair("hdpat", bench)
-		if err != nil {
-			return t, err
-		}
-		cfg, _ := wafer.ConfigFor("hdpat", config.Default())
-		cfg.Name = "hdpat-migrate"
-		b, err := workload.ByAbbr(bench)
-		if err != nil {
-			return t, err
-		}
-		res, err := wafer.Run(cfg, wafer.Options{
-			Scheme: "hdpat", Benchmark: b, OpsBudget: s.P.OpsBudget,
-			Seed: s.P.Seed + 1, Migration: &mcfg,
-		})
-		if err != nil {
-			return t, err
-		}
-		s.Runs++
+	for b, bench := range s.benchmarks() {
+		base, h, res := runs[b][0], runs[b][1], runs[b][2]
 		hs, ms := h.Speedup(base), res.Speedup(base)
 		hd = append(hd, hs)
 		mg = append(mg, ms)
@@ -244,30 +159,30 @@ func privateHot() workload.Benchmark {
 func ExtMigrationMicro(s *Session) (Table, error) {
 	t := Table{ID: "ext-migrate-micro", Title: "Migration microbenchmark (private remote hot pages, tiny L2 TLB)",
 		Header: []string{"Config", "Cycles", "Remote reqs", "Migrations", "Speedup vs same scheme"}}
-	run := func(scheme string, with bool) (wafer.Result, error) {
-		cfg, _ := wafer.ConfigFor(scheme, config.Default())
-		cfg.Name = "migrate-micro"
-		cfg.GPM.L2TLB.Sets = 2
-		cfg.GPM.L2TLB.Ways = 8
-		opts := wafer.Options{Scheme: scheme, Benchmark: privateHot(),
-			OpsBudget: 480, Seed: s.P.Seed + 1}
-		if with {
-			mc := migrate.DefaultConfig()
-			mc.Threshold = 3
-			opts.Migration = &mc
+	schemes := []string{"baseline", "hdpat"}
+	var jobs []simJob
+	for _, scheme := range schemes {
+		for _, with := range []bool{false, true} {
+			j := s.job(scheme, "PRIV", config.Default())
+			j.cfg.Name = "migrate-micro"
+			j.cfg.GPM.L2TLB.Sets = 2
+			j.cfg.GPM.L2TLB.Ways = 8
+			j.opsBudget = 480
+			hot := privateHot()
+			j.custom = &hot
+			if with {
+				j.migration = migrate.DefaultConfig()
+				j.migration.Threshold = 3
+			}
+			jobs = append(jobs, j)
 		}
-		s.Runs++
-		return wafer.Run(cfg, opts)
 	}
-	for _, scheme := range []string{"baseline", "hdpat"} {
-		off, err := run(scheme, false)
-		if err != nil {
-			return t, err
-		}
-		on, err := run(scheme, true)
-		if err != nil {
-			return t, err
-		}
+	res, err := s.runs(jobs)
+	if err != nil {
+		return t, err
+	}
+	for i, scheme := range schemes {
+		off, on := res[2*i], res[2*i+1]
 		t.Addf(scheme, fmtCycles(off.Cycles), off.RemoteRequests(), 0, 1.0)
 		t.Addf(scheme+"+migration", fmtCycles(on.Cycles), on.RemoteRequests(),
 			on.Migration.Migrations, on.Speedup(off))

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"hdpat/internal/config"
-	"hdpat/internal/wafer"
 	"hdpat/internal/xlat"
 )
 
@@ -12,30 +11,14 @@ func Fig14(s *Session) (Table, error) {
 	schemesList := []string{"transfw", "valkyrie", "barre", "hdpat"}
 	t := Table{ID: "fig14", Title: "Normalized performance vs baseline",
 		Header: append([]string{"Benchmark"}, schemesList...)}
-	if err := s.warmPairs(schemesList, s.benchmarks()); err != nil {
+	res, err := s.versusBaseline(schemesList...)
+	if err != nil {
 		return t, err
 	}
-	sums := map[string][]float64{}
-	for _, bench := range s.benchmarks() {
-		row := []any{bench}
-		for _, scheme := range schemesList {
-			base, res, err := s.pair(scheme, bench)
-			if err != nil {
-				return t, err
-			}
-			sp := res.Speedup(base)
-			sums[scheme] = append(sums[scheme], sp)
-			row = append(row, sp)
-		}
-		t.Addf(row...)
-	}
-	meanRow := []any{"MEAN"}
 	gmRow := []any{"GEOMEAN"}
-	for _, scheme := range schemesList {
-		meanRow = append(meanRow, mean(sums[scheme]))
-		gmRow = append(gmRow, geomean(sums[scheme]))
+	for _, sp := range speedupTable(&t, s.benchmarks(), res) {
+		gmRow = append(gmRow, geomean(sp))
 	}
-	t.Addf(meanRow...)
 	t.Addf(gmRow...)
 	t.Note("paper: HDPAT averages 1.57x; Trans-FW/Valkyrie/Barre trail (HDPAT is 1.35x over the best of them)")
 	return t, nil
@@ -47,28 +30,11 @@ func Fig15(s *Session) (Table, error) {
 	ladder := []string{"route", "concentric", "distributed", "cluster", "redirect", "prefetch", "hdpat"}
 	t := Table{ID: "fig15", Title: "Ablation of HDPAT techniques (speedup vs baseline)",
 		Header: append([]string{"Benchmark"}, ladder...)}
-	if err := s.warmPairs(ladder, s.benchmarks()); err != nil {
+	res, err := s.versusBaseline(ladder...)
+	if err != nil {
 		return t, err
 	}
-	sums := map[string][]float64{}
-	for _, bench := range s.benchmarks() {
-		row := []any{bench}
-		for _, scheme := range ladder {
-			base, res, err := s.pair(scheme, bench)
-			if err != nil {
-				return t, err
-			}
-			sp := res.Speedup(base)
-			sums[scheme] = append(sums[scheme], sp)
-			row = append(row, sp)
-		}
-		t.Addf(row...)
-	}
-	meanRow := []any{"MEAN"}
-	for _, scheme := range ladder {
-		meanRow = append(meanRow, mean(sums[scheme]))
-	}
-	t.Addf(meanRow...)
+	speedupTable(&t, s.benchmarks(), res)
 	t.Note("paper means: distributed 1.08x, cluster 1.13x, redirect 1.18x, prefetch 1.17x, all combined 1.57x;")
 	t.Note("route-based and concentric show no noticeable improvement")
 	return t, nil
@@ -79,15 +45,13 @@ func Fig15(s *Session) (Table, error) {
 func Fig16(s *Session) (Table, error) {
 	t := Table{ID: "fig16", Title: "Breakdown of translation handling under HDPAT (%)",
 		Header: []string{"Benchmark", "Peer", "Redirect", "Proactive", "IOMMU", "Offloaded"}}
-	if err := s.warmPairs([]string{"hdpat"}, s.benchmarks()); err != nil {
+	pairs, err := s.versusBaseline("hdpat")
+	if err != nil {
 		return t, err
 	}
 	var offloads []float64
-	for _, bench := range s.benchmarks() {
-		_, res, err := s.pair("hdpat", bench)
-		if err != nil {
-			return t, err
-		}
+	for b, bench := range s.benchmarks() {
+		res := pairs[b][1]
 		off := offloadPct(res)
 		offloads = append(offloads, off)
 		t.Addf(bench,
@@ -107,16 +71,14 @@ func Fig16(s *Session) (Table, error) {
 func Fig17(s *Session) (Table, error) {
 	t := Table{ID: "fig17", Title: "Remote translation round-trip time (normalized) and NoC traffic",
 		Header: []string{"Benchmark", "Baseline cyc", "HDPAT cyc", "Normalized", "Traffic overhead %"}}
-	if err := s.warmPairs([]string{"hdpat"}, s.benchmarks()); err != nil {
+	pairs, err := s.versusBaseline("hdpat")
+	if err != nil {
 		return t, err
 	}
 	var norm []float64
 	var traffic []float64
-	for _, bench := range s.benchmarks() {
-		base, res, err := s.pair("hdpat", bench)
-		if err != nil {
-			return t, err
-		}
+	for b, bench := range s.benchmarks() {
+		base, res := pairs[b][0], pairs[b][1]
 		bl, hl := base.AvgRemoteLatency(), res.AvgRemoteLatency()
 		n := 0.0
 		if bl > 0 {
@@ -140,41 +102,17 @@ func Fig18(s *Session) (Table, error) {
 	degrees := []int{1, 4, 8}
 	t := Table{ID: "fig18", Title: "Proactive delivery granularity (speedup vs baseline)",
 		Header: []string{"Benchmark", "1 PTE", "4 PTEs", "8 PTEs"}}
-	var jobs []simJob
-	for _, bench := range s.benchmarks() {
-		baseCfg, _ := wafer.ConfigFor("baseline", config.Default())
-		jobs = append(jobs, simJob{cfg: baseCfg, scheme: "baseline", bench: bench})
-		for _, d := range degrees {
-			cfg, _ := wafer.ConfigFor("hdpat", config.Default())
-			cfg.IOMMU.PrefetchDegree = d
-			jobs = append(jobs, simJob{cfg: cfg, scheme: "hdpat", bench: bench})
-		}
+	variants := []simJob{s.job("baseline", "", config.Default())}
+	for _, d := range degrees {
+		j := s.job("hdpat", "", config.Default())
+		j.cfg.IOMMU.PrefetchDegree = d
+		variants = append(variants, j)
 	}
-	if err := s.warm(jobs); err != nil {
+	res, err := s.perBench(variants...)
+	if err != nil {
 		return t, err
 	}
-	sums := map[int][]float64{}
-	for _, bench := range s.benchmarks() {
-		row := []any{bench}
-		baseCfg, _ := wafer.ConfigFor("baseline", config.Default())
-		base, err := s.run(baseCfg, "baseline", bench, wafer.Options{})
-		if err != nil {
-			return t, err
-		}
-		for _, d := range degrees {
-			cfg, _ := wafer.ConfigFor("hdpat", config.Default())
-			cfg.IOMMU.PrefetchDegree = d
-			res, err := s.run(cfg, "hdpat", bench, wafer.Options{})
-			if err != nil {
-				return t, err
-			}
-			sp := res.Speedup(base)
-			sums[d] = append(sums[d], sp)
-			row = append(row, sp)
-		}
-		t.Addf(row...)
-	}
-	t.Addf("MEAN", mean(sums[1]), mean(sums[4]), mean(sums[8]))
+	speedupTable(&t, s.benchmarks(), res)
 	t.Note("paper means: 1.40x / 1.57x / 1.59x — saturating at 4-PTE delivery")
 	return t, nil
 }
@@ -183,20 +121,13 @@ func Fig18(s *Session) (Table, error) {
 func Fig19(s *Session) (Table, error) {
 	t := Table{ID: "fig19", Title: "Redirection table vs area-equivalent IOMMU TLB (speedup vs baseline)",
 		Header: []string{"Benchmark", "RT (1024 ent)", "TLB (512 ent)", "RT/TLB"}}
-	if err := s.warmPairs([]string{"hdpat", "iommutlb"}, s.benchmarks()); err != nil {
+	res, err := s.versusBaseline("hdpat", "iommutlb")
+	if err != nil {
 		return t, err
 	}
 	var ratios []float64
-	for _, bench := range s.benchmarks() {
-		base, rt, err := s.pair("hdpat", bench)
-		if err != nil {
-			return t, err
-		}
-		_, tlbRes, err := s.pair("iommutlb", bench)
-		if err != nil {
-			return t, err
-		}
-		rts, ts := rt.Speedup(base), tlbRes.Speedup(base)
+	for b, bench := range s.benchmarks() {
+		rts, ts := res[b][1].Speedup(res[b][0]), res[b][2].Speedup(res[b][0])
 		ratio := 0.0
 		if ts > 0 {
 			ratio = rts / ts

@@ -6,7 +6,6 @@ import (
 	"hdpat/internal/area"
 	"hdpat/internal/config"
 	"hdpat/internal/vm"
-	"hdpat/internal/wafer"
 )
 
 // Fig20 sweeps the system page size, reporting baseline and HDPAT geomeans
@@ -15,50 +14,26 @@ func Fig20(s *Session) (Table, error) {
 	t := Table{ID: "fig20", Title: "Page-size sensitivity (geomean, normalized to 4KB baseline)",
 		Header: []string{"Page size", "Baseline", "HDPAT", "HDPAT advantage"}}
 	sizes := []vm.PageSize{vm.Page4K, vm.Page16K, vm.Page64K}
-	var jobs []simJob
-	for _, bench := range s.benchmarks() {
-		cfg, _ := wafer.ConfigFor("baseline", config.Default())
-		jobs = append(jobs, simJob{cfg: cfg, scheme: "baseline", bench: bench})
-		for _, ps := range sizes {
-			for _, scheme := range []string{"baseline", "hdpat"} {
-				cfg, _ := wafer.ConfigFor(scheme, config.Default())
-				cfg.PageSize = ps
-				cfg.Name = fmt.Sprintf("ps%dk", uint64(ps)>>10)
-				jobs = append(jobs, simJob{cfg: cfg, scheme: scheme, bench: bench})
-			}
+	// variants[0] is the 4 KB baseline every result is normalized to.
+	variants := []simJob{s.job("baseline", "", config.Default())}
+	for _, ps := range sizes {
+		for _, scheme := range []string{"baseline", "hdpat"} {
+			j := s.job(scheme, "", config.Default())
+			j.cfg.PageSize = ps
+			j.cfg.Name = fmt.Sprintf("ps%dk", uint64(ps)>>10)
+			variants = append(variants, j)
 		}
 	}
-	if err := s.warm(jobs); err != nil {
+	res, err := s.perBench(variants...)
+	if err != nil {
 		return t, err
 	}
-	// Reference: per-benchmark 4 KB baseline cycles.
-	ref := map[string]float64{}
-	for _, bench := range s.benchmarks() {
-		cfg, _ := wafer.ConfigFor("baseline", config.Default())
-		res, err := s.run(cfg, "baseline", bench, wafer.Options{})
-		if err != nil {
-			return t, err
-		}
-		ref[bench] = float64(res.Cycles)
-	}
-	for _, ps := range sizes {
+	for p, ps := range sizes {
 		var baseN, hdN []float64
-		for _, bench := range s.benchmarks() {
-			for _, scheme := range []string{"baseline", "hdpat"} {
-				cfg, _ := wafer.ConfigFor(scheme, config.Default())
-				cfg.PageSize = ps
-				cfg.Name = fmt.Sprintf("ps%dk", uint64(ps)>>10)
-				res, err := s.run(cfg, scheme, bench, wafer.Options{})
-				if err != nil {
-					return t, err
-				}
-				norm := ref[bench] / float64(res.Cycles)
-				if scheme == "baseline" {
-					baseN = append(baseN, norm)
-				} else {
-					hdN = append(hdN, norm)
-				}
-			}
+		for b := range s.benchmarks() {
+			ref := float64(res[b][0].Cycles)
+			baseN = append(baseN, ref/float64(res[b][1+2*p].Cycles))
+			hdN = append(hdN, ref/float64(res[b][2+2*p].Cycles))
 		}
 		gb, gh := geomean(baseN), geomean(hdN)
 		adv := 0.0
@@ -75,47 +50,30 @@ func Fig20(s *Session) (Table, error) {
 func Fig21(s *Session) (Table, error) {
 	t := Table{ID: "fig21", Title: "HDPAT speedup across GPU configurations (geomean)",
 		Header: []string{"GPU", "Geomean speedup"}}
-	var jobs []simJob
-	for _, name := range config.GPMVariantNames() {
+	names := config.GPMVariantNames()
+	var variants []simJob
+	for _, name := range names {
 		gpm, err := config.GPMVariant(name)
 		if err != nil {
 			return t, err
 		}
-		for _, bench := range s.benchmarks() {
-			for _, scheme := range []string{"baseline", "hdpat"} {
-				cfg, _ := wafer.ConfigFor(scheme, config.Default())
-				cfg.GPM.L1VCache = gpm.L1VCache
-				cfg.GPM.L2Cache = gpm.L2Cache
-				cfg.GPM.HBM = gpm.HBM
-				cfg.Name = "gpu-" + name
-				jobs = append(jobs, simJob{cfg: cfg, scheme: scheme, bench: bench})
-			}
+		for _, scheme := range []string{"baseline", "hdpat"} {
+			j := s.job(scheme, "", config.Default())
+			j.cfg.GPM.L1VCache = gpm.L1VCache
+			j.cfg.GPM.L2Cache = gpm.L2Cache
+			j.cfg.GPM.HBM = gpm.HBM
+			j.cfg.Name = "gpu-" + name
+			variants = append(variants, j)
 		}
 	}
-	if err := s.warm(jobs); err != nil {
+	res, err := s.perBench(variants...)
+	if err != nil {
 		return t, err
 	}
-	for _, name := range config.GPMVariantNames() {
-		gpm, err := config.GPMVariant(name)
-		if err != nil {
-			return t, err
-		}
+	for g, name := range names {
 		var sp []float64
-		for _, bench := range s.benchmarks() {
-			var results [2]wafer.Result
-			for i, scheme := range []string{"baseline", "hdpat"} {
-				cfg, _ := wafer.ConfigFor(scheme, config.Default())
-				cfg.GPM.L1VCache = gpm.L1VCache
-				cfg.GPM.L2Cache = gpm.L2Cache
-				cfg.GPM.HBM = gpm.HBM
-				cfg.Name = "gpu-" + name
-				res, err := s.run(cfg, scheme, bench, wafer.Options{})
-				if err != nil {
-					return t, err
-				}
-				results[i] = res
-			}
-			sp = append(sp, results[1].Speedup(results[0]))
+		for b := range s.benchmarks() {
+			sp = append(sp, res[b][2*g+1].Speedup(res[b][2*g]))
 		}
 		t.Addf(name, geomean(sp))
 	}
@@ -127,28 +85,13 @@ func Fig21(s *Session) (Table, error) {
 func Fig22(s *Session) (Table, error) {
 	t := Table{ID: "fig22", Title: "HDPAT on a 7x12 wafer (speedup vs baseline)",
 		Header: []string{"Benchmark", "Speedup"}}
-	var jobs []simJob
-	for _, bench := range s.benchmarks() {
-		for _, scheme := range []string{"baseline", "hdpat"} {
-			cfg, _ := wafer.ConfigFor(scheme, config.Wafer7x12())
-			jobs = append(jobs, simJob{cfg: cfg, scheme: scheme, bench: bench})
-		}
-	}
-	if err := s.warm(jobs); err != nil {
+	res, err := s.perBench(s.job("baseline", "", config.Wafer7x12()), s.job("hdpat", "", config.Wafer7x12()))
+	if err != nil {
 		return t, err
 	}
 	var sp []float64
-	for _, bench := range s.benchmarks() {
-		var results [2]wafer.Result
-		for i, scheme := range []string{"baseline", "hdpat"} {
-			cfg, _ := wafer.ConfigFor(scheme, config.Wafer7x12())
-			res, err := s.run(cfg, scheme, bench, wafer.Options{})
-			if err != nil {
-				return t, err
-			}
-			results[i] = res
-		}
-		v := results[1].Speedup(results[0])
+	for b, bench := range s.benchmarks() {
+		v := res[b][1].Speedup(res[b][0])
 		sp = append(sp, v)
 		t.Addf(bench, v)
 	}
