@@ -82,9 +82,11 @@ func scaleWorkload() workload.Benchmark {
 // runScale executes one 30x30 run.
 func runScale(t testing.TB, routing string) hdpat.Result {
 	t.Helper()
-	res, err := wafer.Run(scaleConfig(t), wafer.Options{
+	cfg := scaleConfig(t)
+	cfg.NoC.Routing = routing
+	res, err := wafer.Run(cfg, wafer.Options{
 		Scheme: "hdpat", Benchmark: scaleWorkload(),
-		OpsBudget: 16, Seed: 7, Routing: routing,
+		OpsBudget: 16, Seed: 7,
 	})
 	if err != nil {
 		t.Fatalf("30x30 run: %v", err)

@@ -198,6 +198,9 @@ func simulate(ctx context.Context, cfg Config, spec RunSpec, rc *runConfig) (Res
 	for _, f := range rc.tweakIOMMU {
 		f(&cfg.IOMMU)
 	}
+	if rc.routing != "" {
+		cfg.NoC.Routing = rc.routing
+	}
 	wopts := wafer.Options{
 		Scheme:     spec.Scheme,
 		Benchmark:  b,
@@ -206,7 +209,6 @@ func simulate(ctx context.Context, cfg Config, spec RunSpec, rc *runConfig) (Res
 		MaxCycles:  sim.VTime(rc.maxCycles),
 		Metrics:    rc.metrics,
 		Invariants: rc.invariants,
-		Routing:    rc.routing,
 	}
 	if rc.attribution {
 		wopts.Attribution = &attr.Config{}

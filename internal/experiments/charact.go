@@ -58,9 +58,7 @@ func Fig2(s *Session) (Table, error) {
 	base := s.job("baseline", "", config.Default())
 	lat, par := base, base
 	lat.cfg.IOMMU = config.IdealLatencyIOMMU()
-	lat.cfg.Name = "ideal-latency"
 	par.cfg.IOMMU = config.IdealParallelIOMMU()
-	par.cfg.Name = "ideal-parallel"
 	res, err := s.perBench(base, lat, par)
 	if err != nil {
 		return t, err
@@ -72,7 +70,7 @@ func Fig2(s *Session) (Table, error) {
 		parSp = append(parSp, ps)
 		t.Addf(bench, ls, ps)
 	}
-	t.Addf("MEAN", mean(latSp), mean(parSp))
+	t.Addf("MEAN", stats.Mean(latSp), stats.Mean(parSp))
 	t.Note("paper: 5.45x (ideal latency) and 4.96x (ideal parallelism) mean speedup")
 	return t, nil
 }
@@ -118,7 +116,7 @@ func Fig4(s *Session) (Table, error) {
 	}
 	for i, res := range out {
 		vals := res.QueueSeries.Values()
-		t.Addf(names[i], res.QueueSeries.Peak(), mean(vals), res.QueueSeries.Sparkline(48))
+		t.Addf(names[i], res.QueueSeries.Peak(), stats.Mean(vals), res.QueueSeries.Sparkline(48))
 	}
 	t.Note("paper: wafer-scale backlog is persistently high (~700 with a 4096 buffer); MCM stays low")
 	return t, nil
@@ -266,7 +264,6 @@ func Fig13(s *Session) (Table, error) {
 	for _, scale := range scales {
 		j := s.job("baseline", "FIR", config.Default())
 		j.cfg.WorkloadScale = scale
-		j.cfg.Name = fmt.Sprintf("fir-scale%d", scale)
 		j.servedWindow = 5000
 		jobs = append(jobs, j)
 	}
@@ -278,7 +275,7 @@ func Fig13(s *Session) (Table, error) {
 		scale := scales[i]
 		vals := res.ServedSeries.Values()
 		t.Addf(fmt.Sprintf("1/%d", scale), res.IOMMU.Requests, res.ServedSeries.Peak(),
-			mean(vals), res.ServedSeries.Sparkline(48))
+			stats.Mean(vals), res.ServedSeries.Sparkline(48))
 	}
 	t.Note("paper: similar request-rate shapes across sizes justify scaled-down footprints")
 	return t, nil

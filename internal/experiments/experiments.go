@@ -21,7 +21,6 @@ import (
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -31,6 +30,7 @@ import (
 	"hdpat/internal/migrate"
 	"hdpat/internal/runner"
 	"hdpat/internal/sim"
+	"hdpat/internal/stats"
 	"hdpat/internal/wafer"
 	"hdpat/internal/workload"
 	"hdpat/internal/xlat"
@@ -394,31 +394,6 @@ func IDs() []string {
 
 // --- shared helpers --------------------------------------------------------
 
-func mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}
-
-func geomean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	logs := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logs += math.Log(x)
-	}
-	return math.Exp(logs / float64(len(xs)))
-}
-
 // sortedKeys returns map keys in stable order.
 func sortedKeys[M ~map[string]V, V any](m M) []string {
 	keys := make([]string, 0, len(m))
@@ -456,7 +431,7 @@ func speedupTable(t *Table, benches []string, res [][]wafer.Result) [][]float64 
 	}
 	meanRow := []any{"MEAN"}
 	for _, xs := range sums {
-		meanRow = append(meanRow, mean(xs))
+		meanRow = append(meanRow, stats.Mean(xs))
 	}
 	t.Addf(meanRow...)
 	return sums

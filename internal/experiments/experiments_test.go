@@ -131,15 +131,6 @@ func TestCharacterisationFigures(t *testing.T) {
 }
 
 func TestHelpers(t *testing.T) {
-	if mean([]float64{2, 4}) != 3 {
-		t.Error("mean")
-	}
-	if geomean([]float64{1, 4}) != 2 {
-		t.Error("geomean")
-	}
-	if geomean(nil) != 0 || mean(nil) != 0 {
-		t.Error("empty inputs")
-	}
 	if fmtCycles(1500) != "1.5k" || fmtCycles(2_500_000) != "2.50M" || fmtCycles(12) != "12" {
 		t.Errorf("fmtCycles: %s %s %s", fmtCycles(1500), fmtCycles(2_500_000), fmtCycles(12))
 	}

@@ -1,10 +1,9 @@
 package experiments
 
 import (
-	"fmt"
-
 	"hdpat/internal/config"
 	"hdpat/internal/migrate"
+	"hdpat/internal/stats"
 	"hdpat/internal/vm"
 	"hdpat/internal/workload"
 )
@@ -36,7 +35,6 @@ func ExtProbePolicy(s *Session) (Table, error) {
 		j := s.job("hdpat", "", config.Default())
 		j.cfg.HDPAT.Layers = v.layers
 		j.cfg.HDPAT.SequentialLayers = v.sequential
-		j.cfg.Name = "probe-" + v.name
 		jobs = append(jobs, j)
 	}
 	res, err := s.perBench(jobs...)
@@ -58,7 +56,6 @@ func ExtPushThreshold(s *Session) (Table, error) {
 	for _, th := range thresholds {
 		j := s.job("hdpat", "", config.Default())
 		j.cfg.IOMMU.PushThreshold = th
-		j.cfg.Name = fmt.Sprintf("push-t%d", th)
 		jobs = append(jobs, j)
 	}
 	res, err := s.perBench(jobs...)
@@ -96,7 +93,6 @@ func ExtMigration(s *Session) (Table, error) {
 	t := Table{ID: "ext-migrate", Title: "Page migration on top of HDPAT (speedup vs baseline)",
 		Header: []string{"Benchmark", "HDPAT", "HDPAT+migration", "Pages moved", "Shared-skips"}}
 	migrating := s.job("hdpat", "", config.Default())
-	migrating.cfg.Name = "hdpat-migrate"
 	migrating.migration = migrate.DefaultConfig()
 	runs, err := s.perBench(s.job("baseline", "", config.Default()), s.job("hdpat", "", config.Default()), migrating)
 	if err != nil {
@@ -110,7 +106,7 @@ func ExtMigration(s *Session) (Table, error) {
 		mg = append(mg, ms)
 		t.Addf(bench, hs, ms, res.Migration.Migrations, res.Migration.SkippedShare)
 	}
-	t.Addf("MEAN", mean(hd), mean(mg), "", "")
+	t.Addf("MEAN", stats.Mean(hd), stats.Mean(mg), "", "")
 	t.Note("migration helps only pages with a dominant requester; shared hot pages are skipped")
 	return t, nil
 }
@@ -164,7 +160,6 @@ func ExtMigrationMicro(s *Session) (Table, error) {
 	for _, scheme := range schemes {
 		for _, with := range []bool{false, true} {
 			j := s.job(scheme, "PRIV", config.Default())
-			j.cfg.Name = "migrate-micro"
 			j.cfg.GPM.L2TLB.Sets = 2
 			j.cfg.GPM.L2TLB.Ways = 8
 			j.opsBudget = 480

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"hdpat/internal/config"
+	"hdpat/internal/stats"
 	"hdpat/internal/xlat"
 )
 
@@ -17,7 +18,7 @@ func Fig14(s *Session) (Table, error) {
 	}
 	gmRow := []any{"GEOMEAN"}
 	for _, sp := range speedupTable(&t, s.benchmarks(), res) {
-		gmRow = append(gmRow, geomean(sp))
+		gmRow = append(gmRow, stats.GeoMean(sp))
 	}
 	t.Addf(gmRow...)
 	t.Note("paper: HDPAT averages 1.57x; Trans-FW/Valkyrie/Barre trail (HDPAT is 1.35x over the best of them)")
@@ -61,7 +62,7 @@ func Fig16(s *Session) (Table, error) {
 			sourcePct(res, xlat.SourceIOMMU),
 			off)
 	}
-	t.Addf("MEAN", "", "", "", "", mean(offloads))
+	t.Addf("MEAN", "", "", "", "", stats.Mean(offloads))
 	t.Note("paper: 42.1%% of translations offloaded from the IOMMU on average")
 	return t, nil
 }
@@ -92,7 +93,7 @@ func Fig17(s *Session) (Table, error) {
 		}
 		t.Addf(bench, bl, hl, n, tr)
 	}
-	t.Addf("MEAN", "", "", mean(norm), mean(traffic))
+	t.Addf("MEAN", "", "", stats.Mean(norm), stats.Mean(traffic))
 	t.Note("paper: 41%% average round-trip reduction; +0.82%% NoC traffic")
 	return t, nil
 }
@@ -135,7 +136,7 @@ func Fig19(s *Session) (Table, error) {
 		}
 		t.Addf(bench, rts, ts, ratio)
 	}
-	t.Addf("MEAN", "", "", mean(ratios))
+	t.Addf("MEAN", "", "", stats.Mean(ratios))
 	t.Note("paper: redirection table delivers 1.27x over the TLB variant")
 	return t, nil
 }

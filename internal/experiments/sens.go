@@ -5,6 +5,7 @@ import (
 
 	"hdpat/internal/area"
 	"hdpat/internal/config"
+	"hdpat/internal/stats"
 	"hdpat/internal/vm"
 )
 
@@ -20,7 +21,6 @@ func Fig20(s *Session) (Table, error) {
 		for _, scheme := range []string{"baseline", "hdpat"} {
 			j := s.job(scheme, "", config.Default())
 			j.cfg.PageSize = ps
-			j.cfg.Name = fmt.Sprintf("ps%dk", uint64(ps)>>10)
 			variants = append(variants, j)
 		}
 	}
@@ -35,7 +35,7 @@ func Fig20(s *Session) (Table, error) {
 			baseN = append(baseN, ref/float64(res[b][1+2*p].Cycles))
 			hdN = append(hdN, ref/float64(res[b][2+2*p].Cycles))
 		}
-		gb, gh := geomean(baseN), geomean(hdN)
+		gb, gh := stats.GeoMean(baseN), stats.GeoMean(hdN)
 		adv := 0.0
 		if gb > 0 {
 			adv = gh / gb
@@ -62,7 +62,6 @@ func Fig21(s *Session) (Table, error) {
 			j.cfg.GPM.L1VCache = gpm.L1VCache
 			j.cfg.GPM.L2Cache = gpm.L2Cache
 			j.cfg.GPM.HBM = gpm.HBM
-			j.cfg.Name = "gpu-" + name
 			variants = append(variants, j)
 		}
 	}
@@ -75,7 +74,7 @@ func Fig21(s *Session) (Table, error) {
 		for b := range s.benchmarks() {
 			sp = append(sp, res[b][2*g+1].Speedup(res[b][2*g]))
 		}
-		t.Addf(name, geomean(sp))
+		t.Addf(name, stats.GeoMean(sp))
 	}
 	t.Note("paper: 1.47-1.57x on AMD parts; larger-memory H100/H200 reach 2.52x/2.36x")
 	return t, nil
@@ -95,7 +94,7 @@ func Fig22(s *Session) (Table, error) {
 		sp = append(sp, v)
 		t.Addf(bench, v)
 	}
-	t.Addf("GEOMEAN", geomean(sp))
+	t.Addf("GEOMEAN", stats.GeoMean(sp))
 	t.Note("paper: geomean 1.49x on the larger wafer")
 	return t, nil
 }

@@ -11,9 +11,8 @@ import (
 )
 
 // The memo key is the whole run description: runs that differ in any
-// configuration field, or in the migration policy, execute separately even
-// when they share cfg.Name, and each returns what a direct wafer.Run of the
-// same description returns.
+// configuration field, or in the migration policy, execute separately, and
+// each returns what a direct wafer.Run of the same description returns.
 func TestMemoKeyIsWholeRunDescription(t *testing.T) {
 	s := tinySession()
 	two := s.job("hdpat", "PR", config.Default())
@@ -70,6 +69,24 @@ func TestMemoKeyIsWholeRunDescription(t *testing.T) {
 		if again[i].Cycles != got[i].Cycles {
 			t.Errorf("job %d: memo gave %d cycles, first run %d", i, again[i].Cycles, got[i].Cycles)
 		}
+	}
+}
+
+// Equal run descriptions share one simulation across figures: Fig 20's 4 KB
+// point is the default configuration, so after the baseline and HDPAT runs
+// of versusBaseline it executes only its 16 KB and 64 KB runs.
+func TestEqualConfigsShareRunsAcrossFigures(t *testing.T) {
+	s := tinySession()
+	if _, err := s.versusBaseline("hdpat"); err != nil {
+		t.Fatal(err)
+	}
+	runs := s.Runs
+	if _, err := Fig20(s); err != nil {
+		t.Fatal(err)
+	}
+	// Two page sizes by two schemes, on the one benchmark of tinySession.
+	if got := s.Runs - runs; got != 4 {
+		t.Errorf("Fig20 executed %d runs after versusBaseline, want 4 (16 KB and 64 KB only)", got)
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"hdpat/internal/metrics"
-	"hdpat/internal/sim"
 	"hdpat/internal/wafer"
 )
 
@@ -221,29 +220,4 @@ func execute(ctx context.Context, i int, task Task) (out Outcome) {
 	}()
 	out.Result, out.Err = task(ctx)
 	return out
-}
-
-// Summary aggregates a batch's accounting.
-type Summary struct {
-	// Wall is the sum of per-run wall-clock times (CPU work, not batch
-	// latency — with W workers the batch itself takes roughly Wall/W).
-	Wall time.Duration
-	// Cycles is the total simulated time across successful runs.
-	Cycles sim.VTime
-	// Errors counts failed (or cancelled, or panicked) runs.
-	Errors int
-}
-
-// Summarize folds a batch's outcomes into totals.
-func Summarize(outs []Outcome) Summary {
-	var s Summary
-	for _, o := range outs {
-		s.Wall += o.Wall
-		if o.Err != nil {
-			s.Errors++
-			continue
-		}
-		s.Cycles += o.Result.Cycles
-	}
-	return s
 }

@@ -10,7 +10,6 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
-	"sort"
 	"sync"
 	"time"
 )
@@ -199,18 +198,6 @@ func (s *Store) Index() map[string]ArtifactInfo {
 	for d, info := range s.index {
 		out[d] = info
 	}
-	return out
-}
-
-// Digests lists every stored digest in sorted order.
-func (s *Store) Digests() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.index))
-	for d := range s.index {
-		out = append(out, d)
-	}
-	sort.Strings(out)
 	return out
 }
 

@@ -31,8 +31,7 @@ const Infinity VTime = math.MaxUint64
 
 // EventArg is the payload of an event: an optional pointer (usually a
 // pooled request or state-machine object) and two integer scratch words, so
-// common payloads (a cacheline address, a generation counter, a drop count)
-// need no allocation.
+// common payloads (a cacheline address, a drop count) need no allocation.
 type EventArg struct {
 	Ptr  any
 	A, B uint64
@@ -63,9 +62,6 @@ const (
 	wheelSlots = 4096
 	wheelMask  = wheelSlots - 1
 	wheelWords = wheelSlots / 64
-	// minQueueCap is the capacity below which neither the overflow heap nor
-	// the node slab is shrunk; release below this buys nothing.
-	minQueueCap = 64
 	// heapArity: the overflow heap is 4-ary, halving tree depth versus
 	// binary for a branch-predictable min-of-children scan.
 	heapArity = 4
@@ -112,6 +108,11 @@ type slot struct{ head, tail int32 }
 // passed that, so the overflow event has the smaller seq and reaches the
 // slot first: each slot's FIFO order is seq order, and dispatch order is
 // exactly (time, seq).
+//
+// The node slab and the overflow heap grow to the run's peak depth and never
+// shrink; their storage is dropped with the engine. Freed nodes and popped
+// heap slots are zeroed, so the queue keeps no dead Handler or Ptr
+// references.
 type Engine struct {
 	now     VTime
 	seq     uint64
@@ -180,40 +181,7 @@ func (e *Engine) wheelPop(s int) (Handler, EventArg) {
 	n.next = e.free
 	e.free = i
 	e.inWheel--
-	if c := cap(e.slab); c > minQueueCap && e.inWheel <= c/4 {
-		e.shrinkSlab(c / 2)
-	}
 	return h, arg
-}
-
-// shrinkSlab releases surplus slab capacity left over from a depth spike:
-// once occupancy falls to a quarter of capacity, the live nodes are copied
-// into a slab of half the capacity and relinked, so a burst that briefly
-// queued millions of events does not pin their storage for the rest of the
-// run. The copy moves at most a quarter of the capacity and runs at most once
-// per that many pops, keeping the amortized cost O(1).
-func (e *Engine) shrinkSlab(capacity int) {
-	slab := make([]node, 1, capacity)
-	for w, word := range e.occ {
-		for word != 0 {
-			s := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			sl := &e.slots[s]
-			var prev int32
-			for i := sl.head; i != 0; i = e.slab[i].next {
-				j := int32(len(slab))
-				slab = append(slab, node{h: e.slab[i].h, arg: e.slab[i].arg})
-				if prev == 0 {
-					sl.head = j
-				} else {
-					slab[prev].next = j
-				}
-				prev = j
-			}
-			sl.tail = prev
-		}
-	}
-	e.slab, e.free = slab, 0
 }
 
 // wheelNext returns the time of the earliest wheel event; the wheel must be
@@ -260,9 +228,7 @@ func (e *Engine) pushFar(ev event) {
 	e.far = h
 }
 
-// popFar removes and returns the earliest overflow event, releasing surplus
-// slice capacity the same way shrinkSlab does: once occupancy falls to a
-// quarter of capacity the backing array is reallocated at half size.
+// popFar removes and returns the earliest overflow event.
 func (e *Engine) popFar() event {
 	h := e.far
 	root := h[0]
@@ -295,11 +261,6 @@ func (e *Engine) popFar() event {
 			i = best
 		}
 		h[i] = last
-	}
-	if c := cap(h); c > minQueueCap && n <= c/4 {
-		shrunk := make([]event, n, c/2)
-		copy(shrunk, h)
-		h = shrunk
 	}
 	e.far = h
 	return root

@@ -193,47 +193,38 @@ func FuzzHeapOrder(f *testing.F) {
 	})
 }
 
-// TestHeapCapacityRelease is the regression test for event-queue memory
-// retention: after a depth spike drains, neither the wheel's node slab nor
-// the overflow heap may stay pinned at peak size.
-func TestHeapCapacityRelease(t *testing.T) {
+// TestDrainedQueueRefillAllocs pins the queue's storage rule: the wheel's
+// node slab and the overflow heap keep the capacity they grew to, so
+// refilling a drained queue to its earlier depth allocates nothing, and the
+// drained storage holds no dead Handler or Ptr references.
+func TestDrainedQueueRefillAllocs(t *testing.T) {
+	var sink uint64
+	h := funcHandler{&sink}
 	e := NewEngine()
-	const spike = 100_000
-	n := 0
-	for i := 0; i < spike; i++ {
-		e.Post(VTime(i%wheelSlots), HandlerFunc(func() { n++ }), EventArg{}) // wheel
-		e.Post(wheelSlots+VTime(i), HandlerFunc(func() { n++ }), EventArg{}) // overflow heap
+	const depth = 10_000
+	fill := func() {
+		for i := 0; i < depth; i++ {
+			e.Post(VTime(i%wheelSlots), h, EventArg{Ptr: e, A: 1}) // wheel
+			e.Post(wheelSlots+VTime(i), h, EventArg{Ptr: e, A: 1}) // overflow heap
+		}
+		e.Run()
 	}
-	if cap(e.slab) < spike || cap(e.far) < spike {
-		t.Fatalf("expected spike capacity >= %d, got slab %d, overflow %d", spike, cap(e.slab), cap(e.far))
+	fill()
+	if sink != 2*depth {
+		t.Fatalf("ran %d events, want %d", sink, 2*depth)
 	}
-	e.Run()
-	if n != 2*spike {
-		t.Fatalf("ran %d events, want %d", n, 2*spike)
-	}
-	// After a full drain the shrink policy must have walked capacity down
-	// near minQueueCap; allow one doubling of slack.
-	if c, f := cap(e.slab), cap(e.far); c > 2*minQueueCap || f > 2*minQueueCap {
-		t.Fatalf("capacity retained after drain: slab %d, overflow %d (want <= %d)", c, f, 2*minQueueCap)
-	}
-
-	// Steady-state churn must not thrash: capacity stays bounded while a
-	// self-rescheduling workload holds a constant small depth, half of it
-	// in the wheel and half in the overflow heap.
-	left := 10_000
-	var tick func()
-	tick = func() {
-		if left > 0 {
-			left--
-			e.Post(1+VTime(left%2)*wheelSlots, HandlerFunc(tick), EventArg{})
+	for i, n := range e.slab {
+		if n.h != nil || n.arg != (EventArg{}) {
+			t.Fatalf("drained slab node %d keeps %+v", i, n)
 		}
 	}
-	for i := 0; i < 8; i++ {
-		e.Post(1, HandlerFunc(tick), EventArg{})
+	for i, ev := range e.far[:cap(e.far)] {
+		if ev.h != nil || ev.arg != (EventArg{}) {
+			t.Fatalf("drained overflow slot %d keeps %+v", i, ev)
+		}
 	}
-	e.Run()
-	if c, f := cap(e.slab), cap(e.far); c > 2*minQueueCap || f > 2*minQueueCap {
-		t.Fatalf("steady-state capacity: slab %d, overflow %d (want <= %d)", c, f, 2*minQueueCap)
+	if avg := testing.AllocsPerRun(5, fill); avg > 0 {
+		t.Fatalf("refilling a drained queue to depth %d allocates %.1f", depth, avg)
 	}
 }
 
@@ -251,14 +242,13 @@ func TestTypedEventAllocs(t *testing.T) {
 		{"HandlerFunc", HandlerFunc(func() { sink++ })},
 	} {
 		e := NewEngine()
-		// Warm the node slab; keep depth under minQueueCap so the drain
-		// below never triggers a (deliberate, amortized) shrink realloc.
-		for i := 0; i < minQueueCap; i++ {
+		// Warm the node slab past the depth the batches below reach.
+		for i := 0; i < 64; i++ {
 			e.Post(VTime(i), tc.h, EventArg{A: uint64(i)})
 		}
 		e.Run()
 		avg := testing.AllocsPerRun(100, func() {
-			for i := 0; i < minQueueCap/2; i++ {
+			for i := 0; i < 32; i++ {
 				e.Post(VTime(i), tc.h, EventArg{A: uint64(i)})
 			}
 			e.Run()

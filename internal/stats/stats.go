@@ -8,7 +8,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"hdpat/internal/metrics"
@@ -40,23 +39,6 @@ func GeoMean(xs []float64) float64 {
 		s += math.Log(x)
 	}
 	return math.Exp(s / float64(len(xs)))
-}
-
-// Percentile returns the p-th percentile (0-100) of xs using nearest-rank.
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
-		rank = 0
-	}
-	if rank >= len(sorted) {
-		rank = len(sorted) - 1
-	}
-	return sorted[rank]
 }
 
 // Histogram is a log2-bucketed histogram for wide-ranged counts such as
@@ -161,7 +143,6 @@ type tsMode int
 const (
 	tsSum tsMode = iota
 	tsMax
-	tsMean
 )
 
 // NewCountSeries sums samples within each window (e.g. requests served).
@@ -172,11 +153,6 @@ func NewCountSeries(window uint64) *TimeSeries {
 // NewMaxSeries keeps the maximum sample per window (e.g. peak queue depth).
 func NewMaxSeries(window uint64) *TimeSeries {
 	return &TimeSeries{Window: window, mode: tsMax}
-}
-
-// NewMeanSeries averages samples within each window.
-func NewMeanSeries(window uint64) *TimeSeries {
-	return &TimeSeries{Window: window, mode: tsMean}
 }
 
 // Record adds sample v at cycle t.
@@ -193,8 +169,6 @@ func (ts *TimeSeries) Record(t uint64, v float64) {
 		if v > ts.vals[w] || ts.counts[w] == 0 {
 			ts.vals[w] = v
 		}
-	case tsMean:
-		ts.vals[w] += v
 	}
 	ts.counts[w]++
 }
@@ -202,16 +176,7 @@ func (ts *TimeSeries) Record(t uint64, v float64) {
 // Values returns one value per window.
 func (ts *TimeSeries) Values() []float64 {
 	out := make([]float64, len(ts.vals))
-	for i := range ts.vals {
-		switch ts.mode {
-		case tsMean:
-			if ts.counts[i] > 0 {
-				out[i] = ts.vals[i] / float64(ts.counts[i])
-			}
-		default:
-			out[i] = ts.vals[i]
-		}
-	}
+	copy(out, ts.vals)
 	return out
 }
 

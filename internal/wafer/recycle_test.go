@@ -70,11 +70,12 @@ func goldenCells(t *testing.T) []*recycleCell {
 				if err != nil {
 					t.Fatal(err)
 				}
+				cfg.NoC.Routing = routing
 				cells = append(cells, &recycleCell{
 					name: fmt.Sprintf("%s/%s/%s", scheme, bench, routing),
 					cfg:  cfg,
 					opts: Options{Scheme: scheme, Benchmark: mustBench(t, bench), OpsBudget: 12, Seed: 7,
-						Attribution: &attr.Config{}, Routing: routing},
+						Attribution: &attr.Config{}},
 				})
 			}
 		}

@@ -126,10 +126,6 @@ type Options struct {
 	// Migration, when non-nil, enables the page-migration extension with
 	// the given policy (see internal/migrate).
 	Migration *migrate.Config
-	// Routing, when non-empty, overrides cfg.NoC.Routing for this run:
-	// noc.RoutingXY (dimension-ordered, minimal) or noc.RoutingDeflect
-	// (bufferless deflection). Validated with the configuration.
-	Routing string
 }
 
 // Result is everything a run produces.
@@ -336,9 +332,6 @@ func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, e
 // spares. It returns the GPMs only when the run reached its end or its
 // cycle limit, the runs whose hierarchies are worth handing back.
 func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spares) (Result, []*gpm.GPM, error) {
-	if opts.Routing != "" {
-		cfg.NoC.Routing = opts.Routing
-	}
 	if err := cfg.Validate(); err != nil {
 		return Result{}, nil, err
 	}

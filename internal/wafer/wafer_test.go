@@ -182,11 +182,12 @@ func TestInvariantsUnderMigration(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				cfg.NoC.Routing = routing
 				mc := migrate.DefaultConfig()
 				mc.Threshold = 1
 				res, err := Run(cfg, Options{
 					Scheme: c.scheme, Benchmark: mustBench(t, c.bench),
-					OpsBudget: 48, Seed: 1, Invariants: true, Migration: &mc, Routing: routing,
+					OpsBudget: 48, Seed: 1, Invariants: true, Migration: &mc,
 				})
 				if err != nil {
 					t.Fatal(err)

@@ -65,38 +65,8 @@ func TestReferencesKeepRequestLive(t *testing.T) {
 	mustPanic(t, "Completed on released request", func() { r.Completed() })
 }
 
-// TestGenerationTokens: reference-free legs finish through generation
-// tokens, which a recycled object rejects.
-func TestGenerationTokens(t *testing.T) {
-	p := NewRequestPool()
-	r := p.Get(3, 0, 0x40, 0, 0, discard{})
-	gen := r.Gen()
-	if r.CompletedFor(gen) {
-		t.Fatal("fresh request reported completed")
-	}
-	r.Unref() // recycles: gen advances
-
-	if !r.CompletedFor(gen) {
-		t.Fatal("stale generation not reported as over")
-	}
-	if r.CompleteIf(gen, Result{}) {
-		t.Fatal("CompleteIf with a stale generation delivered")
-	}
-
-	// The recycled object must come back with a fresh generation so stale
-	// tokens from the previous lease keep bouncing.
-	r2 := p.Get(4, 0, 0x50, 0, 0, discard{})
-	if r2 == r && r2.Gen() == gen {
-		t.Fatal("generation not advanced across recycle")
-	}
-	if !r2.CompleteIf(r2.Gen(), Result{Source: SourceIOMMU}) {
-		t.Fatal("CompleteIf with the live generation dropped")
-	}
-	r2.Unref()
-}
-
 // TestFreelistRecycles: a released request is the next one leased, with
-// its generation advanced and its per-lease state reset, and the tripwire
+// its per-lease state reset, and the tripwire
 // still fires on the stale handle's successor once it is released again.
 func TestFreelistRecycles(t *testing.T) {
 	SetPoolChecks(true)
@@ -104,16 +74,12 @@ func TestFreelistRecycles(t *testing.T) {
 
 	p := NewRequestPool()
 	r := p.Get(1, 0, 0x10, 2, 5, discard{})
-	gen := r.Gen()
 	r.Complete(Result{})
 	r.Unref()
 
 	r2 := p.Get(2, 0, 0x20, 3, 9, discard{})
 	if r2 != r {
 		t.Fatal("released request not reused from the freelist")
-	}
-	if r2.Gen() != gen+1 {
-		t.Fatalf("recycled generation = %d, want %d", r2.Gen(), gen+1)
 	}
 	if r2.Completed() || r2.ID != 2 || r2.VPN != 0x20 || r2.Requester != 3 || r2.Issued != 9 {
 		t.Fatalf("recycled request not reset: %+v", r2)

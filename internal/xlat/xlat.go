@@ -90,15 +90,12 @@ type Result struct {
 //     leg that will later read request fields (a concentric probe chain, an
 //     in-flight mesh hop carrying the request, a pending IOMMU job) takes
 //     one with Ref and drops it with Unref when the leg ends.
-//   - Completion (Complete/CompleteIf) marks the request completed and
-//     advances the generation; it does NOT free. The object returns to the
-//     pool only when the last reference unwinds, so late legs — the
-//     SkippedCompleted walk skip, a losing probe, a stale poll — still read
-//     coherent fields.
-//   - Anything that may outlive the last reference must not touch the
-//     request at all: capture the generation with Gen at spawn time and
-//     finish through CompleteIf/CompletedFor, which a recycled object
-//     rejects by generation mismatch.
+//   - Completion (Complete) marks the request completed; it does NOT free.
+//     The object returns to the pool only when the last reference unwinds,
+//     so late legs — the SkippedCompleted walk skip, a losing probe, a
+//     stale poll — still read coherent fields.
+//   - Nothing may touch the request after the last reference unwinds: a
+//     leg that reads it later holds its own reference until it ends.
 type Request struct {
 	ID        uint64
 	PID       vm.PID
@@ -118,7 +115,6 @@ type Request struct {
 
 	pool     *RequestPool // nil for unpooled requests (NewRequest)
 	refs     int32
-	gen      uint32
 	released bool
 }
 
@@ -152,9 +148,8 @@ func (p *RequestPool) Get(id uint64, pid vm.PID, vpn vm.VPN, requester int, issu
 	} else {
 		r = new(Request)
 	}
-	gen := r.gen // survives recycling; everything else is reset
 	*r = Request{ID: id, PID: pid, VPN: vpn, Requester: requester,
-		Issued: issued, c: c, pool: p, refs: 1, gen: gen}
+		Issued: issued, c: c, pool: p, refs: 1}
 	return r
 }
 
@@ -170,7 +165,7 @@ func SetPoolChecks(on bool) { poolChecks = on }
 // checkLive panics if the request was already released back to its pool.
 func (r *Request) checkLive(op string) {
 	if poolChecks && r.released {
-		panic(fmt.Sprintf("xlat: %s on released request (id=%d gen=%d)", op, r.ID, r.gen))
+		panic(fmt.Sprintf("xlat: %s on released request (id=%d)", op, r.ID))
 	}
 }
 
@@ -181,10 +176,6 @@ func NewRequest(id uint64, pid vm.PID, vpn vm.VPN, requester int, issued sim.VTi
 	return &Request{ID: id, PID: pid, VPN: vpn, Requester: requester, Issued: issued, done: done, refs: 1}
 }
 
-// Gen returns the request's generation, captured by legs that may outlive
-// the object (see CompleteIf).
-func (r *Request) Gen() uint32 { return r.gen }
-
 // Ref takes one reference on behalf of an asynchronous leg that will read
 // request fields later. Balance with Unref when the leg ends.
 func (r *Request) Ref() {
@@ -192,9 +183,8 @@ func (r *Request) Ref() {
 	r.refs++
 }
 
-// Unref drops one reference. When the last one unwinds the generation
-// advances (invalidating every outstanding CompleteIf/CompletedFor token)
-// and the object returns to its pool.
+// Unref drops one reference. When the last one unwinds the object returns
+// to its pool.
 func (r *Request) Unref() {
 	r.checkLive("Unref")
 	r.refs--
@@ -204,7 +194,6 @@ func (r *Request) Unref() {
 	if r.refs < 0 {
 		panic(fmt.Sprintf("xlat: Unref underflow (id=%d)", r.ID))
 	}
-	r.gen++
 	r.released = true
 	if r.pool != nil {
 		r.pool.free = append(r.pool.free, r)
@@ -227,29 +216,11 @@ func (r *Request) Complete(res Result) bool {
 	return true
 }
 
-// CompleteIf is Complete for legs that hold no reference: gen was captured
-// while the request was provably live, and a mismatch means the object was
-// recycled (or the leg's request completed and the pointer now belongs to a
-// different translation) — the delivery is dropped, exactly like a losing
-// Complete race.
-func (r *Request) CompleteIf(gen uint32, res Result) bool {
-	if gen != r.gen || r.completed {
-		return false
-	}
-	return r.Complete(res)
-}
-
 // Completed reports whether a result was already delivered. Only holders of
-// a reference may call it; reference-free legs use CompletedFor.
+// a reference may call it.
 func (r *Request) Completed() bool {
 	r.checkLive("Completed")
 	return r.completed
-}
-
-// CompletedFor reports whether the translation identified by gen is over —
-// either completed, or recycled out from under a reference-free observer.
-func (r *Request) CompletedFor(gen uint32) bool {
-	return gen != r.gen || r.completed
 }
 
 // RemoteTranslator is a translation scheme: the strategy a GPM invokes when
