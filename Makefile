@@ -4,7 +4,7 @@
 # against data races.
 
 GO ?= go
-BENCH ?= BenchmarkBatch3x3|BenchmarkCompare|BenchmarkScale|BenchmarkBuildTableI
+BENCH ?= BenchmarkBatch3x3|BenchmarkBatchSetupTableI|BenchmarkCompare|BenchmarkScale|BenchmarkBuildTableI
 BENCHTIME ?= 3x
 # The tlb, cache and vm layer microbenchmarks run beside the root-package
 # legs at a fixed iteration count large enough that ns/op is not dominated

@@ -30,10 +30,12 @@ type RunResult struct {
 // RunBatch executes every spec concurrently on up to GOMAXPROCS workers
 // (see WithWorkers) and returns one RunResult per spec, indexed by
 // submission order regardless of completion order. Simulations are
-// deterministic and share no state, so a parallel batch produces results
-// identical to running the same specs serially. Each worker does hand its
-// GPMs' TLBs, caches and filters, reset, from one run to its next, which
-// saves most of a wafer's build and changes no result.
+// deterministic and share no mutable state, so a parallel batch produces
+// results identical to running the same specs serially. The batch's runs
+// do share each benchmark's generated traces, read-only, and each worker
+// hands its GPMs' TLBs, caches and filters, reset, from one run to its
+// next, in this batch and in later ones, through a process-wide set of
+// stores. That saves most of a wafer's build and changes no result.
 //
 // Cancelling ctx aborts in-flight simulations between engine slices and
 // marks unstarted runs with ctx's error; the returned error is ctx.Err()

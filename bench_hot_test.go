@@ -87,7 +87,42 @@ func BenchmarkBuildTableI(b *testing.B) {
 // the previous run handed back to the worker's store instead of
 // allocating them.
 func BenchmarkBuildTableIRecycled(b *testing.B) {
-	runBuild(b, wafer.WithRecycling(context.Background()))
+	ctx, release := wafer.WithRecycling(context.Background())
+	defer release()
+	runBuild(b, ctx)
+}
+
+// BenchmarkBatchSetupTableI is the set-up cost of the t1-sweep batch in a
+// long-lived process: each op runs the Table I cross-product (baseline,
+// transfw and hdpat on PR, SPMV and FIR, 32 ops per CU) build-only twice,
+// as two consecutive RunBatch calls. Within a call each benchmark's traces
+// are generated once for all three schemes; the second call's workers
+// start on the recycling stores the first call filled.
+func BenchmarkBatchSetupTableI(b *testing.B) {
+	cfg := hdpat.DefaultConfig()
+	var specs []hdpat.RunSpec
+	for _, bench := range []string{"PR", "SPMV", "FIR"} {
+		for _, scheme := range []string{"baseline", "transfw", "hdpat"} {
+			specs = append(specs, hdpat.RunSpec{Scheme: scheme, Benchmark: bench})
+		}
+	}
+	pass := func() {
+		runs, err := hdpat.RunBatch(context.Background(), cfg, specs,
+			hdpat.WithOpsBudget(32), hdpat.WithSeed(3), hdpat.WithMaxCycles(1))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range runs {
+			if r.Err == nil || !strings.Contains(r.Err.Error(), "cycle limit") {
+				b.Fatalf("%s/%s: want a cycle-limit error, got %v", r.Spec.Scheme, r.Spec.Benchmark, r.Err)
+			}
+		}
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		pass()
+		pass()
+	}
 }
 
 // runBuild times build-only Table I hdpat/PR runs under ctx, after one

@@ -237,21 +237,56 @@ func Fig8(s *Session) (Table, error) {
 	return t, nil
 }
 
-// touchRuns runs the baseline on each benchmark with a fresh tracker
-// touched by every request's VPN as it reaches the IOMMU, and returns the
-// trackers in benchmark order.
+// touchRuns replays each benchmark's baseline request stream (see
+// Session.baselineStreams) into a fresh tracker, and returns the trackers
+// in benchmark order.
 func touchRuns[T interface{ Touch(uint64) }](s *Session, benches []string, fresh func() T) ([]T, error) {
-	trackers := make([]T, len(benches))
-	jobs := make([]simJob, len(benches))
-	for i, bench := range benches {
-		tr := fresh()
-		trackers[i] = tr
-		jobs[i] = s.job("baseline", bench, config.Default())
-		jobs[i].hooks = []iommu.RequestHook{iommu.RequestHookFunc(
-			func(now sim.VTime, req *xlat.Request) { tr.Touch(uint64(req.VPN)) })}
+	streams, err := s.baselineStreams(benches)
+	if err != nil {
+		return nil, err
 	}
-	_, err := s.runs(jobs)
-	return trackers, err
+	trackers := make([]T, len(benches))
+	for i, stream := range streams {
+		trackers[i] = fresh()
+		for _, vpn := range stream {
+			trackers[i].Touch(vpn)
+		}
+	}
+	return trackers, nil
+}
+
+// baselineStreams returns, per benchmark, the VPN of every request that
+// reached the IOMMU in the benchmark's baseline run, in arrival order. A
+// stream is recorded once per Session, by one hooked run, and Figs 6, 7
+// and 8 replay it into their trackers: touching a tracker from the stream
+// equals touching it from the hook.
+func (s *Session) baselineStreams(benches []string) ([][]uint64, error) {
+	keys := make([]memoKey, len(benches))
+	var jobs []simJob
+	var recorded []*[]uint64
+	for i, bench := range benches {
+		j := s.job("baseline", bench, config.Default())
+		keys[i] = j.memoKey
+		if _, ok := s.streams[j.memoKey]; ok {
+			continue
+		}
+		stream := new([]uint64)
+		j.hooks = []iommu.RequestHook{iommu.RequestHookFunc(
+			func(now sim.VTime, req *xlat.Request) { *stream = append(*stream, uint64(req.VPN)) })}
+		jobs = append(jobs, j)
+		recorded = append(recorded, stream)
+	}
+	if _, err := s.runs(jobs); err != nil {
+		return nil, err
+	}
+	for k, j := range jobs {
+		s.streams[j.memoKey] = *recorded[k]
+	}
+	out := make([][]uint64, len(benches))
+	for i, key := range keys {
+		out[i] = s.streams[key]
+	}
+	return out, nil
 }
 
 // Fig13 runs FIR at three problem sizes and reports the windowed IOMMU

@@ -154,6 +154,8 @@ type Params struct {
 type Session struct {
 	P     Params
 	cache map[memoKey]wafer.Result
+	// streams memoises baseline IOMMU request streams (baselineStreams).
+	streams map[memoKey][]uint64
 	// Runs counts actual (non-cached) simulations, for reporting.
 	Runs int
 	// Metrics, when set, receives runner.* batch-throughput series from the
@@ -171,7 +173,7 @@ func NewSession(p Params) *Session {
 			p.OpsBudget = 96
 		}
 	}
-	return &Session{P: p, cache: make(map[memoKey]wafer.Result)}
+	return &Session{P: p, cache: make(map[memoKey]wafer.Result), streams: make(map[memoKey][]uint64)}
 }
 
 // benchmarks returns the active benchmark list.

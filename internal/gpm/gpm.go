@@ -10,8 +10,7 @@
 // A GPM materializes lazily: New builds only a header, and the first
 // traffic builds its TLBs, MSHR files, cuckoo filters and caches (ensure).
 // Those structures are most of a wafer's build cost, so a GPM whose Spares
-// store holds a hierarchy from an earlier run on the same goroutine takes
-// and reuses it; Spares.Reclaim hands a finished run's hierarchies back,
+// store holds a hierarchy from an earlier run takes and reuses it; Spares.Reclaim hands a finished run's hierarchies back,
 // reset to their new state. Recycled and new GPMs behave identically.
 package gpm
 

@@ -60,9 +60,9 @@ func (h *hierarchy) reset() {
 	h.l2Cache.Reset()
 }
 
-// Spares is a store of GPM hierarchies that successive runs on one
-// goroutine hand to each other, so a batch worker allocates and zeroes a
-// GPM's TLBs, caches and filters once rather than once per run. A GPM with
+// Spares is a store of GPM hierarchies that successive runs hand to each
+// other, one run at a time, so a batch worker allocates and zeroes a GPM's
+// TLBs, caches and filters once rather than once per run. A GPM with
 // a non-nil Spares field takes a spare at materialization; the system
 // builder returns the run's hierarchies with Reclaim once the run is over.
 // A GPM whose Spares is nil builds new. A store is not safe for

@@ -22,10 +22,11 @@ import (
 
 // Task is one unit of work: a prepared simulation closure. Tasks must be
 // independent of each other; the pool may run them in any order and in any
-// worker goroutine. The context is the batch context plus the worker's
-// recycling store — long tasks should pass it down (wafer.RunContext) so
-// cancellation can interrupt a run mid-simulation, not just between runs,
-// and so the run reuses the worker's GPM hierarchies.
+// worker goroutine. The context is the batch context plus the batch's
+// trace table and the worker's recycling store — long tasks should pass it
+// down (wafer.RunContext) so cancellation can interrupt a run
+// mid-simulation, not just between runs, and so the run shares the
+// batch's traces and reuses the worker's GPM hierarchies.
 type Task func(ctx context.Context) (wafer.Result, error)
 
 // Outcome is one task's result plus its accounting.
@@ -125,9 +126,12 @@ func (p *Pool) Snapshot() Snapshot {
 // unstarted tasks settle immediately with ctx's error while already-running
 // tasks finish (or abort themselves via ctx) before Run returns.
 //
-// Each worker passes its tasks a wafer.WithRecycling context derived from
-// ctx, so successive wafer runs on one worker reuse each other's GPM
-// hierarchies for the length of this call.
+// The tasks share one wafer.WithTraceTable context derived from ctx, so
+// each benchmark's traces for a wafer, ops budget and seed are generated
+// once per call, whatever the scheme. Each worker adds a
+// wafer.WithRecycling store drawn from the process-wide set and hands it
+// back when the call ends, so a worker's runs reuse the GPM hierarchies of
+// its earlier runs, in this call or in an earlier one.
 func (p *Pool) Run(ctx context.Context, tasks []Task) []Outcome {
 	n := len(tasks)
 	outs := make([]Outcome, n)
@@ -180,13 +184,15 @@ func (p *Pool) Run(ctx context.Context, tasks []Task) []Outcome {
 		mu.Unlock()
 	}
 
+	bctx := wafer.WithTraceTable(ctx)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			// Each worker's runs hand their GPM hierarchies to the next run
-			// on the same worker; the store is dropped with the batch.
-			wctx := wafer.WithRecycling(ctx)
+			// on the same worker; the store outlives the batch.
+			wctx, release := wafer.WithRecycling(bctx)
+			defer release()
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= n {

@@ -2,6 +2,9 @@ package runner
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -9,7 +12,9 @@ import (
 	"testing"
 	"time"
 
+	"hdpat/internal/config"
 	"hdpat/internal/wafer"
+	"hdpat/internal/workload"
 )
 
 // fake builds a task returning a result labelled with its index.
@@ -192,4 +197,69 @@ func TestSnapshotTracksBatchState(t *testing.T) {
 	if s := p.Snapshot(); s.Total != n+1 || s.Done != n+1 {
 		t.Errorf("cumulative snapshot = %+v", s)
 	}
+}
+
+// Two workers share one batch's trace table, each on its own recycling
+// store, over two consecutive Run calls: every run, including the second
+// batch's runs on stores the first one filled, matches a fresh wafer.Run.
+// Run with -race.
+func TestPoolRunsMatchFreshAcrossBatches(t *testing.T) {
+	base := config.Default()
+	base.MeshW, base.MeshH = 5, 5
+	base.GPM.NumCUs = 8
+	base.WorkloadScale = 32
+	type cell struct {
+		cfg  config.System
+		opts wafer.Options
+		want string
+	}
+	var cells []*cell
+	for _, bench := range []string{"PR", "SPMV"} {
+		b, err := workload.ByAbbr(bench)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, scheme := range []string{"baseline", "transfw", "hdpat"} {
+			cfg, err := wafer.ConfigFor(scheme, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := &cell{cfg: cfg, opts: wafer.Options{Scheme: scheme, Benchmark: b, OpsBudget: 16, Seed: 3}}
+			res, err := wafer.Run(c.cfg, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.want = digest(t, res)
+			cells = append(cells, c)
+		}
+	}
+	tasks := make([]Task, len(cells))
+	for i, c := range cells {
+		tasks[i] = func(ctx context.Context) (wafer.Result, error) {
+			return wafer.RunContext(ctx, c.cfg, c.opts)
+		}
+	}
+	p := &Pool{Workers: 2}
+	for batch := range 2 {
+		for i, o := range p.Run(context.Background(), tasks) {
+			if o.Err != nil {
+				t.Fatalf("batch %d run %d: %v", batch, i, o.Err)
+			}
+			if got := digest(t, o.Result); got != cells[i].want {
+				t.Errorf("batch %d run %d (%s/%s): digest %s, fresh %s", batch, i,
+					cells[i].opts.Scheme, cells[i].opts.Benchmark.Abbr, got, cells[i].want)
+			}
+		}
+	}
+}
+
+// digest hashes everything a result carries.
+func digest(t *testing.T, res wafer.Result) string {
+	t.Helper()
+	data, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	return hex.EncodeToString(sum[:])
 }

@@ -12,9 +12,11 @@ import (
 	"time"
 
 	"hdpat/internal/attr"
+	"hdpat/internal/config"
 	"hdpat/internal/metrics"
 	"hdpat/internal/sim"
 	"hdpat/internal/wafer"
+	"hdpat/internal/workload"
 )
 
 // fakeRun is a deterministic stand-in simulator: the result depends only on
@@ -467,5 +469,54 @@ func TestRecoverTerminalJobs(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if executed.Load() != 0 {
 		t.Errorf("recovered done job re-executed %d runs", executed.Load())
+	}
+}
+
+// waferRun simulates each point for real on a 5x5 wafer, so consecutive
+// jobs exercise the runner's trace tables and recycling stores.
+func waferRun(ctx context.Context, spec JobSpec, p Point, _ *metrics.Registry) (wafer.Result, error) {
+	base := config.Default()
+	base.MeshW, base.MeshH = 5, 5
+	base.GPM.NumCUs = 8
+	base.WorkloadScale = 32
+	cfg, err := wafer.ConfigFor(p.Scheme, base)
+	if err != nil {
+		return wafer.Result{}, err
+	}
+	b, err := workload.ByAbbr(p.Benchmark)
+	if err != nil {
+		return wafer.Result{}, err
+	}
+	opts := wafer.Options{Scheme: p.Scheme, Benchmark: b, OpsBudget: spec.OpsBudget, Seed: spec.Seed}
+	if spec.Attribution {
+		opts.Attribution = &attr.Config{}
+	}
+	return wafer.RunContext(ctx, cfg, opts)
+}
+
+// Two consecutive jobs running the same sweep serve byte-identical
+// artifacts: the second job's runs start on the recycling stores the first
+// job's runs filled. The specs differ only in their worker count, so the
+// second submission is a new job rather than a dedup hit.
+func TestConsecutiveJobsServeIdenticalArtifacts(t *testing.T) {
+	svc := open(t, t.TempDir(), waferRun)
+	defer svc.Close()
+	var arts [2][]Artifact
+	for i, workers := range []int{2, 1} {
+		spec := sweepSpec()
+		spec.Workers = workers
+		j, _, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arts[i] = waitState(t, j, StateDone).Artifacts
+	}
+	if len(arts[0]) == 0 || len(arts[0]) != len(arts[1]) {
+		t.Fatalf("jobs served %d and %d artifacts", len(arts[0]), len(arts[1]))
+	}
+	for i, a := range arts[0] {
+		if b := arts[1][i]; a != b {
+			t.Errorf("artifact %d: first job %+v, second %+v", i, a, b)
+		}
 	}
 }

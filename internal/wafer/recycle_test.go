@@ -91,7 +91,10 @@ func goldenCells(t *testing.T) []*recycleCell {
 }
 
 // TestRecycledRunsMatchFresh runs every golden cell on a fresh wafer, then
-// twice more, in two shuffled orders, through one recycling store. Mixed in
+// twice more, in two shuffled orders, as two batches the way runner.Pool
+// runs them: each pass shares one trace table and draws a recycling store
+// from the process-wide set, handing it back at its end, so the second
+// pass normally starts on the store the first one filled. Mixed in
 // are a cycle-limited run (which hands back hierarchies with misses still
 // outstanding), a metrics run followed by runs without metrics (the first
 // run's registry must never count again), a cancelled run (which hands
@@ -139,8 +142,10 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 		t.Fatal("the cycle-limited cell ran to completion; lower its MaxCycles")
 	}
 
-	ctx := WithRecycling(context.Background())
-	rec := ctx.Value(recyclerKey{}).(*recycler)
+	var (
+		ctx context.Context
+		rec *recycler
+	)
 	check := func(c *recycleCell) {
 		t.Helper()
 		res, err := RunContext(ctx, c.cfg, c.opts)
@@ -159,6 +164,9 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for pass := range 2 {
+		var release func()
+		ctx, release = WithRecycling(WithTraceTable(context.Background()))
+		rec = ctx.Value(recyclerKey{}).(*recycler)
 		order := append([]*recycleCell{}, cells...)
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for i, c := range order {
@@ -194,12 +202,14 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 				}
 			}
 		}
+		release()
 	}
 }
 
 // A store serves one run at a time: a second acquirer builds fresh.
 func TestRecyclerAdmitsOneRun(t *testing.T) {
-	ctx := WithRecycling(context.Background())
+	ctx, release := WithRecycling(context.Background())
+	defer release()
 	first := acquireRecycler(ctx)
 	if first == nil {
 		t.Fatal("an idle store refused a run")
@@ -230,7 +240,8 @@ func TestRecyclerSharedAcrossGoroutines(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := digestOf(fresh)
-	ctx := WithRecycling(context.Background())
+	ctx, release := WithRecycling(context.Background())
+	defer release()
 	var wg sync.WaitGroup
 	for range 4 {
 		wg.Add(1)

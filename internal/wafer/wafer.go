@@ -7,7 +7,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"hdpat/internal/attr"
 	"hdpat/internal/check"
@@ -273,47 +272,12 @@ func runEngine(ctx context.Context, eng *sim.Engine, limit sim.VTime, pub *publi
 	}
 }
 
-// recycler is the store of spare GPM hierarchies behind WithRecycling.
-type recycler struct {
-	// busy admits one run at a time; a run that finds the store busy
-	// builds its GPMs new, so sharing the context between goroutines
-	// costs speed, never correctness.
-	busy   atomic.Bool
-	spares gpm.Spares
-	// last is how many hierarchies the last reclaimed run handed back; the
-	// store never holds more.
-	last int
-}
-
-type recyclerKey struct{}
-
-// WithRecycling returns a context under which successive RunContext calls
-// reuse each other's GPM hierarchies — the TLBs, caches, MSHR files and
-// cuckoo filters that dominate a wafer's build — instead of allocating and
-// zeroing them per run. A run that completes or stops at its cycle limit
-// hands its hierarchies back, resetting each, and the store then keeps no
-// more than that run materialized. A cancelled or panicked run hands back
-// nothing. Recycled runs are byte-identical to fresh ones. The store serves
-// one run at a time, so give each goroutine its own context; runner.Pool
-// gives each worker one for the length of a batch.
-func WithRecycling(ctx context.Context) context.Context {
-	return context.WithValue(ctx, recyclerKey{}, new(recycler))
-}
-
-// acquireRecycler returns ctx's store, or nil when ctx has none or another
-// run holds it. A non-nil store must be released when the run is over.
-func acquireRecycler(ctx context.Context) *recycler {
-	r, _ := ctx.Value(recyclerKey{}).(*recycler)
-	if r == nil || !r.busy.CompareAndSwap(false, true) {
-		return nil
-	}
-	return r
-}
-
 // RunContext builds and executes one simulation, aborting with ctx.Err()
 // when ctx is cancelled mid-run (checked between engine slices; a cancelled
 // run returns a zero Result). Under a WithRecycling context the GPMs take
-// spare hierarchies from the context's store and hand them back afterwards.
+// spare hierarchies from the context's store and hand them back afterwards;
+// under a WithTraceTable context the run shares its traces with the
+// table's other runs.
 func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, error) {
 	rec := acquireRecycler(ctx)
 	if rec == nil {
@@ -488,13 +452,16 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 
 	// Load traces and start.
 	var totalOps uint64
-	opts.Benchmark.Traces(workload.Context{
+	err = loadTraces(ctx, opts.Benchmark, cfg.WorkloadScale, workload.Context{
 		Regions: regions, PageSize: cfg.PageSize, NumGPMs: numGPMs, NumCUs: cfg.GPM.NumCUs,
 		OpsBudget: opts.OpsBudget, Seed: opts.Seed,
 	}, func(i, cu int, tr []vm.VAddr) {
 		totalOps += uint64(len(tr))
 		gpms[i].LoadTrace(cu, tr)
 	})
+	if err != nil {
+		return Result{}, nil, err
+	}
 	finished := 0
 	for _, g := range gpms {
 		g.Start(sim.VTime(opts.Benchmark.Gap), func(int, sim.VTime) { finished++ })

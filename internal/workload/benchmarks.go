@@ -4,7 +4,11 @@ import "hdpat/internal/vm"
 
 // All returns the 14 benchmarks of Table II, in table order.
 func All() []Benchmark {
-	return []Benchmark{aes(), bt(), fwt(), fft(), fir(), fws(), i2c(), km(), mm(), mt(), pr(), relu(), sc(), spmv()}
+	all := []Benchmark{aes(), bt(), fwt(), fft(), fir(), fws(), i2c(), km(), mm(), mt(), pr(), relu(), sc(), spmv()}
+	for i := range all {
+		all[i].id = Identity{builtin: all[i].Abbr}
+	}
+	return all
 }
 
 // single region helper: the whole footprint in one allocation.

@@ -185,7 +185,7 @@ func gather(ctx Context, rows, vec vm.Region, zipfAlpha float64, perRow int) []v
 	rng := ctx.rng()
 	var zipf *rand.Zipf
 	if zipfAlpha > 0 && vec.Pages > 1 {
-		zipf = rand.NewZipf(rng, zipfAlpha, 1, uint64(vec.Pages-1))
+		zipf = ctx.zipf(rng, zipfAlpha, uint64(vec.Pages-1))
 	}
 	// Each row visit costs linesPerVisit + perRow ops.
 	rowCost := linesPerVisit + perRow

@@ -44,8 +44,20 @@ type Context struct {
 	OpsBudget int
 	Seed      int64
 
-	// src, when set by Traces, is one generator reused across a run's CUs.
+	// shared, when set by Traces, is generator state reused across a
+	// run's CUs.
+	shared *shared
+}
+
+// shared is what Traces lets every CU of a wafer reuse: one random source,
+// reseeded per CU, and the last Zipf sampler built on it.
+type shared struct {
 	src *rand.Rand
+	// zipf samples with exponent zipfAlpha over [0, zipfMax]. A rand.Zipf
+	// holds only constants and its source, so it serves every CU.
+	zipf      *rand.Zipf
+	zipfAlpha float64
+	zipfMax   uint64
 }
 
 // rng returns this CU's trace generator, seeded from the run seed and the
@@ -56,11 +68,26 @@ type Context struct {
 // and must not keep it past its return.
 func (c Context) rng() *rand.Rand {
 	seed := c.Seed ^ int64(c.GPM)<<20 ^ int64(c.CU)<<8
-	if c.src == nil {
+	if c.shared == nil {
 		return rand.New(xrand.NewSource(seed))
 	}
-	c.src.Seed(seed)
-	return c.src
+	c.shared.src.Seed(seed)
+	return c.shared.src
+}
+
+// zipf returns a sampler of exponent alpha over [0, imax] drawing from rng,
+// which must be what rng() returned. Under Traces it is built once per
+// (alpha, imax) and reused by every CU: its constants cost far more to
+// compute than a trace's few dozen draws.
+func (c Context) zipf(rng *rand.Rand, alpha float64, imax uint64) *rand.Zipf {
+	s := c.shared
+	if s == nil {
+		return rand.NewZipf(rng, alpha, 1, imax)
+	}
+	if s.zipf == nil || s.zipfAlpha != alpha || s.zipfMax != imax {
+		s.zipf, s.zipfAlpha, s.zipfMax = rand.NewZipf(s.src, alpha, 1, imax), alpha, imax
+	}
+	return s.zipf
 }
 
 // globalCU returns this CU's index across the whole wafer.
@@ -84,7 +111,23 @@ type Benchmark struct {
 
 	regions func(pages int, ctx sizing) []RegionSpec
 	trace   func(ctx Context) []vm.VAddr
+	id      Identity
 }
+
+// Identity names the generator behind a benchmark, for caches of its
+// traces: benchmarks with equal identities given equal Context inputs
+// produce equal traces. A Table II benchmark's identity is its
+// abbreviation, fixed when All builds it, so renaming Abbr cannot alias
+// two generators. Each Custom call allocates a fresh token instead, so two
+// replays that share an abbreviation never share traces. Identities are
+// comparable; the zero Identity belongs to no benchmark.
+type Identity struct {
+	builtin string
+	custom  *byte
+}
+
+// Identity returns b's identity.
+func (b Benchmark) Identity() Identity { return b.id }
 
 type sizing struct {
 	numGPMs int
@@ -108,9 +151,9 @@ func (b Benchmark) Trace(ctx Context) []vm.VAddr { return b.trace(ctx) }
 // each to fn with its GPM and CU; ctx's GPM and CU fields are ignored. The
 // traces equal what Trace returns per CU, but one random source serves
 // them all instead of one per CU (each is 4.9 KB, and a Table I run has
-// 1,536 CUs).
+// 1,536 CUs), and so does one Zipf sampler.
 func (b Benchmark) Traces(ctx Context, fn func(gpm, cu int, trace []vm.VAddr)) {
-	ctx.src = rand.New(xrand.NewSource(ctx.Seed))
+	ctx.shared = &shared{src: rand.New(xrand.NewSource(ctx.Seed))}
 	for g := range ctx.NumGPMs {
 		for cu := range ctx.NumCUs {
 			ctx.GPM, ctx.CU = g, cu
@@ -142,7 +185,9 @@ func Names() []string {
 // Custom builds a user-defined benchmark from a region list and a per-CU
 // trace generator — the entry point for workloads outside the Table II
 // suite. Footprint accounting uses the region pages directly (FootprintMB
-// is informational).
+// is informational). trace must depend only on its Context, since runs
+// that share a trace table share what it returns; every call returns a
+// benchmark of its own Identity.
 func Custom(abbr, name string, gap int, regions []RegionSpec, trace func(ctx Context) []vm.VAddr) Benchmark {
 	pages := 0
 	for _, r := range regions {
@@ -157,5 +202,6 @@ func Custom(abbr, name string, gap int, regions []RegionSpec, trace func(ctx Con
 			return out
 		},
 		trace: trace,
+		id:    Identity{custom: new(byte)},
 	}
 }
