@@ -49,7 +49,7 @@ func RunBatch(ctx context.Context, cfg Config, specs []RunSpec, opts ...Option) 
 	tasks := make([]runner.Task, len(specs))
 	for i, spec := range specs {
 		i, spec := i, spec
-		tasks[i] = func(ctx context.Context) (Result, error) {
+		tasks[i] = runner.Labeled(func(ctx context.Context) (Result, error) {
 			rci := rc.forRun(i)
 			if rci.metrics != nil || batchTracer != nil {
 				// Concurrent runs must not share series: give each its own
@@ -68,7 +68,7 @@ func RunBatch(ctx context.Context, cfg Config, specs []RunSpec, opts ...Option) 
 				rc.metrics.Merge(res.Metrics)
 			}
 			return res, err
-		}
+		}, "scheme", spec.Scheme, "benchmark", spec.Benchmark)
 	}
 	pool := &runner.Pool{Workers: rc.workers, Metrics: rc.metrics}
 	if rc.progress != nil {

@@ -3,6 +3,7 @@ package core
 import (
 	"hdpat/internal/config"
 	"hdpat/internal/geom"
+	"hdpat/internal/gpm"
 	"hdpat/internal/sim"
 	"hdpat/internal/vm"
 	"hdpat/internal/xlat"
@@ -47,7 +48,7 @@ func (s *Route) step(req *xlat.Request, cur geom.Coord, path []geom.Coord, i int
 		}
 		g := s.f.GPMAt(next)
 		s.Attempts++
-		g.ProbeAux(keyOf(req), s.lat.AuxProbeLatency, func(pte vm.PTE, _ xlat.PushOrigin, ok bool) {
+		g.ProbeAux(keyOf(req), s.lat.AuxProbeLatency, gpm.PeerFunc(func(pte vm.PTE, _ xlat.PushOrigin, ok bool) {
 			defer req.Unref()
 			if ok {
 				s.Hits++
@@ -55,7 +56,7 @@ func (s *Route) step(req *xlat.Request, cur geom.Coord, path []geom.Coord, i int
 				return
 			}
 			s.step(req, next, path, i+1)
-		})
+		}))
 	}), sim.EventArg{})
 }
 
@@ -125,7 +126,7 @@ func (s *Concentric) attempt(req *xlat.Request, from geom.Coord, l int) {
 	req.Ref() // attempt leg: transit plus aux-probe callback
 	s.f.Mesh.SendH(from, target, xlat.ReqBytes, sim.HandlerFunc(func() {
 		s.Attempts++
-		g.ProbeAux(keyOf(req), s.cfg.AuxProbeLatency, func(pte vm.PTE, _ xlat.PushOrigin, ok bool) {
+		g.ProbeAux(keyOf(req), s.cfg.AuxProbeLatency, gpm.PeerFunc(func(pte vm.PTE, _ xlat.PushOrigin, ok bool) {
 			defer req.Unref()
 			if ok {
 				s.Hits++
@@ -140,7 +141,7 @@ func (s *Concentric) attempt(req *xlat.Request, from geom.Coord, l int) {
 			// The attempting GPMs cache the eventual translation
 			// (unclustered: every server duplicates).
 			s.f.fillOnCompletion(req, g.CacheOnPath)
-		})
+		}))
 	}), sim.EventArg{})
 }
 
@@ -204,7 +205,7 @@ func (s *Distributed) Translate(req *xlat.Request) {
 	s.Probes++
 	req.Ref() // probe leg: transit plus aux-probe callback
 	s.f.Mesh.SendH(from, peer.Coord, xlat.ReqBytes, sim.HandlerFunc(func() {
-		peer.ProbeAux(keyOf(req), s.cfg.AuxProbeLatency, func(pte vm.PTE, _ xlat.PushOrigin, ok bool) {
+		peer.ProbeAux(keyOf(req), s.cfg.AuxProbeLatency, gpm.PeerFunc(func(pte vm.PTE, _ xlat.PushOrigin, ok bool) {
 			defer req.Unref()
 			if ok {
 				s.Hits++
@@ -214,6 +215,6 @@ func (s *Distributed) Translate(req *xlat.Request) {
 			s.f.ToIOMMU(peer.Coord, req, false)
 			// The peer caches the eventual translation for its group.
 			s.f.fillOnCompletion(req, peer.CacheOnPath)
-		})
+		}))
 	}), sim.EventArg{})
 }

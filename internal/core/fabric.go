@@ -27,12 +27,25 @@ type Fabric struct {
 	// Placement provides owner arithmetic (Trans-FW needs OwnerOf).
 	Placement *vm.Placement
 
+	// Pools recycles the fabric's pooled messages and probe legs. Finish
+	// gives the fabric its own when the builder set none.
+	Pools *Pools
+
 	byCoord map[geom.Coord]*gpm.GPM
-	msgFree []*reqMsg
 	// shot is the shootdown ledger, made at the first Shootdown and shared
 	// with every GPM; nil until then, so runs that never shoot down pay
 	// only a nil check per fill.
 	shot *gpm.Shootdowns
+}
+
+// Pools holds a fabric's freelists: request carriers, pushed PTEs and
+// HDPAT probe legs. A fabric belongs to one run on one goroutine; a builder
+// that runs one fabric after another on a goroutine can hand each the same
+// Pools, so a run reuses what the last one grew. The zero value is empty.
+type Pools struct {
+	msgs   sim.Freelist[reqMsg]
+	pushes sim.Freelist[pushMsg]
+	probes sim.Freelist[probe]
 }
 
 // reqMsg phases: what happens when the message reaches its destination.
@@ -57,8 +70,7 @@ type reqMsg struct {
 // Event implements sim.Handler: the message arrived.
 func (m *reqMsg) Event(sim.EventArg) {
 	f, req, res, kind := m.f, m.req, m.res, m.kind
-	*m = reqMsg{}
-	f.msgFree = append(f.msgFree, m)
+	f.Pools.msgs.Put(m)
 	switch kind {
 	case msgSubmit:
 		f.IOMMU.Submit(req, false)
@@ -73,19 +85,16 @@ func (m *reqMsg) Event(sim.EventArg) {
 // sendReq leases a carrier holding one transit reference and sends it.
 func (f *Fabric) sendReq(from, to geom.Coord, size int, req *xlat.Request, res xlat.Result, kind uint8) {
 	req.Ref()
-	var m *reqMsg
-	if n := len(f.msgFree); n > 0 {
-		m = f.msgFree[n-1]
-		f.msgFree = f.msgFree[:n-1]
-	} else {
-		m = new(reqMsg)
-	}
+	m := f.Pools.msgs.Get()
 	*m = reqMsg{f: f, req: req, res: res, kind: kind}
 	f.Mesh.SendH(from, to, size, m, sim.EventArg{})
 }
 
 // Finish completes Fabric construction after GPMs are populated.
 func (f *Fabric) Finish() {
+	if f.Pools == nil {
+		f.Pools = new(Pools)
+	}
 	f.byCoord = make(map[geom.Coord]*gpm.GPM, len(f.GPMs))
 	for _, g := range f.GPMs {
 		f.byCoord[g.Coord] = g

@@ -3,6 +3,7 @@ package core
 import (
 	"hdpat/internal/config"
 	"hdpat/internal/geom"
+	"hdpat/internal/gpm"
 	"hdpat/internal/sim"
 	"hdpat/internal/vm"
 	"hdpat/internal/xlat"
@@ -68,34 +69,93 @@ func (s *HDPAT) Translate(req *xlat.Request) {
 // concurrent mode only layer 0 escalates, and outer-layer misses die.
 func (s *HDPAT) probeLayer(req *xlat.Request, l int, sequential bool) {
 	home := s.layers.Home(l, uint64(req.VPN))
-	target := s.f.GPMAt(home)
 	from := s.f.CoordOf(req.Requester)
 	if sequential && l < s.layers.NumLayers()-1 {
 		// Inward forwarding: the request is at the previous layer's GPM.
 		from = s.layers.Home(l+1, uint64(req.VPN))
 	}
 	s.Probes++
-	req.Ref() // probe leg: transit plus aux-probe callback
-	s.f.Mesh.SendH(from, home, xlat.ReqBytes, sim.HandlerFunc(func() {
-		target.ProbeAux(keyOf(req), s.cfg.AuxProbeLatency, func(pte vm.PTE, origin xlat.PushOrigin, ok bool) {
-			defer req.Unref()
-			if ok {
-				s.ProbeHits++
-				s.f.Respond(home, req, xlat.Result{PTE: pte, Source: origin.SourceOf()})
-				return
-			}
-			if l == 0 {
-				s.ToIOMMU++
-				s.f.ToIOMMU(home, req, false)
-				return
-			}
-			if sequential {
-				s.probeLayer(req, l-1, true)
-			}
-			// Concurrent mode: an outer-layer miss is simply dropped; the
-			// inner layers or the IOMMU will answer.
-		})
-	}), sim.EventArg{})
+	s.sendProbe(from, home, probe{s: s, req: req, target: s.f.GPMAt(home), layer: l,
+		sequential: sequential, state: probeArrive})
+}
+
+// probe states: what a leg does when its next event fires.
+const (
+	probeArrive    = iota // reached a layer's home GPM: probe its aux cache
+	redirectArrive        // reached the GPM the redirection table named: probe it
+	redirectBounce        // a failed redirect is back at the CPU tile: walk
+)
+
+// probe is one HDPAT probe leg: the request's transit to a layer's home GPM
+// (or to the GPM the redirection table named), the aux probe there, and
+// what its answer leads to. A pooled state machine, it is its own
+// sim.Handler for the transits and its own gpm.PeerWaiter for the probe,
+// so a leg allocates nothing; it holds one request reference from its send
+// to its last step.
+type probe struct {
+	s          *HDPAT
+	req        *xlat.Request
+	target     *gpm.GPM
+	layer      int
+	sequential bool
+	state      uint8
+}
+
+// sendProbe leases a leg set to p, takes its request reference and sends
+// it from one tile to the other.
+func (s *HDPAT) sendProbe(from, to geom.Coord, p probe) {
+	p.req.Ref()
+	leg := s.f.Pools.probes.Get()
+	*leg = p
+	s.f.Mesh.SendH(from, to, xlat.ReqBytes, leg, sim.EventArg{})
+}
+
+// Event implements sim.Handler: the leg's transit arrived.
+func (p *probe) Event(sim.EventArg) {
+	if p.state != redirectBounce {
+		p.target.ProbeAux(keyOf(p.req), p.s.cfg.AuxProbeLatency, p)
+		return
+	}
+	// A stale redirection-table entry: drop it and walk.
+	s, req := p.s, p.req
+	s.f.Pools.probes.Put(p)
+	if rt := s.f.IOMMU.RT(); rt != nil {
+		rt.Remove(keyOf(req))
+	}
+	s.f.IOMMU.Submit(req, true)
+	req.Unref()
+}
+
+// PeerDone implements gpm.PeerWaiter: the aux probe answered.
+func (p *probe) PeerDone(pte vm.PTE, origin xlat.PushOrigin, ok bool) {
+	s, req, home := p.s, p.req, p.target.Coord
+	if p.state == redirectArrive && !ok {
+		// The redirect missed: bounce the request back for a real walk,
+		// on the same leg.
+		s.RedirectNo++
+		p.state = redirectBounce
+		s.f.Mesh.SendH(home, s.f.Layout.CPU, xlat.ReqBytes, p, sim.EventArg{})
+		return
+	}
+	redirected, l, sequential := p.state == redirectArrive, p.layer, p.sequential
+	s.f.Pools.probes.Put(p)
+	switch {
+	case redirected:
+		s.RedirectOK++
+		s.f.Respond(home, req, xlat.Result{PTE: pte, Source: xlat.SourceRedirect})
+	case ok:
+		s.ProbeHits++
+		s.f.Respond(home, req, xlat.Result{PTE: pte, Source: origin.SourceOf()})
+	case l == 0:
+		s.ToIOMMU++
+		s.f.ToIOMMU(home, req, false)
+	case sequential:
+		s.probeLayer(req, l-1, true)
+	default:
+		// Concurrent mode: an outer-layer miss is simply dropped; the
+		// inner layers or the IOMMU will answer.
+	}
+	req.Unref()
 }
 
 func (s *HDPAT) sendToIOMMU(req *xlat.Request) {
@@ -119,10 +179,9 @@ func (s *HDPAT) push(pte vm.PTE, origin xlat.PushOrigin) (int, bool) {
 	for l := 0; l < n; l++ {
 		home := s.layers.Home(l, uint64(pte.VPN))
 		target := s.f.GPMAt(home)
-		p := pte
-		s.f.Mesh.SendH(s.f.Layout.CPU, home, xlat.PushPTEBytes, pushArrived(func(read sim.VTime) {
-			target.InstallAux(p, origin, read)
-		}), sim.EventArg{A: uint64(s.f.Eng.Now())})
+		m := s.f.Pools.pushes.Get()
+		*m = pushMsg{f: s.f, target: target, pte: pte, origin: origin, read: s.f.Eng.Now()}
+		s.f.Mesh.SendH(s.f.Layout.CPU, home, xlat.PushPTEBytes, m, sim.EventArg{})
 		if l == 0 {
 			innermost = target.ID
 		}
@@ -130,39 +189,29 @@ func (s *HDPAT) push(pte vm.PTE, origin xlat.PushOrigin) (int, bool) {
 	return innermost, true
 }
 
-// pushArrived delivers a pushed PTE at its home GPM. The cycle the IOMMU
-// read the PTE rides in the event argument, not the closure, which keeps
-// the closure each push allocates in the 64-byte size class.
-type pushArrived func(read sim.VTime)
+// pushMsg is one pushed PTE on its way to a home GPM, pooled. read is the
+// cycle the IOMMU read the PTE.
+type pushMsg struct {
+	f      *Fabric
+	target *gpm.GPM
+	pte    vm.PTE
+	origin xlat.PushOrigin
+	read   sim.VTime
+}
 
-// Event implements sim.Handler.
-func (f pushArrived) Event(a sim.EventArg) { f(sim.VTime(a.A)) }
+// Event implements sim.Handler: install the PTE at its home.
+func (m *pushMsg) Event(sim.EventArg) {
+	target, pte, origin, read := m.target, m.pte, m.origin, m.read
+	m.f.Pools.pushes.Put(m)
+	target.InstallAux(pte, origin, read)
+}
 
 // redirect implements the IOMMU Redirect hook (§IV-F operational flow):
 // forward the request to the GPM the redirection table names; a stale entry
 // bounces the request back for a real walk and drops the entry.
 func (s *HDPAT) redirect(req *xlat.Request, gpmID int) {
-	target := s.f.GPMs[gpmID]
-	cpu := s.f.Layout.CPU
 	// The IOMMU job releases its reference as soon as Redirect returns, so
-	// the redirect legs carry their own.
-	req.Ref()
-	s.f.Mesh.SendH(cpu, target.Coord, xlat.ReqBytes, sim.HandlerFunc(func() {
-		target.ProbeAux(keyOf(req), s.cfg.AuxProbeLatency, func(pte vm.PTE, _ xlat.PushOrigin, ok bool) {
-			if ok {
-				s.RedirectOK++
-				s.f.Respond(target.Coord, req, xlat.Result{PTE: pte, Source: xlat.SourceRedirect})
-				req.Unref()
-				return
-			}
-			s.RedirectNo++
-			s.f.Mesh.SendH(target.Coord, cpu, xlat.ReqBytes, sim.HandlerFunc(func() {
-				if rt := s.f.IOMMU.RT(); rt != nil {
-					rt.Remove(keyOf(req))
-				}
-				s.f.IOMMU.Submit(req, true)
-				req.Unref()
-			}), sim.EventArg{})
-		})
-	}), sim.EventArg{})
+	// the redirect leg carries its own.
+	target := s.f.GPMs[gpmID]
+	s.sendProbe(s.f.Layout.CPU, target.Coord, probe{s: s, req: req, target: target, state: redirectArrive})
 }

@@ -273,7 +273,7 @@ func (s *Session) runs(jobs []simJob) ([]wafer.Result, error) {
 	}
 	tasks := make([]runner.Task, len(todo))
 	for t, j := range todo {
-		tasks[t] = j.simulate
+		tasks[t] = runner.Labeled(j.simulate, "scheme", j.scheme, "benchmark", j.bench)
 	}
 	pool := &runner.Pool{Workers: s.P.Workers, Metrics: s.Metrics}
 	done := pool.Run(context.Background(), tasks)

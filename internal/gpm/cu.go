@@ -32,8 +32,8 @@ func (g *GPM) LoadTrace(cu int, trace []vm.VAddr) {
 		// its CU array (or the rest of its hierarchy — see ensure).
 		return
 	}
-	for len(g.cus) < g.cfg.NumCUs {
-		g.cus = append(g.cus, cuState{})
+	if g.cus == nil {
+		g.cus = make([]cuState, g.cfg.NumCUs)
 	}
 	g.cus[cu].trace = trace
 }
@@ -47,11 +47,6 @@ func (g *GPM) Start(gap sim.VTime, onFinish func(id int, at sim.VTime)) {
 	}
 	g.gap = gap
 	g.onFinish = onFinish
-	if len(g.cus) > 0 {
-		for len(g.cus) < g.cfg.NumCUs {
-			g.cus = append(g.cus, cuState{})
-		}
-	}
 	g.running = 0
 	for i := range g.cus {
 		g.cus[i].g = g

@@ -39,10 +39,8 @@ func (g *GPM) FillLine(line uint64) { g.fillL2(line) }
 // prevents stranding when the last outstanding miss completes.
 func (g *GPM) fillL2(line uint64) {
 	g.l2Cache.Fill(line)
-	for len(g.l2DataWait) > 0 && g.l2Cache.OutstandingMisses() < g.cfg.L2Cache.MSHRs {
-		w := g.l2DataWait[0]
-		g.l2DataWait = g.l2DataWait[1:]
-		w.stepD2()
+	for g.l2DataWait.Len() > 0 && g.l2Cache.OutstandingMisses() < g.cfg.L2Cache.MSHRs {
+		g.l2DataWait.Pop().stepD2()
 	}
 }
 

@@ -10,8 +10,10 @@
 // A GPM materializes lazily: New builds only a header, and the first
 // traffic builds its TLBs, MSHR files, cuckoo filters and caches (ensure).
 // Those structures are most of a wafer's build cost, so a GPM whose Spares
-// store holds a hierarchy from an earlier run takes and reuses it; Spares.Reclaim hands a finished run's hierarchies back,
-// reset to their new state. Recycled and new GPMs behave identically.
+// store holds a hierarchy from an earlier run takes and reuses it, with the
+// freelists and wait queues the earlier run grew; Spares.Reclaim hands a
+// finished run's hierarchies back, reset to their new state. Recycled and
+// new GPMs behave identically.
 package gpm
 
 import (
@@ -122,14 +124,6 @@ type GPM struct {
 	gap      sim.VTime
 	onFinish func(id int, at sim.VTime)
 	running  int // CUs still working
-
-	// l2TLBWait queues translation misses stalled on a full L2 TLB MSHR
-	// file; they resume as registers free (no polling).
-	l2TLBWait []*op
-	// l2DataWait queues data misses stalled on full L2 cache MSHRs.
-	l2DataWait []*op
-	// opFree recycles finished memory-operation state machines.
-	opFree []*op
 
 	// remoteLat is the distribution of remote translation round trips, the
 	// cycles RemoteLatencySum totals.
@@ -289,9 +283,8 @@ func (g *GPM) Translate(cu int, va vm.VAddr, done func(vm.PTE)) {
 // raced a shootdown) the waiters use pte without filling their L1 TLBs.
 func (g *GPM) completeL2(k tlb.Key, pte vm.PTE, cache bool) {
 	g.l2MSHR.Complete(k, pte, cache)
-	if len(g.l2TLBWait) > 0 {
-		w := g.l2TLBWait[0]
-		g.l2TLBWait = g.l2TLBWait[1:]
+	if g.l2TLBWait.Len() > 0 {
+		w := g.l2TLBWait.Pop()
 		w.state = opRetryL2
 		g.eng.Post(1, w, sim.EventArg{})
 	}
@@ -325,52 +318,102 @@ func (g *GPM) RequestDone(req *xlat.Request, res xlat.Result) {
 
 // --- Peer-facing services -------------------------------------------------
 
-// ProbeAux services a peer's concentric-layer probe: the probe occupies the
-// GPM's translation port, checks the aux cuckoo filter and, if it might hit,
-// performs the aux lookup. done reports the PTE, its push origin, and
-// whether it hit.
-func (g *GPM) ProbeAux(k tlb.Key, latency sim.VTime, done func(vm.PTE, xlat.PushOrigin, bool)) {
-	g.ensure()
-	g.Stats.ProbesServed++
-	_, end := g.probePort.Occupy(g.eng.Now(), latency)
-	g.eng.PostAt(end, sim.HandlerFunc(func() {
+// PeerWaiter receives the answer of a peer-facing service (ProbeAux,
+// ProbeL2TLB, WalkForPeer): the PTE, how an aux-cache entry arrived (zero
+// for the other two services), and whether the service found one. Schemes
+// pass pooled legs that are their own waiters, so a probe allocates
+// nothing; PeerFunc adapts a closure for cold paths and tests.
+type PeerWaiter interface {
+	PeerDone(pte vm.PTE, origin xlat.PushOrigin, ok bool)
+}
+
+// PeerFunc adapts a closure to PeerWaiter.
+type PeerFunc func(pte vm.PTE, origin xlat.PushOrigin, ok bool)
+
+// PeerDone implements PeerWaiter.
+func (f PeerFunc) PeerDone(pte vm.PTE, origin xlat.PushOrigin, ok bool) { f(pte, origin, ok) }
+
+// peerKind names the service a peerOp performs when its event fires.
+type peerKind uint8
+
+const (
+	peerAux   peerKind = iota // aux cuckoo filter, then aux lookup
+	peerL2TLB                 // shared L2 TLB peek
+	peerWalk                  // local page-table walk
+)
+
+// peerOp is one peer-facing service in flight: a pooled state machine that
+// is its own event handler, fired when the port or walker frees, and that
+// answers its waiter.
+type peerOp struct {
+	g    *GPM
+	k    tlb.Key
+	w    PeerWaiter
+	kind peerKind
+}
+
+// servePeer schedules service kind for k at cycle at.
+func (g *GPM) servePeer(kind peerKind, k tlb.Key, w PeerWaiter, at sim.VTime) {
+	p := g.peers.Get()
+	*p = peerOp{g: g, k: k, w: w, kind: kind}
+	g.eng.PostAt(at, p, sim.EventArg{})
+}
+
+// Event performs the service and answers the waiter. The op is released
+// first, so a waiter may start another service at once.
+func (p *peerOp) Event(sim.EventArg) {
+	g, k, w, kind := p.g, p.k, p.w, p.kind
+	g.peers.Put(p)
+	switch kind {
+	case peerAux:
 		if !g.aux.MightHave(k) {
-			done(vm.PTE{}, 0, false)
+			w.PeerDone(vm.PTE{}, 0, false)
 			return
 		}
 		pte, origin, ok := g.aux.Probe(k)
 		if ok {
 			g.Stats.ProbeHits++
 		}
-		done(pte, origin, ok)
-	}), sim.EventArg{})
-}
-
-// ProbeL2TLB services a Valkyrie-style neighbour probe of the shared L2 TLB.
-func (g *GPM) ProbeL2TLB(k tlb.Key, done func(vm.PTE, bool)) {
-	g.ensure()
-	g.Stats.ProbesServed++
-	_, end := g.probePort.Occupy(g.eng.Now(), g.l2TLB.Latency())
-	g.eng.PostAt(end, sim.HandlerFunc(func() {
+		w.PeerDone(pte, origin, ok)
+	case peerL2TLB:
 		pte, ok := g.l2TLB.Peek(k)
 		if ok {
 			g.Stats.ProbeHits++
 		}
-		done(pte, ok)
-	}), sim.EventArg{})
+		w.PeerDone(pte, 0, ok)
+	case peerWalk:
+		pte, found := g.localPT.Lookup(k.VPN)
+		w.PeerDone(pte, 0, found)
+	}
+}
+
+// ProbeAux services a peer's concentric-layer probe: the probe occupies the
+// GPM's translation port, checks the aux cuckoo filter and, if it might hit,
+// performs the aux lookup. w receives the PTE, its push origin, and
+// whether it hit.
+func (g *GPM) ProbeAux(k tlb.Key, latency sim.VTime, w PeerWaiter) {
+	g.ensure()
+	g.Stats.ProbesServed++
+	_, end := g.probePort.Occupy(g.eng.Now(), latency)
+	g.servePeer(peerAux, k, w, end)
+}
+
+// ProbeL2TLB services a Valkyrie-style neighbour probe of the shared L2 TLB.
+func (g *GPM) ProbeL2TLB(k tlb.Key, w PeerWaiter) {
+	g.ensure()
+	g.Stats.ProbesServed++
+	_, end := g.probePort.Occupy(g.eng.Now(), g.l2TLB.Latency())
+	g.servePeer(peerL2TLB, k, w, end)
 }
 
 // WalkForPeer services a Trans-FW remote walk against this GPM's local page
 // table, modelling contention for the GMMU walker pool it shares with local
 // translations.
-func (g *GPM) WalkForPeer(k tlb.Key, done func(vm.PTE, bool)) {
+func (g *GPM) WalkForPeer(k tlb.Key, w PeerWaiter) {
 	g.ensure()
 	g.Stats.LocalWalks++
 	start := g.walkers.Acquire(g.eng.Now(), g.cfg.WalkCycles)
-	g.eng.PostAt(start+g.cfg.WalkCycles, sim.HandlerFunc(func() {
-		pte, found := g.localPT.Lookup(k.VPN)
-		done(pte, found)
-	}), sim.EventArg{})
+	g.servePeer(peerWalk, k, w, start+g.cfg.WalkCycles)
 }
 
 // InstallAux accepts a PTE pushed after being read from the page table at

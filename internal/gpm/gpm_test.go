@@ -258,7 +258,7 @@ func TestProbeAuxAndInstall(t *testing.T) {
 	g, eng, _ := testGPM(t)
 	k := tlb.Key{VPN: 200}
 	var hit bool
-	g.ProbeAux(k, 18, func(_ vm.PTE, _ xlat.PushOrigin, ok bool) { hit = ok })
+	g.ProbeAux(k, 18, PeerFunc(func(_ vm.PTE, _ xlat.PushOrigin, ok bool) { hit = ok }))
 	eng.Run()
 	if hit {
 		t.Fatal("probe hit on empty aux cache")
@@ -266,7 +266,7 @@ func TestProbeAuxAndInstall(t *testing.T) {
 	g.InstallAux(vm.PTE{VPN: 200, PFN: 9, Valid: true}, xlat.PushPrefetch, eng.Now())
 	var origin xlat.PushOrigin
 	var pte vm.PTE
-	g.ProbeAux(k, 18, func(p vm.PTE, o xlat.PushOrigin, ok bool) { hit, pte, origin = ok, p, o })
+	g.ProbeAux(k, 18, PeerFunc(func(p vm.PTE, o xlat.PushOrigin, ok bool) { hit, pte, origin = ok, p, o }))
 	eng.Run()
 	if !hit || pte.PFN != 9 || origin != xlat.PushPrefetch {
 		t.Fatalf("probe after install: hit=%v pte=%+v origin=%v", hit, pte, origin)
@@ -282,7 +282,7 @@ func TestProbeL2TLB(t *testing.T) {
 	g.Translate(0, addr(5), func(vm.PTE) {})
 	eng.Run()
 	var hit bool
-	g.ProbeL2TLB(tlb.Key{VPN: 5}, func(_ vm.PTE, ok bool) { hit = ok })
+	g.ProbeL2TLB(tlb.Key{VPN: 5}, PeerFunc(func(_ vm.PTE, _ xlat.PushOrigin, ok bool) { hit = ok }))
 	eng.Run()
 	if !hit {
 		t.Error("L2 TLB probe missed a resident translation")
@@ -293,13 +293,13 @@ func TestWalkForPeer(t *testing.T) {
 	g, eng, _ := testGPM(t)
 	var found bool
 	var pte vm.PTE
-	g.WalkForPeer(tlb.Key{VPN: 10}, func(p vm.PTE, ok bool) { pte, found = p, ok })
+	g.WalkForPeer(tlb.Key{VPN: 10}, PeerFunc(func(p vm.PTE, _ xlat.PushOrigin, ok bool) { pte, found = p, ok }))
 	eng.Run()
 	if !found || pte.PFN != 1010 {
 		t.Fatalf("peer walk: found=%v pte=%+v", found, pte)
 	}
 	var missFound bool
-	g.WalkForPeer(tlb.Key{VPN: 999}, func(_ vm.PTE, ok bool) { missFound = ok })
+	g.WalkForPeer(tlb.Key{VPN: 999}, PeerFunc(func(_ vm.PTE, _ xlat.PushOrigin, ok bool) { missFound = ok }))
 	eng.Run()
 	if missFound {
 		t.Error("peer walk found unmapped page")

@@ -46,23 +46,14 @@ type op struct {
 
 // getOp leases an op from the GPM's free list.
 func (g *GPM) getOp(cu int, va vm.VAddr) *op {
-	var o *op
-	if n := len(g.opFree); n > 0 {
-		o = g.opFree[n-1]
-		g.opFree = g.opFree[:n-1]
-	} else {
-		o = new(op)
-	}
+	o := g.ops.Get()
 	*o = op{g: g, cu: cu, va: va}
 	return o
 }
 
 // putOp recycles a finished op. Ops are freed exactly once, at the end of
 // their last phase; no event or MSHR entry may reference them afterwards.
-func (g *GPM) putOp(o *op) {
-	*o = op{}
-	g.opFree = append(g.opFree, o)
-}
+func (g *GPM) putOp(o *op) { g.ops.Put(o) }
 
 // Event resumes the operation at its recorded stage.
 func (o *op) Event(sim.EventArg) {
@@ -115,7 +106,7 @@ func (o *op) tryL2() {
 		// MSHR file full: the request stalls at the L2 TLB boundary and
 		// resumes when a register frees.
 		g.Stats.MSHRRetries++
-		g.l2TLBWait = append(g.l2TLBWait, o)
+		g.l2TLBWait.Push(o)
 		return
 	}
 	if !primary {
@@ -247,7 +238,7 @@ func (o *op) stepD2() {
 		// L2 MSHRs exhausted: stall at the L2 boundary; resume when a
 		// register frees.
 		g.Stats.MSHRRetries++
-		g.l2DataWait = append(g.l2DataWait, o)
+		g.l2DataWait.Push(o)
 		return
 	}
 	if !primary {

@@ -4,14 +4,15 @@ import (
 	"hdpat/internal/cache"
 	"hdpat/internal/config"
 	"hdpat/internal/cuckoo"
+	"hdpat/internal/sim"
 	"hdpat/internal/tlb"
 )
 
 // hierarchy is the part of a GPM that ensure materializes and a finished
 // run can hand to the next: the per-CU L1 TLBs and caches, the L2 TLB and
 // its MSHR file, the last-level TLB, the auxiliary cache and the
-// local-page-table cuckoo filter. Together they are nearly all of a
-// materialized GPM's bytes.
+// local-page-table cuckoo filter — together nearly all of a materialized
+// GPM's bytes — and the freelists and wait queues its traffic grows.
 type hierarchy struct {
 	l1TLBs   []*tlb.TLB
 	l2TLB    *tlb.TLB
@@ -21,6 +22,16 @@ type hierarchy struct {
 	aux      *AuxCache
 	l1Caches []*cache.Cache
 	l2Cache  *cache.Cache
+
+	// ops recycles finished memory-operation state machines, peers the
+	// peer-facing service legs.
+	ops   sim.Freelist[op]
+	peers sim.Freelist[peerOp]
+	// l2TLBWait queues translation misses stalled on a full L2 TLB MSHR
+	// file; they resume as registers free (no polling).
+	l2TLBWait sim.Queue[*op]
+	// l2DataWait queues data misses stalled on full L2 cache MSHRs.
+	l2DataWait sim.Queue[*op]
 }
 
 // newHierarchy builds every structure for cfg except the local filter,
@@ -43,10 +54,13 @@ func newHierarchy(cfg config.GPM) hierarchy {
 }
 
 // reset returns every structure but the local filter to its new state and
-// drops the references a finished run left in them: MSHR waiters (pooled
-// ops of that run). The filter holds no references; ensure refits it to
-// the next GPM's page count.
+// drops the references a finished run left in them: MSHR waiters and
+// stalled ops (pooled ops of that run). The freelists keep their objects,
+// which hold nothing once released. The filter holds no references; ensure
+// refits it to the next GPM's page count.
 func (h *hierarchy) reset() {
+	h.l2TLBWait.Clear()
+	h.l2DataWait.Clear()
 	for _, t := range h.l1TLBs {
 		t.Reset()
 	}

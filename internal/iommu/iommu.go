@@ -97,23 +97,11 @@ type job struct {
 	state      jobState
 }
 
-// getJob leases a job; the engine is single-threaded, so a plain free list
-// suffices.
-func (io *IOMMU) getJob() *job {
-	if n := len(io.jobFree); n > 0 {
-		j := io.jobFree[n-1]
-		io.jobFree = io.jobFree[:n-1]
-		return j
-	}
-	return new(job)
-}
-
 // release ends the job: recycle it and drop its request reference. Called
 // exactly once, at the job's terminal action.
 func (j *job) release() {
 	io, req := j.io, j.req
-	*j = job{}
-	io.jobFree = append(io.jobFree, j)
+	io.Pools.jobs.Put(j)
 	req.Unref()
 }
 
@@ -141,8 +129,7 @@ type resp struct {
 // Event fires at mesh arrival: deliver the completion and recycle.
 func (r *resp) Event(sim.EventArg) {
 	io, req, res := r.io, r.req, r.res
-	*r = resp{}
-	io.respFree = append(io.respFree, r)
+	io.Pools.resps.Put(r)
 	req.Complete(res)
 	req.Unref()
 }
@@ -158,20 +145,22 @@ type IOMMU struct {
 	// GPMCoord maps a GPM index to its tile, for routing responses.
 	GPMCoord func(id int) geom.Coord
 
-	admission []*job
-	pwq       []*job
+	admission sim.Queue[*job]
+	pwq       sim.Queue[*job]
 	busy      int
+	// served collects the jobs one revisit serves.
+	served []*job
 
 	rt      *RedirectTable
 	iotlb   *tlb.TLB
 	ioMSHR  *tlb.MSHR
-	tlbWait []*job             // arrivals blocked on full IOMMU-TLB MSHRs
+	tlbWait sim.Queue[*job]    // arrivals blocked on full IOMMU-TLB MSHRs
 	counts  map[tlb.Key]uint32 // per-PTE access counts ("unused PTE bits")
 	rtProbe sim.VTime          // redirection table / TLB check latency
 
-	// jobFree / respFree recycle the pooled job and response carriers.
-	jobFree  []*job
-	respFree []*resp
+	// Pools recycles the job and response carriers. New gives the IOMMU
+	// its own; the system builder may replace it before the first Submit.
+	Pools *Pools
 
 	// Push delivers a walked or prefetched PTE to auxiliary GPM caches.
 	// It returns the GPM chosen (for the redirection table) and whether a
@@ -193,6 +182,15 @@ type IOMMU struct {
 	Stats Stats
 }
 
+// Pools holds an IOMMU's freelists of jobs and response carriers. An IOMMU
+// belongs to one run on one goroutine; a builder that runs one IOMMU after
+// another on a goroutine can hand each the same Pools, so a run reuses the
+// carriers the last one grew. The zero value is empty.
+type Pools struct {
+	jobs  sim.Freelist[job]
+	resps sim.Freelist[resp]
+}
+
 // AddHook registers h to observe every request arriving at the IOMMU.
 func (io *IOMMU) AddHook(h RequestHook) {
 	if h != nil {
@@ -206,6 +204,7 @@ func New(eng *sim.Engine, cfg config.IOMMU, coord geom.Coord, mesh *noc.Mesh, gl
 		eng: eng, cfg: cfg, coord: coord, mesh: mesh, global: global,
 		counts:  make(map[tlb.Key]uint32),
 		rtProbe: 1,
+		Pools:   new(Pools),
 	}
 	if cfg.UseTLB {
 		io.iotlb = tlb.New(tlb.Config{Sets: cfg.TLBSets, Ways: cfg.TLBWays, MSHRs: cfg.TLBMSHRs, Latency: 1})
@@ -229,7 +228,7 @@ func (io *IOMMU) RT() *RedirectTable { return io.rt }
 // the attribution sampler's iommu.queue_depth series — it used to include
 // in-service walks while the recorded series did not, so the sampled series
 // disagreed with every other depth signal.
-func (io *IOMMU) QueueDepth() int { return len(io.admission) + len(io.pwq) }
+func (io *IOMMU) QueueDepth() int { return io.admission.Len() + io.pwq.Len() }
 
 // WalkersBusy returns the number of walkers currently in service — a
 // sampler probe for walker-occupancy time series.
@@ -287,7 +286,7 @@ func (io *IOMMU) Submit(req *xlat.Request, noRedirect bool) {
 		h.IOMMURequest(io.eng.Now(), req)
 	}
 	req.Ref()
-	j := io.getJob()
+	j := io.Pools.jobs.Get()
 	*j = job{io: io, req: req, id: req.ID, pid: req.PID, vpn: req.VPN,
 		arrived: io.eng.Now(), noRedirect: noRedirect}
 
@@ -333,7 +332,7 @@ func (j *job) tryTLB() {
 		// All MSHRs occupied: the request stalls outside the TLB (§V-E)
 		// until a register frees.
 		io.Stats.MSHRBlocked++
-		io.tlbWait = append(io.tlbWait, j)
+		io.tlbWait.Push(j)
 		return
 	}
 	if primary {
@@ -363,20 +362,19 @@ func (j *job) Fill(pte vm.PTE, found bool) {
 }
 
 func (io *IOMMU) enqueue(j *job) {
-	if len(io.pwq) < io.cfg.PWQueueCap {
+	if io.pwq.Len() < io.cfg.PWQueueCap {
 		j.enqueued = io.eng.Now()
-		io.pwq = append(io.pwq, j)
+		io.pwq.Push(j)
 	} else {
-		io.admission = append(io.admission, j)
+		io.admission.Push(j)
 	}
 	io.noteQueue()
 	io.dispatch()
 }
 
 func (io *IOMMU) dispatch() {
-	for io.busy < io.cfg.Walkers && len(io.pwq) > 0 {
-		j := io.pwq[0]
-		io.pwq = io.pwq[1:]
+	for io.busy < io.cfg.Walkers && io.pwq.Len() > 0 {
+		j := io.pwq.Pop()
 		io.promote()
 		// A request already answered by a peer cache while it queued (the
 		// concurrent-probe race) must not burn a walker. In the IOMMU-TLB
@@ -420,11 +418,10 @@ func (io *IOMMU) dispatch() {
 
 // promote moves admission-stage jobs into freed PW-queue slots.
 func (io *IOMMU) promote() {
-	for len(io.admission) > 0 && len(io.pwq) < io.cfg.PWQueueCap {
-		j := io.admission[0]
-		io.admission = io.admission[1:]
+	for io.admission.Len() > 0 && io.pwq.Len() < io.cfg.PWQueueCap {
+		j := io.admission.Pop()
 		j.enqueued = io.eng.Now()
-		io.pwq = append(io.pwq, j)
+		io.pwq.Push(j)
 	}
 }
 
@@ -514,20 +511,21 @@ func (io *IOMMU) revisit(k tlb.Key, pte vm.PTE, found bool) {
 	if !found {
 		return
 	}
-	var served []*job
-	out := io.pwq[:0]
-	for _, j := range io.pwq {
+	// One turn of the ring compacts the queue in order: every job is
+	// popped, and the ones that do not match are pushed back.
+	served := io.served[:0]
+	for n := io.pwq.Len(); n > 0; n-- {
+		j := io.pwq.Pop()
 		if j.pid == k.PID && j.vpn == k.VPN {
 			served = append(served, j)
 			continue
 		}
-		out = append(out, j)
+		io.pwq.Push(j)
 	}
-	io.pwq = out
 	// Serve matches only after the queue is compacted: completing an
 	// IOMMU-TLB register drains tlbWait, and a drained arrival may
-	// re-enqueue into the PW-queue — appending into io.pwq mid-scan would
-	// be clobbered by the compaction and strand that request.
+	// re-enqueue into the PW-queue — pushing into io.pwq mid-turn would
+	// put it among the jobs still to be scanned.
 	for _, j := range served {
 		io.Stats.Revisits++
 		io.traceQueue(j, io.eng.Now())
@@ -538,6 +536,8 @@ func (io *IOMMU) revisit(k tlb.Key, pte vm.PTE, found bool) {
 		}
 		j.release()
 	}
+	clear(served)
+	io.served = served[:0]
 }
 
 // completeTLBMSHR resolves an IOMMU-TLB miss register, then drains blocked
@@ -547,10 +547,8 @@ func (io *IOMMU) revisit(k tlb.Key, pte vm.PTE, found bool) {
 // the last outstanding walk completes.
 func (io *IOMMU) completeTLBMSHR(k tlb.Key, pte vm.PTE, found bool) {
 	io.ioMSHR.Complete(k, pte, found)
-	for len(io.tlbWait) > 0 && io.ioMSHR.Used() < io.ioMSHR.Capacity() {
-		w := io.tlbWait[0]
-		io.tlbWait = io.tlbWait[1:]
-		w.tryTLB()
+	for io.tlbWait.Len() > 0 && io.ioMSHR.Used() < io.ioMSHR.Capacity() {
+		io.tlbWait.Pop().tryTLB()
 	}
 }
 
@@ -558,13 +556,7 @@ func (io *IOMMU) completeTLBMSHR(k tlb.Key, pte vm.PTE, found bool) {
 // a pooled carrier holding its own request reference for the transit.
 func (io *IOMMU) respond(req *xlat.Request, res xlat.Result) {
 	req.Ref()
-	var r *resp
-	if n := len(io.respFree); n > 0 {
-		r = io.respFree[n-1]
-		io.respFree = io.respFree[:n-1]
-	} else {
-		r = new(resp)
-	}
+	r := io.Pools.resps.Get()
 	*r = resp{io: io, req: req, res: res}
 	io.mesh.SendH(io.coord, io.GPMCoord(req.Requester), xlat.RespBytes, r, sim.EventArg{})
 }

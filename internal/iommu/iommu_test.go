@@ -524,8 +524,8 @@ func TestTLBWaitDrainAccounting(t *testing.T) {
 	if done != 5 {
 		t.Fatalf("completions = %d, want 5 (blocked arrival stranded?)", done)
 	}
-	if len(h.io.tlbWait) != 0 {
-		t.Errorf("tlbWait not drained: %d waiters left", len(h.io.tlbWait))
+	if h.io.tlbWait.Len() != 0 {
+		t.Errorf("tlbWait not drained: %d waiters left", h.io.tlbWait.Len())
 	}
 	if h.io.Stats.MSHRBlocked == 0 {
 		t.Error("expected at least one MSHR-blocked arrival")
@@ -557,9 +557,9 @@ func TestRevisitCompletesMSHRAndDrainsTLBWait(t *testing.T) {
 		h.io.Submit(h.request(v, func(xlat.Result) { done++ }), false)
 	}
 	h.eng.RunUntil(10) // past TLB latency, before the 500-cycle walk completes
-	if h.io.WalkersBusy() != 1 || len(h.io.pwq) != 1 || len(h.io.tlbWait) != 1 {
+	if h.io.WalkersBusy() != 1 || h.io.pwq.Len() != 1 || h.io.tlbWait.Len() != 1 {
 		t.Fatalf("setup: busy=%d pwq=%d tlbWait=%d, want 1/1/1",
-			h.io.WalkersBusy(), len(h.io.pwq), len(h.io.tlbWait))
+			h.io.WalkersBusy(), h.io.pwq.Len(), h.io.tlbWait.Len())
 	}
 	// A same-key walk completes elsewhere: revisit the PW-queue for VPN 5.
 	pte, ok := h.io.global.Lookup(5)
@@ -570,11 +570,11 @@ func TestRevisitCompletesMSHRAndDrainsTLBWait(t *testing.T) {
 	if h.io.Stats.Revisits != 1 {
 		t.Fatalf("revisits = %d, want 1", h.io.Stats.Revisits)
 	}
-	if len(h.io.pwq) == 0 {
+	if h.io.pwq.Len() == 0 {
 		t.Fatal("revisit emptied the PW-queue: the drained tlbWait arrival should have re-enqueued")
 	}
-	if len(h.io.tlbWait) != 0 {
-		t.Fatalf("tlbWait not drained by the revisit's register completion: %d left", len(h.io.tlbWait))
+	if h.io.tlbWait.Len() != 0 {
+		t.Fatalf("tlbWait not drained by the revisit's register completion: %d left", h.io.tlbWait.Len())
 	}
 	h.eng.Run()
 	if done != 3 {

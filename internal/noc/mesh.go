@@ -88,11 +88,19 @@ type Mesh struct {
 	// hops is the distribution of hops per delivered message.
 	hops stats.Histogram
 
-	// free recycles in-flight transfer state machines; a transfer lives
+	// Pools recycles in-flight transfer state machines; a transfer lives
 	// from SendH until final delivery, one event per hop, no allocation per
-	// hop or per message in steady state. The mesh belongs to one run on
-	// one goroutine, so a plain freelist suffices.
-	free []*transfer
+	// hop or per message in steady state. New gives the mesh its own; the
+	// system builder may replace it before the first send.
+	Pools *Pools
+}
+
+// Pools is the mesh's freelist of transfers. A mesh belongs to one run on
+// one goroutine, so a plain freelist suffices; a builder that runs one mesh
+// after another on a goroutine can hand each the same Pools, so a run
+// reuses the transfers the last one grew. The zero value is empty.
+type Pools struct {
+	transfers sim.Freelist[transfer]
 }
 
 // direction indices
@@ -109,7 +117,8 @@ const (
 // at construction from cfg.Routing; unknown names panic (config.Validate
 // rejects them on every public path first).
 func New(eng *sim.Engine, layout *geom.Mesh, cfg Config) *Mesh {
-	m := &Mesh{cfg: cfg, eng: eng, layout: layout, tile: make([]int32, layout.NumTiles()), router: routerFor(cfg)}
+	m := &Mesh{cfg: cfg, eng: eng, layout: layout, tile: make([]int32, layout.NumTiles()), router: routerFor(cfg),
+		Pools: new(Pools)}
 	for i := range m.tile {
 		m.tile[i] = noLink
 	}
@@ -222,8 +231,7 @@ func (t *transfer) Event(sim.EventArg) {
 			m.Stats.MaxHops = hops
 		}
 		m.hops.Add(uint64(hops))
-		*t = transfer{}
-		m.free = append(m.free, t)
+		m.Pools.transfers.Put(t)
 		h.Event(arg)
 		return
 	}
@@ -286,13 +294,7 @@ func (m *Mesh) SendH(src, dst geom.Coord, size int, h sim.Handler, arg sim.Event
 		eng.Post(1, h, arg)
 		return
 	}
-	var t *transfer
-	if n := len(m.free); n > 0 {
-		t = m.free[n-1]
-		m.free = m.free[:n-1]
-	} else {
-		t = new(transfer)
-	}
+	t := m.Pools.transfers.Get()
 	*t = transfer{m: m, cur: src, dst: dst, size: size, born: eng.Now(), h: h, arg: arg}
 	t.step()
 }

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,6 +29,20 @@ import (
 // mid-simulation, not just between runs, and so the run shares the
 // batch's traces and reuses the worker's GPM hierarchies.
 type Task func(ctx context.Context) (wafer.Result, error)
+
+// Labeled returns task run under runtime/pprof.Do with the given label
+// pairs (key, value, key, value, ...), so a CPU profile taken while the
+// batch runs splits by run: go tool pprof -tagfocus scheme=hdpat. Every
+// Pool caller labels its tasks with the run's scheme and benchmark, and
+// hdpatd adds job_id and run_id. A label only tags profile samples; the
+// run is unchanged.
+func Labeled(task Task, kv ...string) Task {
+	labels := pprof.Labels(kv...)
+	return func(ctx context.Context) (res wafer.Result, err error) {
+		pprof.Do(ctx, labels, func(ctx context.Context) { res, err = task(ctx) })
+		return res, err
+	}
+}
 
 // Outcome is one task's result plus its accounting.
 type Outcome struct {

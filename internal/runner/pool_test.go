@@ -7,12 +7,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"hdpat/internal/config"
+	"hdpat/internal/sim"
 	"hdpat/internal/wafer"
 	"hdpat/internal/workload"
 )
@@ -202,16 +204,18 @@ func TestSnapshotTracksBatchState(t *testing.T) {
 // Two workers share one batch's trace table, each on its own recycling
 // store, over two consecutive Run calls: every run, including the second
 // batch's runs on stores the first one filled, matches a fresh wafer.Run.
-// Run with -race.
+// Each full run follows a build-only run of the same cell, stopped at
+// cycle 1, so a worker's store goes from a run cut off with nearly every
+// event queued straight into a full run. Run with -race.
 func TestPoolRunsMatchFreshAcrossBatches(t *testing.T) {
 	base := config.Default()
 	base.MeshW, base.MeshH = 5, 5
 	base.GPM.NumCUs = 8
 	base.WorkloadScale = 32
 	type cell struct {
-		cfg  config.System
-		opts wafer.Options
-		want string
+		cfg          config.System
+		opts         wafer.Options
+		want, errMsg string
 	}
 	var cells []*cell
 	for _, bench := range []string{"PR", "SPMV"} {
@@ -224,13 +228,18 @@ func TestPoolRunsMatchFreshAcrossBatches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c := &cell{cfg: cfg, opts: wafer.Options{Scheme: scheme, Benchmark: b, OpsBudget: 16, Seed: 3}}
-			res, err := wafer.Run(c.cfg, c.opts)
-			if err != nil {
-				t.Fatal(err)
+			for _, maxCycles := range []sim.VTime{1, 0} {
+				c := &cell{cfg: cfg, opts: wafer.Options{Scheme: scheme, Benchmark: b, OpsBudget: 16, Seed: 3, MaxCycles: maxCycles}}
+				res, err := wafer.Run(c.cfg, c.opts)
+				if (err != nil) != (maxCycles == 1) {
+					t.Fatalf("%s/%s with MaxCycles %d: %v", scheme, bench, maxCycles, err)
+				}
+				if err != nil {
+					c.errMsg = err.Error()
+				}
+				c.want = digest(t, res)
+				cells = append(cells, c)
 			}
-			c.want = digest(t, res)
-			cells = append(cells, c)
 		}
 	}
 	tasks := make([]Task, len(cells))
@@ -242,14 +251,40 @@ func TestPoolRunsMatchFreshAcrossBatches(t *testing.T) {
 	p := &Pool{Workers: 2}
 	for batch := range 2 {
 		for i, o := range p.Run(context.Background(), tasks) {
-			if o.Err != nil {
-				t.Fatalf("batch %d run %d: %v", batch, i, o.Err)
+			c := cells[i]
+			if got := errText(o.Err); got != c.errMsg {
+				t.Fatalf("batch %d run %d: error %q, fresh %q", batch, i, got, c.errMsg)
 			}
-			if got := digest(t, o.Result); got != cells[i].want {
-				t.Errorf("batch %d run %d (%s/%s): digest %s, fresh %s", batch, i,
-					cells[i].opts.Scheme, cells[i].opts.Benchmark.Abbr, got, cells[i].want)
+			if got := digest(t, o.Result); got != c.want {
+				t.Errorf("batch %d run %d (%s/%s, MaxCycles %d): digest %s, fresh %s", batch, i,
+					c.opts.Scheme, c.opts.Benchmark.Abbr, c.opts.MaxCycles, got, c.want)
 			}
 		}
+	}
+}
+
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// Labeled runs its task under the given pprof labels, and changes nothing
+// else.
+func TestLabeledTask(t *testing.T) {
+	var scheme, job string
+	task := Labeled(func(ctx context.Context) (wafer.Result, error) {
+		scheme, _ = pprof.Label(ctx, "scheme")
+		job, _ = pprof.Label(ctx, "job_id")
+		return wafer.Result{Scheme: "s"}, errors.New("e")
+	}, "scheme", "hdpat", "job_id", "j1")
+	out := (&Pool{Workers: 1}).Run(context.Background(), []Task{task})
+	if scheme != "hdpat" || job != "j1" {
+		t.Fatalf("task saw labels scheme=%q job_id=%q", scheme, job)
+	}
+	if out[0].Result.Scheme != "s" || out[0].Err == nil || out[0].Err.Error() != "e" {
+		t.Fatalf("labeled task returned %+v", out[0])
 	}
 }
 

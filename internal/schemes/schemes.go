@@ -9,6 +9,7 @@ package schemes
 import (
 	"hdpat/internal/core"
 	"hdpat/internal/geom"
+	"hdpat/internal/gpm"
 	"hdpat/internal/sim"
 	"hdpat/internal/tlb"
 	"hdpat/internal/vm"
@@ -103,7 +104,7 @@ func (s *OwnerFW) Translate(req *xlat.Request) {
 	target := s.f.GPMs[owner]
 	req.Ref() // forward leg: transit plus the peer walk
 	s.f.Mesh.SendH(from, target.Coord, xlat.ReqBytes, sim.HandlerFunc(func() {
-		target.WalkForPeer(key(req), func(pte vm.PTE, found bool) {
+		target.WalkForPeer(key(req), gpm.PeerFunc(func(pte vm.PTE, _ xlat.PushOrigin, found bool) {
 			defer req.Unref()
 			if found {
 				s.f.Respond(target.Coord, req, xlat.Result{PTE: pte, Source: xlat.SourceOwner})
@@ -111,7 +112,7 @@ func (s *OwnerFW) Translate(req *xlat.Request) {
 			}
 			s.Fallback++
 			s.f.ToIOMMU(target.Coord, req, false)
-		})
+		}))
 	}), sim.EventArg{})
 }
 
@@ -154,7 +155,7 @@ func (s *Valkyrie) Translate(req *xlat.Request) {
 		s.Probes++
 		req.Ref() // probe leg: transit, L2 probe and possible miss response
 		s.f.Mesh.SendH(from, nb, xlat.ReqBytes, sim.HandlerFunc(func() {
-			target.ProbeL2TLB(key(req), func(pte vm.PTE, ok bool) {
+			target.ProbeL2TLB(key(req), gpm.PeerFunc(func(pte vm.PTE, _ xlat.PushOrigin, ok bool) {
 				if ok {
 					s.Hits++
 					s.f.Respond(nb, req, xlat.Result{PTE: pte, Source: xlat.SourceNeighbor})
@@ -170,7 +171,7 @@ func (s *Valkyrie) Translate(req *xlat.Request) {
 					}
 					req.Unref()
 				}), sim.EventArg{})
-			})
+			}))
 		}), sim.EventArg{})
 	}
 }

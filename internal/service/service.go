@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -591,9 +592,9 @@ func (s *Service) runJob(j *Job) {
 	tasks := make([]runner.Task, len(points))
 	for i, p := range points {
 		i, p := i, p
-		tasks[i] = func(ctx context.Context) (wafer.Result, error) {
+		tasks[i] = runner.Labeled(func(ctx context.Context) (wafer.Result, error) {
 			return s.runPoint(ctx, j, p, recs)
-		}
+		}, "job_id", j.ID, "run_id", strconv.Itoa(p.Index), "scheme", p.Scheme, "benchmark", p.Benchmark)
 	}
 	outs := pool.Run(ctx, tasks)
 	j.tl.span("job", "running", j.started, time.Now())

@@ -110,9 +110,9 @@ type slot struct{ head, tail int32 }
 // exactly (time, seq).
 //
 // The node slab and the overflow heap grow to the run's peak depth and never
-// shrink; their storage is dropped with the engine. Freed nodes and popped
-// heap slots are zeroed, so the queue keeps no dead Handler or Ptr
-// references.
+// shrink; their storage is dropped with the engine, or kept by Reset for the
+// next run. Freed nodes and popped heap slots are zeroed, so the queue keeps
+// no dead Handler or Ptr references.
 type Engine struct {
 	now     VTime
 	seq     uint64
@@ -308,6 +308,17 @@ func (e *Engine) FlushSamples(upto VTime) {
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine { return &Engine{} }
+
+// Reset returns the engine to the state NewEngine builds: time zero, no
+// events, no sampler, zero counters. It keeps the node slab's and the
+// overflow heap's capacity, so an engine that serves one run after another
+// grows its queue once. Pending events are dropped with their Handler and
+// Ptr references: a run cut off by its cycle limit leaves events queued.
+func (e *Engine) Reset() {
+	clear(e.slab)
+	clear(e.far)
+	*e = Engine{slab: e.slab[:0], far: e.far[:0]}
+}
 
 // Now returns the current simulated time.
 func (e *Engine) Now() VTime { return e.now }

@@ -6,25 +6,53 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hdpat/internal/core"
 	"hdpat/internal/gpm"
+	"hdpat/internal/iommu"
+	"hdpat/internal/noc"
+	"hdpat/internal/sim"
 	"hdpat/internal/vm"
 	"hdpat/internal/workload"
+	"hdpat/internal/xlat"
 )
 
 // State that outlives one run: the recycling stores of GPM hierarchies,
-// shared process-wide, and the trace table one batch shares.
+// event queues and request-path freelists, shared process-wide, and the
+// trace table one batch shares.
 
-// recycler is the store of spare GPM hierarchies behind WithRecycling.
+// recycler is the store behind WithRecycling.
 type recycler struct {
 	// busy admits one run at a time; a run that finds the store busy
-	// builds its GPMs new, so sharing the context between goroutines
+	// builds everything new, so sharing the context between goroutines
 	// costs speed, never correctness.
 	busy   atomic.Bool
 	spares gpm.Spares
 	// last is how many hierarchies the last reclaimed run handed back; the
 	// store never holds more.
 	last int
+	// state is the rest of what the last run grew, emptied for the next
+	// run; nil while a run holds it, and after a run that panicked.
+	state *runState
 }
+
+// runState is what a run grows besides its GPM hierarchies: the event
+// queue, the request path's freelists and the filter-seeding buffer. A run
+// without a store builds its own. A store hands it from one run to the
+// next: the engine is reset when it comes back, and every freelist object
+// was zeroed when released, so nothing of one run reaches the next. It
+// still serves one run at a time.
+type runState struct {
+	eng      *sim.Engine
+	requests xlat.RequestPool
+	noc      noc.Pools
+	iommu    iommu.Pools
+	core     core.Pools
+	fetches  sim.Freelist[lineFetch]
+	// vpns is the buffer the GPMs' filter seeds enumerate their pages into.
+	vpns []vm.VPN
+}
+
+func newRunState() *runState { return &runState{eng: sim.NewEngine()} }
 
 // recyclers holds the stores no context is using. A store keeps what its
 // last run materialized, so the next batch's first run on a worker
@@ -36,13 +64,15 @@ type recyclerKey struct{}
 
 // WithRecycling returns a context under which successive RunContext calls
 // reuse each other's GPM hierarchies — the TLBs, caches, MSHR files and
-// cuckoo filters that dominate a wafer's build — instead of allocating and
-// zeroing them per run, and a release func that hands the context's store
-// back to the process-wide set it came from, for the next caller. A run
-// that completes or stops at its cycle limit hands its hierarchies back,
-// resetting each, and the store then keeps no more than that run
-// materialized. A cancelled or panicked run hands back nothing. Recycled
-// runs are byte-identical to fresh ones. The store serves one run at a
+// cuckoo filters that dominate a wafer's build — and everything else a run
+// grows (the event queue, the pooled ops, messages, requests, IOMMU jobs
+// and probe legs), instead of allocating them per run, and a release func
+// that hands the context's store back to the process-wide set it came
+// from, for the next caller. A run that completes or stops at its cycle
+// limit hands its hierarchies back, resetting each, and the store then
+// keeps no more than that run materialized. A cancelled run hands back
+// only its event queue and freelists; a panicked run hands back nothing.
+// Recycled runs are byte-identical to fresh ones. The store serves one run at a
 // time, so give each goroutine its own context; runner.Pool gives each
 // worker one for the length of a batch. Call release once, when no run
 // uses the context any more.

@@ -14,7 +14,7 @@ import (
 type fetcher struct {
 	mesh *noc.Mesh
 	gpms []*gpm.GPM
-	free []*lineFetch
+	free *sim.Freelist[lineFetch]
 }
 
 // lineFetch phases, advanced by each Event delivery.
@@ -34,13 +34,7 @@ type lineFetch struct {
 
 // FetchLine implements gpm.LineFetcher.
 func (f *fetcher) FetchLine(requester *gpm.GPM, owner int, line uint64) {
-	var lf *lineFetch
-	if n := len(f.free); n > 0 {
-		lf = f.free[n-1]
-		f.free = f.free[:n-1]
-	} else {
-		lf = new(lineFetch)
-	}
+	lf := f.free.Get()
 	*lf = lineFetch{f: f, requester: requester, owner: f.gpms[owner], line: line}
 	f.mesh.SendH(requester.Coord, lf.owner.Coord, xlat.DataReqBytes, lf, sim.EventArg{})
 }
@@ -55,9 +49,8 @@ func (lf *lineFetch) Event(sim.EventArg) {
 		lf.state = fetchRespArrived
 		lf.f.mesh.SendH(lf.owner.Coord, lf.requester.Coord, xlat.DataRespBytes, lf, sim.EventArg{})
 	case fetchRespArrived:
-		f, requester, line := lf.f, lf.requester, lf.line
-		*lf = lineFetch{}
-		f.free = append(f.free, lf)
+		requester, line := lf.requester, lf.line
+		lf.f.free.Put(lf)
 		requester.FillLine(line)
 	}
 }

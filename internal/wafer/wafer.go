@@ -7,6 +7,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"hdpat/internal/attr"
 	"hdpat/internal/check"
@@ -274,28 +275,36 @@ func runEngine(ctx context.Context, eng *sim.Engine, limit sim.VTime, pub *publi
 
 // RunContext builds and executes one simulation, aborting with ctx.Err()
 // when ctx is cancelled mid-run (checked between engine slices; a cancelled
-// run returns a zero Result). Under a WithRecycling context the GPMs take
-// spare hierarchies from the context's store and hand them back afterwards;
-// under a WithTraceTable context the run shares its traces with the
-// table's other runs.
+// run returns a zero Result). Under a WithRecycling context the run takes
+// its engine, freelists and spare GPM hierarchies from the context's store
+// and hands them back afterwards; under a WithTraceTable context the run
+// shares its traces with the table's other runs.
 func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, error) {
 	rec := acquireRecycler(ctx)
 	if rec == nil {
-		res, _, err := run(ctx, cfg, opts, nil)
+		res, _, err := run(ctx, cfg, opts, nil, newRunState())
 		return res, err
 	}
 	defer rec.busy.Store(false)
-	res, gpms, err := run(ctx, cfg, opts, &rec.spares)
+	st := rec.state
+	if st == nil {
+		st = newRunState()
+	}
+	rec.state = nil
+	res, gpms, err := run(ctx, cfg, opts, &rec.spares, st)
 	if gpms != nil {
 		rec.last = rec.spares.Reclaim(gpms)
 	}
+	st.eng.Reset()
+	rec.state = st
 	return res, err
 }
 
-// run builds and executes one simulation, its GPMs drawing hierarchies from
-// spares. It returns the GPMs only when the run reached its end or its
-// cycle limit, the runs whose hierarchies are worth handing back.
-func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spares) (Result, []*gpm.GPM, error) {
+// run builds and executes one simulation on st's engine and freelists, its
+// GPMs drawing hierarchies from spares. It returns the GPMs only when the
+// run reached its end or its cycle limit, the runs whose hierarchies are
+// worth handing back.
+func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spares, st *runState) (Result, []*gpm.GPM, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, nil, err
 	}
@@ -314,8 +323,9 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 	mesh := geom.NewMesh(cfg.MeshW, cfg.MeshH)
 	layout := geom.NewLayout(mesh)
 
-	eng := sim.NewEngine()
+	eng := st.eng
 	network := noc.New(eng, mesh, cfg.NoC)
+	network.Pools = &st.noc
 	numGPMs := mesh.NumGPMs()
 
 	// The attribution ledger rides the tracer seam: Attach fans typed spans
@@ -358,7 +368,9 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 		gpms[i].Spares = spares
 		id := i
 		gpms[i].SeedFilter(func(g *gpm.GPM) {
-			var vpns []vm.VPN
+			// The GPMs take turns with one buffer, sized to the pages
+			// this one owns.
+			vpns := slices.Grow(st.vpns[:0], placement.Local(id).Len())
 			for _, r := range placement.Regions() {
 				lo, hi := r.OwnerSlice(id, numGPMs)
 				for p := lo; p < hi; p++ {
@@ -366,10 +378,12 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 				}
 			}
 			g.ReseedFilter(0, vpns)
+			st.vpns = vpns
 		})
 	}
 
 	io := iommu.New(eng, cfg.IOMMU, mesh.CPU, network, placement.Global())
+	io.Pools = &st.iommu
 	io.GPMCoord = func(id int) geom.Coord { return gpms[id].Coord }
 	io.Trace = tr
 	if coll != nil || chk != nil {
@@ -417,6 +431,7 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 	fabric := &core.Fabric{
 		Eng: eng, Mesh: network, Layout: layout,
 		GPMs: gpms, IOMMU: io, Placement: placement,
+		Pools: &st.core,
 	}
 	fabric.Finish()
 
@@ -434,14 +449,15 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 		scheme = migrator.Wrap(scheme)
 	}
 
-	// Wire GPMs. The request pool is per run, shared across GPMs: sharing
-	// maximises reuse, and scoping it to the run keeps recycled objects
-	// away from parallel batch workers (a global pool would hand one
-	// worker's recycled request to another while stale readers remain).
+	// Wire GPMs. The request pool serves one run at a time, shared across
+	// its GPMs: sharing maximises reuse, and handing it only from run to
+	// run on one worker keeps recycled objects away from parallel batch
+	// workers (a global pool would hand one worker's recycled request to
+	// another while stale readers remain).
 	var reqID uint64
 	nextID := func() uint64 { reqID++; return reqID }
-	reqPool := xlat.NewRequestPool()
-	fetch := &fetcher{mesh: network, gpms: gpms}
+	reqPool := &st.requests
+	fetch := &fetcher{mesh: network, gpms: gpms, free: &st.fetches}
 	for _, g := range gpms {
 		g.Remote = scheme
 		g.NextReqID = nextID

@@ -133,7 +133,7 @@ func fws() Benchmark {
 			rounds := 8
 			perRound := maxI(ctx.OpsBudget/(rounds*3*linesPerVisit), 1)
 			step := maxI((e-s)/perRound, 1)
-			var tr []vm.VAddr
+			tr := newTrace(ctx)
 			for k := 0; k < rounds; k++ {
 				// Pivot row k: the same few pages for every CU on the wafer.
 				pivot := k * dist.Pages / rounds
@@ -167,7 +167,7 @@ func i2c() Benchmark {
 			}
 			cost := 3 * linesPerVisit
 			step := fitStep(s, e, 1, ctx.OpsBudget/cost*linesPerVisit)
-			var tr []vm.VAddr
+			tr := newTrace(ctx)
 			for pg := s; pg < e; pg += step {
 				w := pg * img.Pages / maxI(cols.Pages, 1)
 				tr = emit(tr, img, ctx.PageSize, w, 0, linesPerVisit)

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"slices"
 
 	"hdpat/internal/vm"
 )
@@ -23,6 +24,11 @@ func addrOf(r vm.Region, ps vm.PageSize, page int, line int) vm.VAddr {
 	linesPerPage := int(uint64(ps) / 64)
 	return ps.Base(r.Start+vm.VPN(p)) + vm.VAddr((line%linesPerPage)*64)
 }
+
+// newTrace returns an empty trace with room for the ops budget, the length
+// nearly every generator reaches: appends then rarely regrow it, and
+// repeatToBudget extends it in place.
+func newTrace(ctx Context) []vm.VAddr { return make([]vm.VAddr, 0, max(ctx.OpsBudget, 0)) }
 
 // emit appends a burst of lines within one page.
 func emit(tr []vm.VAddr, r vm.Region, ps vm.PageSize, page, line, burst int) []vm.VAddr {
@@ -64,7 +70,10 @@ func streamPages(ctx Context, r vm.Region, s, e, step, passes int) []vm.VAddr {
 	if passes < 1 {
 		passes = 1
 	}
-	var tr []vm.VAddr
+	if s >= e {
+		return nil
+	}
+	tr := newTrace(ctx)
 	for p := 0; p < passes; p++ {
 		for pg := s; pg < e; pg += step {
 			tr = emit(tr, r, ctx.PageSize, pg, p*linesPerVisit, linesPerVisit)
@@ -143,7 +152,7 @@ func butterfly(ctx Context, r vm.Region, ascending bool) []vm.VAddr {
 	// Keep the largest distances (cross-wafer phases) and the smallest
 	// (local phases) when trimming, alternating from both ends.
 	sel := selectEnds(dists, stages)
-	var tr []vm.VAddr
+	tr := newTrace(ctx)
 	for si, d := range sel {
 		for pg := s; pg < e; pg++ {
 			tr = emit(tr, r, ctx.PageSize, pg, si, linesPerVisit)
@@ -190,7 +199,7 @@ func gather(ctx Context, rows, vec vm.Region, zipfAlpha float64, perRow int) []v
 	// Each row visit costs linesPerVisit + perRow ops.
 	rowCost := linesPerVisit + perRow
 	step := fitStep(s, e, 1, ctx.OpsBudget/rowCost*linesPerVisit)
-	var tr []vm.VAddr
+	tr := newTrace(ctx)
 	for pg := s; pg < e; pg += step {
 		tr = emit(tr, rows, ctx.PageSize, pg, 0, linesPerVisit)
 		for k := 0; k < perRow; k++ {
@@ -218,7 +227,7 @@ func slidingWindow(ctx Context, in vm.Region, window, passes int) []vm.VAddr {
 	}
 	cost := window * linesPerVisit * passes
 	step := fitStep(s, e, 1, ctx.OpsBudget/maxI(cost, 1)*linesPerVisit)
-	var tr []vm.VAddr
+	tr := newTrace(ctx)
 	for p := 0; p < passes; p++ {
 		for pg := s; pg < e; pg += step {
 			for w := 0; w < window; w++ {
@@ -245,7 +254,7 @@ func transpose(ctx Context, a, b vm.Region, n int) []vm.VAddr {
 	// Each loop iteration emits two page visits (source + target), so the
 	// per-visit budget is halved.
 	step := fitStep(s, e, 2, ctx.OpsBudget/2)
-	var tr []vm.VAddr
+	tr := newTrace(ctx)
 	for pass := 0; pass < 2; pass++ {
 		for pg := s; pg < e; pg += step {
 			i, j := pg/n, pg%n
@@ -272,7 +281,7 @@ func tiledMM(ctx Context, a, b, c vm.Region, tile int) []vm.VAddr {
 	}
 	cost := (2*tile + 1) * linesPerVisit
 	step := fitStep(s, e, 1, ctx.OpsBudget/maxI(cost, 1)*linesPerVisit)
-	var tr []vm.VAddr
+	tr := newTrace(ctx)
 	for pg := s; pg < e; pg += step {
 		// A panel: local-ish rows aligned with the output tile.
 		for k := 0; k < tile; k++ {
@@ -299,18 +308,16 @@ func maxI(a, b int) int {
 // repeatToBudget cycles a trace until it reaches roughly the ops budget,
 // modelling iterative kernels and repeated launches (AES rounds, KMeans
 // iterations, repeated SpMV products over the same matrix). Single-pass
-// kernels (RELU, MT) must not use it.
+// kernels (RELU, MT) must not use it. The trace grows in place: each pass
+// appends a prefix of the original addresses, which later passes never
+// overwrite.
 func repeatToBudget(ctx Context, tr []vm.VAddr) []vm.VAddr {
 	if len(tr) == 0 || len(tr) >= ctx.OpsBudget {
 		return tr
 	}
-	out := make([]vm.VAddr, 0, ctx.OpsBudget)
-	for len(out) < ctx.OpsBudget {
-		n := ctx.OpsBudget - len(out)
-		if n > len(tr) {
-			n = len(tr)
-		}
-		out = append(out, tr[:n]...)
+	tr = slices.Grow(tr, ctx.OpsBudget-len(tr))
+	for n := len(tr); len(tr) < ctx.OpsBudget; {
+		tr = append(tr, tr[:min(n, ctx.OpsBudget-len(tr))]...)
 	}
-	return out
+	return tr
 }
