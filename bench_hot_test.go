@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"hdpat"
-	"hdpat/internal/wafer"
 )
 
 // runCompareHot executes one baseline-vs-scheme comparison per iteration on
@@ -78,26 +77,32 @@ func BenchmarkCompareHDPAT7x12(b *testing.B) {
 // before its first event: building the Table I wafer (GPM caches, TLBs,
 // cuckoo filters, per-CU traces) for hdpat/PR. The one-cycle limit stops
 // each run right after the build, so ns/op and allocs/op are the build.
+// Every build after an untimed first one takes the GPM hierarchies, engine
+// and freelists the previous run handed back to the process-wide store
+// list, as every run does from its process's second on.
 func BenchmarkBuildTableI(b *testing.B) {
-	runBuild(b, context.Background())
-}
-
-// BenchmarkBuildTableIRecycled is BenchmarkBuildTableI as a batch worker
-// pays it from its second run on: every build takes the GPM hierarchies
-// the previous run handed back to the worker's store instead of
-// allocating them.
-func BenchmarkBuildTableIRecycled(b *testing.B) {
-	ctx, release := wafer.WithRecycling(context.Background())
-	defer release()
-	runBuild(b, ctx)
+	cfg := hdpat.DefaultConfig()
+	spec := hdpat.RunSpec{Scheme: "hdpat", Benchmark: "PR", OpsBudget: 32, Seed: 3}
+	build := func() {
+		_, err := hdpat.Simulate(cfg, spec, hdpat.WithMaxCycles(1))
+		if err == nil || !strings.Contains(err.Error(), "cycle limit") {
+			b.Fatalf("want a cycle-limit error, got %v", err)
+		}
+	}
+	build()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		build()
+	}
 }
 
 // BenchmarkBatchSetupTableI is the set-up cost of the t1-sweep batch in a
 // long-lived process: each op runs the Table I cross-product (baseline,
 // transfw and hdpat on PR, SPMV and FIR, 32 ops per CU) build-only twice,
 // as two consecutive RunBatch calls. Within a call each benchmark's traces
-// are generated once for all three schemes; the second call's workers
-// start on the recycling stores the first call filled.
+// are generated once for all three schemes; every run after the first
+// starts on a recycling store an earlier run handed back.
 func BenchmarkBatchSetupTableI(b *testing.B) {
 	cfg := hdpat.DefaultConfig()
 	var specs []hdpat.RunSpec
@@ -122,24 +127,5 @@ func BenchmarkBatchSetupTableI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		pass()
 		pass()
-	}
-}
-
-// runBuild times build-only Table I hdpat/PR runs under ctx, after one
-// untimed run that warms any recycling store ctx carries.
-func runBuild(b *testing.B, ctx context.Context) {
-	cfg := hdpat.DefaultConfig()
-	spec := hdpat.RunSpec{Scheme: "hdpat", Benchmark: "PR", OpsBudget: 32, Seed: 3}
-	build := func() {
-		_, err := hdpat.SimulateContext(ctx, cfg, spec, hdpat.WithMaxCycles(1))
-		if err == nil || !strings.Contains(err.Error(), "cycle limit") {
-			b.Fatalf("want a cycle-limit error, got %v", err)
-		}
-	}
-	build()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		build()
 	}
 }

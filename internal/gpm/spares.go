@@ -75,7 +75,7 @@ func (h *hierarchy) reset() {
 }
 
 // Spares is a store of GPM hierarchies that successive runs hand to each
-// other, one run at a time, so a batch worker allocates and zeroes a GPM's
+// other, one run at a time, so a process allocates and zeroes a GPM's
 // TLBs, caches and filters once rather than once per run. A GPM with
 // a non-nil Spares field takes a spare at materialization; the system
 // builder returns the run's hierarchies with Reclaim once the run is over.

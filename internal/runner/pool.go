@@ -24,10 +24,9 @@ import (
 // Task is one unit of work: a prepared simulation closure. Tasks must be
 // independent of each other; the pool may run them in any order and in any
 // worker goroutine. The context is the batch context plus the batch's
-// trace table and the worker's recycling store — long tasks should pass it
-// down (wafer.RunContext) so cancellation can interrupt a run
-// mid-simulation, not just between runs, and so the run shares the
-// batch's traces and reuses the worker's GPM hierarchies.
+// trace table — long tasks should pass it down (wafer.RunContext) so
+// cancellation can interrupt a run mid-simulation, not just between runs,
+// and so the run shares the batch's traces.
 type Task func(ctx context.Context) (wafer.Result, error)
 
 // Labeled returns task run under runtime/pprof.Do with the given label
@@ -143,10 +142,9 @@ func (p *Pool) Snapshot() Snapshot {
 //
 // The tasks share one wafer.WithTraceTable context derived from ctx, so
 // each benchmark's traces for a wafer, ops budget and seed are generated
-// once per call, whatever the scheme. Each worker adds a
-// wafer.WithRecycling store drawn from the process-wide set and hands it
-// back when the call ends, so a worker's runs reuse the GPM hierarchies of
-// its earlier runs, in this call or in an earlier one.
+// once per call, whatever the scheme. Every wafer.RunContext draws its own
+// recycling store from the process-wide list, so a worker's runs reuse the
+// GPM hierarchies of earlier runs, in this call or in an earlier one.
 func (p *Pool) Run(ctx context.Context, tasks []Task) []Outcome {
 	n := len(tasks)
 	outs := make([]Outcome, n)
@@ -204,10 +202,6 @@ func (p *Pool) Run(ctx context.Context, tasks []Task) []Outcome {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			// Each worker's runs hand their GPM hierarchies to the next run
-			// on the same worker; the store outlives the batch.
-			wctx, release := wafer.WithRecycling(bctx)
-			defer release()
 			for {
 				i := int(atomic.AddInt64(&next, 1))
 				if i >= n {
@@ -219,7 +213,7 @@ func (p *Pool) Run(ctx context.Context, tasks []Task) []Outcome {
 					settle(Outcome{Index: i, Err: err})
 					continue
 				}
-				settle(execute(wctx, i, tasks[i]))
+				settle(execute(bctx, i, tasks[i]))
 			}
 		}()
 	}

@@ -201,11 +201,12 @@ func TestSnapshotTracksBatchState(t *testing.T) {
 	}
 }
 
-// Two workers share one batch's trace table, each on its own recycling
-// store, over two consecutive Run calls: every run, including the second
-// batch's runs on stores the first one filled, matches a fresh wafer.Run.
-// Each full run follows a build-only run of the same cell, stopped at
-// cycle 1, so a worker's store goes from a run cut off with nearly every
+// Two workers share one batch's trace table, each run on a recycling store
+// of its own, over two consecutive Run calls: every run, including the
+// second batch's runs on stores the first one handed back, matches a serial
+// wafer.Run of its cell outside any batch (internal/wafer pins those to
+// fresh runs). Each full run follows a build-only run of the same cell,
+// stopped at cycle 1, so a store goes from a run cut off with nearly every
 // event queued straight into a full run. Run with -race.
 func TestPoolRunsMatchFreshAcrossBatches(t *testing.T) {
 	base := config.Default()
@@ -253,10 +254,10 @@ func TestPoolRunsMatchFreshAcrossBatches(t *testing.T) {
 		for i, o := range p.Run(context.Background(), tasks) {
 			c := cells[i]
 			if got := errText(o.Err); got != c.errMsg {
-				t.Fatalf("batch %d run %d: error %q, fresh %q", batch, i, got, c.errMsg)
+				t.Fatalf("batch %d run %d: error %q, serial %q", batch, i, got, c.errMsg)
 			}
 			if got := digest(t, o.Result); got != c.want {
-				t.Errorf("batch %d run %d (%s/%s, MaxCycles %d): digest %s, fresh %s", batch, i,
+				t.Errorf("batch %d run %d (%s/%s, MaxCycles %d): digest %s, serial %s", batch, i,
 					c.opts.Scheme, c.opts.Benchmark.Abbr, c.opts.MaxCycles, got, c.want)
 			}
 		}

@@ -5,7 +5,7 @@ package sim
 // or released earlier; Put zeroes the object and keeps it. A freelist
 // serves one goroutine, like the engine: a run's components lease and
 // release on the run's goroutine, and a list handed from one run to the
-// next (a batch worker's recycling store) serves one run at a time. The
+// next (a recycling store in internal/wafer) serves one run at a time. The
 // zero value is an empty list.
 type Freelist[T any] struct {
 	free []*T

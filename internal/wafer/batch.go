@@ -3,8 +3,9 @@ package wafer
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
-	"sync/atomic"
+	"time"
 
 	"hdpat/internal/core"
 	"hdpat/internal/gpm"
@@ -20,12 +21,10 @@ import (
 // event queues and request-path freelists, shared process-wide, and the
 // trace table one batch shares.
 
-// recycler is the store behind WithRecycling.
-type recycler struct {
-	// busy admits one run at a time; a run that finds the store busy
-	// builds everything new, so sharing the context between goroutines
-	// costs speed, never correctness.
-	busy   atomic.Bool
+// store is what one run hands the next: its spare GPM hierarchies and the
+// rest of what it grew. A run takes a store from the process-wide list
+// when it starts and holds it alone until it ends.
+type store struct {
 	spares gpm.Spares
 	// last is how many hierarchies the last reclaimed run handed back; the
 	// store never holds more.
@@ -36,11 +35,10 @@ type recycler struct {
 }
 
 // runState is what a run grows besides its GPM hierarchies: the event
-// queue, the request path's freelists and the filter-seeding buffer. A run
-// without a store builds its own. A store hands it from one run to the
-// next: the engine is reset when it comes back, and every freelist object
-// was zeroed when released, so nothing of one run reaches the next. It
-// still serves one run at a time.
+// queue, the request path's freelists and the filter-seeding buffer. A store
+// hands it from one run to the next: the engine is reset when it comes
+// back, and every freelist object was zeroed when released, so nothing of
+// one run reaches the next.
 type runState struct {
 	eng      *sim.Engine
 	requests xlat.RequestPool
@@ -54,41 +52,73 @@ type runState struct {
 
 func newRunState() *runState { return &runState{eng: sim.NewEngine()} }
 
-// recyclers holds the stores no context is using. A store keeps what its
-// last run materialized, so the next batch's first run on a worker
-// recycles too; a store that sits idle through two garbage collections is
-// dropped with everything it holds.
-var recyclers = sync.Pool{New: func() any { return new(recycler) }}
+// idleRelease is how long the store list waits, once no run holds a store,
+// before it drops every store it holds. A held store is not free for the
+// rest of the process: every garbage collection marks its pointers (about
+// 3.6 MB per Table I store, which makes a forced collection about eight
+// times longer), and work that follows a collection runs slower while
+// stores are listed (docs/performance.md, "Every run recycles").
+// Runs of one batch or sweep follow each other within milliseconds, and a
+// new build costs 10–25 ms (Table I to 30×30), so after a pause of this
+// length the rebuild adds at most a quarter to the time the process spent
+// idle.
+const idleRelease = 100 * time.Millisecond
 
-type recyclerKey struct{}
-
-// WithRecycling returns a context under which successive RunContext calls
-// reuse each other's GPM hierarchies — the TLBs, caches, MSHR files and
-// cuckoo filters that dominate a wafer's build — and everything else a run
-// grows (the event queue, the pooled ops, messages, requests, IOMMU jobs
-// and probe legs), instead of allocating them per run, and a release func
-// that hands the context's store back to the process-wide set it came
-// from, for the next caller. A run that completes or stops at its cycle
-// limit hands its hierarchies back, resetting each, and the store then
-// keeps no more than that run materialized. A cancelled run hands back
-// only its event queue and freelists; a panicked run hands back nothing.
-// Recycled runs are byte-identical to fresh ones. The store serves one run at a
-// time, so give each goroutine its own context; runner.Pool gives each
-// worker one for the length of a batch. Call release once, when no run
-// uses the context any more.
-func WithRecycling(ctx context.Context) (_ context.Context, release func()) {
-	r := recyclers.Get().(*recycler)
-	return context.WithValue(ctx, recyclerKey{}, r), func() { recyclers.Put(r) }
+// stores is the process-wide list of stores no run holds, the most recently
+// handed back last. It holds at most GOMAXPROCS stores, as many as can run
+// at once on as many CPUs. held counts the stores runs hold; idle, re-armed
+// by every hand-back, empties the list when it fires with none held.
+var stores struct {
+	mu   sync.Mutex
+	free []*store
+	held int
+	idle *time.Timer
 }
 
-// acquireRecycler returns ctx's store, or nil when ctx has none or another
-// run holds it. A non-nil store must be released when the run is over.
-func acquireRecycler(ctx context.Context) *recycler {
-	r, _ := ctx.Value(recyclerKey{}).(*recycler)
-	if r == nil || !r.busy.CompareAndSwap(false, true) {
-		return nil
+// takeStore removes and returns the most recently handed-back store, so a
+// run finds the store its goroutine's previous run warmed, or a new empty
+// one when the list is empty.
+func takeStore() *store {
+	stores.mu.Lock()
+	defer stores.mu.Unlock()
+	stores.held++
+	n := len(stores.free)
+	if n == 0 {
+		return new(store)
 	}
-	return r
+	s := stores.free[n-1]
+	stores.free[n-1] = nil
+	stores.free = stores.free[:n-1]
+	return s
+}
+
+// giveStore hands s back for the next run, dropping the oldest store when
+// the list would hold more than GOMAXPROCS, and re-arms the idle release.
+func giveStore(s *store) {
+	stores.mu.Lock()
+	defer stores.mu.Unlock()
+	stores.held--
+	stores.free = append(stores.free, s)
+	if over := len(stores.free) - runtime.GOMAXPROCS(0); over > 0 {
+		n := copy(stores.free, stores.free[over:])
+		clear(stores.free[n:])
+		stores.free = stores.free[:n]
+	}
+	if stores.idle == nil {
+		stores.idle = time.AfterFunc(idleRelease, releaseIdle)
+	} else {
+		stores.idle.Reset(idleRelease)
+	}
+}
+
+// releaseIdle empties the list, releasing everything its stores hold,
+// unless a run holds a store: that run's hand-back re-arms the release.
+func releaseIdle() {
+	stores.mu.Lock()
+	defer stores.mu.Unlock()
+	if stores.held == 0 {
+		stores.free = nil
+	}
 }
 
 // traceKey is every input a benchmark's traces depend on: the generator's
@@ -103,38 +133,16 @@ type traceKey struct {
 	seed                              int64
 }
 
-// traceSet is every CU's trace for one wafer in one backing array: CU k,
-// counted GPM-major, owns addrs[ends[k-1]:ends[k]]. Runs only read it.
-type traceSet struct {
-	addrs []vm.VAddr
-	ends  []int
-}
-
-// generateTraces builds b's trace set for the wafer wctx describes, its
-// backing array sized exactly.
-func generateTraces(b workload.Benchmark, wctx workload.Context) *traceSet {
-	parts := make([][]vm.VAddr, 0, wctx.NumGPMs*wctx.NumCUs)
-	n := 0
+// generateTraces returns every CU's trace of b for the wafer wctx
+// describes, GPM-major. Each is the generator's own slice, capacity-limited
+// so that an append can never write into another CU's trace. Runs only read
+// them.
+func generateTraces(b workload.Benchmark, wctx workload.Context) [][]vm.VAddr {
+	traces := make([][]vm.VAddr, 0, wctx.NumGPMs*wctx.NumCUs)
 	b.Traces(wctx, func(_, _ int, tr []vm.VAddr) {
-		parts = append(parts, tr)
-		n += len(tr)
+		traces = append(traces, tr[:len(tr):len(tr)])
 	})
-	s := &traceSet{addrs: make([]vm.VAddr, 0, n), ends: make([]int, len(parts))}
-	for k, tr := range parts {
-		s.addrs = append(s.addrs, tr...)
-		s.ends[k] = len(s.addrs)
-	}
-	return s
-}
-
-// trace returns CU k's trace, capacity-limited so that an append can never
-// write into the next CU's.
-func (s *traceSet) trace(k int) []vm.VAddr {
-	lo, hi := 0, s.ends[k]
-	if k > 0 {
-		lo = s.ends[k-1]
-	}
-	return s.addrs[lo:hi:hi]
+	return traces
 }
 
 // traceTable holds the trace sets a batch's runs have generated.
@@ -143,12 +151,12 @@ type traceTable struct {
 	entries map[traceKey]*traceEntry
 }
 
-// traceEntry is one set, published by closing done. A nil set after done
-// means its generator panicked, and err says so.
+// traceEntry is one benchmark's traces, published by closing done. A
+// non-nil err after done means their generator panicked.
 type traceEntry struct {
-	done chan struct{}
-	set  *traceSet
-	err  error
+	done   chan struct{}
+	traces [][]vm.VAddr
+	err    error
 }
 
 type traceTableKey struct{}
@@ -178,19 +186,19 @@ func loadTraces(ctx context.Context, b workload.Benchmark, scale int, wctx workl
 	}
 	key := traceKey{bench: b.Identity(), scale: scale, numGPMs: wctx.NumGPMs, numCUs: wctx.NumCUs,
 		opsBudget: wctx.OpsBudget, pageSize: wctx.PageSize, seed: wctx.Seed}
-	set, err := t.get(ctx, key, b.Abbr, func() *traceSet { return generateTraces(b, wctx) })
+	traces, err := t.get(ctx, key, b.Abbr, func() [][]vm.VAddr { return generateTraces(b, wctx) })
 	if err != nil {
 		return err
 	}
-	for k := range set.ends {
-		load(k/wctx.NumCUs, k%wctx.NumCUs, set.trace(k))
+	for k, tr := range traces {
+		load(k/wctx.NumCUs, k%wctx.NumCUs, tr)
 	}
 	return nil
 }
 
-// get returns key's set, generating it with gen if no run has, and waiting
-// for it if another run is generating it.
-func (t *traceTable) get(ctx context.Context, key traceKey, abbr string, gen func() *traceSet) (*traceSet, error) {
+// get returns key's traces, generating them with gen if no run has, and
+// waiting for them if another run is generating them.
+func (t *traceTable) get(ctx context.Context, key traceKey, abbr string, gen func() [][]vm.VAddr) ([][]vm.VAddr, error) {
 	t.mu.Lock()
 	e := t.entries[key]
 	if e == nil {
@@ -204,8 +212,8 @@ func (t *traceTable) get(ctx context.Context, key traceKey, abbr string, gen fun
 				panic(v)
 			}
 		}()
-		e.set = gen()
-		return e.set, nil
+		e.traces = gen()
+		return e.traces, nil
 	}
 	t.mu.Unlock()
 	select {
@@ -213,8 +221,8 @@ func (t *traceTable) get(ctx context.Context, key traceKey, abbr string, gen fun
 	case <-ctx.Done():
 		return nil, ctx.Err()
 	}
-	if e.set == nil {
+	if e.err != nil {
 		return nil, e.err
 	}
-	return e.set, nil
+	return e.traces, nil
 }

@@ -11,9 +11,8 @@ import (
 	"hdpat/internal/workload"
 )
 
-// Every CU's trace in a set is a capacity-limited window of the one
-// backing array: appending to it reallocates instead of overwriting the
-// next CU's trace.
+// Every CU's trace in a set is the generator's own, capacity-limited:
+// appending to it reallocates instead of overwriting another CU's trace.
 func TestTraceSetIsolatesCUs(t *testing.T) {
 	cfg := smallConfig()
 	b := mustBench(t, "SPMV")
@@ -25,10 +24,10 @@ func TestTraceSetIsolatesCUs(t *testing.T) {
 	}
 	wctx := workload.Context{Regions: regions, PageSize: cfg.PageSize, NumGPMs: numGPMs,
 		NumCUs: cfg.GPM.NumCUs, OpsBudget: 16, Seed: 5}
-	set := generateTraces(b, wctx)
+	traces := generateTraces(b, wctx)
 	k := 0
 	b.Traces(wctx, func(_, _ int, want []vm.VAddr) {
-		got := set.trace(k)
+		got := traces[k]
 		if len(got) != len(want) || cap(got) != len(got) {
 			t.Fatalf("CU %d: len %d cap %d, want len and cap %d", k, len(got), cap(got), len(want))
 		}
@@ -39,9 +38,9 @@ func TestTraceSetIsolatesCUs(t *testing.T) {
 		}
 		k++
 	})
-	next := append([]vm.VAddr(nil), set.trace(1)...)
-	_ = append(set.trace(0), 1, 2, 3)
-	for i, a := range set.trace(1) {
+	next := append([]vm.VAddr(nil), traces[1]...)
+	_ = append(traces[0], 1, 2, 3)
+	for i, a := range traces[1] {
 		if a != next[i] {
 			t.Fatal("an append to CU 0's trace overwrote CU 1's")
 		}
@@ -147,29 +146,25 @@ func TestTraceTableKeepsReplaysApart(t *testing.T) {
 }
 
 // A store handed back by one batch serves the next with the hierarchies
-// it holds. sync.Pool may drop a store at any time (at random under the
-// race detector), so the check needs one reuse in a few tries.
+// it holds: a run always takes the store the previous run handed back.
 func TestRecyclingOutlivesBatch(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops items at random under the race detector")
-	}
+	holdStores(t)
 	cfg, err := ConfigFor("hdpat", smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{Scheme: "hdpat", Benchmark: mustBench(t, "FIR"), OpsBudget: 8, Seed: 1}
-	for range 10 {
-		ctx, release := WithRecycling(context.Background())
-		if _, err := RunContext(ctx, cfg, opts); err != nil {
-			t.Fatal(err)
-		}
-		release()
-		next, release := WithRecycling(context.Background())
-		held := next.Value(recyclerKey{}).(*recycler).spares.Len()
-		release()
-		if held > 0 {
-			return
-		}
+	if _, err := RunContext(WithTraceTable(context.Background()), cfg, opts); err != nil {
+		t.Fatal(err)
 	}
-	t.Error("no batch started on a store an earlier batch filled")
+	warm := topStore()
+	if warm == nil || warm.spares.Len() == 0 {
+		t.Fatal("the first batch's run handed back no warm store")
+	}
+	if _, err := RunContext(WithTraceTable(context.Background()), cfg, opts); err != nil {
+		t.Fatal(err)
+	}
+	if topStore() != warm {
+		t.Error("the next batch's run did not take the store the first one warmed")
+	}
 }

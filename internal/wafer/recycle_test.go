@@ -10,14 +10,20 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
 	"hdpat/internal/attr"
 	"hdpat/internal/config"
+	"hdpat/internal/iommu"
 	"hdpat/internal/metrics"
 	"hdpat/internal/migrate"
 	"hdpat/internal/noc"
+	"hdpat/internal/sim"
+	"hdpat/internal/vm"
+	"hdpat/internal/workload"
+	"hdpat/internal/xlat"
 )
 
 // recycleCell is one run of the recycling differential: a configuration,
@@ -26,8 +32,8 @@ type recycleCell struct {
 	name string
 	cfg  config.System
 	opts Options
-	// fresh is the digest of the run on a context without a store; errMsg
-	// its error text (cycle-limited cells fail by design).
+	// fresh is the digest of the cell's fresh run; errMsg its error text
+	// (cycle-limited cells fail by design).
 	fresh, errMsg string
 	// metrics is the fresh run's registry snapshot, for cells with
 	// Options.Metrics set.
@@ -43,6 +49,32 @@ func digestOf(res Result) string {
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])
+}
+
+// freshRun runs one simulation on nothing an earlier run grew: no spare
+// hierarchies and a new engine and freelists.
+func freshRun(ctx context.Context, cfg config.System, opts Options) (Result, error) {
+	res, _, err := run(ctx, cfg, opts, nil, newRunState())
+	return res, err
+}
+
+// topStore returns the store the next run takes, or nil when the list is
+// empty.
+func topStore() *store {
+	stores.mu.Lock()
+	defer stores.mu.Unlock()
+	if len(stores.free) == 0 {
+		return nil
+	}
+	return stores.free[len(stores.free)-1]
+}
+
+// holdStores holds a store until the test ends, the way a run does, so the
+// idle release leaves the list alone however long the test pauses between
+// runs.
+func holdStores(t *testing.T) {
+	s := takeStore()
+	t.Cleanup(func() { giveStore(s) })
 }
 
 func errText(err error) string {
@@ -93,9 +125,9 @@ func goldenCells(t *testing.T) []*recycleCell {
 
 // TestRecycledRunsMatchFresh runs every golden cell on a fresh wafer, then
 // twice more, in two shuffled orders, as two batches the way runner.Pool
-// runs them: each pass shares one trace table and draws a recycling store
-// from the process-wide set, handing it back at its end, so the second
-// pass normally starts on the store the first one filled. Mixed in
+// runs them: each pass shares one trace table, and every run takes the
+// store the previous run handed back to the process-wide list, so the
+// second pass starts on the store the first one filled. Mixed in
 // are a cycle-limited run (which hands back hierarchies with misses still
 // outstanding), a build-only run stopped at cycle 1 and followed by a full
 // run (the engine comes back with nearly every event still queued), a
@@ -147,12 +179,11 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 		t.Fatal("a cycle-limited cell ran to completion; lower its MaxCycles")
 	}
 
-	var (
-		ctx context.Context
-		rec *recycler
-	)
-	check := func(c *recycleCell) {
+	holdStores(t)
+	var ctx context.Context
+	check := func(c *recycleCell) *store {
 		t.Helper()
+		prev := topStore()
 		res, err := RunContext(ctx, c.cfg, c.opts)
 		if got := errText(err); got != c.errMsg {
 			t.Fatalf("%s: recycled error %q, fresh %q", c.name, got, c.errMsg)
@@ -163,15 +194,18 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 		if !reflect.DeepEqual(res.Metrics, c.metrics) {
 			t.Errorf("%s: recycled metrics snapshot differs from fresh", c.name)
 		}
+		rec := topStore()
+		if prev != nil && rec != prev {
+			t.Fatalf("%s: the run did not take the store the previous run handed back", c.name)
+		}
 		if rec.last == 0 || rec.spares.Len() > rec.last {
 			t.Fatalf("%s: store holds %d spares after a run that handed back %d", c.name, rec.spares.Len(), rec.last)
 		}
+		return rec
 	}
 	rng := rand.New(rand.NewSource(1))
 	for pass := range 2 {
-		var release func()
-		ctx, release = WithRecycling(WithTraceTable(context.Background()))
-		rec = ctx.Value(recyclerKey{}).(*recycler)
+		ctx = WithTraceTable(context.Background())
 		order := append([]*recycleCell{}, cells...)
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for i, c := range order {
@@ -195,114 +229,220 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 			case 11:
 				// More GPMs than the store holds, then a 7x7 run that must
 				// trim the surplus.
-				check(wide)
-				if rec.spares.Len() != rec.last {
+				if rec := check(wide); rec.spares.Len() != rec.last {
 					t.Errorf("pass %d: store holds %d spares after the 7x12 run handed back %d", pass, rec.spares.Len(), rec.last)
 				}
 			case 15:
+				rec := topStore()
 				held := rec.spares.Len()
 				cctx, cancel := context.WithCancel(ctx)
 				cancel()
 				if _, err := RunContext(cctx, c.cfg, c.opts); !errors.Is(err, context.Canceled) {
 					t.Fatalf("cancelled run: err %v", err)
 				}
-				if rec.spares.Len() > held {
+				if topStore() != rec || rec.spares.Len() > held {
 					t.Fatalf("a cancelled run handed back hierarchies: %d spares, %d before", rec.spares.Len(), held)
 				}
 			}
 		}
-		release()
 	}
 }
 
-// TestRecycledRunAllocs bounds what a run on a warm store allocates: the
-// second Table I hdpat/PR run on one recycling context, sharing its traces
-// with the first, takes its hierarchies, engine and freelists from the
-// store. Measured on linux/amd64, Go 1.24.0: 0.71–1.09 MB in 1,329–3,652
-// allocations, most of it the run's page table; before the engine, the
-// request-path freelists and the probe legs were recycled, 4.66 MB in
-// 31,677.
+// TestRecycledRunAllocs bounds what the second of two identical runs
+// allocates, when it takes its hierarchies, engine and freelists from the
+// store the first handed back. Measured on linux/amd64, Go 1.24.0:
+//   - Table I hdpat/PR, the two runs sharing a trace table: 0.71–1.09 MB in
+//     1,329–3,652 allocations, most of it the run's page table; before the
+//     engine, the request-path freelists and the probe legs were recycled,
+//     4.66 MB in 31,677.
+//   - the same, as two plain Run calls that each generate their traces:
+//     1.03–1.19 MB in 2,693–3,286 allocations; when a plain Run drew no
+//     store, 22.3 MB in 49,080.
+//   - a 30x30 wafer with every tenth GPM active, two plain Run calls:
+//     3.78–3.85 MB in 18,248–18,435 allocations, the largest parts the
+//     899 GPM headers (0.9 MB), MSHR waiter lists (0.7 MB), the traces
+//     (0.6 MB) and ops (0.4 MB); when a plain Run drew no store, 50.7 MB
+//     in 80,001. Its bound, 6 MB in 30,000, is the measured value with
+//     about 60 % headroom.
 func TestRecycledRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
 	}
-	cfg, err := ConfigFor("hdpat", config.Default())
+	holdStores(t)
+	tableI, err := ConfigFor("hdpat", config.Default())
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Scheme: "hdpat", Benchmark: mustBench(t, "PR"), OpsBudget: 32, Seed: 3}
-	ctx, release := WithRecycling(WithTraceTable(context.Background()))
-	defer release()
-	if _, err := RunContext(ctx, cfg, opts); err != nil {
+	giant := config.Default()
+	giant.MeshW, giant.MeshH = 30, 30
+	if giant, err = ConfigFor("hdpat", giant); err != nil {
 		t.Fatal(err)
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := RunContext(ctx, cfg, opts); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	const maxBytes, maxAllocs = 2 << 20, 10_000
-	bytes, allocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
-	t.Logf("second run: %d bytes in %d allocations", bytes, allocs)
-	if bytes > maxBytes || allocs > maxAllocs {
-		t.Errorf("second run on a warm store allocated %d bytes in %d allocations; bound %d bytes, %d allocations",
-			bytes, allocs, maxBytes, maxAllocs)
+	pr := Options{Scheme: "hdpat", Benchmark: mustBench(t, "PR"), OpsBudget: 32, Seed: 3}
+	for _, c := range []struct {
+		name                string
+		ctx                 context.Context
+		cfg                 config.System
+		opts                Options
+		maxBytes, maxAllocs uint64
+	}{
+		{"TableI/batch", WithTraceTable(context.Background()), tableI, pr, 2 << 20, 10_000},
+		{"TableI/plain", context.Background(), tableI, pr, 2 << 20, 10_000},
+		{"30x30/plain", context.Background(), giant,
+			Options{Scheme: "hdpat", Benchmark: concentrated(), OpsBudget: 16, Seed: 7}, 6 << 20, 30_000},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if _, err := RunContext(c.ctx, c.cfg, c.opts); err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := RunContext(c.ctx, c.cfg, c.opts); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			bytes, allocs := after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
+			t.Logf("second run: %d bytes in %d allocations", bytes, allocs)
+			if bytes > c.maxBytes || allocs > c.maxAllocs {
+				t.Errorf("second run allocated %d bytes in %d allocations; bound %d bytes, %d allocations",
+					bytes, allocs, c.maxBytes, c.maxAllocs)
+			}
+		})
 	}
 }
 
-// A store serves one run at a time: a second acquirer builds fresh.
-func TestRecyclerAdmitsOneRun(t *testing.T) {
-	ctx, release := WithRecycling(context.Background())
-	defer release()
-	first := acquireRecycler(ctx)
-	if first == nil {
-		t.Fatal("an idle store refused a run")
-	}
-	if acquireRecycler(ctx) != nil {
-		t.Error("a busy store admitted a second run")
-	}
-	first.busy.Store(false)
-	if acquireRecycler(ctx) == nil {
-		t.Error("a released store refused a run")
-	}
-	if acquireRecycler(context.Background()) != nil {
-		t.Error("a context without a store yielded one")
-	}
+// concentrated is a workload for a giant wafer: only every tenth GPM
+// issues traffic, striding its own pages and, every fourth access, its next
+// active peer's, so the rest of the wafer never materializes.
+func concentrated() workload.Benchmark {
+	const every = 10
+	regions := []workload.RegionSpec{{Name: "main", Pages: 4 * (30*30 - 1)}}
+	return workload.Custom("CONC", "concentrated", 64, regions, func(ctx workload.Context) []vm.VAddr {
+		if ctx.GPM%every != 0 {
+			return nil
+		}
+		r := ctx.Regions["main"]
+		out := make([]vm.VAddr, ctx.OpsBudget)
+		for i := range out {
+			owner := ctx.GPM
+			if i%4 == 3 {
+				owner = (ctx.GPM + every) % ctx.NumGPMs
+			}
+			lo, hi := r.OwnerSlice(owner, ctx.NumGPMs)
+			p := lo + (i*3+ctx.CU)%(hi-lo)
+			out[i] = ctx.PageSize.Base(r.Start+vm.VPN(p)) + vm.VAddr(i%64*64)
+		}
+		return out
+	})
 }
 
-// Runs on several goroutines sharing one recycling context never share a
-// hierarchy: one holds the store and the rest build new GPMs, and every
-// result matches a fresh run. Run with -race.
-func TestRecyclerSharedAcrossGoroutines(t *testing.T) {
+// Concurrent runs each hold a store of their own: more runs than
+// GOMAXPROCS, all live at once, start on an emptied list, so each takes a
+// new store, and every result matches a fresh run's. Afterwards the list
+// holds GOMAXPROCS distinct stores, each warmed by its run; two runs
+// sharing a store would hand it back twice. Run with -race.
+func TestConcurrentRunsHoldDistinctStores(t *testing.T) {
 	cfg, err := ConfigFor("hdpat", smallConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts := Options{Scheme: "hdpat", Benchmark: mustBench(t, "SPMV"), OpsBudget: 16, Seed: 3}
-	fresh, err := Run(cfg, opts)
+	fresh, err := freshRun(context.Background(), cfg, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := digestOf(fresh)
-	ctx, release := WithRecycling(context.Background())
-	defer release()
+	procs := runtime.GOMAXPROCS(0)
+	runs := procs + 2
+	releaseIdle()
+	// Each run waits at its first IOMMU request until every run has made
+	// one, so all of them hold their stores at once.
+	var live sync.WaitGroup
+	live.Add(runs)
 	var wg sync.WaitGroup
-	for range 4 {
+	for range runs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for range 3 {
-				res, err := RunContext(ctx, cfg, opts)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if got := digestOf(res); got != want {
-					t.Errorf("shared-store run digest %s, fresh %s", got, want)
-				}
+			var once sync.Once
+			o := opts
+			o.Hooks = []iommu.RequestHook{iommu.RequestHookFunc(func(sim.VTime, *xlat.Request) {
+				once.Do(func() { live.Done(); live.Wait() })
+			})}
+			res, err := RunContext(context.Background(), cfg, o)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got := digestOf(res); got != want {
+				t.Errorf("concurrent run digest %s, fresh %s", got, want)
 			}
 		}()
 	}
 	wg.Wait()
+	stores.mu.Lock()
+	free := slices.Clone(stores.free)
+	stores.mu.Unlock()
+	if len(free) != procs {
+		t.Fatalf("list holds %d stores after %d concurrent runs, want GOMAXPROCS = %d", len(free), runs, procs)
+	}
+	seen := map[*store]bool{}
+	for _, s := range free {
+		if seen[s] {
+			t.Fatal("the list holds one store twice: two runs shared it")
+		}
+		seen[s] = true
+		if s.spares.Len() == 0 || s.state == nil {
+			t.Errorf("a store came back cold: %d spares, state %v", s.spares.Len(), s.state != nil)
+		}
+	}
+}
+
+// The idle release drops every store the list holds, but only once no run
+// holds one; the next run builds new and hands its store back.
+func TestIdleReleaseDropsStores(t *testing.T) {
+	cfg, err := ConfigFor("hdpat", smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Scheme: "hdpat", Benchmark: mustBench(t, "FIR"), OpsBudget: 8, Seed: 1}
+	if _, err := Run(cfg, opts); err != nil {
+		t.Fatal(err)
+	}
+	stores.mu.Lock()
+	armed := stores.idle != nil
+	stores.mu.Unlock()
+	warm := topStore()
+	if warm == nil || !armed {
+		t.Fatalf("a run handed back no store (idle release armed: %v)", armed)
+	}
+	// A run holding a store keeps the release off.
+	stores.mu.Lock()
+	stores.held++
+	stores.mu.Unlock()
+	releaseIdle()
+	stores.mu.Lock()
+	stores.held--
+	stores.mu.Unlock()
+	if topStore() != warm {
+		t.Fatal("the idle release dropped the list while a run held a store")
+	}
+	releaseIdle()
+	if topStore() != nil {
+		t.Fatal("the idle release left a store in the list")
+	}
+	fresh, err := freshRun(context.Background(), cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if digestOf(res) != digestOf(fresh) {
+		t.Error("the run after an idle release differs from a fresh run")
+	}
+	if s := topStore(); s == nil || s.spares.Len() == 0 {
+		t.Error("the run after an idle release handed back no warm store")
+	}
 }

@@ -275,28 +275,30 @@ func runEngine(ctx context.Context, eng *sim.Engine, limit sim.VTime, pub *publi
 
 // RunContext builds and executes one simulation, aborting with ctx.Err()
 // when ctx is cancelled mid-run (checked between engine slices; a cancelled
-// run returns a zero Result). Under a WithRecycling context the run takes
-// its engine, freelists and spare GPM hierarchies from the context's store
-// and hands them back afterwards; under a WithTraceTable context the run
-// shares its traces with the table's other runs.
+// run returns a zero Result). The run takes a recycling store from the
+// process-wide list for its engine, freelists and spare GPM hierarchies,
+// holds it alone, and hands it back when it ends, so the next run, on this
+// goroutine or another, builds only what this one did not; recycled runs
+// are byte-identical to fresh ones. A run that completes or stops at its
+// cycle limit hands back its hierarchies, each reset, and the store then
+// keeps no more than that run materialized; a cancelled run hands back
+// only its event queue and freelists, a panicked run neither. Under a
+// WithTraceTable context the run shares its traces with the table's other
+// runs.
 func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, error) {
-	rec := acquireRecycler(ctx)
-	if rec == nil {
-		res, _, err := run(ctx, cfg, opts, nil, newRunState())
-		return res, err
-	}
-	defer rec.busy.Store(false)
-	st := rec.state
+	s := takeStore()
+	defer giveStore(s)
+	st := s.state
 	if st == nil {
 		st = newRunState()
 	}
-	rec.state = nil
-	res, gpms, err := run(ctx, cfg, opts, &rec.spares, st)
+	s.state = nil
+	res, gpms, err := run(ctx, cfg, opts, &s.spares, st)
 	if gpms != nil {
-		rec.last = rec.spares.Reclaim(gpms)
+		s.last = s.spares.Reclaim(gpms)
 	}
 	st.eng.Reset()
-	rec.state = st
+	s.state = st
 	return res, err
 }
 
@@ -450,10 +452,10 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 	}
 
 	// Wire GPMs. The request pool serves one run at a time, shared across
-	// its GPMs: sharing maximises reuse, and handing it only from run to
-	// run on one worker keeps recycled objects away from parallel batch
-	// workers (a global pool would hand one worker's recycled request to
-	// another while stale readers remain).
+	// its GPMs: sharing maximises reuse, and handing it only from a run
+	// that has ended to the next keeps recycled objects away from parallel
+	// runs (a global pool would hand one run's recycled request to another
+	// while stale readers remain).
 	var reqID uint64
 	nextID := func() uint64 { reqID++; return reqID }
 	reqPool := &st.requests
