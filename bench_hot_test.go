@@ -100,9 +100,9 @@ func BenchmarkBuildTableI(b *testing.B) {
 // BenchmarkBatchSetupTableI is the set-up cost of the t1-sweep batch in a
 // long-lived process: each op runs the Table I cross-product (baseline,
 // transfw and hdpat on PR, SPMV and FIR, 32 ops per CU) build-only twice,
-// as two consecutive RunBatch calls. Within a call each benchmark's traces
-// are generated once for all three schemes; every run after the first
-// starts on a recycling store an earlier run handed back.
+// as two consecutive RunBatch calls. Every run draws its benchmark's
+// traces from the process-wide trace table, which kept each set in the
+// first op, and starts on a recycling store an earlier run handed back.
 func BenchmarkBatchSetupTableI(b *testing.B) {
 	cfg := hdpat.DefaultConfig()
 	var specs []hdpat.RunSpec

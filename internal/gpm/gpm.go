@@ -106,8 +106,8 @@ type GPM struct {
 	// Fetch retrieves cachelines from owner GPMs' memories; the fetched
 	// line arrives via FillLine.
 	Fetch LineFetcher
-	// ReqPool leases remote-translation requests. New installs a private
-	// pool; the system builder replaces it with the run-wide one.
+	// ReqPool leases remote-translation requests (set by the system
+	// builder to the run-wide pool).
 	ReqPool *xlat.RequestPool
 	// NextReqID allocates wafer-unique translation request ids.
 	NextReqID func() uint64
@@ -150,7 +150,6 @@ func New(eng *sim.Engine, id int, coord geom.Coord, cfg config.GPM, ps vm.PageSi
 	return &GPM{
 		ID: id, Coord: coord, eng: eng, cfg: cfg, ps: ps,
 		localPT: localPT,
-		ReqPool: xlat.NewRequestPool(),
 	}
 }
 

@@ -52,6 +52,7 @@ func testGPM(t *testing.T) (*GPM, *sim.Engine, *fakeRemote) {
 	g := New(eng, 0, geom.XY(1, 1), cfg, vm.Page4K, localPT)
 	g.ReseedFilter(0, localVPNs)
 	g.Remote = remote
+	g.ReqPool = xlat.NewRequestPool()
 	id := uint64(0)
 	g.NextReqID = func() uint64 { id++; return id }
 	g.Fetch = fetchFunc(func(requester *GPM, owner int, line uint64) {
@@ -339,6 +340,7 @@ func TestL2TLBMSHRExhaustionRecovers(t *testing.T) {
 	}
 	g := New(eng, 0, geom.XY(1, 1), cfg, vm.Page4K, localPT)
 	g.Remote = remote
+	g.ReqPool = xlat.NewRequestPool()
 	id := uint64(0)
 	g.NextReqID = func() uint64 { id++; return id }
 	done := 0

@@ -23,10 +23,9 @@ import (
 
 // Task is one unit of work: a prepared simulation closure. Tasks must be
 // independent of each other; the pool may run them in any order and in any
-// worker goroutine. The context is the batch context plus the batch's
-// trace table — long tasks should pass it down (wafer.RunContext) so
-// cancellation can interrupt a run mid-simulation, not just between runs,
-// and so the run shares the batch's traces.
+// worker goroutine. The context is the batch context — long tasks should
+// pass it down (wafer.RunContext) so cancellation can interrupt a run
+// mid-simulation, not just between runs.
 type Task func(ctx context.Context) (wafer.Result, error)
 
 // Labeled returns task run under runtime/pprof.Do with the given label
@@ -140,11 +139,10 @@ func (p *Pool) Snapshot() Snapshot {
 // unstarted tasks settle immediately with ctx's error while already-running
 // tasks finish (or abort themselves via ctx) before Run returns.
 //
-// The tasks share one wafer.WithTraceTable context derived from ctx, so
-// each benchmark's traces for a wafer, ops budget and seed are generated
-// once per call, whatever the scheme. Every wafer.RunContext draws its own
-// recycling store from the process-wide list, so a worker's runs reuse the
-// GPM hierarchies of earlier runs, in this call or in an earlier one.
+// Every wafer.RunContext draws its own recycling store from the
+// process-wide list and its traces from the process-wide trace table, so a
+// worker's runs reuse the GPM hierarchies and trace sets of earlier runs,
+// in this call or in an earlier one, whatever their scheme.
 func (p *Pool) Run(ctx context.Context, tasks []Task) []Outcome {
 	n := len(tasks)
 	outs := make([]Outcome, n)
@@ -197,7 +195,6 @@ func (p *Pool) Run(ctx context.Context, tasks []Task) []Outcome {
 		mu.Unlock()
 	}
 
-	bctx := wafer.WithTraceTable(ctx)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
@@ -213,7 +210,7 @@ func (p *Pool) Run(ctx context.Context, tasks []Task) []Outcome {
 					settle(Outcome{Index: i, Err: err})
 					continue
 				}
-				settle(execute(bctx, i, tasks[i]))
+				settle(execute(ctx, i, tasks[i]))
 			}
 		}()
 	}

@@ -201,11 +201,11 @@ func TestSnapshotTracksBatchState(t *testing.T) {
 	}
 }
 
-// Two workers share one batch's trace table, each run on a recycling store
-// of its own, over two consecutive Run calls: every run, including the
-// second batch's runs on stores the first one handed back, matches a serial
-// wafer.Run of its cell outside any batch (internal/wafer pins those to
-// fresh runs). Each full run follows a build-only run of the same cell,
+// Two workers share the process-wide trace table, each run on a recycling
+// store of its own, over two consecutive Run calls: every run, including
+// the second batch's runs on stores and trace sets the first one left,
+// matches a serial wafer.Run of its cell outside any batch (internal/wafer
+// pins those to fresh runs). Each full run follows a build-only run of the same cell,
 // stopped at cycle 1, so a store goes from a run cut off with nearly every
 // event queued straight into a full run. Run with -race.
 func TestPoolRunsMatchFreshAcrossBatches(t *testing.T) {

@@ -30,8 +30,10 @@ func buildFabric(t *testing.T, ioCfg config.IOMMU) (*core.Fabric, *sim.Engine) {
 	gcfg := config.MI100GPM()
 	gcfg.NumCUs = 1
 	var gpms []*gpm.GPM
+	reqPool := xlat.NewRequestPool()
 	for i, c := range mesh.GPMs() {
 		g := gpm.New(eng, i, c, gcfg, vm.Page4K, placement.Local(i))
+		g.ReqPool = reqPool
 		id := uint64(0)
 		g.NextReqID = func() uint64 { id++; return id }
 		gpms = append(gpms, g)

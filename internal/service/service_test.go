@@ -473,7 +473,7 @@ func TestRecoverTerminalJobs(t *testing.T) {
 }
 
 // waferRun simulates each point for real on a 5x5 wafer, so consecutive
-// jobs exercise the runner's trace tables and recycling stores.
+// jobs exercise the trace table and recycling stores they share.
 func waferRun(ctx context.Context, spec JobSpec, p Point, _ *metrics.Registry) (wafer.Result, error) {
 	base := config.Default()
 	base.MeshW, base.MeshH = 5, 5

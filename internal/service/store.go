@@ -58,10 +58,22 @@ func OpenStore(dir string, logger *slog.Logger) (*Store, error) {
 	data, err := os.ReadFile(s.indexPath())
 	switch {
 	case err == nil:
-		if jerr := json.Unmarshal(data, &s.index); jerr != nil {
-			// Corrupt index: fall back to a scan.
+		// An index that is not a JSON object of valid digests is corrupt:
+		// fall back to a scan. A null or empty one rebuilds too.
+		var index map[string]ArtifactInfo
+		jerr := json.Unmarshal(data, &index)
+		if jerr == nil {
+			for d := range index {
+				if !validDigest(d) {
+					jerr = fmt.Errorf("invalid digest %q", d)
+					break
+				}
+			}
+		}
+		if jerr != nil {
 			s.log.Warn("store index unreadable; rebuilding from object tree", "err", jerr)
-			s.index = make(map[string]ArtifactInfo)
+		} else if len(index) > 0 {
+			s.index = index
 		}
 	case !os.IsNotExist(err):
 		return nil, fmt.Errorf("service: store index: %w", err)

@@ -17,9 +17,9 @@ import (
 	"hdpat/internal/xlat"
 )
 
-// State that outlives one run: the recycling stores of GPM hierarchies,
-// event queues and request-path freelists, shared process-wide, and the
-// trace table one batch shares.
+// State that outlives one run, shared process-wide: the recycling stores of
+// GPM hierarchies, event queues and request-path freelists, and the trace
+// table.
 
 // store is what one run hands the next: its spare GPM hierarchies and the
 // rest of what it grew. A run takes a store from the process-wide list
@@ -133,96 +133,212 @@ type traceKey struct {
 	seed                              int64
 }
 
-// generateTraces returns every CU's trace of b for the wafer wctx
-// describes, GPM-major. Each is the generator's own slice, capacity-limited
-// so that an append can never write into another CU's trace. Runs only read
-// them.
-func generateTraces(b workload.Benchmark, wctx workload.Context) [][]vm.VAddr {
-	traces := make([][]vm.VAddr, 0, wctx.NumGPMs*wctx.NumCUs)
-	b.Traces(wctx, func(_, _ int, tr []vm.VAddr) {
-		traces = append(traces, tr[:len(tr):len(tr)])
-	})
-	return traces
-}
+// traceBound is the most bytes of trace sets the table keeps. A set is
+// about 8 bytes an op: at 96 ops per CU a Table I set is 1.2 MB (1,536
+// CUs), a 7×12 set 2.1 MB, a full 30×30 set 22 MB. 64 MB holds the sets of
+// all 14 Table II benchmarks at Table I and 96 ops (17.0 MB) and at 7×12
+// (28.9 MB) together, or two full 30×30 sets with room to spare. Sets hold
+// no pointers, so a full table adds nothing for a garbage collection to
+// scan and needs no idle release (docs/performance.md, "Traces that
+// outlive a batch").
+const traceBound = 64 << 20
 
-// traceTable holds the trace sets a batch's runs have generated.
+// markerBytes is what the table charges a key it holds no set for: its
+// entry (176 bytes as allocated) and its map slot (an 80-byte key and
+// value, before the map's own overhead).
+const markerBytes = 256
+
+// traces is the process-wide trace table every run draws from.
+var traces = newTraceTable()
+
+// traceTable keeps trace sets for runs to share, whatever their scheme,
+// batch or caller. It admits on reuse: a key's first request leaves only a
+// marker, and its second generates the set, which concurrent requests wait
+// for and later ones share. Past its limit it drops the least recently
+// requested entries, markers and sets alike.
 type traceTable struct {
 	mu      sync.Mutex
 	entries map[traceKey]*traceEntry
+	// lru is the sentinel of the ring of entries, the most recently
+	// requested at lru.next; bytes is what they hold, at most limit
+	// (traceBound, lowered by tests).
+	lru          traceEntry
+	bytes, limit int
 }
 
-// traceEntry is one benchmark's traces, published by closing done. A
-// non-nil err after done means their generator panicked.
+// traceEntry is one key's marker, or once its set is requested its set,
+// published by closing done. A non-nil err after done means the set's
+// generator panicked.
 type traceEntry struct {
-	done   chan struct{}
-	traces [][]vm.VAddr
-	err    error
+	key        traceKey
+	prev, next *traceEntry
+	bytes      int
+	// done is nil while the entry is a marker.
+	done chan struct{}
+	set  traceSet
+	err  error
 }
 
-type traceTableKey struct{}
+func newTraceTable() *traceTable {
+	t := &traceTable{entries: map[traceKey]*traceEntry{}, limit: traceBound}
+	t.lru.prev, t.lru.next = &t.lru, &t.lru
+	return t
+}
 
-// WithTraceTable returns a context under which runs share their
-// generated traces: the first run to need a benchmark's traces for a
-// wafer, ops budget and seed generates them, runs that need them
-// meanwhile wait, and later runs reuse them, whatever their scheme. Every
-// set stays in memory while the context is reachable, so scope it to one
-// batch; runner.Pool.Run does.
-func WithTraceTable(ctx context.Context) context.Context {
-	return context.WithValue(ctx, traceTableKey{}, &traceTable{entries: map[traceKey]*traceEntry{}})
+// traceSet is every CU's trace of one benchmark on one wafer, GPM-major,
+// back to back in addrs, CU k's ending at ends[k]. It holds no pointers, so
+// however long the table keeps it, a garbage collection never scans it.
+type traceSet struct {
+	addrs []vm.VAddr
+	ends  []int
+}
+
+// trace returns CU k's trace, capacity-limited so that an append can never
+// write into the next CU's trace. Runs only read it.
+func (s traceSet) trace(k int) []vm.VAddr {
+	start := 0
+	if k > 0 {
+		start = s.ends[k-1]
+	}
+	return s.addrs[start:s.ends[k]:s.ends[k]]
+}
+
+// bytes is the memory s holds.
+func (s traceSet) bytes() int { return 8 * (cap(s.addrs) + cap(s.ends)) }
+
+// generateTraces returns the set of b's traces for the wafer wctx
+// describes, copied into one exactly sized array.
+func generateTraces(b workload.Benchmark, wctx workload.Context) traceSet {
+	traces := make([][]vm.VAddr, 0, wctx.NumGPMs*wctx.NumCUs)
+	n := 0
+	b.Traces(wctx, func(_, _ int, tr []vm.VAddr) {
+		traces = append(traces, tr)
+		n += len(tr)
+	})
+	set := traceSet{addrs: make([]vm.VAddr, 0, n), ends: make([]int, len(traces))}
+	for k, tr := range traces {
+		set.addrs = append(set.addrs, tr...)
+		set.ends[k] = len(set.addrs)
+	}
+	return set
 }
 
 // loadTraces passes every CU's trace of benchmark b at the given workload
-// scale to load, GPM-major, as Benchmark.Traces does. Under a
-// WithTraceTable context the traces come from the table's set for them;
-// otherwise, or when b has no identity, b generates them for this run
-// alone. If the run generating a set panics, every run waiting on that
-// set, or asking for it later, fails with an error rather than running
-// without traces.
+// scale to load, GPM-major, as Benchmark.Traces does. When the table holds
+// a set for them, or b's traces were asked for before, the traces come from
+// the table's set; otherwise, or when b has no identity, b generates them
+// for this run alone. If the run generating a set panics, every run waiting
+// on that set fails with an error rather than running without traces, and
+// the table forgets the key.
 func loadTraces(ctx context.Context, b workload.Benchmark, scale int, wctx workload.Context, load func(gpm, cu int, tr []vm.VAddr)) error {
-	t, _ := ctx.Value(traceTableKey{}).(*traceTable)
-	if t == nil || b.Identity() == (workload.Identity{}) {
+	if b.Identity() == (workload.Identity{}) {
 		b.Traces(wctx, load)
 		return nil
 	}
 	key := traceKey{bench: b.Identity(), scale: scale, numGPMs: wctx.NumGPMs, numCUs: wctx.NumCUs,
 		opsBudget: wctx.OpsBudget, pageSize: wctx.PageSize, seed: wctx.Seed}
-	traces, err := t.get(ctx, key, b.Abbr, func() [][]vm.VAddr { return generateTraces(b, wctx) })
+	set, shared, err := traces.get(ctx, key, b.Abbr, func() traceSet { return generateTraces(b, wctx) })
 	if err != nil {
 		return err
 	}
-	for k, tr := range traces {
-		load(k/wctx.NumCUs, k%wctx.NumCUs, tr)
+	if !shared {
+		b.Traces(wctx, load)
+		return nil
+	}
+	for k := range set.ends {
+		load(k/wctx.NumCUs, k%wctx.NumCUs, set.trace(k))
 	}
 	return nil
 }
 
-// get returns key's traces, generating them with gen if no run has, and
-// waiting for them if another run is generating them.
-func (t *traceTable) get(ctx context.Context, key traceKey, abbr string, gen func() [][]vm.VAddr) ([][]vm.VAddr, error) {
+// get returns key's set, generating it with gen if no run has, and waiting
+// for it if another run is generating it. On the key's first request it
+// returns shared false and leaves a marker: the caller generates the traces
+// for itself.
+func (t *traceTable) get(ctx context.Context, key traceKey, abbr string, gen func() traceSet) (set traceSet, shared bool, err error) {
 	t.mu.Lock()
 	e := t.entries[key]
 	if e == nil {
-		e = &traceEntry{done: make(chan struct{})}
+		e = &traceEntry{key: key, bytes: markerBytes}
 		t.entries[key] = e
+		t.bytes += e.bytes
+		t.touch(e)
+		t.evict()
 		t.mu.Unlock()
-		defer close(e.done)
-		defer func() {
-			if v := recover(); v != nil {
-				e.err = fmt.Errorf("wafer: generating %s traces panicked: %v", abbr, v)
-				panic(v)
-			}
-		}()
-		e.traces = gen()
-		return e.traces, nil
+		return traceSet{}, false, nil
+	}
+	t.touch(e)
+	if e.done == nil {
+		e.done = make(chan struct{})
+		t.mu.Unlock()
+		return t.generate(e, abbr, gen), true, nil
 	}
 	t.mu.Unlock()
 	select {
 	case <-e.done:
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return traceSet{}, false, ctx.Err()
 	}
 	if e.err != nil {
-		return nil, e.err
+		return traceSet{}, false, e.err
 	}
-	return e.traces, nil
+	return e.set, true, nil
+}
+
+// generate builds e's set with gen and publishes it, keeping it unless the
+// table dropped e meanwhile or the set alone exceeds the table's limit. If gen
+// panics, e fails and the table forgets it, so the key's next request
+// starts over.
+func (t *traceTable) generate(e *traceEntry, abbr string, gen func() traceSet) traceSet {
+	defer close(e.done)
+	defer func() {
+		if v := recover(); v != nil {
+			e.err = fmt.Errorf("wafer: generating %s traces panicked: %v", abbr, v)
+			t.mu.Lock()
+			t.drop(e)
+			t.mu.Unlock()
+			panic(v)
+		}
+	}()
+	e.set = gen()
+	bytes := e.set.bytes()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if bytes > t.limit {
+		t.drop(e)
+	} else if t.entries[e.key] == e {
+		t.bytes += bytes - e.bytes
+		e.bytes = bytes
+		t.evict()
+	}
+	return e.set
+}
+
+// touch moves e, linked or not, to the most recently requested end.
+func (t *traceTable) touch(e *traceEntry) {
+	if e.next != nil {
+		e.prev.next, e.next.prev = e.next, e.prev
+	}
+	e.prev, e.next = &t.lru, t.lru.next
+	e.prev.next, e.next.prev = e, e
+}
+
+// evict drops the least recently requested entries until the table holds
+// no more than its limit.
+func (t *traceTable) evict() {
+	for t.bytes > t.limit {
+		t.drop(t.lru.prev)
+	}
+}
+
+// drop unlinks e and forgets its key, if e is still the key's entry. Runs
+// holding e's set keep it.
+func (t *traceTable) drop(e *traceEntry) {
+	if t.entries[e.key] != e {
+		return
+	}
+	delete(t.entries, e.key)
+	e.prev.next, e.next.prev = e.next, e.prev
+	e.prev, e.next = nil, nil
+	t.bytes -= e.bytes
 }

@@ -52,8 +52,13 @@ func digestOf(res Result) string {
 }
 
 // freshRun runs one simulation on nothing an earlier run grew: no spare
-// hierarchies and a new engine and freelists.
+// hierarchies, a new engine and freelists, and an empty trace table of its
+// own, so the run generates its traces itself. Call it while no other run
+// is live.
 func freshRun(ctx context.Context, cfg config.System, opts Options) (Result, error) {
+	shared := traces
+	traces = newTraceTable()
+	defer func() { traces = shared }()
 	res, _, err := run(ctx, cfg, opts, nil, newRunState())
 	return res, err
 }
@@ -125,13 +130,13 @@ func goldenCells(t *testing.T) []*recycleCell {
 
 // TestRecycledRunsMatchFresh runs every golden cell on a fresh wafer, then
 // twice more, in two shuffled orders, as two batches the way runner.Pool
-// runs them: each pass shares one trace table, and every run takes the
-// store the previous run handed back to the process-wide list, so the
-// second pass starts on the store the first one filled. Mixed in
-// are a cycle-limited run (which hands back hierarchies with misses still
-// outstanding), a build-only run stopped at cycle 1 and followed by a full
-// run (the engine comes back with nearly every event still queued), a
-// metrics run followed by runs without metrics (the first
+// runs them: every run draws its traces from the process-wide table and
+// takes the store the previous run handed back to the process-wide list,
+// so the second pass starts on the store and trace sets the first one
+// left. Mixed in are a cycle-limited run (which hands back hierarchies
+// with misses still outstanding), a build-only run stopped at cycle 1 and
+// followed by a full run (the engine comes back with nearly every event
+// still queued), a metrics run followed by runs without metrics (the first
 // run's registry must never count again), a cancelled run (which hands
 // back nothing), and a 7x12 wafer between 7x7 runs (more GPMs than the
 // store holds, then a surplus to trim). Every recycled run must reproduce
@@ -180,7 +185,7 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 	}
 
 	holdStores(t)
-	var ctx context.Context
+	ctx := context.Background()
 	check := func(c *recycleCell) *store {
 		t.Helper()
 		prev := topStore()
@@ -205,7 +210,6 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for pass := range 2 {
-		ctx = WithTraceTable(context.Background())
 		order := append([]*recycleCell{}, cells...)
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for i, c := range order {
@@ -251,19 +255,23 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 // TestRecycledRunAllocs bounds what the second of two identical runs
 // allocates, when it takes its hierarchies, engine and freelists from the
 // store the first handed back. Measured on linux/amd64, Go 1.24.0:
-//   - Table I hdpat/PR, the two runs sharing a trace table: 0.71–1.09 MB in
-//     1,329–3,652 allocations, most of it the run's page table; before the
-//     engine, the request-path freelists and the probe legs were recycled,
-//     4.66 MB in 31,677.
-//   - the same, as two plain Run calls that each generate their traces:
-//     1.03–1.19 MB in 2,693–3,286 allocations; when a plain Run drew no
-//     store, 22.3 MB in 49,080.
-//   - a 30x30 wafer with every tenth GPM active, two plain Run calls:
-//     3.78–3.85 MB in 18,248–18,435 allocations, the largest parts the
-//     899 GPM headers (0.9 MB), MSHR waiter lists (0.7 MB), the traces
-//     (0.6 MB) and ops (0.4 MB); when a plain Run drew no store, 50.7 MB
-//     in 80,001. Its bound, 6 MB in 30,000, is the measured value with
-//     about 60 % headroom.
+//   - Table I hdpat/PR, plain: the second run is its key's second request
+//     and generates the set the trace table keeps: 1.61 MB in 3,160
+//     allocations, what a run generating its own traces allocated
+//     (1.03–1.19 MB in 2,693–3,286) plus the set's one 0.4 MB array, once
+//     per key in a process. Bound 2 MiB in 5,000, from 2 MiB in 10,000.
+//   - the same, batch: both runs share the kept set: 0.66 MB in 1,219
+//     allocations, most of it the run's page table; when a batch-scoped
+//     table was the only one, 0.71–1.09 MB in 1,329–3,652. Bound 1 MiB in
+//     3,000, from 2 MiB in 10,000. When the engine, the request-path
+//     freelists and the probe legs were not recycled, 4.66 MB in 31,677;
+//     when a plain Run drew no store, 22.3 MB in 49,080.
+//   - a 30x30 wafer with every tenth GPM active, each run a new Custom
+//     benchmark that generates its own traces: 3.81 MB in 17,523
+//     allocations, the largest parts the 899 GPM headers (0.9 MB), MSHR
+//     waiter lists (0.7 MB), the traces (0.6 MB) and ops (0.4 MB); when a
+//     plain Run drew no store, 50.7 MB in 80,001. Its bound, 6 MB in
+//     30,000, is the measured value with about 60 % headroom.
 func TestRecycledRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -278,26 +286,43 @@ func TestRecycledRunAllocs(t *testing.T) {
 	if giant, err = ConfigFor("hdpat", giant); err != nil {
 		t.Fatal(err)
 	}
-	pr := Options{Scheme: "hdpat", Benchmark: mustBench(t, "PR"), OpsBudget: 32, Seed: 3}
+	emptyTraceTable(t)
+	pr := func() Options { return Options{Scheme: "hdpat", Benchmark: mustBench(t, "PR"), OpsBudget: 32, Seed: 3} }
+	// Runs at other seeds first warm the store, so the measured runs find
+	// everything earlier runs of this wafer grow.
+	for seed := range int64(3) {
+		o := pr()
+		o.Seed = 10 + seed
+		if _, err := Run(tableI, o); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Each case runs twice and measures the second run. The Table I cases
+	// run in order on one key: the plain case's second run is the key's
+	// second request, which generates the set the table keeps; the batch
+	// case's runs share that set, as a batch's runs after the first two
+	// do. Each 30x30 run is a new Custom benchmark, whose one request
+	// generates its traces for itself.
 	for _, c := range []struct {
 		name                string
-		ctx                 context.Context
 		cfg                 config.System
-		opts                Options
+		opts                func() Options
 		maxBytes, maxAllocs uint64
 	}{
-		{"TableI/batch", WithTraceTable(context.Background()), tableI, pr, 2 << 20, 10_000},
-		{"TableI/plain", context.Background(), tableI, pr, 2 << 20, 10_000},
-		{"30x30/plain", context.Background(), giant,
-			Options{Scheme: "hdpat", Benchmark: concentrated(), OpsBudget: 16, Seed: 7}, 6 << 20, 30_000},
+		{"TableI/plain", tableI, pr, 2 << 20, 5_000},
+		{"TableI/batch", tableI, pr, 1 << 20, 3_000},
+		{"30x30/plain", giant, func() Options {
+			return Options{Scheme: "hdpat", Benchmark: concentrated(), OpsBudget: 16, Seed: 7}
+		}, 6 << 20, 30_000},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			if _, err := RunContext(c.ctx, c.cfg, c.opts); err != nil {
+			if _, err := Run(c.cfg, c.opts()); err != nil {
 				t.Fatal(err)
 			}
+			opts := c.opts()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if _, err := RunContext(c.ctx, c.cfg, c.opts); err != nil {
+			if _, err := Run(c.cfg, opts); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
@@ -309,6 +334,14 @@ func TestRecycledRunAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// emptyTraceTable gives the process an empty trace table until the test
+// ends, so the test decides which of its keys the table has seen.
+func emptyTraceTable(t *testing.T) {
+	shared := traces
+	traces = newTraceTable()
+	t.Cleanup(func() { traces = shared })
 }
 
 // concentrated is a workload for a giant wafer: only every tenth GPM

@@ -282,9 +282,9 @@ func runEngine(ctx context.Context, eng *sim.Engine, limit sim.VTime, pub *publi
 // are byte-identical to fresh ones. A run that completes or stops at its
 // cycle limit hands back its hierarchies, each reset, and the store then
 // keeps no more than that run materialized; a cancelled run hands back
-// only its event queue and freelists, a panicked run neither. Under a
-// WithTraceTable context the run shares its traces with the table's other
-// runs.
+// only its event queue and freelists, a panicked run neither. The run
+// draws its traces from the process-wide trace table, which keeps a set
+// once its key is asked for twice and shares it with every later run.
 func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, error) {
 	s := takeStore()
 	defer giveStore(s)

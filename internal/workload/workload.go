@@ -186,8 +186,8 @@ func Names() []string {
 // trace generator — the entry point for workloads outside the Table II
 // suite. Footprint accounting uses the region pages directly (FootprintMB
 // is informational). trace must depend only on its Context, since runs
-// that share a trace table share what it returns; every call returns a
-// benchmark of its own Identity.
+// of one benchmark share what it returns through the simulator's trace
+// table; every call returns a benchmark of its own Identity.
 func Custom(abbr, name string, gap int, regions []RegionSpec, trace func(ctx Context) []vm.VAddr) Benchmark {
 	pages := 0
 	for _, r := range regions {
