@@ -345,6 +345,11 @@ func (s System) Validate() error {
 	if s.GPM.NumCUs <= 0 || s.GPM.GMMUWalkers <= 0 {
 		return &ValidationError{Field: "gpm", Reason: "must have CUs and walkers"}
 	}
+	// A CU issues only while fewer than MLP of its ops are in flight, so
+	// with none allowed it never issues and its GPM never finishes.
+	if s.GPM.MLP < 1 {
+		return &ValidationError{Field: "gpm.mlp", Reason: fmt.Sprintf("%d outstanding ops per CU: at least 1 is needed to issue", s.GPM.MLP)}
+	}
 	if err := s.validateGeometry(); err != nil {
 		return err
 	}

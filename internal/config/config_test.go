@@ -113,6 +113,8 @@ func TestValidateRejectsBadConfigs(t *testing.T) {
 		func(s *System) { s.MeshW, s.MeshH = 1<<20, 1<<20 },
 		func(s *System) { s.MeshW, s.MeshH = 1024, 1024 }, // over the tile cap
 		func(s *System) { s.GPM.NumCUs = 0 },
+		func(s *System) { s.GPM.MLP = 0 },
+		func(s *System) { s.GPM.MLP = -1 },
 		func(s *System) { s.IOMMU.Walkers = 0 },
 		func(s *System) { s.HDPAT.Clusters = 0 },
 		func(s *System) { s.PageSize = 1000 },

@@ -22,7 +22,7 @@ type Fabric struct {
 	Eng    *sim.Engine
 	Mesh   *noc.Mesh
 	Layout *geom.Layout
-	GPMs   []*gpm.GPM // indexed by GPM id
+	GPMs   []*gpm.GPM // GPMs[i] is GPM i, on tile Layout.GPMs()[i]
 	IOMMU  *iommu.IOMMU
 	// Placement provides owner arithmetic (Trans-FW needs OwnerOf).
 	Placement *vm.Placement
@@ -31,7 +31,6 @@ type Fabric struct {
 	// gives the fabric its own when the builder set none.
 	Pools *Pools
 
-	byCoord map[geom.Coord]*gpm.GPM
 	// shot is the shootdown ledger, made at the first Shootdown and shared
 	// with every GPM; nil until then, so runs that never shoot down pay
 	// only a nil check per fill.
@@ -95,14 +94,15 @@ func (f *Fabric) Finish() {
 	if f.Pools == nil {
 		f.Pools = new(Pools)
 	}
-	f.byCoord = make(map[geom.Coord]*gpm.GPM, len(f.GPMs))
-	for _, g := range f.GPMs {
-		f.byCoord[g.Coord] = g
-	}
 }
 
-// GPMAt returns the GPM on a tile (nil for the CPU tile).
-func (f *Fabric) GPMAt(c geom.Coord) *gpm.GPM { return f.byCoord[c] }
+// GPMAt returns the GPM on a tile (nil for the CPU tile and off the wafer).
+func (f *Fabric) GPMAt(c geom.Coord) *gpm.GPM {
+	if i, ok := f.Layout.GPMIndex(c); ok {
+		return f.GPMs[i]
+	}
+	return nil
+}
 
 // CoordOf returns GPM id's tile.
 func (f *Fabric) CoordOf(id int) geom.Coord { return f.GPMs[id].Coord }

@@ -38,6 +38,9 @@ func New(cfg Config) *HBM {
 	return &HBM{cfg: cfg}
 }
 
+// Reset returns the stack to the state New left it in.
+func (h *HBM) Reset() { *h = HBM{cfg: h.cfg} }
+
 // Access books a transfer of size bytes arriving at now and returns the
 // completion time: queueing for bandwidth, then the fixed access latency.
 func (h *HBM) Access(now sim.VTime, size int) (done sim.VTime) {

@@ -91,6 +91,19 @@ func (m *Mesh) NumGPMs() int { return len(m.tiles) }
 // shared; callers must not modify it.
 func (m *Mesh) GPMs() []Coord { return m.tiles }
 
+// GPMIndex returns the index of tile c in GPMs(); ok is false for the CPU
+// tile and for tiles off the wafer.
+func (m *Mesh) GPMIndex(c Coord) (i int, ok bool) {
+	if !m.Contains(c) || c == m.CPU {
+		return 0, false
+	}
+	i = m.NodeID(c)
+	if i > m.NodeID(m.CPU) {
+		i--
+	}
+	return i, true
+}
+
 // Contains reports whether c lies on the wafer.
 func (m *Mesh) Contains(c Coord) bool {
 	return c.X >= 0 && c.X < m.W && c.Y >= 0 && c.Y < m.H

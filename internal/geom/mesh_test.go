@@ -207,3 +207,20 @@ func TestCoordRoundTripAtScale(t *testing.T) {
 		}
 	}
 }
+
+// GPMIndex inverts GPMs() and rejects the CPU tile and tiles off the wafer.
+func TestGPMIndexInvertsGPMs(t *testing.T) {
+	for _, dims := range [][2]int{{3, 3}, {7, 7}, {7, 12}, {4, 5}} {
+		m := NewMesh(dims[0], dims[1])
+		for i, c := range m.GPMs() {
+			if got, ok := m.GPMIndex(c); !ok || got != i {
+				t.Fatalf("%dx%d: GPMIndex(%v) = %d, %v; want %d", dims[0], dims[1], c, got, ok, i)
+			}
+		}
+		for _, c := range []Coord{m.CPU, {-1, 0}, {0, -1}, {m.W, 0}, {0, m.H}} {
+			if _, ok := m.GPMIndex(c); ok {
+				t.Fatalf("%dx%d: GPMIndex(%v) reported a GPM", dims[0], dims[1], c)
+			}
+		}
+	}
+}

@@ -58,8 +58,7 @@ func (g *GPM) Start(gap sim.VTime, onFinish func(id int, at sim.VTime)) {
 	if g.running == 0 {
 		// Idle GPM: finish immediately (same event time as the eager
 		// layout) without materializing anything.
-		fin := g.onFinish
-		g.eng.Post(0, sim.HandlerFunc(func() { fin(g.ID, g.eng.Now()) }), sim.EventArg{})
+		g.eng.Post(0, (*idleFinish)(g), sim.EventArg{})
 		return
 	}
 	g.ensure()
@@ -70,6 +69,16 @@ func (g *GPM) Start(gap sim.VTime, onFinish func(id int, at sim.VTime)) {
 			g.eng.Post(sim.VTime(i%8), &g.cus[i], sim.EventArg{})
 		}
 	}
+}
+
+// idleFinish is the event that finishes a GPM with nothing to run; a GPM
+// posts itself under this type, so an idle tile's finish allocates nothing.
+type idleFinish GPM
+
+// Event implements sim.Handler.
+func (f *idleFinish) Event(sim.EventArg) {
+	g := (*GPM)(f)
+	g.onFinish(g.ID, g.eng.Now())
 }
 
 func (g *GPM) issue(cu int) {

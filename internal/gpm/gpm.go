@@ -9,17 +9,17 @@
 //
 // A GPM materializes lazily: New builds only a header, and the first
 // traffic builds its TLBs, MSHR files, cuckoo filters and caches (ensure).
-// Those structures are most of a wafer's build cost, so a GPM whose Spares
-// store holds a hierarchy from an earlier run takes and reuses it, with the
-// freelists and wait queues the earlier run grew; Spares.Reclaim hands a
-// finished run's hierarchies back, reset to their new state. Recycled and
-// new GPMs behave identically.
+// Those structures are most of a wafer's build cost, so a Spares store
+// keeps them from one run to the next: Spares.Reclaim takes back a
+// finished run's headers with their hierarchies and CU arrays, reset to
+// their new state, and Spares.Headers hands them to the next run of the
+// same shape, GPM i getting back its own, with the freelists and wait
+// queues it grew. Recycled and new GPMs behave identically.
 package gpm
 
 import (
 	"hdpat/internal/config"
 	"hdpat/internal/cuckoo"
-	"hdpat/internal/dram"
 	"hdpat/internal/geom"
 	"hdpat/internal/sim"
 	"hdpat/internal/stats"
@@ -84,12 +84,11 @@ type GPM struct {
 	// at build time.
 	seed func(*GPM)
 
-	// hierarchy holds the TLBs, MSHR files, cuckoo filters and caches that
-	// ensure materializes, either built new or recycled from Spares.
+	// hierarchy holds the TLBs, MSHR files, cuckoo filters, caches, walkers
+	// and memory stack that ensure materializes: kept from the header's last
+	// run, taken from Spares or built new.
 	hierarchy
 	localPT LocalTable
-	walkers *sim.Pool
-	hbm     *dram.HBM
 
 	// probePort serialises peer-facing translation services; local
 	// translations have priority in the paper's model, approximated here by
@@ -97,8 +96,8 @@ type GPM struct {
 	probePort sim.Line
 
 	// Spares, when non-nil, supplies a recycled hierarchy at
-	// materialization instead of a new one. The system builder sets it to
-	// the store of the goroutine running the wafer (see Spares).
+	// materialization to a header that kept none. Spares.Headers sets it
+	// to the store that built or kept the header.
 	Spares *Spares
 
 	// Remote is the active translation scheme (set by the system builder).
@@ -159,27 +158,27 @@ func New(eng *sim.Engine, id int, coord geom.Coord, cfg config.GPM, ps vm.PageSi
 // (TLBStats, AuxLen, AuxStats) deliberately do not, so assembling results
 // never defeats the laziness.
 //
-// The hierarchy comes from Spares when the store holds one built for an
-// equal config.GPM, already reset when its previous run handed it back;
-// otherwise it is built new. Either way the local-page-table filter is then
-// fitted to this GPM's page count, reusing the spare's storage when it is
-// large enough, so a recycled GPM is indistinguishable from a new one.
+// The hierarchy is the one the header kept from its last run, or else one
+// from Spares built for an equal config.GPM, or else new; a kept or spare
+// hierarchy was reset when its run handed it back. Either way the
+// local-page-table filter is then fitted to this GPM's page count, reusing
+// the recycled storage when it is large enough, so a recycled GPM is
+// indistinguishable from a new one.
 func (g *GPM) ensure() {
 	if g.mat {
 		return
 	}
 	g.mat = true
-	cfg := g.cfg
-	h, ok := g.Spares.take(cfg)
-	if !ok {
-		h = newHierarchy(cfg)
+	if g.l2TLB == nil {
+		h, ok := g.Spares.take(g.cfg)
+		if !ok {
+			h = newHierarchy(g.cfg)
+		}
+		g.hierarchy = h
 	}
-	g.hierarchy = h
 	if keys := g.localPT.Len()*2 + 64; g.filter == nil || !g.filter.Refit(keys) {
 		g.filter = cuckoo.New(keys)
 	}
-	g.walkers = sim.NewPool(cfg.GMMUWalkers)
-	g.hbm = dram.New(cfg.HBM)
 	if g.seed != nil {
 		seed := g.seed
 		g.seed = nil

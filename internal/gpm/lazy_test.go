@@ -82,3 +82,61 @@ func TestStatReadersDoNotMaterialize(t *testing.T) {
 		t.Fatal("ensure did not materialize")
 	}
 }
+
+// A store hands a run of the last run's shape that run's headers, GPM i
+// its own, each materialized one with its hierarchy and CU array and the
+// others with neither; a run of another shape gets new headers and the old
+// hierarchies as spares, and the store keeps no more hierarchies than the
+// last run materialized.
+func TestHeadersComeBackToTheirGPMs(t *testing.T) {
+	cfg := config.Default().GPM
+	pt := vm.NewPageTable()
+	local := func(int) LocalTable { return pt }
+	s := new(Spares)
+	run := func(coords []geom.Coord, active ...int) []*GPM {
+		t.Helper()
+		gpms := s.Headers(sim.NewEngine(), coords, cfg, vm.Page4K, local)
+		for _, i := range active {
+			gpms[i].LoadTrace(0, []vm.VAddr{addr(1)})
+			gpms[i].ensure()
+		}
+		if used := s.Reclaim(gpms); used != len(active) {
+			t.Fatalf("Reclaim reported %d materialized, want %d", used, len(active))
+		}
+		return gpms
+	}
+	small := geom.NewMesh(3, 3).GPMs()
+	first := run(small, 0, 3)
+	l2 := first[3].l2TLB
+	second := run(small, 3, 5)
+	for i, g := range second {
+		if g != first[i] || g.ID != i || g.Coord != small[i] {
+			t.Fatalf("GPM %d did not get its own header back", i)
+		}
+	}
+	if second[3].l2TLB != l2 {
+		t.Fatal("GPM 3 did not get its own hierarchy back")
+	}
+	if second[0].l2TLB != nil || second[0].cus != nil {
+		t.Fatal("a header idle in the last run kept its hierarchy or CU array")
+	}
+	if s.Len() != 2 {
+		t.Fatalf("store holds %d hierarchies after a run that materialized 2", s.Len())
+	}
+	wide := geom.NewMesh(3, 4).GPMs()
+	gpms := s.Headers(sim.NewEngine(), wide, cfg, vm.Page4K, local)
+	if gpms[0] == second[0] || len(gpms) != len(wide) {
+		t.Fatal("a run of another shape got the last run's headers")
+	}
+	if len(s.free) != 2 {
+		t.Fatalf("%d spares for the new headers, want the 2 hierarchies the old ones kept", len(s.free))
+	}
+	gpms[7].ensure()
+	if gpms[7].l2TLB != l2 && gpms[7].l2TLB != second[5].l2TLB {
+		t.Fatal("a new header built a hierarchy while spares were free")
+	}
+	s.Reclaim(gpms)
+	if s.Len() != 1 || len(s.free) != 0 {
+		t.Fatalf("store holds %d hierarchies (%d free) after a run that materialized 1", s.Len(), len(s.free))
+	}
+}

@@ -4,15 +4,19 @@ import (
 	"hdpat/internal/cache"
 	"hdpat/internal/config"
 	"hdpat/internal/cuckoo"
+	"hdpat/internal/dram"
+	"hdpat/internal/geom"
 	"hdpat/internal/sim"
 	"hdpat/internal/tlb"
+	"hdpat/internal/vm"
 )
 
 // hierarchy is the part of a GPM that ensure materializes and a finished
 // run can hand to the next: the per-CU L1 TLBs and caches, the L2 TLB and
-// its MSHR file, the last-level TLB, the auxiliary cache and the
-// local-page-table cuckoo filter — together nearly all of a materialized
-// GPM's bytes — and the freelists and wait queues its traffic grows.
+// its MSHR file, the last-level TLB, the auxiliary cache, the
+// local-page-table cuckoo filter, the GMMU walkers and the memory stack —
+// together nearly all of a materialized GPM's bytes — and the freelists and
+// wait queues its traffic grows.
 type hierarchy struct {
 	l1TLBs   []*tlb.TLB
 	l2TLB    *tlb.TLB
@@ -22,6 +26,8 @@ type hierarchy struct {
 	aux      *AuxCache
 	l1Caches []*cache.Cache
 	l2Cache  *cache.Cache
+	walkers  *sim.Pool
+	hbm      *dram.HBM
 
 	// ops recycles finished memory-operation state machines, peers the
 	// peer-facing service legs.
@@ -45,6 +51,8 @@ func newHierarchy(cfg config.GPM) hierarchy {
 		aux:      NewAuxCache(cfg.AuxTLB),
 		l1Caches: make([]*cache.Cache, cfg.NumCUs),
 		l2Cache:  cache.New(cfg.L2Cache),
+		walkers:  sim.NewPool(cfg.GMMUWalkers),
+		hbm:      dram.New(cfg.HBM),
 	}
 	for i := range cfg.NumCUs {
 		h.l1TLBs[i] = tlb.New(cfg.L1TLB)
@@ -72,16 +80,24 @@ func (h *hierarchy) reset() {
 		c.Reset()
 	}
 	h.l2Cache.Reset()
+	h.walkers.Reset()
+	h.hbm.Reset()
 }
 
-// Spares is a store of GPM hierarchies that successive runs hand to each
-// other, one run at a time, so a process allocates and zeroes a GPM's
-// TLBs, caches and filters once rather than once per run. A GPM with
-// a non-nil Spares field takes a spare at materialization; the system
-// builder returns the run's hierarchies with Reclaim once the run is over.
-// A GPM whose Spares is nil builds new. A store is not safe for
-// concurrent use.
+// Spares is a store of GPM headers and hierarchies that successive runs
+// hand to each other, one run at a time, so a process allocates and zeroes
+// a GPM's header, CU array, TLBs, caches and filters once rather than once
+// per run. The system builder takes a run's headers with Headers and hands
+// them back with Reclaim once the run is over. A header that kept no
+// hierarchy and has a non-nil Spares field takes a spare at
+// materialization; one whose Spares is nil builds new. A store is not safe
+// for concurrent use.
 type Spares struct {
+	// gpms are the headers of the last run reclaimed, each keeping the
+	// hierarchy and CU array it materialized; nil while a run holds them.
+	gpms []*GPM
+	// free holds hierarchies no header keeps: those of headers a run of
+	// another shape replaced, until the run that replaced them ends.
 	free []spare
 }
 
@@ -91,8 +107,63 @@ type spare struct {
 	h   hierarchy
 }
 
-// Len returns the number of spares held.
-func (s *Spares) Len() int { return len(s.free) }
+// Len returns the number of hierarchies held, kept by headers or free.
+func (s *Spares) Len() int {
+	n := len(s.free)
+	for _, g := range s.gpms {
+		if g.l2TLB != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// Headers returns the headers of a run's GPMs, GPM i on tile coords[i] with
+// configuration cfg, page size ps and local page table local(i), each with
+// its Spares set to s. When the last run s reclaimed had the same tiles,
+// configuration and page size, they are that run's headers: GPM i gets back
+// the CU array and hierarchy it grew, with wait queues and waiter lists
+// already sized for its traffic. Otherwise they are new, and the last run's
+// hierarchies become spares for them to take. A nil store builds new
+// headers.
+func (s *Spares) Headers(eng *sim.Engine, coords []geom.Coord, cfg config.GPM, ps vm.PageSize, local func(int) LocalTable) []*GPM {
+	var gpms []*GPM
+	if s != nil {
+		gpms, s.gpms = s.gpms, nil
+		if !sameShape(gpms, coords, cfg, ps) {
+			for _, g := range gpms {
+				if g.l2TLB != nil {
+					s.free = append(s.free, spare{cfg: g.cfg, h: g.hierarchy})
+				}
+			}
+			gpms = nil
+		}
+	}
+	if gpms == nil {
+		gpms = make([]*GPM, len(coords))
+		for i, c := range coords {
+			gpms[i] = New(eng, i, c, cfg, ps, nil)
+		}
+	}
+	for i, g := range gpms {
+		g.eng, g.localPT, g.Spares = eng, local(i), s
+	}
+	return gpms
+}
+
+// sameShape reports whether gpms are the headers of a run on coords with
+// configuration cfg and page size ps.
+func sameShape(gpms []*GPM, coords []geom.Coord, cfg config.GPM, ps vm.PageSize) bool {
+	if len(gpms) != len(coords) || len(gpms) == 0 || gpms[0].cfg != cfg || gpms[0].ps != ps {
+		return false
+	}
+	for i, g := range gpms {
+		if g.Coord != coords[i] {
+			return false
+		}
+	}
+	return true
+}
 
 // take removes and returns the most recently returned spare built for cfg;
 // a nil store has none.
@@ -112,28 +183,40 @@ func (s *Spares) take(cfg config.GPM) (hierarchy, bool) {
 	return hierarchy{}, false
 }
 
-// Reclaim resets and takes back the hierarchies of a finished run's
-// materialized GPMs, which must not be used afterwards, and returns how
-// many it took. It then trims the store to that many spares, dropping the
-// oldest first, so a store never holds more than its last run used: after
-// a large wafer, a small one releases the surplus. Call it only after a
-// run that ran to completion or to its cycle limit; a cancelled or
-// panicked run hands back nothing.
+// Reclaim takes back the headers of a finished run, which the caller must
+// not use afterwards, and returns how many materialized. Each header that
+// materialized keeps its CU array and hierarchy, reset; the others keep
+// neither, and the store drops every free spare, so it never holds more
+// hierarchies than its last run used: after a large wafer, a small one
+// releases the surplus. Call it only after a run that ran to completion or
+// to its cycle limit; a cancelled or panicked run hands back nothing.
 func (s *Spares) Reclaim(gpms []*GPM) int {
 	used := 0
 	for _, g := range gpms {
-		if !g.mat {
-			continue
+		if g.mat {
+			used++
 		}
-		used++
-		g.hierarchy.reset()
-		s.free = append(s.free, spare{cfg: g.cfg, h: g.hierarchy})
-		g.hierarchy = hierarchy{}
+		g.release()
 	}
-	if surplus := len(s.free) - used; surplus > 0 {
-		n := copy(s.free, s.free[surplus:])
-		clear(s.free[n:])
-		s.free = s.free[:n]
-	}
+	clear(s.free)
+	s.free = s.free[:0]
+	s.gpms = gpms
 	return used
+}
+
+// release readies a finished run's header for the next run of its shape:
+// the run's wiring, counters and latency distribution go, and the header
+// is unmaterialized again, so the next run fits and seeds its filter. A
+// header that materialized keeps its CU array, emptied, and its hierarchy,
+// reset; one that did not keeps neither.
+func (g *GPM) release() {
+	h, cus, lat := g.hierarchy, g.cus, g.remoteLat
+	if g.mat {
+		h.reset()
+		clear(cus)
+	} else {
+		h, cus = hierarchy{}, nil
+	}
+	lat.Reset()
+	*g = GPM{ID: g.ID, Coord: g.Coord, cfg: g.cfg, ps: g.ps, hierarchy: h, cus: cus, remoteLat: lat}
 }

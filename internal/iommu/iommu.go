@@ -101,7 +101,7 @@ type job struct {
 // exactly once, at the job's terminal action.
 func (j *job) release() {
 	io, req := j.io, j.req
-	io.Pools.jobs.Put(j)
+	io.pools.jobs.Put(j)
 	req.Unref()
 }
 
@@ -129,7 +129,7 @@ type resp struct {
 // Event fires at mesh arrival: deliver the completion and recycle.
 func (r *resp) Event(sim.EventArg) {
 	io, req, res := r.io, r.req, r.res
-	io.Pools.resps.Put(r)
+	io.pools.resps.Put(r)
 	req.Complete(res)
 	req.Unref()
 }
@@ -145,22 +145,20 @@ type IOMMU struct {
 	// GPMCoord maps a GPM index to its tile, for routing responses.
 	GPMCoord func(id int) geom.Coord
 
-	admission sim.Queue[*job]
-	pwq       sim.Queue[*job]
+	// admission, pwq and tlbWait are queues of the IOMMU's Pools.
+	admission *sim.Queue[*job]
+	pwq       *sim.Queue[*job]
 	busy      int
-	// served collects the jobs one revisit serves.
-	served []*job
 
 	rt      *RedirectTable
 	iotlb   *tlb.TLB
 	ioMSHR  *tlb.MSHR
-	tlbWait sim.Queue[*job]    // arrivals blocked on full IOMMU-TLB MSHRs
+	tlbWait *sim.Queue[*job]   // arrivals blocked on full IOMMU-TLB MSHRs
 	counts  map[tlb.Key]uint32 // per-PTE access counts ("unused PTE bits")
 	rtProbe sim.VTime          // redirection table / TLB check latency
 
-	// Pools recycles the job and response carriers. New gives the IOMMU
-	// its own; the system builder may replace it before the first Submit.
-	Pools *Pools
+	// pools recycles the job and response carriers.
+	pools *Pools
 
 	// Push delivers a walked or prefetched PTE to auxiliary GPM caches.
 	// It returns the GPM chosen (for the redirection table) and whether a
@@ -182,14 +180,35 @@ type IOMMU struct {
 	Stats Stats
 }
 
-// Pools holds an IOMMU's freelists of jobs and response carriers. An IOMMU
-// belongs to one run on one goroutine; a builder that runs one IOMMU after
-// another on a goroutine can hand each the same Pools, so a run reuses the
-// carriers the last one grew. The zero value is empty.
+// Pools holds what an IOMMU grows and the next can reuse: its freelists of
+// jobs and response carriers, its queues, its per-PTE access-count map and
+// its redirection table. An IOMMU belongs to one run on one goroutine; a
+// builder that runs one IOMMU after another on a goroutine can build each
+// on the same Pools (Pools.New), so a run reuses the carriers, queues and
+// tables the last one grew. The tables hold no pointers. The zero value is
+// empty.
 type Pools struct {
 	jobs  sim.Freelist[job]
 	resps sim.Freelist[resp]
+	// The queues of the IOMMU built last; served collects the jobs one
+	// revisit serves.
+	admission, pwq, tlbWait sim.Queue[*job]
+	served                  []*job
+	// counts and rt are the last IOMMU's tables; rt is nil until an IOMMU
+	// with a redirection table is built. countsPeak is the most entries
+	// counts held when an IOMMU took it over, and small how many IOMMUs in
+	// a row took it over holding less than a quarter of that.
+	counts            map[tlb.Key]uint32
+	countsPeak, small int
+	rt                *RedirectTable
 }
+
+// shrinkAfter is how many runs in a row may leave the access-count map
+// less than a quarter full, against the most it has held, before the next
+// run replaces it with one sized for the last: a sweep that alternates
+// footprints keeps the map its largest run grew, and one that moves on to
+// smaller runs sheds it.
+const shrinkAfter = 16
 
 // AddHook registers h to observe every request arriving at the IOMMU.
 func (io *IOMMU) AddHook(h RequestHook) {
@@ -198,19 +217,48 @@ func (io *IOMMU) AddHook(h RequestHook) {
 	}
 }
 
-// New builds an IOMMU on the CPU tile.
+// New builds an IOMMU on the CPU tile, with Pools of its own.
 func New(eng *sim.Engine, cfg config.IOMMU, coord geom.Coord, mesh *noc.Mesh, global *vm.PageTable) *IOMMU {
+	return new(Pools).New(eng, cfg, coord, mesh, global)
+}
+
+// New builds an IOMMU on the CPU tile that recycles p: it draws its
+// carriers from p and takes over the queues, the access-count map and the
+// redirection table the last IOMMU built on p grew, emptied. Build it only
+// once the last IOMMU built on p is done.
+func (p *Pools) New(eng *sim.Engine, cfg config.IOMMU, coord geom.Coord, mesh *noc.Mesh, global *vm.PageTable) *IOMMU {
+	p.admission.Clear()
+	p.pwq.Clear()
+	p.tlbWait.Clear()
+	n := len(p.counts)
+	if n < p.countsPeak/4 {
+		p.small++
+	} else {
+		p.small = 0
+	}
+	if p.counts == nil || p.small >= shrinkAfter {
+		p.counts, p.countsPeak, p.small = make(map[tlb.Key]uint32, n), n, 0
+	} else {
+		p.countsPeak = max(p.countsPeak, n)
+		clear(p.counts)
+	}
 	io := &IOMMU{
 		eng: eng, cfg: cfg, coord: coord, mesh: mesh, global: global,
-		counts:  make(map[tlb.Key]uint32),
+		admission: &p.admission, pwq: &p.pwq, tlbWait: &p.tlbWait,
+		counts:  p.counts,
 		rtProbe: 1,
-		Pools:   new(Pools),
+		pools:   p,
 	}
 	if cfg.UseTLB {
 		io.iotlb = tlb.New(tlb.Config{Sets: cfg.TLBSets, Ways: cfg.TLBWays, MSHRs: cfg.TLBMSHRs, Latency: 1})
 		io.ioMSHR = tlb.NewMSHR(cfg.TLBMSHRs)
 	} else if cfg.RedirectEntries > 0 {
-		io.rt = NewRedirectTable(cfg.RedirectEntries)
+		if p.rt == nil {
+			p.rt = NewRedirectTable(cfg.RedirectEntries)
+		} else {
+			p.rt.Reset(cfg.RedirectEntries)
+		}
+		io.rt = p.rt
 	}
 	return io
 }
@@ -286,7 +334,7 @@ func (io *IOMMU) Submit(req *xlat.Request, noRedirect bool) {
 		h.IOMMURequest(io.eng.Now(), req)
 	}
 	req.Ref()
-	j := io.Pools.jobs.Get()
+	j := io.pools.jobs.Get()
 	*j = job{io: io, req: req, id: req.ID, pid: req.PID, vpn: req.VPN,
 		arrived: io.eng.Now(), noRedirect: noRedirect}
 
@@ -513,7 +561,7 @@ func (io *IOMMU) revisit(k tlb.Key, pte vm.PTE, found bool) {
 	}
 	// One turn of the ring compacts the queue in order: every job is
 	// popped, and the ones that do not match are pushed back.
-	served := io.served[:0]
+	served := io.pools.served[:0]
 	for n := io.pwq.Len(); n > 0; n-- {
 		j := io.pwq.Pop()
 		if j.pid == k.PID && j.vpn == k.VPN {
@@ -537,7 +585,7 @@ func (io *IOMMU) revisit(k tlb.Key, pte vm.PTE, found bool) {
 		j.release()
 	}
 	clear(served)
-	io.served = served[:0]
+	io.pools.served = served[:0]
 }
 
 // completeTLBMSHR resolves an IOMMU-TLB miss register, then drains blocked
@@ -556,7 +604,7 @@ func (io *IOMMU) completeTLBMSHR(k tlb.Key, pte vm.PTE, found bool) {
 // a pooled carrier holding its own request reference for the transit.
 func (io *IOMMU) respond(req *xlat.Request, res xlat.Result) {
 	req.Ref()
-	r := io.Pools.resps.Get()
+	r := io.pools.resps.Get()
 	*r = resp{io: io, req: req, res: res}
 	io.mesh.SendH(io.coord, io.GPMCoord(req.Requester), xlat.RespBytes, r, sim.EventArg{})
 }

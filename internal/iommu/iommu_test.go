@@ -586,3 +586,52 @@ func TestRevisitCompletesMSHRAndDrainsTLBWait(t *testing.T) {
 	}
 	checkConservation(t, h.io)
 }
+
+// An IOMMU built on Pools takes over the queues and tables the last one
+// built on them grew, emptied; an access-count map that shrinkAfter runs
+// in a row leave under a quarter full is then replaced.
+func TestPoolsHandQueuesAndTablesOn(t *testing.T) {
+	eng := sim.NewEngine()
+	layout := geom.NewMesh(7, 7)
+	mesh := noc.New(eng, layout, noc.DefaultConfig())
+	cfg := config.DefaultIOMMU()
+	cfg.RedirectEntries = 8
+	p := new(Pools)
+	build := func(counts int) *IOMMU {
+		io := p.New(eng, cfg, layout.CPU, mesh, vm.NewPageTable())
+		for v := range counts {
+			io.counts[tlb.Key{VPN: vm.VPN(v)}]++
+		}
+		return io
+	}
+	first := build(100)
+	first.rt.Insert(tlb.Key{VPN: 1}, 3)
+	first.rt.Lookup(tlb.Key{VPN: 1})
+	first.pwq.Push(&job{})
+	first.admission.Push(&job{})
+	second := build(0)
+	if second.rt != first.rt || second.rt.Len() != 0 || second.rt.Hits != 0 {
+		t.Fatalf("redirection table: same %v, %d entries, %d hits", second.rt == first.rt, second.rt.Len(), second.rt.Hits)
+	}
+	if second.pwq != first.pwq || second.pwq.Len() != 0 || second.admission.Len() != 0 {
+		t.Fatal("the queues did not come back empty")
+	}
+	if len(second.counts) != 0 {
+		t.Fatalf("access counts: %d entries left", len(second.counts))
+	}
+	second.counts[tlb.Key{VPN: 7}] = 1
+	if first.counts[tlb.Key{VPN: 7}] != 1 {
+		t.Fatal("the access-count map was replaced after one small run")
+	}
+	for range shrinkAfter - 2 {
+		build(10)
+	}
+	kept := build(10)
+	kept.counts[tlb.Key{VPN: 1 << 40}] = 1
+	if first.counts[tlb.Key{VPN: 1 << 40}] != 1 {
+		t.Fatalf("the map was replaced before %d small runs", shrinkAfter)
+	}
+	if fresh := build(0); fresh.counts[tlb.Key{VPN: 1 << 40}] != 0 || first.counts[tlb.Key{VPN: 1 << 40}] != 1 {
+		t.Fatalf("the map outlived %d small runs", shrinkAfter)
+	}
+}

@@ -105,3 +105,71 @@ func TestRTProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The index-linked table against a slice-ordered reference LRU: random
+// inserts, lookups, removals and resets (to a capacity of their own) must
+// agree on every answer, on residency and on the counters.
+func TestRTMatchesReferenceLRU(t *testing.T) {
+	type entry struct {
+		key tlb.Key
+		gpm int
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		capacity := 1 + rng.Intn(8)
+		rt := NewRedirectTable(capacity)
+		var ref []entry // MRU first
+		var evictions uint64
+		find := func(key tlb.Key) int {
+			for i, e := range ref {
+				if e.key == key {
+					return i
+				}
+			}
+			return -1
+		}
+		for op := 0; op < 2000; op++ {
+			key := k(vm.VPN(rng.Intn(12)))
+			switch rng.Intn(10) {
+			case 0, 1, 2, 3:
+				gpm := rng.Intn(48)
+				rt.Insert(key, gpm)
+				if i := find(key); i >= 0 {
+					ref = append(ref[:i], ref[i+1:]...)
+				} else if len(ref) >= capacity {
+					ref = ref[:len(ref)-1]
+					evictions++
+				}
+				ref = append([]entry{{key, gpm}}, ref...)
+			case 4, 5, 6, 7:
+				got, ok := rt.Lookup(key)
+				i := find(key)
+				if ok != (i >= 0) || (ok && got != ref[i].gpm) {
+					t.Fatalf("seed %d op %d: Lookup(%v) = %d, %v; reference %v", seed, op, key, got, ok, ref)
+				}
+				if i >= 0 {
+					e := ref[i]
+					ref = append([]entry{e}, append(ref[:i], ref[i+1:]...)...)
+				}
+			case 8:
+				i := find(key)
+				if got := rt.Remove(key); got != (i >= 0) {
+					t.Fatalf("seed %d op %d: Remove(%v) = %v", seed, op, key, got)
+				}
+				if i >= 0 {
+					ref = append(ref[:i], ref[i+1:]...)
+				}
+			case 9:
+				if rng.Intn(20) == 0 {
+					capacity = 1 + rng.Intn(8)
+					rt.Reset(capacity)
+					ref, evictions = nil, 0
+				}
+			}
+			if rt.Len() != len(ref) || rt.Evictions != evictions || rt.Capacity() != capacity {
+				t.Fatalf("seed %d op %d: len %d evictions %d cap %d; reference %d, %d, %d",
+					seed, op, rt.Len(), rt.Evictions, rt.Capacity(), len(ref), evictions, capacity)
+			}
+		}
+	}
+}

@@ -39,7 +39,11 @@ func (f *File[K, W]) Waiters(k K) int {
 //	ok=false      — all capacity registers are occupied by other keys.
 func (f *File[K, W]) Allocate(k K, w W, capacity int) (primary, ok bool) {
 	if i := f.find(k); i >= 0 {
-		f.waiters[i] = append(f.waiters[i], w)
+		ws := f.waiters[i]
+		if len(ws) == cap(ws) {
+			ws = f.roomier(ws)
+		}
+		f.waiters[i] = append(ws, w)
 		return false, true
 	}
 	if len(f.keys) >= capacity {
@@ -52,6 +56,24 @@ func (f *File[K, W]) Allocate(k K, w W, capacity int) (primary, ok bool) {
 	f.keys = append(f.keys, k)
 	f.waiters = append(f.waiters, append(ws, w))
 	return true, true
+}
+
+// roomier moves the waiters of the full list ws into a free list with more
+// room, if one is kept, and keeps ws in its place. Free lists go to
+// primary misses in release order, so a key that gathers many waiters
+// often starts on a short list; swapping spares the append that would
+// grow it while a longer one sits idle, and the lists a file keeps
+// converge on the sizes its traffic needs.
+func (f *File[K, W]) roomier(ws []W) []W {
+	for j, l := range f.free {
+		if cap(l) > len(ws) {
+			l = append(l, ws...)
+			clear(ws)
+			f.free[j] = ws[:0]
+			return l
+		}
+	}
+	return ws
 }
 
 // Take removes k's register and returns its waiters, or nil when k has no

@@ -168,3 +168,31 @@ func TestNoAllocsAfterWarmUp(t *testing.T) {
 		t.Fatalf("warm file allocated %.1f times per cycle", allocs)
 	}
 }
+
+// A merge that fills its register's list moves the waiters into a roomier
+// free list, in order, instead of growing the full one.
+func TestMergeTakesRoomierFreeList(t *testing.T) {
+	var f File[int, int]
+	for w := range 8 {
+		f.Allocate(1, w, 2)
+	}
+	roomy := f.Take(1)
+	f.Release(roomy) // a free list with room for 8
+	f.Allocate(2, 0, 2)
+	f.Allocate(2, 1, 2) // the primary took the roomy list
+	f.Allocate(3, 0, 2) // a new, full list of one
+	if p, ok := f.Allocate(3, 1, 2); p || !ok {
+		t.Fatalf("merge: primary=%v ok=%v", p, ok)
+	}
+	f.Release(f.Take(2)) // the roomy list is free again
+	if p, ok := f.Allocate(3, 2, 2); p || !ok {
+		t.Fatalf("merge: primary=%v ok=%v", p, ok)
+	}
+	got := f.Take(3)
+	if !slices.Equal(got, []int{0, 1, 2}) {
+		t.Fatalf("waiters %v after the swap, want [0 1 2]", got)
+	}
+	if &got[:1][0] != &roomy[:1][0] {
+		t.Fatal("the merge grew its full list while a roomier one was free")
+	}
+}

@@ -67,6 +67,11 @@ func (s *linkSlab) grow() int32 {
 	return base
 }
 
+// emptied returns s with no links, keeping its storage.
+func (s linkSlab) emptied() linkSlab {
+	return linkSlab{nextFree: s.nextFree[:0], busy: s.busy[:0], debt: s.debt[:0]}
+}
+
 // noLink marks a tile whose output links have never carried traffic.
 const noLink = int32(-1)
 
@@ -88,19 +93,24 @@ type Mesh struct {
 	// hops is the distribution of hops per delivered message.
 	hops stats.Histogram
 
-	// Pools recycles in-flight transfer state machines; a transfer lives
+	// pools recycles in-flight transfer state machines; a transfer lives
 	// from SendH until final delivery, one event per hop, no allocation per
-	// hop or per message in steady state. New gives the mesh its own; the
-	// system builder may replace it before the first send.
-	Pools *Pools
+	// hop or per message in steady state.
+	pools *Pools
 }
 
-// Pools is the mesh's freelist of transfers. A mesh belongs to one run on
+// Pools is what a mesh grows and the next can reuse: its freelist of
+// transfers, its tile index and its link slab. A mesh belongs to one run on
 // one goroutine, so a plain freelist suffices; a builder that runs one mesh
-// after another on a goroutine can hand each the same Pools, so a run
-// reuses the transfers the last one grew. The zero value is empty.
+// after another on a goroutine can build each on the same Pools
+// (Pools.New), so a run reuses what the last one grew. The tile index and
+// the slab hold no pointers. The zero value is empty.
 type Pools struct {
 	transfers sim.Freelist[transfer]
+	// tile and slab are the last mesh's storage; the mesh writes slab back
+	// whenever it grows it.
+	tile []int32
+	slab linkSlab
 }
 
 // direction indices
@@ -117,8 +127,23 @@ const (
 // at construction from cfg.Routing; unknown names panic (config.Validate
 // rejects them on every public path first).
 func New(eng *sim.Engine, layout *geom.Mesh, cfg Config) *Mesh {
-	m := &Mesh{cfg: cfg, eng: eng, layout: layout, tile: make([]int32, layout.NumTiles()), router: routerFor(cfg),
-		Pools: new(Pools)}
+	return new(Pools).New(eng, layout, cfg)
+}
+
+// New builds the network over the given wafer layout, as the package-level
+// New does, recycling p: the mesh draws its transfers from p and reuses the
+// tile index and link slab the last mesh built on p grew. A slab the last
+// mesh filled less than half of came from a larger one and is dropped.
+// Build the mesh only once the last mesh built on p is done.
+func (p *Pools) New(eng *sim.Engine, layout *geom.Mesh, cfg Config) *Mesh {
+	if n := layout.NumTiles(); len(p.tile) != n {
+		p.tile = make([]int32, n)
+	}
+	if 2*len(p.slab.busy) < cap(p.slab.busy) {
+		p.slab = linkSlab{}
+	}
+	m := &Mesh{cfg: cfg, eng: eng, layout: layout, tile: p.tile, slab: p.slab.emptied(), router: routerFor(cfg),
+		pools: p}
 	for i := range m.tile {
 		m.tile[i] = noLink
 	}
@@ -135,6 +160,7 @@ func (m *Mesh) linkIndex(id, dir int) int {
 	if base == noLink {
 		base = m.slab.grow()
 		m.tile[id] = base
+		m.pools.slab = m.slab
 	}
 	return int(base) + dir
 }
@@ -231,7 +257,7 @@ func (t *transfer) Event(sim.EventArg) {
 			m.Stats.MaxHops = hops
 		}
 		m.hops.Add(uint64(hops))
-		m.Pools.transfers.Put(t)
+		m.pools.transfers.Put(t)
 		h.Event(arg)
 		return
 	}
@@ -294,7 +320,7 @@ func (m *Mesh) SendH(src, dst geom.Coord, size int, h sim.Handler, arg sim.Event
 		eng.Post(1, h, arg)
 		return
 	}
-	t := m.Pools.transfers.Get()
+	t := m.pools.transfers.Get()
 	*t = transfer{m: m, cur: src, dst: dst, size: size, born: eng.Now(), h: h, arg: arg}
 	t.step()
 }

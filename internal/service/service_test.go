@@ -200,6 +200,39 @@ func TestStoreIndexRebuild(t *testing.T) {
 	}
 }
 
+// An index that names an object whose file is gone must not make Put
+// deduplicate against it: the put writes the object again, and Get serves
+// it.
+func TestStorePutRewritesMissingObject(t *testing.T) {
+	dir := t.TempDir()
+	st, err := OpenStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, _, err := st.Put([]byte("payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(st.objectPath(d)); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := OpenStore(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d2, existed, err := st2.Put([]byte("payload"))
+	if err != nil || existed || d2 != d {
+		t.Fatalf("put after the object was removed: digest %s existed %v err %v", d2, existed, err)
+	}
+	data, err := st2.Get(d)
+	if err != nil || string(data) != "payload" {
+		t.Fatalf("get after the rewrite: %q %v", data, err)
+	}
+	if _, existed, err := st2.Put([]byte("payload")); err != nil || !existed {
+		t.Fatalf("third put: existed %v err %v", existed, err)
+	}
+}
+
 func TestCompareJobLifecycleAndDedup(t *testing.T) {
 	dir := t.TempDir()
 	svc := open(t, dir, nil)

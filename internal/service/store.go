@@ -112,19 +112,24 @@ func (s *Store) rebuild() error {
 
 // Put stores data under its SHA-256 digest and returns the digest. existed
 // reports a deduplicated write: the object (byte-identical content) was
-// already present. The object file lands via temp-file + rename, so readers
-// never observe a partial object.
+// already present. An index entry whose object file is missing or of the
+// wrong size does not count as present: Put writes the object again and
+// keeps the entry's first-seen stamp. The object file lands via temp-file
+// + rename, so readers never observe a partial object.
 func (s *Store) Put(data []byte) (digest string, existed bool, err error) {
 	sum := sha256.Sum256(data)
 	digest = hex.EncodeToString(sum[:])
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.index[digest]; ok {
-		s.dedup++
-		return digest, true, nil
-	}
 	path := s.objectPath(digest)
+	info, indexed := s.index[digest]
+	if indexed {
+		if fi, err := os.Stat(path); err == nil && fi.Size() == int64(len(data)) {
+			s.dedup++
+			return digest, true, nil
+		}
+	}
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return "", false, fmt.Errorf("service: store: %w", err)
 	}
@@ -148,7 +153,11 @@ func (s *Store) Put(data []byte) (digest string, existed bool, err error) {
 		os.Remove(tmp.Name())
 		return "", false, fmt.Errorf("service: store: %w", err)
 	}
-	s.index[digest] = ArtifactInfo{Size: int64(len(data)), Created: time.Now().Unix()}
+	if !indexed {
+		info.Created = time.Now().Unix()
+	}
+	info.Size = int64(len(data))
+	s.index[digest] = info
 	s.writeIndexLocked()
 	return digest, false, nil
 }

@@ -21,6 +21,9 @@ func NewPool(k int) *Pool {
 	return &Pool{free: make([]VTime, k)}
 }
 
+// Reset frees every server at time zero, as NewPool left them.
+func (p *Pool) Reset() { clear(p.free) }
+
 // Acquire books the earliest-available server for a job arriving at `now`
 // requiring `service` cycles, and returns the start time of service
 // (>= now). The server is marked busy until start+service.

@@ -71,6 +71,13 @@ func (h *Histogram) Add(v uint64) {
 	}
 }
 
+// Reset empties h, keeping its buckets' storage, so a reset histogram
+// records without allocating.
+func (h *Histogram) Reset() {
+	clear(h.buckets[:cap(h.buckets)])
+	*h = Histogram{buckets: h.buckets[:0]}
+}
+
 // Total returns the number of recorded values.
 func (h *Histogram) Total() uint64 { return h.total }
 

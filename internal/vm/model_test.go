@@ -135,15 +135,19 @@ func (m *pageModel) ownerOf(v VPN) (int, bool) {
 	return 0, false
 }
 
-// FuzzPageTableMatchesModel decodes the input into Alloc, Migrate, Free and
-// raw global-table Insert and Remove operations on a placement of 2-8 GPMs
-// and checks the global table, every GPM's local view and OwnerOf against
-// the map-backed model after each one. VPNs come from the allocated range
-// and from two far leaves (1<<36 and 1<<40), so sparse leaves are exercised
-// away from the bump-allocated range.
+// FuzzPageTableMatchesModel decodes the input into Alloc, Migrate, Free,
+// raw global-table Insert and Remove, and Reset operations on a placement
+// of 2-8 GPMs and checks the global table, every GPM's local view, OwnerOf
+// and Migrated against the map-backed model after each one. A Reset, to a
+// GPM count of its own, must leave a placement that matches a fresh model
+// however the table was filled before, and that keeps matching it as it
+// is refilled. VPNs come from the allocated range and from two far leaves
+// (1<<36 and 1<<40), so sparse leaves are exercised away from the
+// bump-allocated range.
 func FuzzPageTableMatchesModel(f *testing.F) {
 	f.Add([]byte{2, 0, 15, 0, 1, 2, 3, 2, 0, 0})
 	f.Add([]byte{5, 0, 30, 0, 3, 0xf3, 4, 4, 0xf3, 0, 1, 7, 2, 2, 0, 0, 3, 0xfa, 6})
+	f.Add([]byte{3, 0, 20, 0, 1, 3, 2, 3, 0xf9, 1, 5, 4, 0, 0, 20, 0, 1, 3, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 {
 			return
@@ -190,6 +194,9 @@ func FuzzPageTableMatchesModel(f *testing.F) {
 			if got := p.Global().Len(); got != len(m.table) {
 				t.Fatalf("op %d: Global().Len() = %d, want %d", op, got, len(m.table))
 			}
+			if got := p.Migrated(); got != len(m.moved) {
+				t.Fatalf("op %d: Migrated() = %d, want %d", op, got, len(m.moved))
+			}
 			counts := make([]int, n)
 			for _, e := range m.table {
 				counts[e.Owner]++
@@ -203,7 +210,7 @@ func FuzzPageTableMatchesModel(f *testing.F) {
 		for op, i := 0, 1; i+2 < len(data) && op < 64; op, i = op+1, i+3 {
 			a, b := data[i+1], data[i+2]
 			var touched []VPN
-			switch data[i] % 5 {
+			switch data[i] % 6 {
 			case 0:
 				pages := 1 + int(a%40)
 				got, want := p.Alloc("r", pages, 0), m.alloc(pages)
@@ -246,6 +253,17 @@ func FuzzPageTableMatchesModel(f *testing.F) {
 					t.Fatalf("op %d: Remove(%#x) = %v, want %v", op, uint64(v), got, want)
 				}
 				touched = append(touched, v)
+			case 5:
+				// Everything probed or mapped so far must now be unmapped.
+				for v := VPN(0); v < m.nextVPN+2; v++ {
+					touched = append(touched, v)
+				}
+				for v := range probes {
+					touched = append(touched, v)
+				}
+				n = 2 + int(a%7)
+				p.Reset(n, Page4K)
+				m = newPageModel(n)
 			}
 			for _, v := range touched {
 				check(op, v)

@@ -63,17 +63,33 @@ func ownerOfIndex(idx, pages, numGPMs int) int {
 
 // NewPlacement creates an allocator for a wafer with n GPMs.
 func NewPlacement(n int, ps PageSize) *Placement {
-	p := &Placement{
-		NumGPMs:  n,
-		PageSize: ps,
-		global:   NewPageTable(),
-		nextVPN:  1, // keep VPN 0 unmapped, as a guard
-		nextPFN:  make([]PFN, n),
+	p := &Placement{global: NewPageTable()}
+	p.Reset(n, ps)
+	return p
+}
+
+// Reset returns p to the state NewPlacement(n, ps) returns, keeping its
+// storage for allocations like the last ones: the page table's leaves (see
+// PageTable.Reset), the frame counters when n is unchanged, and the
+// ownership overlay when the last run migrated pages. Every migration's
+// trace goes: the overlay, the owner counts and the frame counters.
+func (p *Placement) Reset(n int, ps PageSize) {
+	p.NumGPMs, p.PageSize = n, ps
+	p.global.Reset()
+	p.nextVPN = 1 // keep VPN 0 unmapped, as a guard
+	if len(p.nextPFN) != n {
+		p.nextPFN = make([]PFN, n)
 	}
 	for i := range p.nextPFN {
 		p.nextPFN[i] = PFN(uint64(i) << frameSpaceBits) // disjoint frame spaces per GPM
 	}
-	return p
+	if len(p.moved) == 0 {
+		p.moved = nil
+	} else {
+		clear(p.moved)
+	}
+	clear(p.regions)
+	p.regions = p.regions[:0]
 }
 
 // frameSpaceBits separates the per-GPM physical frame spaces: GPM i's bump

@@ -395,3 +395,39 @@ func TestOwnerSliceTilesAtScale(t *testing.T) {
 		t.Fatalf("slices cover %d pages, want %d", next, pages)
 	}
 }
+
+// A reset placement refilled as before writes into the leaves the last
+// fill used and allocates none of them; a leaf keepIdle resets in a row
+// find unused is dropped, and one written again in time is kept.
+func TestResetKeepsLeavesItsFillsUse(t *testing.T) {
+	p := NewPlacement(4, Page4K)
+	p.Alloc("big", 8<<leafBits, 0) // leaves 0-8
+	big := len(p.global.leaves)
+	p.Reset(4, Page4K)
+	if got := len(p.global.leaves); got != big {
+		t.Fatalf("reset after one fill kept %d leaves, want all %d", got, big)
+	}
+	refill := testing.AllocsPerRun(3, func() {
+		p.Reset(4, Page4K)
+		p.Alloc("big", 8<<leafBits, 0)
+	})
+	if refill != 0 {
+		t.Fatalf("refilling a reset placement allocated %.0f times", refill)
+	}
+	// Small fills from here on: the big fill's surplus goes after keepIdle
+	// of them, while the leaves each fill writes stay.
+	for i := 0; i < keepIdle; i++ {
+		if got := len(p.global.leaves); got != big {
+			t.Fatalf("after %d small fills: %d leaves, want %d kept", i, got, big)
+		}
+		p.Reset(4, Page4K)
+		p.Alloc("small", 100, 0)
+	}
+	p.Reset(4, Page4K)
+	if got := len(p.global.leaves); got != 1 {
+		t.Fatalf("after %d small fills: %d leaves, want the 1 they use", keepIdle, got)
+	}
+	if p.global.Len() != 0 || p.Local(0).Len() != 0 || len(p.global.idle) != 0 {
+		t.Fatalf("reset table: Len %d, Local(0).Len %d, %d idle counts", p.global.Len(), p.Local(0).Len(), len(p.global.idle))
+	}
+}

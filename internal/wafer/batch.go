@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"hdpat/internal/core"
+	"hdpat/internal/geom"
 	"hdpat/internal/gpm"
 	"hdpat/internal/iommu"
 	"hdpat/internal/noc"
@@ -18,12 +19,12 @@ import (
 )
 
 // State that outlives one run, shared process-wide: the recycling stores of
-// GPM hierarchies, event queues and request-path freelists, and the trace
-// table.
+// GPM headers and hierarchies, page tables, event queues and request-path
+// freelists, and the trace table.
 
-// store is what one run hands the next: its spare GPM hierarchies and the
-// rest of what it grew. A run takes a store from the process-wide list
-// when it starts and holds it alone until it ends.
+// store is what one run hands the next: its GPM headers with their
+// hierarchies and the rest of what it grew. A run takes a store from the
+// process-wide list when it starts and holds it alone until it ends.
 type store struct {
 	spares gpm.Spares
 	// last is how many hierarchies the last reclaimed run handed back; the
@@ -34,23 +35,48 @@ type store struct {
 	state *runState
 }
 
-// runState is what a run grows besides its GPM hierarchies: the event
-// queue, the request path's freelists and the filter-seeding buffer. A store
-// hands it from one run to the next: the engine is reset when it comes
-// back, and every freelist object was zeroed when released, so nothing of
-// one run reaches the next.
+// runState is what a run grows besides its GPM headers and hierarchies:
+// the event queue, the wafer geometry, the page placement and its page
+// table, the mesh's link slab, the IOMMU's queues and tables, the request
+// path's freelists and the filter-seeding buffer. A store hands it from one
+// run to the next: the engine is reset when it comes back, every freelist
+// object was zeroed when released, and the placement, slab, queues and
+// tables are emptied when the next run takes them, so nothing of one run
+// reaches the next.
 type runState struct {
-	eng      *sim.Engine
-	requests xlat.RequestPool
-	noc      noc.Pools
-	iommu    iommu.Pools
-	core     core.Pools
-	fetches  sim.Freelist[lineFetch]
+	eng       *sim.Engine
+	layout    *geom.Layout
+	placement *vm.Placement
+	requests  xlat.RequestPool
+	noc       noc.Pools
+	iommu     iommu.Pools
+	core      core.Pools
+	fetches   sim.Freelist[lineFetch]
 	// vpns is the buffer the GPMs' filter seeds enumerate their pages into.
 	vpns []vm.VPN
 }
 
 func newRunState() *runState { return &runState{eng: sim.NewEngine()} }
+
+// geometry returns the run's layout of a w×h wafer: the last run's on st
+// when its wafer had the same shape, or a new one. Layouts are immutable.
+func (st *runState) geometry(w, h int) *geom.Layout {
+	if st.layout == nil || st.layout.W != w || st.layout.H != h {
+		st.layout = geom.NewLayout(geom.NewMesh(w, h))
+	}
+	return st.layout
+}
+
+// place returns the run's placement for n GPMs and page size ps: the one
+// the last run on st filled, reset, or a new one.
+func (st *runState) place(n int, ps vm.PageSize) *vm.Placement {
+	if st.placement == nil {
+		st.placement = vm.NewPlacement(n, ps)
+	} else {
+		st.placement.Reset(n, ps)
+	}
+	return st.placement
+}
 
 // idleRelease is how long the store list waits, once no run holds a store,
 // before it drops every store it holds. A held store is not free for the

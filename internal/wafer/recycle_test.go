@@ -253,25 +253,30 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 }
 
 // TestRecycledRunAllocs bounds what the second of two identical runs
-// allocates, when it takes its hierarchies, engine and freelists from the
-// store the first handed back. Measured on linux/amd64, Go 1.24.0:
+// allocates, when it takes back everything the first built from the store
+// the first handed back: its GPM headers with their CU arrays and
+// hierarchies, page table, engine, link slab, IOMMU queues and tables, and
+// freelists. Measured on linux/amd64, Go 1.24.0:
 //   - Table I hdpat/PR, plain: the second run is its key's second request
-//     and generates the set the trace table keeps: 1.61 MB in 3,160
-//     allocations, what a run generating its own traces allocated
-//     (1.03–1.19 MB in 2,693–3,286) plus the set's one 0.4 MB array, once
-//     per key in a process. Bound 2 MiB in 5,000, from 2 MiB in 10,000.
-//   - the same, batch: both runs share the kept set: 0.66 MB in 1,219
-//     allocations, most of it the run's page table; when a batch-scoped
-//     table was the only one, 0.71–1.09 MB in 1,329–3,652. Bound 1 MiB in
-//     3,000, from 2 MiB in 10,000. When the engine, the request-path
-//     freelists and the probe legs were not recycled, 4.66 MB in 31,677;
-//     when a plain Run drew no store, 22.3 MB in 49,080.
+//     and generates the set the trace table keeps: 1.11 MB in 2,075
+//     allocations, most of it the generators' traces and the set they are
+//     copied into, once per key in a process. Bound 1.5 MiB in 3,000, from
+//     2 MiB in 5,000; when the store kept no page table, headers or IOMMU
+//     tables, 1.61 MB in 3,160.
+//   - the same, batch: both runs share the kept set: 0.19 MB in 348
+//     allocations, most of it the Result. Bound 256 KiB in 600, from 1 MiB
+//     in 3,000; when the store kept no page table, headers or IOMMU
+//     tables, 0.66 MB in 1,219, most of it the page table; when the
+//     engine, the request-path freelists and the probe legs were not
+//     recycled either, 4.66 MB in 31,677; when a plain Run drew no store,
+//     22.3 MB in 49,080.
 //   - a 30x30 wafer with every tenth GPM active, each run a new Custom
-//     benchmark that generates its own traces: 3.81 MB in 17,523
-//     allocations, the largest parts the 899 GPM headers (0.9 MB), MSHR
-//     waiter lists (0.7 MB), the traces (0.6 MB) and ops (0.4 MB); when a
-//     plain Run drew no store, 50.7 MB in 80,001. Its bound, 6 MB in
-//     30,000, is the measured value with about 60 % headroom.
+//     benchmark that generates its own traces: 0.61 MB in 3,833
+//     allocations, most of them the traces and the Result. Bound 1 MiB in
+//     6,000, from 6 MB in 30,000; when the store kept no headers, 3.81 MB
+//     in 17,523, the largest parts the 899 GPM headers (0.9 MB) and MSHR
+//     waiter lists (0.7 MB); when a plain Run drew no store, 50.7 MB in
+//     80,001.
 func TestRecycledRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -309,11 +314,11 @@ func TestRecycledRunAllocs(t *testing.T) {
 		opts                func() Options
 		maxBytes, maxAllocs uint64
 	}{
-		{"TableI/plain", tableI, pr, 2 << 20, 5_000},
-		{"TableI/batch", tableI, pr, 1 << 20, 3_000},
+		{"TableI/plain", tableI, pr, 3 << 19, 3_000},
+		{"TableI/batch", tableI, pr, 1 << 18, 600},
 		{"30x30/plain", giant, func() Options {
 			return Options{Scheme: "hdpat", Benchmark: concentrated(), OpsBudget: 16, Seed: 7}
-		}, 6 << 20, 30_000},
+		}, 1 << 20, 6_000},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if _, err := Run(c.cfg, c.opts()); err != nil {

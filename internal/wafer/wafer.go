@@ -276,14 +276,19 @@ func runEngine(ctx context.Context, eng *sim.Engine, limit sim.VTime, pub *publi
 // RunContext builds and executes one simulation, aborting with ctx.Err()
 // when ctx is cancelled mid-run (checked between engine slices; a cancelled
 // run returns a zero Result). The run takes a recycling store from the
-// process-wide list for its engine, freelists and spare GPM hierarchies,
-// holds it alone, and hands it back when it ends, so the next run, on this
-// goroutine or another, builds only what this one did not; recycled runs
-// are byte-identical to fresh ones. A run that completes or stops at its
-// cycle limit hands back its hierarchies, each reset, and the store then
-// keeps no more than that run materialized; a cancelled run hands back
-// only its event queue and freelists, a panicked run neither. The run
-// draws its traces from the process-wide trace table, which keeps a set
+// process-wide list, holds it alone, and hands it back when it ends, so the
+// next run, on this goroutine or another, builds only what this one did
+// not; recycled runs are byte-identical to fresh ones. The store holds the
+// last run's GPM headers, each with its CU array and hierarchy, its page
+// placement and page table, its event queue, the mesh's link slab, the
+// IOMMU's queues and tables, and the request path's freelists: a run of
+// the same wafer shape takes all of them back, GPM i its own header, and
+// one of another shape takes the hierarchies as spares. A run that
+// completes or stops at its cycle limit hands back its headers, each
+// materialized one with its hierarchy reset, and the store then keeps no
+// more hierarchies than that run materialized; a cancelled run hands back
+// everything but its headers, a panicked run nothing it built. The
+// run draws its traces from the process-wide trace table, which keeps a set
 // once its key is asked for twice and shares it with every later run.
 func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, error) {
 	s := takeStore()
@@ -302,10 +307,9 @@ func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, e
 	return res, err
 }
 
-// run builds and executes one simulation on st's engine and freelists, its
-// GPMs drawing hierarchies from spares. It returns the GPMs only when the
-// run reached its end or its cycle limit, the runs whose hierarchies are
-// worth handing back.
+// run builds and executes one simulation on what st holds, its GPM headers
+// taken from spares. It returns the GPMs only when the run reached its end
+// or its cycle limit, the runs whose headers are worth handing back.
 func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spares, st *runState) (Result, []*gpm.GPM, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, nil, err
@@ -322,12 +326,11 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 	if opts.Scheme == "" {
 		opts.Scheme = "baseline"
 	}
-	mesh := geom.NewMesh(cfg.MeshW, cfg.MeshH)
-	layout := geom.NewLayout(mesh)
+	layout := st.geometry(cfg.MeshW, cfg.MeshH)
+	mesh := layout.Mesh
 
 	eng := st.eng
-	network := noc.New(eng, mesh, cfg.NoC)
-	network.Pools = &st.noc
+	network := st.noc.New(eng, mesh, cfg.NoC)
 	numGPMs := mesh.NumGPMs()
 
 	// The attribution ledger rides the tracer seam: Attach fans typed spans
@@ -352,40 +355,38 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 	}
 	network.Trace = tr
 
-	placement := vm.NewPlacement(numGPMs, cfg.PageSize)
+	placement := st.place(numGPMs, cfg.PageSize)
 	regions := map[string]vm.Region{}
 	for _, rs := range opts.Benchmark.Regions(cfg.WorkloadScale, numGPMs, cfg.PageSize) {
 		regions[rs.Name] = placement.Alloc(rs.Name, rs.Pages, 0)
 	}
 
-	// Filter seeding is deferred: the closure enumerates the GPM's local
-	// pages only if the GPM ever materializes, so idle tiles of a giant
-	// wafer never build a VPN list or a populated cuckoo table. Region
-	// ownership is static, so a deferred seed observes the same pages an
-	// eager one would; regions are walked in allocation order, so the
-	// filter's insertion order never depends on map iteration.
-	gpms := make([]*gpm.GPM, numGPMs)
-	for i, c := range mesh.GPMs() {
-		gpms[i] = gpm.New(eng, i, c, cfg.GPM, cfg.PageSize, placement.Local(i))
-		gpms[i].Spares = spares
-		id := i
-		gpms[i].SeedFilter(func(g *gpm.GPM) {
-			// The GPMs take turns with one buffer, sized to the pages
-			// this one owns.
-			vpns := slices.Grow(st.vpns[:0], placement.Local(id).Len())
-			for _, r := range placement.Regions() {
-				lo, hi := r.OwnerSlice(id, numGPMs)
-				for p := lo; p < hi; p++ {
-					vpns = append(vpns, r.Start+vm.VPN(p))
-				}
+	// Filter seeding is deferred: the seed enumerates the GPM's local pages
+	// only if the GPM ever materializes, so idle tiles of a giant wafer
+	// never build a VPN list or a populated cuckoo table. Region ownership
+	// is static, so a deferred seed observes the same pages an eager one
+	// would; regions are walked in allocation order, so the filter's
+	// insertion order never depends on map iteration.
+	gpms := spares.Headers(eng, mesh.GPMs(), cfg.GPM, cfg.PageSize,
+		func(i int) gpm.LocalTable { return placement.Local(i) })
+	seed := func(g *gpm.GPM) {
+		// The GPMs take turns with one buffer, sized to the pages this
+		// one owns.
+		vpns := slices.Grow(st.vpns[:0], placement.Local(g.ID).Len())
+		for _, r := range placement.Regions() {
+			lo, hi := r.OwnerSlice(g.ID, numGPMs)
+			for p := lo; p < hi; p++ {
+				vpns = append(vpns, r.Start+vm.VPN(p))
 			}
-			g.ReseedFilter(0, vpns)
-			st.vpns = vpns
-		})
+		}
+		g.ReseedFilter(0, vpns)
+		st.vpns = vpns
+	}
+	for _, g := range gpms {
+		g.SeedFilter(seed)
 	}
 
-	io := iommu.New(eng, cfg.IOMMU, mesh.CPU, network, placement.Global())
-	io.Pools = &st.iommu
+	io := st.iommu.New(eng, cfg.IOMMU, mesh.CPU, network, placement.Global())
 	io.GPMCoord = func(id int) geom.Coord { return gpms[id].Coord }
 	io.Trace = tr
 	if coll != nil || chk != nil {
@@ -481,8 +482,9 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 		return Result{}, nil, err
 	}
 	finished := 0
+	onFinish := func(int, sim.VTime) { finished++ }
 	for _, g := range gpms {
-		g.Start(sim.VTime(opts.Benchmark.Gap), func(int, sim.VTime) { finished++ })
+		g.Start(sim.VTime(opts.Benchmark.Gap), onFinish)
 	}
 
 	pub := newPublisher(opts.Metrics, fabric, migrator, cfg.IOMMU.Walkers)
