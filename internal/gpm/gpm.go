@@ -86,7 +86,7 @@ type GPM struct {
 
 	// hierarchy holds the TLBs, MSHR files, cuckoo filters, caches, walkers
 	// and memory stack that ensure materializes: kept from the header's last
-	// run, taken from Spares or built new.
+	// run, handed over from the last run's GPM of its index, or built new.
 	hierarchy
 	localPT LocalTable
 
@@ -94,11 +94,6 @@ type GPM struct {
 	// translations have priority in the paper's model, approximated here by
 	// the port charging only peer traffic.
 	probePort sim.Line
-
-	// Spares, when non-nil, supplies a recycled hierarchy at
-	// materialization to a header that kept none. Spares.Headers sets it
-	// to the store that built or kept the header.
-	Spares *Spares
 
 	// Remote is the active translation scheme (set by the system builder).
 	Remote xlat.RemoteTranslator
@@ -158,23 +153,18 @@ func New(eng *sim.Engine, id int, coord geom.Coord, cfg config.GPM, ps vm.PageSi
 // (TLBStats, AuxLen, AuxStats) deliberately do not, so assembling results
 // never defeats the laziness.
 //
-// The hierarchy is the one the header kept from its last run, or else one
-// from Spares built for an equal config.GPM, or else new; a kept or spare
-// hierarchy was reset when its run handed it back. Either way the
-// local-page-table filter is then fitted to this GPM's page count, reusing
-// the recycled storage when it is large enough, so a recycled GPM is
-// indistinguishable from a new one.
+// The hierarchy is the one the header kept or was handed (Spares.Headers),
+// reset when its run handed it back, or else new. Either way the local-page-table
+// filter is then fitted to this GPM's page count, reusing the kept storage
+// when it is large enough, so a recycled GPM is indistinguishable from a
+// new one.
 func (g *GPM) ensure() {
 	if g.mat {
 		return
 	}
 	g.mat = true
 	if g.l2TLB == nil {
-		h, ok := g.Spares.take(g.cfg)
-		if !ok {
-			h = newHierarchy(g.cfg)
-		}
-		g.hierarchy = h
+		g.hierarchy = newHierarchy(g.cfg)
 	}
 	if keys := g.localPT.Len()*2 + 64; g.filter == nil || !g.filter.Refit(keys) {
 		g.filter = cuckoo.New(keys)

@@ -85,9 +85,10 @@ func TestStatReadersDoNotMaterialize(t *testing.T) {
 
 // A store hands a run of the last run's shape that run's headers, GPM i
 // its own, each materialized one with its hierarchy and CU array and the
-// others with neither; a run of another shape gets new headers and the old
-// hierarchies as spares, and the store keeps no more hierarchies than the
-// last run materialized.
+// others with neither; a run of another shape gets new headers, header i
+// taking what the last run's GPM i kept if built for the same
+// configuration, and the store keeps no more hierarchies than the last run
+// materialized.
 func TestHeadersComeBackToTheirGPMs(t *testing.T) {
 	cfg := config.Default().GPM
 	pt := vm.NewPageTable()
@@ -128,15 +129,23 @@ func TestHeadersComeBackToTheirGPMs(t *testing.T) {
 	if gpms[0] == second[0] || len(gpms) != len(wide) {
 		t.Fatal("a run of another shape got the last run's headers")
 	}
-	if len(s.free) != 2 {
-		t.Fatalf("%d spares for the new headers, want the 2 hierarchies the old ones kept", len(s.free))
+	if gpms[3].l2TLB != l2 || gpms[3].cus == nil || gpms[5].l2TLB != second[5].l2TLB || gpms[0].l2TLB != nil {
+		t.Fatal("new headers did not take the hierarchies and CU arrays the old ones at their index kept")
 	}
+	gpms[3].ensure()
 	gpms[7].ensure()
-	if gpms[7].l2TLB != l2 && gpms[7].l2TLB != second[5].l2TLB {
-		t.Fatal("a new header built a hierarchy while spares were free")
+	if gpms[3].l2TLB != l2 || gpms[7].l2TLB == nil {
+		t.Fatal("materializing dropped a handed-over hierarchy or built none")
 	}
 	s.Reclaim(gpms)
-	if s.Len() != 1 || len(s.free) != 0 {
-		t.Fatalf("store holds %d hierarchies (%d free) after a run that materialized 1", s.Len(), len(s.free))
+	if s.Len() != 2 {
+		t.Fatalf("store holds %d hierarchies after a run that materialized 2", s.Len())
+	}
+	other := cfg
+	other.NumCUs++
+	for i, g := range s.Headers(sim.NewEngine(), wide, other, vm.Page4K, local) {
+		if g.l2TLB != nil || g.cus != nil {
+			t.Fatalf("GPM %d took a hierarchy built for another configuration", i)
+		}
 	}
 }

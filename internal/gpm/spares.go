@@ -11,9 +11,9 @@ import (
 	"hdpat/internal/vm"
 )
 
-// hierarchy is the part of a GPM that ensure materializes and a finished
-// run can hand to the next: the per-CU L1 TLBs and caches, the L2 TLB and
-// its MSHR file, the last-level TLB, the auxiliary cache, the
+// hierarchy is the part of a GPM that ensure materializes and a header
+// keeps from one run to the next: the per-CU L1 TLBs and caches, the L2
+// TLB and its MSHR file, the last-level TLB, the auxiliary cache, the
 // local-page-table cuckoo filter, the GMMU walkers and the memory stack —
 // together nearly all of a materialized GPM's bytes — and the freelists and
 // wait queues its traffic grows.
@@ -84,32 +84,21 @@ func (h *hierarchy) reset() {
 	h.hbm.Reset()
 }
 
-// Spares is a store of GPM headers and hierarchies that successive runs
-// hand to each other, one run at a time, so a process allocates and zeroes
-// a GPM's header, CU array, TLBs, caches and filters once rather than once
-// per run. The system builder takes a run's headers with Headers and hands
-// them back with Reclaim once the run is over. A header that kept no
-// hierarchy and has a non-nil Spares field takes a spare at
-// materialization; one whose Spares is nil builds new. A store is not safe
-// for concurrent use.
+// Spares is a store of GPM headers that successive runs hand to each
+// other, one run at a time, so a process allocates and zeroes a GPM's
+// header once per wafer shape, and its CU array, TLBs, caches and filters
+// once per configuration, rather than once per run. The system builder
+// takes a run's headers with Headers and hands them back with Reclaim once
+// the run is over. A store is not safe for concurrent use.
 type Spares struct {
 	// gpms are the headers of the last run reclaimed, each keeping the
 	// hierarchy and CU array it materialized; nil while a run holds them.
 	gpms []*GPM
-	// free holds hierarchies no header keeps: those of headers a run of
-	// another shape replaced, until the run that replaced them ends.
-	free []spare
 }
 
-// spare is a reset hierarchy and the configuration it was built for.
-type spare struct {
-	cfg config.GPM
-	h   hierarchy
-}
-
-// Len returns the number of hierarchies held, kept by headers or free.
+// Len returns the number of hierarchies the kept headers hold.
 func (s *Spares) Len() int {
-	n := len(s.free)
+	n := 0
 	for _, g := range s.gpms {
 		if g.l2TLB != nil {
 			n++
@@ -119,34 +108,30 @@ func (s *Spares) Len() int {
 }
 
 // Headers returns the headers of a run's GPMs, GPM i on tile coords[i] with
-// configuration cfg, page size ps and local page table local(i), each with
-// its Spares set to s. When the last run s reclaimed had the same tiles,
-// configuration and page size, they are that run's headers: GPM i gets back
-// the CU array and hierarchy it grew, with wait queues and waiter lists
-// already sized for its traffic. Otherwise they are new, and the last run's
-// hierarchies become spares for them to take. A nil store builds new
-// headers.
+// configuration cfg, page size ps and local page table local(i). When the
+// last run s reclaimed had the same tiles, configuration and page size,
+// they are that run's headers: GPM i gets back the CU array and hierarchy
+// it grew, with wait queues and waiter lists already sized for its
+// traffic. Otherwise they are new, and new header i takes the CU array and
+// hierarchy the last run's GPM i kept, if that was built for cfg. A nil
+// store builds new headers.
 func (s *Spares) Headers(eng *sim.Engine, coords []geom.Coord, cfg config.GPM, ps vm.PageSize, local func(int) LocalTable) []*GPM {
-	var gpms []*GPM
+	var kept []*GPM
 	if s != nil {
-		gpms, s.gpms = s.gpms, nil
-		if !sameShape(gpms, coords, cfg, ps) {
-			for _, g := range gpms {
-				if g.l2TLB != nil {
-					s.free = append(s.free, spare{cfg: g.cfg, h: g.hierarchy})
-				}
-			}
-			gpms = nil
-		}
+		kept, s.gpms = s.gpms, nil
 	}
-	if gpms == nil {
+	gpms := kept
+	if !sameShape(kept, coords, cfg, ps) {
 		gpms = make([]*GPM, len(coords))
 		for i, c := range coords {
 			gpms[i] = New(eng, i, c, cfg, ps, nil)
+			if i < len(kept) && kept[i].cfg == cfg {
+				gpms[i].hierarchy, gpms[i].cus = kept[i].hierarchy, kept[i].cus
+			}
 		}
 	}
 	for i, g := range gpms {
-		g.eng, g.localPT, g.Spares = eng, local(i), s
+		g.eng, g.localPT = eng, local(i)
 	}
 	return gpms
 }
@@ -165,31 +150,13 @@ func sameShape(gpms []*GPM, coords []geom.Coord, cfg config.GPM, ps vm.PageSize)
 	return true
 }
 
-// take removes and returns the most recently returned spare built for cfg;
-// a nil store has none.
-func (s *Spares) take(cfg config.GPM) (hierarchy, bool) {
-	if s == nil {
-		return hierarchy{}, false
-	}
-	for i := len(s.free) - 1; i >= 0; i-- {
-		if s.free[i].cfg == cfg {
-			h := s.free[i].h
-			copy(s.free[i:], s.free[i+1:])
-			s.free[len(s.free)-1] = spare{}
-			s.free = s.free[:len(s.free)-1]
-			return h, true
-		}
-	}
-	return hierarchy{}, false
-}
-
 // Reclaim takes back the headers of a finished run, which the caller must
 // not use afterwards, and returns how many materialized. Each header that
 // materialized keeps its CU array and hierarchy, reset; the others keep
-// neither, and the store drops every free spare, so it never holds more
-// hierarchies than its last run used: after a large wafer, a small one
-// releases the surplus. Call it only after a run that ran to completion or
-// to its cycle limit; a cancelled or panicked run hands back nothing.
+// neither, so the store never holds more hierarchies than its last run
+// used: after a large wafer, a small one releases the surplus. Call it only
+// after a run that ran to completion or to its cycle limit; a cancelled or
+// panicked run hands back nothing.
 func (s *Spares) Reclaim(gpms []*GPM) int {
 	used := 0
 	for _, g := range gpms {
@@ -198,8 +165,6 @@ func (s *Spares) Reclaim(gpms []*GPM) int {
 		}
 		g.release()
 	}
-	clear(s.free)
-	s.free = s.free[:0]
 	s.gpms = gpms
 	return used
 }

@@ -195,20 +195,10 @@ type Pools struct {
 	admission, pwq, tlbWait sim.Queue[*job]
 	served                  []*job
 	// counts and rt are the last IOMMU's tables; rt is nil until an IOMMU
-	// with a redirection table is built. countsPeak is the most entries
-	// counts held when an IOMMU took it over, and small how many IOMMUs in
-	// a row took it over holding less than a quarter of that.
-	counts            map[tlb.Key]uint32
-	countsPeak, small int
-	rt                *RedirectTable
+	// with a redirection table is built.
+	counts map[tlb.Key]uint32
+	rt     *RedirectTable
 }
-
-// shrinkAfter is how many runs in a row may leave the access-count map
-// less than a quarter full, against the most it has held, before the next
-// run replaces it with one sized for the last: a sweep that alternates
-// footprints keeps the map its largest run grew, and one that moves on to
-// smaller runs sheds it.
-const shrinkAfter = 16
 
 // AddHook registers h to observe every request arriving at the IOMMU.
 func (io *IOMMU) AddHook(h RequestHook) {
@@ -230,16 +220,9 @@ func (p *Pools) New(eng *sim.Engine, cfg config.IOMMU, coord geom.Coord, mesh *n
 	p.admission.Clear()
 	p.pwq.Clear()
 	p.tlbWait.Clear()
-	n := len(p.counts)
-	if n < p.countsPeak/4 {
-		p.small++
+	if p.counts == nil {
+		p.counts = make(map[tlb.Key]uint32)
 	} else {
-		p.small = 0
-	}
-	if p.counts == nil || p.small >= shrinkAfter {
-		p.counts, p.countsPeak, p.small = make(map[tlb.Key]uint32, n), n, 0
-	} else {
-		p.countsPeak = max(p.countsPeak, n)
 		clear(p.counts)
 	}
 	io := &IOMMU{

@@ -48,9 +48,6 @@ func NewRedirectTable(capacity int) *RedirectTable {
 // keeping its storage, so it behaves as a NewRedirectTable(capacity).
 func (r *RedirectTable) Reset(capacity int) {
 	clear(r.index)
-	if cap(r.slots) > capacity {
-		r.slots = nil
-	}
 	*r = RedirectTable{cap: capacity, index: r.index, slots: r.slots[:0], head: noSlot, tail: noSlot, free: noSlot}
 }
 
@@ -125,6 +122,11 @@ func (r *RedirectTable) Insert(k tlb.Key, gpm int) {
 		r.free = r.slots[i].next
 	default:
 		i = int32(len(r.slots))
+		if len(r.slots) == cap(r.slots) {
+			// Double, but never past the capacity: append's own growth
+			// would overshoot it, and the table never uses more.
+			r.slots = append(make([]rtSlot, 0, min(max(2*len(r.slots), 16), r.cap)), r.slots...)
+		}
 		r.slots = append(r.slots, rtSlot{})
 	}
 	r.slots[i] = rtSlot{key: k, gpm: int32(gpm)}

@@ -173,3 +173,23 @@ func TestRTMatchesReferenceLRU(t *testing.T) {
 		}
 	}
 }
+
+// A reset table refills into the storage it kept: filling hdpat's
+// 1024-entry table, overflowing it and resetting it allocates nothing once
+// the table has been filled before.
+func TestRTRefillAllocatesNothing(t *testing.T) {
+	const capacity = 1024
+	rt := NewRedirectTable(capacity)
+	allocs := testing.AllocsPerRun(5, func() {
+		rt.Reset(capacity)
+		for v := range capacity + capacity/4 {
+			rt.Insert(k(vm.VPN(v)), v%48)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a refill after Reset allocated %.0f times", allocs)
+	}
+	if cap(rt.slots) != capacity {
+		t.Fatalf("slots hold %d entries, capacity %d", cap(rt.slots), capacity)
+	}
+}

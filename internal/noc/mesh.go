@@ -132,15 +132,11 @@ func New(eng *sim.Engine, layout *geom.Mesh, cfg Config) *Mesh {
 
 // New builds the network over the given wafer layout, as the package-level
 // New does, recycling p: the mesh draws its transfers from p and reuses the
-// tile index and link slab the last mesh built on p grew. A slab the last
-// mesh filled less than half of came from a larger one and is dropped.
-// Build the mesh only once the last mesh built on p is done.
+// tile index and link slab the last mesh built on p grew. Build the mesh
+// only once the last mesh built on p is done.
 func (p *Pools) New(eng *sim.Engine, layout *geom.Mesh, cfg Config) *Mesh {
 	if n := layout.NumTiles(); len(p.tile) != n {
 		p.tile = make([]int32, n)
-	}
-	if 2*len(p.slab.busy) < cap(p.slab.busy) {
-		p.slab = linkSlab{}
 	}
 	m := &Mesh{cfg: cfg, eng: eng, layout: layout, tile: p.tile, slab: p.slab.emptied(), router: routerFor(cfg),
 		pools: p}

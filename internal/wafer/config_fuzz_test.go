@@ -54,7 +54,8 @@ func fuzzConfig(data []byte) (config.System, Options) {
 
 // FuzzValidatedConfigRuns runs every small configuration config.Validate
 // accepts: first on a fresh wafer, then twice through RunContext after a
-// run of another shape, so the second of them takes back everything the
+// run of the same configuration on a wafer one tile wider, so the first
+// recycled run builds new headers and the second takes back everything the
 // first built. Every run must complete without an invariant violation, and
 // both recycled runs must reproduce the fresh one. A panic anywhere means
 // Validate accepted a configuration the simulator cannot build or run.
@@ -80,13 +81,10 @@ func FuzzValidatedConfigRuns(f *testing.F) {
 			t.Fatalf("fresh run of a validated configuration: %v", err)
 		}
 		want := digestOf(fresh)
-		other, err := ConfigFor("hdpat", smallConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := RunContext(context.Background(), other, Options{Scheme: "hdpat", Benchmark: opts.Benchmark,
-			OpsBudget: 2, Seed: 1}); err != nil {
-			t.Fatal(err)
+		other := cfg
+		other.MeshW++
+		if _, err := RunContext(context.Background(), other, opts); err != nil {
+			t.Fatalf("run on a wafer one tile wider: %v", err)
 		}
 		for i := range 2 {
 			res, err := RunContext(context.Background(), cfg, opts)

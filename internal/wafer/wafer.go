@@ -283,7 +283,8 @@ func runEngine(ctx context.Context, eng *sim.Engine, limit sim.VTime, pub *publi
 // placement and page table, its event queue, the mesh's link slab, the
 // IOMMU's queues and tables, and the request path's freelists: a run of
 // the same wafer shape takes all of them back, GPM i its own header, and
-// one of another shape takes the hierarchies as spares. A run that
+// one of another shape builds new headers, header i taking the hierarchy
+// and CU array GPM i kept. A run that
 // completes or stops at its cycle limit hands back its headers, each
 // materialized one with its hierarchy reset, and the store then keeps no
 // more hierarchies than that run materialized; a cancelled run hands back
