@@ -20,7 +20,6 @@ func testFabric(t *testing.T, ioCfg config.IOMMU) (*Fabric, *sim.Engine) {
 	t.Helper()
 	eng := sim.NewEngine()
 	mesh := geom.NewMesh(5, 5)
-	layout := geom.NewLayout(mesh)
 	network := noc.New(eng, mesh, noc.DefaultConfig())
 
 	global := vm.NewPageTable()
@@ -43,8 +42,7 @@ func testFabric(t *testing.T, ioCfg config.IOMMU) (*Fabric, *sim.Engine) {
 	io := iommu.New(eng, ioCfg, mesh.CPU, network, global)
 	io.GPMCoord = func(id int) geom.Coord { return gpms[id].Coord }
 
-	f := &Fabric{Eng: eng, Mesh: network, Layout: layout, GPMs: gpms, IOMMU: io}
-	f.Finish()
+	f := &Fabric{Eng: eng, Mesh: network, Layout: mesh, GPMs: gpms, IOMMU: io}
 	return f, eng
 }
 

@@ -17,34 +17,35 @@ import (
 	"hdpat/internal/xlat"
 )
 
-// Fabric bundles the assembled wafer hardware a scheme operates over.
+// Fabric bundles the assembled wafer hardware a scheme operates over. A
+// fabric belongs to one run on one goroutine; a builder that runs one
+// fabric after another can Reset the same fabric for each, so a run reuses
+// the pooled messages and probe legs the last one grew.
 type Fabric struct {
 	Eng    *sim.Engine
 	Mesh   *noc.Mesh
-	Layout *geom.Layout
+	Layout *geom.Mesh
 	GPMs   []*gpm.GPM // GPMs[i] is GPM i, on tile Layout.GPMs()[i]
 	IOMMU  *iommu.IOMMU
 	// Placement provides owner arithmetic (Trans-FW needs OwnerOf).
 	Placement *vm.Placement
 
-	// Pools recycles the fabric's pooled messages and probe legs. Finish
-	// gives the fabric its own when the builder set none.
-	Pools *Pools
-
 	// shot is the shootdown ledger, made at the first Shootdown and shared
 	// with every GPM; nil until then, so runs that never shoot down pay
 	// only a nil check per fill.
 	shot *gpm.Shootdowns
-}
 
-// Pools holds a fabric's freelists: request carriers, pushed PTEs and
-// HDPAT probe legs. A fabric belongs to one run on one goroutine; a builder
-// that runs one fabric after another on a goroutine can hand each the same
-// Pools, so a run reuses what the last one grew. The zero value is empty.
-type Pools struct {
+	// msgs, pushes and probes recycle request carriers, pushed PTEs and
+	// HDPAT probe legs.
 	msgs   sim.Freelist[reqMsg]
 	pushes sim.Freelist[pushMsg]
 	probes sim.Freelist[probe]
+}
+
+// Reset empties f for the next run, keeping only its freelists; the builder
+// then sets the hardware fields. Reset f only once its last run is done.
+func (f *Fabric) Reset() {
+	*f = Fabric{msgs: f.msgs, pushes: f.pushes, probes: f.probes}
 }
 
 // reqMsg phases: what happens when the message reaches its destination.
@@ -69,7 +70,7 @@ type reqMsg struct {
 // Event implements sim.Handler: the message arrived.
 func (m *reqMsg) Event(sim.EventArg) {
 	f, req, res, kind := m.f, m.req, m.res, m.kind
-	f.Pools.msgs.Put(m)
+	f.msgs.Put(m)
 	switch kind {
 	case msgSubmit:
 		f.IOMMU.Submit(req, false)
@@ -84,16 +85,9 @@ func (m *reqMsg) Event(sim.EventArg) {
 // sendReq leases a carrier holding one transit reference and sends it.
 func (f *Fabric) sendReq(from, to geom.Coord, size int, req *xlat.Request, res xlat.Result, kind uint8) {
 	req.Ref()
-	m := f.Pools.msgs.Get()
+	m := f.msgs.Get()
 	*m = reqMsg{f: f, req: req, res: res, kind: kind}
 	f.Mesh.SendH(from, to, size, m, sim.EventArg{})
-}
-
-// Finish completes Fabric construction after GPMs are populated.
-func (f *Fabric) Finish() {
-	if f.Pools == nil {
-		f.Pools = new(Pools)
-	}
 }
 
 // GPMAt returns the GPM on a tile (nil for the CPU tile and off the wafer).

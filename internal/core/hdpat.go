@@ -105,7 +105,7 @@ type probe struct {
 // it from one tile to the other.
 func (s *HDPAT) sendProbe(from, to geom.Coord, p probe) {
 	p.req.Ref()
-	leg := s.f.Pools.probes.Get()
+	leg := s.f.probes.Get()
 	*leg = p
 	s.f.Mesh.SendH(from, to, xlat.ReqBytes, leg, sim.EventArg{})
 }
@@ -118,7 +118,7 @@ func (p *probe) Event(sim.EventArg) {
 	}
 	// A stale redirection-table entry: drop it and walk.
 	s, req := p.s, p.req
-	s.f.Pools.probes.Put(p)
+	s.f.probes.Put(p)
 	if rt := s.f.IOMMU.RT(); rt != nil {
 		rt.Remove(keyOf(req))
 	}
@@ -138,7 +138,7 @@ func (p *probe) PeerDone(pte vm.PTE, origin xlat.PushOrigin, ok bool) {
 		return
 	}
 	redirected, l, sequential := p.state == redirectArrive, p.layer, p.sequential
-	s.f.Pools.probes.Put(p)
+	s.f.probes.Put(p)
 	switch {
 	case redirected:
 		s.RedirectOK++
@@ -179,7 +179,7 @@ func (s *HDPAT) push(pte vm.PTE, origin xlat.PushOrigin) (int, bool) {
 	for l := 0; l < n; l++ {
 		home := s.layers.Home(l, uint64(pte.VPN))
 		target := s.f.GPMAt(home)
-		m := s.f.Pools.pushes.Get()
+		m := s.f.pushes.Get()
 		*m = pushMsg{f: s.f, target: target, pte: pte, origin: origin, read: s.f.Eng.Now()}
 		s.f.Mesh.SendH(s.f.Layout.CPU, home, xlat.PushPTEBytes, m, sim.EventArg{})
 		if l == 0 {
@@ -202,7 +202,7 @@ type pushMsg struct {
 // Event implements sim.Handler: install the PTE at its home.
 func (m *pushMsg) Event(sim.EventArg) {
 	target, pte, origin, read := m.target, m.pte, m.origin, m.read
-	m.f.Pools.pushes.Put(m)
+	m.f.pushes.Put(m)
 	target.InstallAux(pte, origin, read)
 }
 

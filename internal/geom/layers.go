@@ -7,26 +7,17 @@ package geom
 // floor(VPN/Nc) mod Ng (Eq. 2); successive layers rotate their enumeration
 // start by 180 degrees so every requester has a nearby caching GPM (Fig 11b).
 type Layers struct {
-	mesh     *Layout
+	mesh     *Mesh
 	C        int       // number of caching layers
 	clusters int       // Nc, quadrant count (4 per the paper)
 	rings    [][]Coord // rings[l] = rotated tile enumeration of layer l (ring l+1)
 }
 
-// Layout couples a Mesh with the concentric-layer machinery. It is the type
-// the rest of the system uses to reason about wafer geometry.
-type Layout struct {
-	*Mesh
-}
-
-// NewLayout wraps a mesh.
-func NewLayout(m *Mesh) *Layout { return &Layout{Mesh: m} }
-
 // NewLayers builds the concentric layer structure with c caching layers and
 // nc clusters per layer. The paper's default is c=2 ("one step away from the
 // border" on a 7x7 wafer) and nc=4 (quadrants). Layer index 0 is the
 // innermost ring (ring 1); layer c-1 is the outermost caching ring (ring c).
-func NewLayers(l *Layout, c, nc int) *Layers {
+func NewLayers(l *Mesh, c, nc int) *Layers {
 	if c < 0 {
 		panic("geom: negative layer count")
 	}

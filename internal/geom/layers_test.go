@@ -6,7 +6,7 @@ import (
 )
 
 func layers7x7(c int) *Layers {
-	return NewLayers(NewLayout(NewMesh(7, 7)), c, 4)
+	return NewLayers(NewMesh(7, 7), c, 4)
 }
 
 func TestLayersDefault7x7(t *testing.T) {
@@ -153,14 +153,14 @@ func quadrant(c, cpu Coord) int {
 }
 
 func TestLayersClampToWafer(t *testing.T) {
-	ls := NewLayers(NewLayout(NewMesh(3, 3)), 5, 4)
+	ls := NewLayers(NewMesh(3, 3), 5, 4)
 	if ls.NumLayers() != 1 {
 		t.Fatalf("3x3 wafer supports %d layers, want 1", ls.NumLayers())
 	}
 }
 
 func TestLayers7x12(t *testing.T) {
-	ls := NewLayers(NewLayout(NewMesh(7, 12)), 2, 4)
+	ls := NewLayers(NewMesh(7, 12), 2, 4)
 	for vpn := uint64(0); vpn < 5000; vpn++ {
 		for l := 0; l < 2; l++ {
 			h := ls.Home(l, vpn)
@@ -175,8 +175,8 @@ func TestLayers7x12(t *testing.T) {
 func TestHomeTotalProperty(t *testing.T) {
 	shapes := []*Layers{
 		layers7x7(2), layers7x7(3),
-		NewLayers(NewLayout(NewMesh(7, 12)), 2, 4),
-		NewLayers(NewLayout(NewMesh(5, 5)), 2, 4),
+		NewLayers(NewMesh(7, 12), 2, 4),
+		NewLayers(NewMesh(5, 5), 2, 4),
 	}
 	f := func(vpn uint64) bool {
 		for _, ls := range shapes {

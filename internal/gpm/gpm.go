@@ -9,12 +9,12 @@
 //
 // A GPM materializes lazily: New builds only a header, and the first
 // traffic builds its TLBs, MSHR files, cuckoo filters and caches (ensure).
-// Those structures are most of a wafer's build cost, so a Spares store
-// keeps them from one run to the next: Spares.Reclaim takes back a
-// finished run's headers with their hierarchies and CU arrays, reset to
-// their new state, and Spares.Headers hands them to the next run of the
-// same shape, GPM i getting back its own, with the freelists and wait
-// queues it grew. Recycled and new GPMs behave identically.
+// Those structures are most of a wafer's build cost, so a builder keeps
+// them from one run to the next: Reclaim resets a finished run's headers
+// in place, keeping their hierarchies and CU arrays, and Headers hands them
+// to the next run of the same shape, GPM i getting back its own, with the
+// freelists and wait queues it grew. Recycled and new GPMs behave
+// identically.
 package gpm
 
 import (
@@ -153,7 +153,7 @@ func New(eng *sim.Engine, id int, coord geom.Coord, cfg config.GPM, ps vm.PageSi
 // (TLBStats, AuxLen, AuxStats) deliberately do not, so assembling results
 // never defeats the laziness.
 //
-// The hierarchy is the one the header kept or was handed (Spares.Headers),
+// The hierarchy is the one the header kept or was handed (Headers),
 // reset when its run handed it back, or else new. Either way the local-page-table
 // filter is then fitted to this GPM's page count, reusing the kept storage
 // when it is large enough, so a recycled GPM is indistinguishable from a

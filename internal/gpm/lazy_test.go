@@ -83,27 +83,36 @@ func TestStatReadersDoNotMaterialize(t *testing.T) {
 	}
 }
 
-// A store hands a run of the last run's shape that run's headers, GPM i
-// its own, each materialized one with its hierarchy and CU array and the
-// others with neither; a run of another shape gets new headers, header i
-// taking what the last run's GPM i kept if built for the same
-// configuration, and the store keeps no more hierarchies than the last run
-// materialized.
+// Headers hands a run of the last run's shape that run's headers, GPM i
+// its own with its local page table, each materialized one with its
+// hierarchy and CU array and the others with neither; a run of another
+// shape gets new headers, header i taking what the last run's GPM i kept if
+// built for the same configuration, and the headers keep no more
+// hierarchies than the last run materialized.
 func TestHeadersComeBackToTheirGPMs(t *testing.T) {
 	cfg := config.Default().GPM
 	pt := vm.NewPageTable()
 	local := func(int) LocalTable { return pt }
-	s := new(Spares)
+	// kept counts the hierarchies headers hold.
+	kept := func(gpms []*GPM) int {
+		n := 0
+		for _, g := range gpms {
+			if g.l2TLB != nil {
+				n++
+			}
+		}
+		return n
+	}
+	var last []*GPM
 	run := func(coords []geom.Coord, active ...int) []*GPM {
 		t.Helper()
-		gpms := s.Headers(sim.NewEngine(), coords, cfg, vm.Page4K, local)
+		gpms := Headers(last, sim.NewEngine(), coords, cfg, vm.Page4K, local)
 		for _, i := range active {
 			gpms[i].LoadTrace(0, []vm.VAddr{addr(1)})
 			gpms[i].ensure()
 		}
-		if used := s.Reclaim(gpms); used != len(active) {
-			t.Fatalf("Reclaim reported %d materialized, want %d", used, len(active))
-		}
+		Reclaim(gpms)
+		last = gpms
 		return gpms
 	}
 	small := geom.NewMesh(3, 3).GPMs()
@@ -111,7 +120,7 @@ func TestHeadersComeBackToTheirGPMs(t *testing.T) {
 	l2 := first[3].l2TLB
 	second := run(small, 3, 5)
 	for i, g := range second {
-		if g != first[i] || g.ID != i || g.Coord != small[i] {
+		if g != first[i] || g.ID != i || g.Coord != small[i] || g.localPT != pt {
 			t.Fatalf("GPM %d did not get its own header back", i)
 		}
 	}
@@ -121,11 +130,11 @@ func TestHeadersComeBackToTheirGPMs(t *testing.T) {
 	if second[0].l2TLB != nil || second[0].cus != nil {
 		t.Fatal("a header idle in the last run kept its hierarchy or CU array")
 	}
-	if s.Len() != 2 {
-		t.Fatalf("store holds %d hierarchies after a run that materialized 2", s.Len())
+	if n := kept(last); n != 2 {
+		t.Fatalf("headers hold %d hierarchies after a run that materialized 2", n)
 	}
 	wide := geom.NewMesh(3, 4).GPMs()
-	gpms := s.Headers(sim.NewEngine(), wide, cfg, vm.Page4K, local)
+	gpms := Headers(last, sim.NewEngine(), wide, cfg, vm.Page4K, local)
 	if gpms[0] == second[0] || len(gpms) != len(wide) {
 		t.Fatal("a run of another shape got the last run's headers")
 	}
@@ -137,13 +146,13 @@ func TestHeadersComeBackToTheirGPMs(t *testing.T) {
 	if gpms[3].l2TLB != l2 || gpms[7].l2TLB == nil {
 		t.Fatal("materializing dropped a handed-over hierarchy or built none")
 	}
-	s.Reclaim(gpms)
-	if s.Len() != 2 {
-		t.Fatalf("store holds %d hierarchies after a run that materialized 2", s.Len())
+	Reclaim(gpms)
+	if n := kept(gpms); n != 2 {
+		t.Fatalf("headers hold %d hierarchies after a run that materialized 2", n)
 	}
 	other := cfg
 	other.NumCUs++
-	for i, g := range s.Headers(sim.NewEngine(), wide, other, vm.Page4K, local) {
+	for i, g := range Headers(gpms, sim.NewEngine(), wide, other, vm.Page4K, local) {
 		if g.l2TLB != nil || g.cus != nil {
 			t.Fatalf("GPM %d took a hierarchy built for another configuration", i)
 		}

@@ -84,54 +84,29 @@ func (h *hierarchy) reset() {
 	h.hbm.Reset()
 }
 
-// Spares is a store of GPM headers that successive runs hand to each
-// other, one run at a time, so a process allocates and zeroes a GPM's
-// header once per wafer shape, and its CU array, TLBs, caches and filters
-// once per configuration, rather than once per run. The system builder
-// takes a run's headers with Headers and hands them back with Reclaim once
-// the run is over. A store is not safe for concurrent use.
-type Spares struct {
-	// gpms are the headers of the last run reclaimed, each keeping the
-	// hierarchy and CU array it materialized; nil while a run holds them.
-	gpms []*GPM
-}
-
-// Len returns the number of hierarchies the kept headers hold.
-func (s *Spares) Len() int {
-	n := 0
-	for _, g := range s.gpms {
-		if g.l2TLB != nil {
-			n++
+// Headers returns the headers of a run's GPMs, GPM i on tile coords[i]
+// with configuration cfg and page size ps. kept are the headers the last
+// run handed back with Reclaim, or nil. When kept are of the same tiles,
+// configuration and page size, they are the run's headers: GPM i gets back
+// its own header with the local page table it had, and the CU array and
+// hierarchy it grew, with wait queues and waiter lists already sized for
+// its traffic. Otherwise the headers are new, header i with local page
+// table local(i) and the CU array and hierarchy kept[i] kept, if built for
+// cfg. Hand a run kept headers only with the page placement whose owner
+// views they hold.
+func Headers(kept []*GPM, eng *sim.Engine, coords []geom.Coord, cfg config.GPM, ps vm.PageSize, local func(int) LocalTable) []*GPM {
+	if sameShape(kept, coords, cfg, ps) {
+		for _, g := range kept {
+			g.eng = eng
 		}
+		return kept
 	}
-	return n
-}
-
-// Headers returns the headers of a run's GPMs, GPM i on tile coords[i] with
-// configuration cfg, page size ps and local page table local(i). When the
-// last run s reclaimed had the same tiles, configuration and page size,
-// they are that run's headers: GPM i gets back the CU array and hierarchy
-// it grew, with wait queues and waiter lists already sized for its
-// traffic. Otherwise they are new, and new header i takes the CU array and
-// hierarchy the last run's GPM i kept, if that was built for cfg. A nil
-// store builds new headers.
-func (s *Spares) Headers(eng *sim.Engine, coords []geom.Coord, cfg config.GPM, ps vm.PageSize, local func(int) LocalTable) []*GPM {
-	var kept []*GPM
-	if s != nil {
-		kept, s.gpms = s.gpms, nil
-	}
-	gpms := kept
-	if !sameShape(kept, coords, cfg, ps) {
-		gpms = make([]*GPM, len(coords))
-		for i, c := range coords {
-			gpms[i] = New(eng, i, c, cfg, ps, nil)
-			if i < len(kept) && kept[i].cfg == cfg {
-				gpms[i].hierarchy, gpms[i].cus = kept[i].hierarchy, kept[i].cus
-			}
+	gpms := make([]*GPM, len(coords))
+	for i, c := range coords {
+		gpms[i] = New(eng, i, c, cfg, ps, local(i))
+		if i < len(kept) && kept[i].cfg == cfg {
+			gpms[i].hierarchy, gpms[i].cus = kept[i].hierarchy, kept[i].cus
 		}
-	}
-	for i, g := range gpms {
-		g.eng, g.localPT = eng, local(i)
 	}
 	return gpms
 }
@@ -150,30 +125,24 @@ func sameShape(gpms []*GPM, coords []geom.Coord, cfg config.GPM, ps vm.PageSize)
 	return true
 }
 
-// Reclaim takes back the headers of a finished run, which the caller must
-// not use afterwards, and returns how many materialized. Each header that
+// Reclaim readies the headers of a finished run for Headers to hand to the
+// next; the caller must not use them otherwise. Each header that
 // materialized keeps its CU array and hierarchy, reset; the others keep
-// neither, so the store never holds more hierarchies than its last run
+// neither, so the headers never hold more hierarchies than their last run
 // used: after a large wafer, a small one releases the surplus. Call it only
-// after a run that ran to completion or to its cycle limit; a cancelled or
-// panicked run hands back nothing.
-func (s *Spares) Reclaim(gpms []*GPM) int {
-	used := 0
+// after a run that ran to completion or to its cycle limit.
+func Reclaim(gpms []*GPM) {
 	for _, g := range gpms {
-		if g.mat {
-			used++
-		}
 		g.release()
 	}
-	s.gpms = gpms
-	return used
 }
 
 // release readies a finished run's header for the next run of its shape:
 // the run's wiring, counters and latency distribution go, and the header
-// is unmaterialized again, so the next run fits and seeds its filter. A
-// header that materialized keeps its CU array, emptied, and its hierarchy,
-// reset; one that did not keeps neither.
+// is unmaterialized again, so the next run fits and seeds its filter. It
+// keeps its local page table. A header that materialized keeps its CU
+// array, emptied, and its hierarchy, reset; one that did not keeps
+// neither.
 func (g *GPM) release() {
 	h, cus, lat := g.hierarchy, g.cus, g.remoteLat
 	if g.mat {
@@ -183,5 +152,5 @@ func (g *GPM) release() {
 		h, cus = hierarchy{}, nil
 	}
 	lat.Reset()
-	*g = GPM{ID: g.ID, Coord: g.Coord, cfg: g.cfg, ps: g.ps, hierarchy: h, cus: cus, remoteLat: lat}
+	*g = GPM{ID: g.ID, Coord: g.Coord, cfg: g.cfg, ps: g.ps, hierarchy: h, localPT: g.localPT, cus: cus, remoteLat: lat}
 }

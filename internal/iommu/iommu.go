@@ -101,7 +101,7 @@ type job struct {
 // exactly once, at the job's terminal action.
 func (j *job) release() {
 	io, req := j.io, j.req
-	io.pools.jobs.Put(j)
+	io.jobs.Put(j)
 	req.Unref()
 }
 
@@ -129,12 +129,15 @@ type resp struct {
 // Event fires at mesh arrival: deliver the completion and recycle.
 func (r *resp) Event(sim.EventArg) {
 	io, req, res := r.io, r.req, r.res
-	io.pools.resps.Put(r)
+	io.resps.Put(r)
 	req.Complete(res)
 	req.Unref()
 }
 
-// IOMMU is the central translation agent.
+// IOMMU is the central translation agent. An IOMMU belongs to one run on
+// one goroutine; a builder that runs one IOMMU after another can Reset the
+// same IOMMU for each, so a run reuses the carriers, queues, tables and
+// histogram the last one grew. The tables hold no pointers.
 type IOMMU struct {
 	eng    *sim.Engine
 	cfg    config.IOMMU
@@ -145,20 +148,25 @@ type IOMMU struct {
 	// GPMCoord maps a GPM index to its tile, for routing responses.
 	GPMCoord func(id int) geom.Coord
 
-	// admission, pwq and tlbWait are queues of the IOMMU's Pools.
-	admission *sim.Queue[*job]
-	pwq       *sim.Queue[*job]
+	admission sim.Queue[*job]
+	pwq       sim.Queue[*job]
 	busy      int
 
+	// rt is table while the redirection table is enabled, else nil; table
+	// keeps its storage through runs without one.
 	rt      *RedirectTable
+	table   RedirectTable
 	iotlb   *tlb.TLB
 	ioMSHR  *tlb.MSHR
-	tlbWait *sim.Queue[*job]   // arrivals blocked on full IOMMU-TLB MSHRs
+	tlbWait sim.Queue[*job]    // arrivals blocked on full IOMMU-TLB MSHRs
 	counts  map[tlb.Key]uint32 // per-PTE access counts ("unused PTE bits")
 	rtProbe sim.VTime          // redirection table / TLB check latency
 
-	// pools recycles the job and response carriers.
-	pools *Pools
+	// jobs and resps recycle the job and response carriers; served collects
+	// the jobs one revisit serves.
+	jobs   sim.Freelist[job]
+	resps  sim.Freelist[resp]
+	served []*job
 
 	// Push delivers a walked or prefetched PTE to auxiliary GPM caches.
 	// It returns the GPM chosen (for the redirection table) and whether a
@@ -180,26 +188,6 @@ type IOMMU struct {
 	Stats Stats
 }
 
-// Pools holds what an IOMMU grows and the next can reuse: its freelists of
-// jobs and response carriers, its queues, its per-PTE access-count map and
-// its redirection table. An IOMMU belongs to one run on one goroutine; a
-// builder that runs one IOMMU after another on a goroutine can build each
-// on the same Pools (Pools.New), so a run reuses the carriers, queues and
-// tables the last one grew. The tables hold no pointers. The zero value is
-// empty.
-type Pools struct {
-	jobs  sim.Freelist[job]
-	resps sim.Freelist[resp]
-	// The queues of the IOMMU built last; served collects the jobs one
-	// revisit serves.
-	admission, pwq, tlbWait sim.Queue[*job]
-	served                  []*job
-	// counts and rt are the last IOMMU's tables; rt is nil until an IOMMU
-	// with a redirection table is built.
-	counts map[tlb.Key]uint32
-	rt     *RedirectTable
-}
-
 // AddHook registers h to observe every request arriving at the IOMMU.
 func (io *IOMMU) AddHook(h RequestHook) {
 	if h != nil {
@@ -207,43 +195,42 @@ func (io *IOMMU) AddHook(h RequestHook) {
 	}
 }
 
-// New builds an IOMMU on the CPU tile, with Pools of its own.
+// New builds an IOMMU on the CPU tile.
 func New(eng *sim.Engine, cfg config.IOMMU, coord geom.Coord, mesh *noc.Mesh, global *vm.PageTable) *IOMMU {
-	return new(Pools).New(eng, cfg, coord, mesh, global)
+	io := new(IOMMU)
+	io.Reset(eng, cfg, coord, mesh, global)
+	return io
 }
 
-// New builds an IOMMU on the CPU tile that recycles p: it draws its
-// carriers from p and takes over the queues, the access-count map and the
-// redirection table the last IOMMU built on p grew, emptied. Build it only
-// once the last IOMMU built on p is done.
-func (p *Pools) New(eng *sim.Engine, cfg config.IOMMU, coord geom.Coord, mesh *noc.Mesh, global *vm.PageTable) *IOMMU {
-	p.admission.Clear()
-	p.pwq.Clear()
-	p.tlbWait.Clear()
-	if p.counts == nil {
-		p.counts = make(map[tlb.Key]uint32)
-	} else {
-		clear(p.counts)
+// Reset returns io to the state New(eng, cfg, coord, mesh, global) returns,
+// keeping its carriers and the storage of its queues, access-count map,
+// redirection table and histogram. Reset io only once its last run is
+// done.
+func (io *IOMMU) Reset(eng *sim.Engine, cfg config.IOMMU, coord geom.Coord, mesh *noc.Mesh, global *vm.PageTable) {
+	io.admission.Clear()
+	io.pwq.Clear()
+	io.tlbWait.Clear()
+	counts := io.counts
+	if counts == nil {
+		counts = make(map[tlb.Key]uint32)
 	}
-	io := &IOMMU{
+	clear(counts)
+	clear(io.hooks)
+	io.latency.Reset()
+	*io = IOMMU{
 		eng: eng, cfg: cfg, coord: coord, mesh: mesh, global: global,
-		admission: &p.admission, pwq: &p.pwq, tlbWait: &p.tlbWait,
-		counts:  p.counts,
-		rtProbe: 1,
-		pools:   p,
+		admission: io.admission, pwq: io.pwq, tlbWait: io.tlbWait,
+		table: io.table, counts: counts, rtProbe: 1,
+		jobs: io.jobs, resps: io.resps, served: io.served,
+		hooks: io.hooks[:0], latency: io.latency,
 	}
 	if cfg.UseTLB {
 		io.iotlb = tlb.New(tlb.Config{Sets: cfg.TLBSets, Ways: cfg.TLBWays, MSHRs: cfg.TLBMSHRs, Latency: 1})
 		io.ioMSHR = tlb.NewMSHR(cfg.TLBMSHRs)
 	} else if cfg.RedirectEntries > 0 {
-		if p.rt == nil {
-			p.rt = NewRedirectTable(cfg.RedirectEntries)
-		} else {
-			p.rt.Reset(cfg.RedirectEntries)
-		}
-		io.rt = p.rt
+		io.rt = &io.table
+		io.rt.Reset(cfg.RedirectEntries)
 	}
-	return io
 }
 
 // Coord returns the IOMMU's tile.
@@ -317,7 +304,7 @@ func (io *IOMMU) Submit(req *xlat.Request, noRedirect bool) {
 		h.IOMMURequest(io.eng.Now(), req)
 	}
 	req.Ref()
-	j := io.pools.jobs.Get()
+	j := io.jobs.Get()
 	*j = job{io: io, req: req, id: req.ID, pid: req.PID, vpn: req.VPN,
 		arrived: io.eng.Now(), noRedirect: noRedirect}
 
@@ -544,7 +531,7 @@ func (io *IOMMU) revisit(k tlb.Key, pte vm.PTE, found bool) {
 	}
 	// One turn of the ring compacts the queue in order: every job is
 	// popped, and the ones that do not match are pushed back.
-	served := io.pools.served[:0]
+	served := io.served[:0]
 	for n := io.pwq.Len(); n > 0; n-- {
 		j := io.pwq.Pop()
 		if j.pid == k.PID && j.vpn == k.VPN {
@@ -568,7 +555,7 @@ func (io *IOMMU) revisit(k tlb.Key, pte vm.PTE, found bool) {
 		j.release()
 	}
 	clear(served)
-	io.pools.served = served[:0]
+	io.served = served[:0]
 }
 
 // completeTLBMSHR resolves an IOMMU-TLB miss register, then drains blocked
@@ -587,7 +574,7 @@ func (io *IOMMU) completeTLBMSHR(k tlb.Key, pte vm.PTE, found bool) {
 // a pooled carrier holding its own request reference for the transit.
 func (io *IOMMU) respond(req *xlat.Request, res xlat.Result) {
 	req.Ref()
-	r := io.pools.resps.Get()
+	r := io.resps.Get()
 	*r = resp{io: io, req: req, res: res}
 	io.mesh.SendH(io.coord, io.GPMCoord(req.Requester), xlat.RespBytes, r, sim.EventArg{})
 }

@@ -1,6 +1,8 @@
 package iommu
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"hdpat/internal/config"
@@ -587,39 +589,90 @@ func TestRevisitCompletesMSHRAndDrainsTLBWait(t *testing.T) {
 	checkConservation(t, h.io)
 }
 
-// An IOMMU built on Pools takes over the queues and tables the last one
-// built on them grew, emptied.
-func TestPoolsHandQueuesAndTablesOn(t *testing.T) {
-	eng := sim.NewEngine()
-	layout := geom.NewMesh(7, 7)
-	mesh := noc.New(eng, layout, noc.DefaultConfig())
-	cfg := config.DefaultIOMMU()
-	cfg.RedirectEntries = 8
-	p := new(Pools)
-	build := func(counts int) *IOMMU {
-		io := p.New(eng, cfg, layout.CPU, mesh, vm.NewPageTable())
-		for v := range counts {
-			io.counts[tlb.Key{VPN: vm.VPN(v)}]++
-		}
-		return io
-	}
-	first := build(100)
-	first.rt.Insert(tlb.Key{VPN: 1}, 3)
-	first.rt.Lookup(tlb.Key{VPN: 1})
-	first.pwq.Push(&job{})
-	first.admission.Push(&job{})
-	second := build(0)
-	if second.rt != first.rt || second.rt.Len() != 0 || second.rt.Hits != 0 {
-		t.Fatalf("redirection table: same %v, %d entries, %d hits", second.rt == first.rt, second.rt.Len(), second.rt.Hits)
-	}
-	if second.pwq != first.pwq || second.pwq.Len() != 0 || second.admission.Len() != 0 {
-		t.Fatal("the queues did not come back empty")
-	}
-	if len(second.counts) != 0 {
-		t.Fatalf("access counts: %d entries left", len(second.counts))
-	}
-	second.counts[tlb.Key{VPN: 7}] = 1
-	if first.counts[tlb.Key{VPN: 7}] != 1 {
-		t.Fatal("the access-count map was replaced")
+// queueStorage returns the address of q's ring buffer.
+func queueStorage(q *sim.Queue[*job]) uintptr {
+	return reflect.ValueOf(q).Elem().FieldByName("buf").Pointer()
+}
+
+// A reset IOMMU behaves as a new one: traffic cut off mid-run, then the
+// same traffic run in full after Reset, delivers the results, Stats and
+// latency histogram a new IOMMU delivers, in both front-end variants
+// (redirection table, IOMMU-TLB), while the queues, access-count map and
+// redirection table keep their storage.
+func TestResetMatchesNew(t *testing.T) {
+	tlbCfg := config.HDPATIOMMU()
+	tlbCfg.UseTLB, tlbCfg.TLBMSHRs = true, 2
+	for _, c := range []struct {
+		name string
+		cfg  config.IOMMU
+	}{{"rt", config.HDPATIOMMU()}, {"tlb", tlbCfg}} {
+		cfg := c.cfg
+		t.Run(c.name, func(t *testing.T) {
+			cfg.Walkers, cfg.PWQueueCap = 1, 4
+			layout := geom.NewMesh(7, 7)
+			global := vm.NewPageTable()
+			for v := vm.VPN(1); v <= 64; v++ {
+				global.Insert(vm.PTE{VPN: v, PFN: vm.PFN(v + 5000), Owner: int(v) % 48, Valid: true})
+			}
+			// drive submits 48 requests over 24 pages, runs the engine to
+			// cycle until and returns what was delivered by then.
+			drive := func(eng *sim.Engine, io *IOMMU, until sim.VTime) []string {
+				var got []string
+				io.GPMCoord = func(id int) geom.Coord { return layout.GPMs()[id] }
+				io.Push = func(pte vm.PTE, _ xlat.PushOrigin) (int, bool) { return int(pte.VPN) % 48, true }
+				io.Redirect = func(req *xlat.Request, gpm int) {
+					got = append(got, fmt.Sprintf("%d: %d redirected to %d", eng.Now(), req.VPN, gpm))
+					req.Complete(xlat.Result{PTE: vm.PTE{VPN: req.VPN}, Source: xlat.SourceRedirect})
+				}
+				for i := range 48 {
+					v := vm.VPN(i*7%24 + 1)
+					req := xlat.NewRequest(uint64(i), 0, v, i%48, 0, func(r xlat.Result) {
+						got = append(got, fmt.Sprintf("%d: %d -> %d from %v", eng.Now(), v, r.PTE.PFN, r.Source))
+					})
+					io.Submit(req, false)
+				}
+				eng.RunUntil(until)
+				return got
+			}
+
+			eng := sim.NewEngine()
+			mesh := noc.New(eng, layout, noc.DefaultConfig())
+			fresh := New(eng, cfg, layout.CPU, mesh, global)
+			want := drive(eng, fresh, sim.Infinity)
+
+			eng = sim.NewEngine()
+			mesh = noc.New(eng, layout, noc.DefaultConfig())
+			io := New(eng, cfg, layout.CPU, mesh, global)
+			drive(eng, io, 3000)
+			if io.QueueDepth()+io.tlbWait.Len() == 0 {
+				t.Fatal("the cut-off run left no queued job")
+			}
+			queues := [3]uintptr{queueStorage(&io.admission), queueStorage(&io.pwq), queueStorage(&io.tlbWait)}
+			counts, rt := reflect.ValueOf(io.counts).Pointer(), io.table
+			eng.Reset()
+			mesh.Reset(eng, layout, noc.DefaultConfig())
+			io.Reset(eng, cfg, layout.CPU, mesh, global)
+			if got := [3]uintptr{queueStorage(&io.admission), queueStorage(&io.pwq), queueStorage(&io.tlbWait)}; got != queues {
+				t.Errorf("queue storage %v after Reset, %v before", got, queues)
+			}
+			if reflect.ValueOf(io.counts).Pointer() != counts {
+				t.Error("Reset replaced the access-count map")
+			}
+			if !cfg.UseTLB && (io.rt != &io.table || cap(rt.slots) == 0 || &io.table.slots[:1][0] != &rt.slots[:1][0] ||
+				reflect.ValueOf(io.table.index).Pointer() != reflect.ValueOf(rt.index).Pointer()) {
+				t.Error("Reset replaced the redirection table's storage")
+			}
+			got := drive(eng, io, sim.Infinity)
+
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("a reset IOMMU delivered\n%v\na new one\n%v", got, want)
+			}
+			if !reflect.DeepEqual(io.Stats, fresh.Stats) {
+				t.Errorf("Stats after Reset %+v, new %+v", io.Stats, fresh.Stats)
+			}
+			if !reflect.DeepEqual(io.Latency(), fresh.Latency()) {
+				t.Error("the latency histogram after Reset differs from a new IOMMU's")
+			}
+		})
 	}
 }

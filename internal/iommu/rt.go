@@ -39,7 +39,7 @@ const noSlot = int32(-1)
 
 // NewRedirectTable creates a table with the given entry capacity.
 func NewRedirectTable(capacity int) *RedirectTable {
-	r := &RedirectTable{index: make(map[tlb.Key]int32)}
+	r := new(RedirectTable)
 	r.Reset(capacity)
 	return r
 }
@@ -47,6 +47,9 @@ func NewRedirectTable(capacity int) *RedirectTable {
 // Reset empties the table, zeroes its counters and sets its capacity,
 // keeping its storage, so it behaves as a NewRedirectTable(capacity).
 func (r *RedirectTable) Reset(capacity int) {
+	if r.index == nil {
+		r.index = make(map[tlb.Key]int32)
+	}
 	clear(r.index)
 	*r = RedirectTable{cap: capacity, index: r.index, slots: r.slots[:0], head: noSlot, tail: noSlot, free: noSlot}
 }

@@ -76,6 +76,10 @@ func (s linkSlab) emptied() linkSlab {
 const noLink = int32(-1)
 
 // Mesh is the wafer network. It is driven by the shared simulation engine.
+// A mesh belongs to one run on one goroutine; a builder that runs one mesh
+// after another can Reset the same mesh for each, so a run reuses the
+// transfers, tile index, link slab and histogram the last one grew. None of
+// them but the freelist holds pointers.
 type Mesh struct {
 	cfg    Config
 	eng    *sim.Engine
@@ -93,24 +97,10 @@ type Mesh struct {
 	// hops is the distribution of hops per delivered message.
 	hops stats.Histogram
 
-	// pools recycles in-flight transfer state machines; a transfer lives
-	// from SendH until final delivery, one event per hop, no allocation per
-	// hop or per message in steady state.
-	pools *Pools
-}
-
-// Pools is what a mesh grows and the next can reuse: its freelist of
-// transfers, its tile index and its link slab. A mesh belongs to one run on
-// one goroutine, so a plain freelist suffices; a builder that runs one mesh
-// after another on a goroutine can build each on the same Pools
-// (Pools.New), so a run reuses what the last one grew. The tile index and
-// the slab hold no pointers. The zero value is empty.
-type Pools struct {
+	// transfers recycles in-flight transfer state machines; a transfer
+	// lives from SendH until final delivery, one event per hop, no
+	// allocation per hop or per message in steady state.
 	transfers sim.Freelist[transfer]
-	// tile and slab are the last mesh's storage; the mesh writes slab back
-	// whenever it grows it.
-	tile []int32
-	slab linkSlab
 }
 
 // direction indices
@@ -127,23 +117,25 @@ const (
 // at construction from cfg.Routing; unknown names panic (config.Validate
 // rejects them on every public path first).
 func New(eng *sim.Engine, layout *geom.Mesh, cfg Config) *Mesh {
-	return new(Pools).New(eng, layout, cfg)
+	m := new(Mesh)
+	m.Reset(eng, layout, cfg)
+	return m
 }
 
-// New builds the network over the given wafer layout, as the package-level
-// New does, recycling p: the mesh draws its transfers from p and reuses the
-// tile index and link slab the last mesh built on p grew. Build the mesh
-// only once the last mesh built on p is done.
-func (p *Pools) New(eng *sim.Engine, layout *geom.Mesh, cfg Config) *Mesh {
-	if n := layout.NumTiles(); len(p.tile) != n {
-		p.tile = make([]int32, n)
+// Reset returns m to the state New(eng, layout, cfg) returns, keeping its
+// transfers, its tile index when layout has as many tiles, its link slab
+// and its histogram's storage. Reset m only once its last run is done.
+func (m *Mesh) Reset(eng *sim.Engine, layout *geom.Mesh, cfg Config) {
+	tile := m.tile
+	if n := layout.NumTiles(); len(tile) != n {
+		tile = make([]int32, n)
 	}
-	m := &Mesh{cfg: cfg, eng: eng, layout: layout, tile: p.tile, slab: p.slab.emptied(), router: routerFor(cfg),
-		pools: p}
-	for i := range m.tile {
-		m.tile[i] = noLink
+	for i := range tile {
+		tile[i] = noLink
 	}
-	return m
+	m.hops.Reset()
+	*m = Mesh{cfg: cfg, eng: eng, layout: layout, tile: tile, slab: m.slab.emptied(), router: routerFor(cfg),
+		hops: m.hops, transfers: m.transfers}
 }
 
 // Router returns the active routing policy.
@@ -156,7 +148,6 @@ func (m *Mesh) linkIndex(id, dir int) int {
 	if base == noLink {
 		base = m.slab.grow()
 		m.tile[id] = base
-		m.pools.slab = m.slab
 	}
 	return int(base) + dir
 }
@@ -253,7 +244,7 @@ func (t *transfer) Event(sim.EventArg) {
 			m.Stats.MaxHops = hops
 		}
 		m.hops.Add(uint64(hops))
-		m.pools.transfers.Put(t)
+		m.transfers.Put(t)
 		h.Event(arg)
 		return
 	}
@@ -316,7 +307,7 @@ func (m *Mesh) SendH(src, dst geom.Coord, size int, h sim.Handler, arg sim.Event
 		eng.Post(1, h, arg)
 		return
 	}
-	t := m.pools.transfers.Get()
+	t := m.transfers.Get()
 	*t = transfer{m: m, cur: src, dst: dst, size: size, born: eng.Now(), h: h, arg: arg}
 	t.step()
 }

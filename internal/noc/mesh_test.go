@@ -1,7 +1,9 @@
 package noc
 
 import (
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"hdpat/internal/geom"
@@ -264,5 +266,65 @@ func TestSparseLinksOnlyTouchedMaterialize(t *testing.T) {
 	}
 	if _, _, ok := m.linkProbe(m.layout.NodeID(dst), dirEast); ok {
 		t.Error("destination tile materialized despite never sending")
+	}
+}
+
+// A reset mesh behaves as a new one: traffic cut off mid-run, then the same
+// traffic run in full after Reset, delivers at the times, with the Stats,
+// hop histogram and link occupancy a new mesh shows, under both routings,
+// while the tile index and link slab keep their storage.
+func TestResetMatchesNew(t *testing.T) {
+	for _, routing := range RoutingNames() {
+		t.Run(routing, func(t *testing.T) {
+			layout := geom.NewMesh(7, 7)
+			cfg := Config{HopLatency: 32, BytesPerCycle: 8, Routing: routing}
+			// drive sends 300 messages between random tiles, runs the engine
+			// to cycle until and returns the delivery times and link busy
+			// cycles seen by then.
+			drive := func(eng *sim.Engine, m *Mesh, until sim.VTime) []string {
+				var got []string
+				rng := rand.New(rand.NewSource(5))
+				for i := range 300 {
+					src := layout.GPMs()[rng.Intn(layout.NumGPMs())]
+					dst := layout.GPMs()[rng.Intn(layout.NumGPMs())]
+					m.SendH(src, dst, rng.Intn(200)+1, sim.HandlerFunc(func() {
+						got = append(got, fmt.Sprintf("%d at %d", i, eng.Now()))
+					}), sim.EventArg{})
+				}
+				eng.RunUntil(until)
+				m.VisitLinks(func(c geom.Coord, dir string, busy sim.VTime) {
+					got = append(got, fmt.Sprintf("%v%s busy %d", c, dir, busy))
+				})
+				return got
+			}
+
+			eng := sim.NewEngine()
+			fresh := New(eng, layout, cfg)
+			want := drive(eng, fresh, sim.Infinity)
+
+			eng = sim.NewEngine()
+			m := New(eng, layout, cfg)
+			drive(eng, m, 200)
+			if eng.Pending() == 0 {
+				t.Fatal("the cut-off run left nothing in flight")
+			}
+			tile, slab := &m.tile[0], &m.slab.busy[0]
+			eng.Reset()
+			m.Reset(eng, layout, cfg)
+			if &m.tile[0] != tile || len(m.slab.busy) != 0 || &m.slab.busy[:1][0] != slab {
+				t.Fatal("Reset replaced the tile index or the link slab, or left links in it")
+			}
+			got := drive(eng, m, sim.Infinity)
+
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("a reset mesh delivered\n%v\na new one\n%v", got, want)
+			}
+			if m.Stats != fresh.Stats {
+				t.Errorf("Stats after Reset %+v, new %+v", m.Stats, fresh.Stats)
+			}
+			if !reflect.DeepEqual(m.Hops(), fresh.Hops()) {
+				t.Error("the hop histogram after Reset differs from a new mesh's")
+			}
+		})
 	}
 }

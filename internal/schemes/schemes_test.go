@@ -21,7 +21,6 @@ func buildFabric(t *testing.T, ioCfg config.IOMMU) (*core.Fabric, *sim.Engine) {
 	t.Helper()
 	eng := sim.NewEngine()
 	mesh := geom.NewMesh(5, 5)
-	layout := geom.NewLayout(mesh)
 	network := noc.New(eng, mesh, noc.DefaultConfig())
 
 	placement := vm.NewPlacement(mesh.NumGPMs(), vm.Page4K)
@@ -42,8 +41,7 @@ func buildFabric(t *testing.T, ioCfg config.IOMMU) (*core.Fabric, *sim.Engine) {
 	io := iommu.New(eng, ioCfg, mesh.CPU, network, placement.Global())
 	io.GPMCoord = func(id int) geom.Coord { return gpms[id].Coord }
 
-	f := &core.Fabric{Eng: eng, Mesh: network, Layout: layout, GPMs: gpms, IOMMU: io, Placement: placement}
-	f.Finish()
+	f := &core.Fabric{Eng: eng, Mesh: network, Layout: mesh, GPMs: gpms, IOMMU: io, Placement: placement}
 	return f, eng
 }
 

@@ -19,63 +19,52 @@ import (
 )
 
 // State that outlives one run, shared process-wide: the recycling stores of
-// GPM headers and hierarchies, page tables, event queues and request-path
-// freelists, and the trace table.
+// what runs build, and the trace table.
 
-// store is what one run hands the next: its GPM headers with their
-// hierarchies and the rest of what it grew. A run takes a store from the
-// process-wide list when it starts and holds it alone until it ends.
+// store is what one run hands the next: everything it built, each part
+// emptied in place by the next run that takes it — the event queue, the
+// wafer geometry, the page placement and its page table, the mesh, the
+// IOMMU, the fabric's freelists, the GPM headers with their hierarchies,
+// the request pool, the line-fetch freelist and the filter-seeding buffer.
+// A run takes a store from the process-wide list when it starts and holds
+// it alone until it ends. The engine is reset when the run ends, and every
+// freelist object was zeroed when released, so nothing of one run reaches
+// the next. Until the next run resets them, the mesh and IOMMU still point
+// at the last run's tracer, hooks and scheme; the idle release drops them
+// with the store.
 type store struct {
-	spares gpm.Spares
-	// last is how many hierarchies the last reclaimed run handed back; the
-	// store never holds more.
-	last int
-	// state is the rest of what the last run grew, emptied for the next
-	// run; nil while a run holds it, and after a run that panicked.
-	state *runState
-}
-
-// runState is what a run grows besides its GPM headers and hierarchies:
-// the event queue, the wafer geometry, the page placement and its page
-// table, the mesh's link slab, the IOMMU's queues and tables, the request
-// path's freelists and the filter-seeding buffer. A store hands it from one
-// run to the next: the engine is reset when it comes back, every freelist
-// object was zeroed when released, and the placement, slab, queues and
-// tables are emptied when the next run takes them, so nothing of one run
-// reaches the next.
-type runState struct {
-	eng       *sim.Engine
-	layout    *geom.Layout
+	eng       sim.Engine
+	layout    *geom.Mesh
 	placement *vm.Placement
-	requests  xlat.RequestPool
-	noc       noc.Pools
-	iommu     iommu.Pools
-	core      core.Pools
-	fetches   sim.Freelist[lineFetch]
+	mesh      noc.Mesh
+	iommu     iommu.IOMMU
+	fabric    core.Fabric
+	// gpms are the last run's headers, nil after a cancelled run.
+	gpms     []*gpm.GPM
+	requests xlat.RequestPool
+	fetches  sim.Freelist[lineFetch]
 	// vpns is the buffer the GPMs' filter seeds enumerate their pages into.
 	vpns []vm.VPN
 }
 
-func newRunState() *runState { return &runState{eng: sim.NewEngine()} }
-
-// geometry returns the run's layout of a w×h wafer: the last run's on st
-// when its wafer had the same shape, or a new one. Layouts are immutable.
-func (st *runState) geometry(w, h int) *geom.Layout {
-	if st.layout == nil || st.layout.W != w || st.layout.H != h {
-		st.layout = geom.NewLayout(geom.NewMesh(w, h))
+// geometry returns the run's layout of a w×h wafer: the last run's when
+// its wafer had the same shape, or a new one. Layouts are immutable.
+func (s *store) geometry(w, h int) *geom.Mesh {
+	if s.layout == nil || s.layout.W != w || s.layout.H != h {
+		s.layout = geom.NewMesh(w, h)
 	}
-	return st.layout
+	return s.layout
 }
 
 // place returns the run's placement for n GPMs and page size ps: the one
-// the last run on st filled, reset, or a new one.
-func (st *runState) place(n int, ps vm.PageSize) *vm.Placement {
-	if st.placement == nil {
-		st.placement = vm.NewPlacement(n, ps)
+// the last run filled, reset, or a new one.
+func (s *store) place(n int, ps vm.PageSize) *vm.Placement {
+	if s.placement == nil {
+		s.placement = vm.NewPlacement(n, ps)
 	} else {
-		st.placement.Reset(n, ps)
+		s.placement.Reset(n, ps)
 	}
-	return st.placement
+	return s.placement
 }
 
 // idleRelease is how long the store list waits, once no run holds a store,

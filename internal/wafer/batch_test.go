@@ -211,7 +211,7 @@ func TestRecyclingOutlivesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	warm := topStore()
-	if warm == nil || warm.spares.Len() == 0 {
+	if warm == nil || len(warm.gpms) == 0 {
 		t.Fatal("the first batch's run handed back no warm store")
 	}
 	if _, err := RunContext(context.Background(), cfg, opts); err != nil {

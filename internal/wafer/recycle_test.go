@@ -51,15 +51,14 @@ func digestOf(res Result) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// freshRun runs one simulation on nothing an earlier run grew: no spare
-// hierarchies, a new engine and freelists, and an empty trace table of its
-// own, so the run generates its traces itself. Call it while no other run
-// is live.
+// freshRun runs one simulation on nothing an earlier run grew: a new store
+// and an empty trace table of its own, so the run generates its traces
+// itself. Call it while no other run is live.
 func freshRun(ctx context.Context, cfg config.System, opts Options) (Result, error) {
 	shared := traces
 	traces = newTraceTable()
 	defer func() { traces = shared }()
-	res, _, err := run(ctx, cfg, opts, nil, newRunState())
+	res, _, err := new(store).run(ctx, cfg, opts)
 	return res, err
 }
 
@@ -138,10 +137,9 @@ func goldenCells(t *testing.T) []*recycleCell {
 // followed by a full run (the engine comes back with nearly every event
 // still queued), a metrics run followed by runs without metrics (the first
 // run's registry must never count again), a cancelled run (which hands
-// back nothing), and a 7x12 wafer between 7x7 runs (more GPMs than the
+// back no headers), and a 7x12 wafer between 7x7 runs (more GPMs than the
 // store holds, then a surplus to trim). Every recycled run must reproduce
-// its fresh digest, and the store must never hold more spares than the
-// last run materialized.
+// its fresh digest and hand back its headers.
 func TestRecycledRunsMatchFresh(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the golden matrix three times")
@@ -203,8 +201,8 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 		if prev != nil && rec != prev {
 			t.Fatalf("%s: the run did not take the store the previous run handed back", c.name)
 		}
-		if rec.last == 0 || rec.spares.Len() > rec.last {
-			t.Fatalf("%s: store holds %d spares after a run that handed back %d", c.name, rec.spares.Len(), rec.last)
+		if len(rec.gpms) != c.cfg.MeshW*c.cfg.MeshH-1 {
+			t.Fatalf("%s: store holds %d headers after a run of %d GPMs", c.name, len(rec.gpms), c.cfg.MeshW*c.cfg.MeshH-1)
 		}
 		return rec
 	}
@@ -233,19 +231,16 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 			case 11:
 				// More GPMs than the store holds, then a 7x7 run that must
 				// trim the surplus.
-				if rec := check(wide); rec.spares.Len() != rec.last {
-					t.Errorf("pass %d: store holds %d spares after the 7x12 run handed back %d", pass, rec.spares.Len(), rec.last)
-				}
+				check(wide)
 			case 15:
 				rec := topStore()
-				held := rec.spares.Len()
 				cctx, cancel := context.WithCancel(ctx)
 				cancel()
 				if _, err := RunContext(cctx, c.cfg, c.opts); !errors.Is(err, context.Canceled) {
 					t.Fatalf("cancelled run: err %v", err)
 				}
-				if topStore() != rec || rec.spares.Len() > held {
-					t.Fatalf("a cancelled run handed back hierarchies: %d spares, %d before", rec.spares.Len(), held)
+				if topStore() != rec || rec.gpms != nil || rec.placement == nil {
+					t.Fatalf("a cancelled run handed back %d headers, placement kept: %v", len(rec.gpms), rec.placement != nil)
 				}
 			}
 		}
@@ -254,29 +249,31 @@ func TestRecycledRunsMatchFresh(t *testing.T) {
 
 // TestRecycledRunAllocs bounds what the second of two identical runs
 // allocates, when it takes back everything the first built from the store
-// the first handed back: its GPM headers with their CU arrays and
-// hierarchies, page table, engine, link slab, IOMMU queues and tables, and
+// the first handed back: its GPM headers with their local page tables, CU
+// arrays and hierarchies, page table, engine, mesh, IOMMU, fabric and
 // freelists. Measured on linux/amd64, Go 1.24.0:
 //   - Table I hdpat/PR, plain: the second run is its key's second request
-//     and generates the set the trace table keeps: 1.11 MB in 2,075
+//     and generates the set the trace table keeps: 1.10 MB in 2,022
 //     allocations, most of it the generators' traces and the set they are
-//     copied into, once per key in a process. Bound 1.5 MiB in 3,000, from
-//     2 MiB in 5,000; when the store kept no page table, headers or IOMMU
-//     tables, 1.61 MB in 3,160.
-//   - the same, batch: both runs share the kept set: 0.19 MB in 348
-//     allocations, most of it the Result. Bound 256 KiB in 600, from 1 MiB
-//     in 3,000; when the store kept no page table, headers or IOMMU
-//     tables, 0.66 MB in 1,219, most of it the page table; when the
-//     engine, the request-path freelists and the probe legs were not
-//     recycled either, 4.66 MB in 31,677; when a plain Run drew no store,
-//     22.3 MB in 49,080.
+//     copied into, once per key in a process. Bound 1.5 MiB in 3,000; when
+//     the store kept no page table, headers or IOMMU tables, 1.61 MB in
+//     3,160.
+//   - the same, batch: both runs share the kept set: 0.19 MB in 295
+//     allocations, most of it the Result. Bound 256 KiB in 450, from 600;
+//     when the IOMMU and mesh were built for each run, 0.19 MB in 348;
+//     when the store kept no page table, headers or IOMMU tables, 0.66 MB
+//     in 1,219, most of it the page table; when the engine, the
+//     request-path freelists and the probe legs were not recycled either,
+//     4.66 MB in 31,677; when a plain Run drew no store, 22.3 MB in
+//     49,080.
 //   - a 30x30 wafer with every tenth GPM active, each run a new Custom
-//     benchmark that generates its own traces: 0.61 MB in 3,833
-//     allocations, most of them the traces and the Result. Bound 1 MiB in
-//     6,000, from 6 MB in 30,000; when the store kept no headers, 3.81 MB
-//     in 17,523, the largest parts the 899 GPM headers (0.9 MB) and MSHR
-//     waiter lists (0.7 MB); when a plain Run drew no store, 50.7 MB in
-//     80,001.
+//     benchmark that generates its own traces: 0.58 MB in 2,917
+//     allocations, most of them the traces and the Result. Bound 768 KiB
+//     in 4,500, from 1 MiB in 6,000; when each run boxed its 899 GPMs'
+//     owner views, 0.60 MB in 3,821; when the store kept no headers,
+//     3.81 MB in 17,523, the largest parts the 899 GPM headers (0.9 MB)
+//     and MSHR waiter lists (0.7 MB); when a plain Run drew no store,
+//     50.7 MB in 80,001.
 func TestRecycledRunAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -315,10 +312,10 @@ func TestRecycledRunAllocs(t *testing.T) {
 		maxBytes, maxAllocs uint64
 	}{
 		{"TableI/plain", tableI, pr, 3 << 19, 3_000},
-		{"TableI/batch", tableI, pr, 1 << 18, 600},
+		{"TableI/batch", tableI, pr, 1 << 18, 450},
 		{"30x30/plain", giant, func() Options {
 			return Options{Scheme: "hdpat", Benchmark: concentrated(), OpsBudget: 16, Seed: 7}
-		}, 1 << 20, 6_000},
+		}, 3 << 18, 4_500},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if _, err := Run(c.cfg, c.opts()); err != nil {
@@ -430,8 +427,8 @@ func TestConcurrentRunsHoldDistinctStores(t *testing.T) {
 			t.Fatal("the list holds one store twice: two runs shared it")
 		}
 		seen[s] = true
-		if s.spares.Len() == 0 || s.state == nil {
-			t.Errorf("a store came back cold: %d spares, state %v", s.spares.Len(), s.state != nil)
+		if len(s.gpms) == 0 || s.placement == nil {
+			t.Errorf("a store came back cold: %d headers, placement %v", len(s.gpms), s.placement != nil)
 		}
 	}
 }
@@ -480,7 +477,66 @@ func TestIdleReleaseDropsStores(t *testing.T) {
 	if digestOf(res) != digestOf(fresh) {
 		t.Error("the run after an idle release differs from a fresh run")
 	}
-	if s := topStore(); s == nil || s.spares.Len() == 0 {
+	if s := topStore(); s == nil || len(s.gpms) == 0 {
 		t.Error("the run after an idle release handed back no warm store")
+	}
+}
+
+// A run that panics hands back nothing it built: the store it held never
+// returns to the list, the list's count of held stores stays right, and
+// the next run matches a fresh one.
+func TestPanickedRunHandsBackNothing(t *testing.T) {
+	holdStores(t)
+	cfg, err := ConfigFor("hdpat", smallConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Scheme: "hdpat", Benchmark: mustBench(t, "SPMV"), OpsBudget: 16, Seed: 3}
+	fresh, err := freshRun(context.Background(), cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Run(cfg, opts); err != nil {
+		t.Fatal(err)
+	}
+	victim := topStore()
+	headers := victim.gpms
+	stores.mu.Lock()
+	held := stores.held
+	stores.mu.Unlock()
+
+	requests := 0
+	o := opts
+	o.Hooks = []iommu.RequestHook{iommu.RequestHookFunc(func(sim.VTime, *xlat.Request) {
+		if requests++; requests == 10 {
+			panic("hook failed mid-run")
+		}
+	})}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the hook's panic did not reach the caller")
+			}
+		}()
+		Run(cfg, o)
+	}()
+
+	stores.mu.Lock()
+	free, after := slices.Clone(stores.free), stores.held
+	stores.mu.Unlock()
+	if after != held {
+		t.Fatalf("%d stores held after the panic, %d before", after, held)
+	}
+	for _, s := range free {
+		if s == victim || s.placement == victim.placement || len(s.gpms) > 0 && s.gpms[0] == headers[0] {
+			t.Fatal("the list holds what the panicked run built")
+		}
+	}
+	res, err := Run(cfg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if digestOf(res) != digestOf(fresh) {
+		t.Error("the run after a panicked run differs from a fresh run")
 	}
 }

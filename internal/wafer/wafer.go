@@ -278,40 +278,42 @@ func runEngine(ctx context.Context, eng *sim.Engine, limit sim.VTime, pub *publi
 // run returns a zero Result). The run takes a recycling store from the
 // process-wide list, holds it alone, and hands it back when it ends, so the
 // next run, on this goroutine or another, builds only what this one did
-// not; recycled runs are byte-identical to fresh ones. The store holds the
-// last run's GPM headers, each with its CU array and hierarchy, its page
-// placement and page table, its event queue, the mesh's link slab, the
-// IOMMU's queues and tables, and the request path's freelists: a run of
-// the same wafer shape takes all of them back, GPM i its own header, and
-// one of another shape builds new headers, header i taking the hierarchy
-// and CU array GPM i kept. A run that
-// completes or stops at its cycle limit hands back its headers, each
-// materialized one with its hierarchy reset, and the store then keeps no
-// more hierarchies than that run materialized; a cancelled run hands back
-// everything but its headers, a panicked run nothing it built. The
-// run draws its traces from the process-wide trace table, which keeps a set
+// not; recycled runs are byte-identical to fresh ones. The store keeps
+// everything the last run built: its event queue, geometry, page
+// placement and page table, mesh, IOMMU, fabric freelists, GPM headers
+// (each with its local page table, CU array and hierarchy), request pool
+// and line-fetch freelist. Each part resets itself in place for the next
+// run. A run of the same wafer shape takes the headers back, GPM i its own,
+// and one of another shape builds new headers, header i taking the
+// hierarchy and CU array GPM i kept. A run that completes or stops at its
+// cycle limit hands back everything, each materialized header with its
+// hierarchy reset and the others with none; a cancelled run hands back
+// everything but its headers, a panicked run nothing it built. The run
+// draws its traces from the process-wide trace table, which keeps a set
 // once its key is asked for twice and shares it with every later run.
 func RunContext(ctx context.Context, cfg config.System, opts Options) (Result, error) {
 	s := takeStore()
-	defer giveStore(s)
-	st := s.state
-	if st == nil {
-		st = newRunState()
-	}
-	s.state = nil
-	res, gpms, err := run(ctx, cfg, opts, &s.spares, st)
+	panicked := true
+	defer func() {
+		if panicked {
+			s = new(store)
+		}
+		giveStore(s)
+	}()
+	res, gpms, err := s.run(ctx, cfg, opts)
+	panicked = false
 	if gpms != nil {
-		s.last = s.spares.Reclaim(gpms)
+		gpm.Reclaim(gpms)
+		s.gpms = gpms
 	}
-	st.eng.Reset()
-	s.state = st
+	s.eng.Reset()
 	return res, err
 }
 
-// run builds and executes one simulation on what st holds, its GPM headers
-// taken from spares. It returns the GPMs only when the run reached its end
-// or its cycle limit, the runs whose headers are worth handing back.
-func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spares, st *runState) (Result, []*gpm.GPM, error) {
+// run builds and executes one simulation on what s holds. It returns the
+// GPMs only when the run reached its end or its cycle limit, the runs whose
+// headers are worth handing back.
+func (s *store) run(ctx context.Context, cfg config.System, opts Options) (Result, []*gpm.GPM, error) {
 	if err := cfg.Validate(); err != nil {
 		return Result{}, nil, err
 	}
@@ -327,12 +329,11 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 	if opts.Scheme == "" {
 		opts.Scheme = "baseline"
 	}
-	layout := st.geometry(cfg.MeshW, cfg.MeshH)
-	mesh := layout.Mesh
-
-	eng := st.eng
-	network := st.noc.New(eng, mesh, cfg.NoC)
-	numGPMs := mesh.NumGPMs()
+	layout := s.geometry(cfg.MeshW, cfg.MeshH)
+	eng := &s.eng
+	network := &s.mesh
+	network.Reset(eng, layout, cfg.NoC)
+	numGPMs := layout.NumGPMs()
 
 	// The attribution ledger rides the tracer seam: Attach fans typed spans
 	// out to the collector (sink-only when no trace output was requested),
@@ -356,7 +357,7 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 	}
 	network.Trace = tr
 
-	placement := st.place(numGPMs, cfg.PageSize)
+	placement := s.place(numGPMs, cfg.PageSize)
 	regions := map[string]vm.Region{}
 	for _, rs := range opts.Benchmark.Regions(cfg.WorkloadScale, numGPMs, cfg.PageSize) {
 		regions[rs.Name] = placement.Alloc(rs.Name, rs.Pages, 0)
@@ -368,12 +369,13 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 	// is static, so a deferred seed observes the same pages an eager one
 	// would; regions are walked in allocation order, so the filter's
 	// insertion order never depends on map iteration.
-	gpms := spares.Headers(eng, mesh.GPMs(), cfg.GPM, cfg.PageSize,
+	gpms := gpm.Headers(s.gpms, eng, layout.GPMs(), cfg.GPM, cfg.PageSize,
 		func(i int) gpm.LocalTable { return placement.Local(i) })
+	s.gpms = nil
 	seed := func(g *gpm.GPM) {
 		// The GPMs take turns with one buffer, sized to the pages this
 		// one owns.
-		vpns := slices.Grow(st.vpns[:0], placement.Local(g.ID).Len())
+		vpns := slices.Grow(s.vpns[:0], placement.Local(g.ID).Len())
 		for _, r := range placement.Regions() {
 			lo, hi := r.OwnerSlice(g.ID, numGPMs)
 			for p := lo; p < hi; p++ {
@@ -381,13 +383,14 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 			}
 		}
 		g.ReseedFilter(0, vpns)
-		st.vpns = vpns
+		s.vpns = vpns
 	}
 	for _, g := range gpms {
 		g.SeedFilter(seed)
 	}
 
-	io := st.iommu.New(eng, cfg.IOMMU, mesh.CPU, network, placement.Global())
+	io := &s.iommu
+	io.Reset(eng, cfg.IOMMU, layout.CPU, network, placement.Global())
 	io.GPMCoord = func(id int) geom.Coord { return gpms[id].Coord }
 	io.Trace = tr
 	if coll != nil || chk != nil {
@@ -432,12 +435,10 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 		io.AddHook(h)
 	}
 
-	fabric := &core.Fabric{
-		Eng: eng, Mesh: network, Layout: layout,
-		GPMs: gpms, IOMMU: io, Placement: placement,
-		Pools: &st.core,
-	}
-	fabric.Finish()
+	fabric := &s.fabric
+	fabric.Reset()
+	fabric.Eng, fabric.Mesh, fabric.Layout = eng, network, layout
+	fabric.GPMs, fabric.IOMMU, fabric.Placement = gpms, io, placement
 
 	scheme, err := buildScheme(opts.Scheme, fabric, cfg.HDPAT)
 	if err != nil {
@@ -460,8 +461,8 @@ func run(ctx context.Context, cfg config.System, opts Options, spares *gpm.Spare
 	// while stale readers remain).
 	var reqID uint64
 	nextID := func() uint64 { reqID++; return reqID }
-	reqPool := &st.requests
-	fetch := &fetcher{mesh: network, gpms: gpms, free: &st.fetches}
+	reqPool := &s.requests
+	fetch := &fetcher{mesh: network, gpms: gpms, free: &s.fetches}
 	for _, g := range gpms {
 		g.Remote = scheme
 		g.NextReqID = nextID
