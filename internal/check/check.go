@@ -44,6 +44,11 @@
 //   - xlat.bad-pfn: a stale frame is legitimate only as a race with a
 //     migration of its page (OnMigration): the PTE's owner is the GPM the
 //     page left, and the request was issued before the migration ended.
+//   - xlat.stale-entry: via Final.Entries, every valid entry of every
+//     materialized GPM's L1, L2 and last-level TLB and auxiliary cache, and
+//     of the IOMMU TLB, holds its page's current mapping (frame and owner).
+//     A stale entry serving only local hits never reaches xlat.bad-pfn, which
+//     sees remote completions; this sweep sees it.
 //
 // Always (Finish):
 //
@@ -124,7 +129,18 @@ type Final struct {
 	// Breakdown, when non-nil, is the attribution result to check for
 	// exactness.
 	Breakdown *attr.Breakdown
+	// Entries, when non-nil, walks every cached translation for the
+	// xlat.stale-entry sweep; Global is the page table they must agree
+	// with. Like the link probe, the walk only reads: it must not
+	// materialize a GPM.
+	Entries func(EntryVisitor)
+	Global  *vm.PageTable
 }
+
+// EntryVisitor receives one cached translation: the GPM holding it (-1 for
+// the IOMMU), its level (gpm.TLBLevels, or "tlb" for the IOMMU) and the
+// entry.
+type EntryVisitor func(gpm int, level string, pte vm.PTE)
 
 // Checker accumulates observations from the seams it is attached to. It is
 // not goroutine-safe: like the tracer and collector it belongs to one engine.
@@ -344,6 +360,25 @@ func (c *Checker) Finish(f Final) error {
 					"vpn %#x: pfn %#x of GPM %d from %v, want %#x; no migration from GPM %d ended after the issue at cycle %d",
 					sf.vpn, sf.pfn, sf.owner, sf.source, sf.want, sf.owner, sf.issued)
 			}
+		}
+		if f.Entries != nil {
+			f.Entries(func(gpm int, level string, pte vm.PTE) {
+				want, ok := f.Global.Lookup(pte.VPN)
+				if ok && want.PFN == pte.PFN && want.Owner == pte.Owner {
+					return
+				}
+				where := fmt.Sprintf("GPM %d %s", gpm, level)
+				if gpm < 0 {
+					where = "IOMMU " + level
+				}
+				if !ok {
+					c.violate("xlat.stale-entry", 0, f.Cycle, "%s caches unmapped vpn %#x", where, uint64(pte.VPN))
+					return
+				}
+				c.violate("xlat.stale-entry", 0, f.Cycle,
+					"%s caches vpn %#x as pfn %#x of GPM %d, mapped to pfn %#x of GPM %d",
+					where, uint64(pte.VPN), uint64(pte.PFN), pte.Owner, uint64(want.PFN), want.Owner)
+			})
 		}
 	}
 	if c.linkProbe != nil {

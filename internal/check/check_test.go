@@ -331,3 +331,46 @@ func TestSchemeMigrationLaw(t *testing.T) {
 		t.Fatalf("cut run resolved a suspect: %v", err)
 	}
 }
+
+// Mutation: a cached entry that disagrees with the page table at settle is
+// caught by name, wherever it sits, even if no completion ever carried it.
+func TestCatchesStaleEntry(t *testing.T) {
+	current := vm.PTE{VPN: 7, PFN: 5007, Owner: 4, Valid: true}
+	global := vm.NewPageTable()
+	global.Insert(current)
+	final := func(settled bool, gpm int, level string, planted vm.PTE) Final {
+		f := cleanFinal(0, 0, 0, 0)
+		f.Settled, f.Global = settled, global
+		f.Entries = func(v EntryVisitor) {
+			v(0, "l1", current)
+			v(gpm, level, planted)
+		}
+		return f
+	}
+	if err := New(0).Finish(final(true, 2, "aux", current)); err != nil {
+		t.Fatalf("current entries reported: %v", err)
+	}
+	cases := []struct {
+		name, where string
+		gpm         int
+		level       string
+		pte         vm.PTE
+	}{
+		{"old frame", "GPM 2 l2", 2, "l2", vm.PTE{VPN: 7, PFN: 1234, Owner: 4, Valid: true}},
+		{"old owner", "GPM 3 aux", 3, "aux", vm.PTE{VPN: 7, PFN: 5007, Owner: 3, Valid: true}},
+		{"unmapped", "GPM 0 ll", 0, "ll", vm.PTE{VPN: 8, PFN: 5008, Owner: 0, Valid: true}},
+		{"IOMMU copy", "IOMMU tlb", -1, "tlb", vm.PTE{VPN: 7, PFN: 1234, Owner: 3, Valid: true}},
+	}
+	for _, tc := range cases {
+		err := New(0).Finish(final(true, tc.gpm, tc.level, tc.pte))
+		wantViolation(t, err, "xlat.stale-entry")
+		if !strings.Contains(err.Error(), tc.where+" caches") {
+			t.Errorf("%s: %s not named: %v", tc.name, tc.where, err)
+		}
+	}
+	// The sweep waits for settle: a cut run may hold entries a pending
+	// shootdown is about to drop.
+	if err := New(0).Finish(final(false, 2, "l2", cases[0].pte)); err != nil {
+		t.Fatalf("cut run swept entries: %v", err)
+	}
+}

@@ -123,9 +123,10 @@ func TestSerialAndParallelSessionsAgree(t *testing.T) {
 
 // TestPaperClaimsQuick asserts the paper's headline claims on the quick
 // set cmd/experiments -quick runs (seed 1): HDPAT beats every comparator
-// (Fig 14), the redirection table beats an area-equivalent IOMMU TLB
-// (Fig 19), and HDPAT still wins on the 7x12 wafer (Fig 22). EXPERIMENTS.md
-// marks the rows asserted here.
+// (Fig 14), the full design beats each of its techniques alone (Fig 15),
+// the redirection table beats an area-equivalent IOMMU TLB (Fig 19), and
+// HDPAT still wins on the 7x12 wafer (Fig 22). EXPERIMENTS.md marks the
+// rows asserted here.
 func TestPaperClaimsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("paper-claims gate skipped in -short mode")
@@ -157,6 +158,17 @@ func TestPaperClaimsQuick(t *testing.T) {
 	for col, scheme := range f14.Header[1 : len(f14.Header)-1] {
 		if other := cell(f14, "GEOMEAN", 1+col); hdpat <= other {
 			t.Errorf("fig14: HDPAT geomean %.3f does not beat %s's %.3f", hdpat, scheme, other)
+		}
+	}
+
+	f15, err := Fig15(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := cell(f15, "MEAN", len(f15.Header)-1)
+	for col, technique := range f15.Header[1 : len(f15.Header)-1] {
+		if alone := cell(f15, "MEAN", 1+col); full <= alone {
+			t.Errorf("fig15: HDPAT mean %.3f does not beat %s alone (%.3f)", full, technique, alone)
 		}
 	}
 

@@ -250,6 +250,25 @@ func (g *GPM) AuxStats() tlb.Stats {
 	return g.aux.Stats()
 }
 
+// VisitEntries calls fn with every valid cached translation, labelled by
+// its TLBLevels level: the per-CU L1 TLBs, the L2 TLB, the last-level TLB
+// and the auxiliary cache. Like the stat readers it never materializes:
+// an unmaterialized GPM caches nothing, so it visits nothing.
+func (g *GPM) VisitEntries(fn func(level string, pte vm.PTE)) {
+	if !g.mat {
+		return
+	}
+	visit := func(level string, t *tlb.TLB) {
+		t.Visit(func(pte vm.PTE) { fn(level, pte) })
+	}
+	for _, t := range g.l1TLBs {
+		visit(TLBLevels[0], t)
+	}
+	visit(TLBLevels[1], g.l2TLB)
+	visit(TLBLevels[2], g.llTLB)
+	visit(TLBLevels[3], g.aux.tlb)
+}
+
 // Engine returns the shared simulation engine.
 func (g *GPM) Engine() *sim.Engine { return g.eng }
 

@@ -73,6 +73,9 @@ func TestStatReadersDoNotMaterialize(t *testing.T) {
 	if g.Stats != (Stats{}) {
 		t.Errorf("Stats = %+v on unmaterialized GPM", g.Stats)
 	}
+	g.VisitEntries(func(level string, pte vm.PTE) {
+		t.Errorf("VisitEntries saw %s %v on unmaterialized GPM", level, pte)
+	})
 	if g.mat {
 		t.Fatal("stat readers materialized the GPM")
 	}

@@ -266,6 +266,14 @@ func (io *IOMMU) TLBStats() (s tlb.Stats, ok bool) {
 	return io.iotlb.Stats, true
 }
 
+// VisitTLB calls fn with every valid IOMMU-TLB entry; it visits nothing
+// when this IOMMU has no TLB.
+func (io *IOMMU) VisitTLB(fn func(vm.PTE)) {
+	if io.iotlb != nil {
+		io.iotlb.Visit(fn)
+	}
+}
+
 // traceQueue emits the admission- and PW-queue residency spans for a job
 // leaving the queue stages at time until, whatever path it leaves by (walk
 // start, revisit service, or redirection).

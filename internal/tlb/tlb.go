@@ -144,6 +144,16 @@ func (t *TLB) Peek(k Key) (vm.PTE, bool) {
 	return vm.PTE{}, false
 }
 
+// Visit calls fn with every valid entry in slot order, without updating
+// recency or stats (the invariant checker's settle-time sweep).
+func (t *TLB) Visit(fn func(vm.PTE)) {
+	for i, s := range t.stamp {
+		if s != 0 {
+			fn(t.pte[i])
+		}
+	}
+}
+
 // Insert fills pte, evicting the LRU entry of its set if needed.
 // Re-inserting an existing key refreshes it to MRU.
 func (t *TLB) Insert(pte vm.PTE) {

@@ -89,6 +89,31 @@ func TestInvalidate(t *testing.T) {
 	}
 }
 
+// Visit sees exactly the valid entries, and touches neither recency nor
+// stats: after it the LRU victim and the counters are what they were.
+func TestVisitIsReadOnly(t *testing.T) {
+	tl := mkTLB(1, 3)
+	for v := vm.VPN(1); v <= 3; v++ {
+		tl.Insert(pte(v))
+	}
+	tl.Invalidate(Key{VPN: 2})
+	stats := tl.Stats
+	var seen []vm.VPN
+	tl.Visit(func(p vm.PTE) { seen = append(seen, p.VPN) })
+	slices.Sort(seen)
+	if !slices.Equal(seen, []vm.VPN{1, 3}) {
+		t.Errorf("Visit saw %v, want [1 3]", seen)
+	}
+	if tl.Stats != stats {
+		t.Errorf("Visit changed stats: %+v, was %+v", tl.Stats, stats)
+	}
+	tl.Insert(pte(4)) // fills the empty way
+	tl.Insert(pte(5)) // evicts the LRU entry, 1
+	if _, ok := tl.Peek(Key{VPN: 1}); ok {
+		t.Error("Visit refreshed entry 1's recency")
+	}
+}
+
 func TestFlush(t *testing.T) {
 	tl := mkTLB(4, 4)
 	for v := vm.VPN(0); v < 16; v++ {

@@ -4,10 +4,12 @@ import (
 	"context"
 	"testing"
 
+	"hdpat/internal/attr"
 	"hdpat/internal/cache"
 	"hdpat/internal/config"
 	"hdpat/internal/noc"
 	"hdpat/internal/tlb"
+	"hdpat/internal/vm"
 	"hdpat/internal/workload"
 )
 
@@ -17,7 +19,11 @@ import (
 // both caches' size, ways and MSHRs, the IOMMU's TLB geometry, the routing
 // (one name unknown), the benchmark, 1-4 ops per CU and the seed. Fields
 // range from zero up, so Validate sees shapes it must reject as well as
-// ones it must accept.
+// ones it must accept. Four fields follow the seed, where a zero keeps
+// smallConfig's value: 1-15 IOMMU walkers, a PW-queue cap of 1-32, a
+// WorkloadScale of 4-8 and a 16K or 64K page. They put the IOMMU's
+// admission stage and full PW-queue, larger footprints and larger pages
+// under the checker, and inputs that end at the seed decode as before.
 func fuzzConfig(data []byte) (config.System, Options) {
 	next := func(n int) int {
 		if len(data) == 0 {
@@ -48,17 +54,31 @@ func fuzzConfig(data []byte) (config.System, Options) {
 	if err != nil {
 		panic(err)
 	}
-	return cfg, Options{Scheme: scheme, Benchmark: bench, OpsBudget: 1 + next(4), Seed: int64(next(256)),
-		Invariants: true, MaxCycles: 1_000_000}
+	opts := Options{Scheme: scheme, Benchmark: bench, OpsBudget: 1 + next(4), Seed: int64(next(256)),
+		Invariants: true, Attribution: &attr.Config{}, MaxCycles: 1_000_000}
+	if v := next(16); v != 0 {
+		cfg.IOMMU.Walkers = v
+	}
+	if v := next(33); v != 0 {
+		cfg.IOMMU.PWQueueCap = v
+	}
+	if v := next(6); v != 0 {
+		cfg.WorkloadScale = 3 + v
+	}
+	if v := next(3); v != 0 {
+		cfg.PageSize = []vm.PageSize{vm.Page16K, vm.Page64K}[v-1]
+	}
+	return cfg, opts
 }
 
 // FuzzValidatedConfigRuns runs every small configuration config.Validate
 // accepts: first on a fresh wafer, then twice through RunContext after a
 // run of the same configuration on a wafer one tile wider, so the first
 // recycled run builds new headers and the second takes back everything the
-// first built. Every run must complete without an invariant violation, and
-// both recycled runs must reproduce the fresh one. A panic anywhere means
-// Validate accepted a configuration the simulator cannot build or run.
+// first built. Every run carries the invariant checker and the attribution
+// ledger and must complete without a violation, and both recycled runs
+// must reproduce the fresh one. A panic anywhere means Validate accepted a
+// configuration the simulator cannot build or run.
 func FuzzValidatedConfigRuns(f *testing.F) {
 	// Every field at the first valid value: 3x3, hdpat, XY, one-entry
 	// structures with one MSHR.

@@ -559,6 +559,13 @@ func (s *store) run(ctx context.Context, cfg config.System, opts Options) (Resul
 			ExactHops:   cfg.NoC.Routing != noc.RoutingDeflect,
 			RemoteReqs:  res.RemoteRequests(), RemoteLatencySum: latSum,
 			Breakdown: res.Breakdown,
+			Entries: func(v check.EntryVisitor) {
+				for _, g := range gpms {
+					g.VisitEntries(func(level string, pte vm.PTE) { v(g.ID, level, pte) })
+				}
+				io.VisitTLB(func(pte vm.PTE) { v(-1, "tlb", pte) })
+			},
+			Global: placement.Global(),
 		}
 		if err := chk.Finish(f); err != nil {
 			runErr = errors.Join(runErr, err)
